@@ -6,8 +6,8 @@
 #   make ci          what a PR must pass: build, vet, race tests, snapshot/
 #                    crawler/epoch-equivalence fuzz corpora as seed tests,
 #                    resume byte-identity smoke (workers grid incl. 8,
-#                    under -race), the 16-worker timeline invariance smoke
-#                    (under -race), the 1M-account
+#                    under -race), the 16-worker invariance smoke over
+#                    crawl waves and timeline epochs (under -race), the 1M-account
 #                    lazy-store smoke (-short, under -race), the serve
 #                    smoke (boot tripwire-serve, pause/resume a study over
 #                    HTTP, require an SSE detection + a signed webhook
@@ -103,7 +103,7 @@ bench:
 bench-json: build
 	@$(BENCH_RUN) \
 	 | $(GO) run ./cmd/tripwire-bench -baseline BENCH_baseline.json -out BENCH_crawl.json \
-	     -note "hot-path run vs seed baseline; crawl workers grid 1/4/8/16 on the 2.3k universe plus the lazy 10k-universe wave, timeline engine events/s, allocs/event and scaling-eff at 1/4/8/16 workers (adaptive align), multi-seed sweep seeds/s (in-process pool and distributed coordinator/worker over loopback HTTP), the 1M-site and 10M-account spilled-log heap envelopes (heap-MB), and the incremental-checkpoint byte split (ckpt-full-KB vs ckpt-incr-KB); allocs/op, post-GC live heap, and checkpoint bytes are deterministic, ns/op on shared hardware is noisy"
+	     -note "hot-path run vs seed baseline; crawl workers grid 1/4/8/16 on the 2.3k universe plus the lazy 10k-universe wave, timeline engine events/s, allocs/event and scaling-eff at 1/4/8/16 workers, multi-seed sweep seeds/s (in-process pool and distributed coordinator/worker over loopback HTTP), the 1M-site and 10M-account spilled-log heap envelopes (heap-MB), and the incremental-checkpoint byte split (ckpt-full-KB vs ckpt-incr-KB); allocs/op, post-GC live heap, and checkpoint bytes are deterministic, ns/op on shared hardware is noisy"
 	@echo "wrote BENCH_crawl.json"
 
 # Regression gates: re-run the tracked sweep and diff the deterministic

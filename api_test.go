@@ -28,8 +28,8 @@ func TestOptionsOverrideConfigRegardlessOfOrder(t *testing.T) {
 	if cfg.Seed != 7 {
 		t.Errorf("seed = %d, want 7", cfg.Seed)
 	}
-	if cfg.CrawlWorkers != 3 {
-		t.Errorf("workers = %d, want 3", cfg.CrawlWorkers)
+	if cfg.Workers != 3 {
+		t.Errorf("workers = %d, want 3", cfg.Workers)
 	}
 	if got, want := cfg.Web.NumSites, tripwire.SmallConfig().Web.NumSites; got != want {
 		t.Errorf("sites = %d, want SmallConfig's %d", got, want)

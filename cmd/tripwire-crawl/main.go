@@ -5,16 +5,11 @@
 // Crawls are sharded across -workers goroutines. Output is identical for a
 // given seed regardless of worker count: identities are minted serially in
 // rank order, every per-site random draw derives from (seed, rank), and
-// results are reported in rank order. With -timeline-workers N the crawl
-// runs through the epoch-parallel timeline engine instead: every rank
-// becomes a domain-keyed event in one epoch, executed by N workers — the
-// same engine that parallelizes the pilot's attacker timeline, and the
-// output is byte-identical to the sharded path.
+// results are reported in rank order.
 //
 // Usage:
 //
-//	tripwire-crawl [-sites N] [-from R] [-to R] [-seed N] [-workers N]
-//	               [-timeline-workers N] [-v]
+//	tripwire-crawl [-sites N] [-from R] [-to R] [-seed N] [-workers N] [-v]
 //	               [-cpuprofile FILE] [-memprofile FILE]
 //	               [-mutexprofile FILE] [-blockprofile FILE]
 //	               [-metrics-addr HOST:PORT] [-metrics-out FILE]
@@ -44,7 +39,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 	"time"
 
 	"tripwire/internal/browser"
@@ -52,7 +46,7 @@ import (
 	"tripwire/internal/crawler"
 	"tripwire/internal/identity"
 	"tripwire/internal/obs"
-	"tripwire/internal/simclock"
+	"tripwire/internal/par"
 	"tripwire/internal/snapshot"
 	"tripwire/internal/webgen"
 	"tripwire/internal/xrand"
@@ -64,7 +58,6 @@ func main() {
 	to := flag.Int("to", 200, "last rank to crawl")
 	seed := flag.Int64("seed", 1, "generation seed")
 	workers := flag.Int("workers", 0, "concurrent crawl workers (0 = GOMAXPROCS)")
-	timelineWorkers := flag.Int("timeline-workers", 0, "crawl via the epoch-parallel timeline engine with this many workers (0 = sharded crawl via -workers); output is identical either way")
 	verbose := flag.Bool("v", false, "print one line per site")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the crawl to this file")
 	memprofile := flag.String("memprofile", "", "write a post-crawl heap profile to this file")
@@ -162,44 +155,10 @@ func main() {
 		}
 		results[i] = c.RegisterWith(env, b, "http://"+site.Domain+"/", ids[i])
 	}
-	// runRange crawls slots [lo, hi) with the selected engine. Both paths
-	// yield byte-identical results: each slot is a pure function of
-	// (seed, rank), so neither engine choice nor chunking is observable.
+	// runRange crawls slots [lo, hi). Each slot is a pure function of
+	// (seed, rank), so neither worker count nor chunking is observable.
 	runRange := func(lo, hi int) {
-		if hi <= lo {
-			return
-		}
-		if *timelineWorkers != 0 {
-			// Epoch-engine path: all ranks share one timestamp, each keyed
-			// by its domain, so the engine's conflict partitioning spreads
-			// the crawl over the workers.
-			nw = *timelineWorkers
-			sched := simclock.NewScheduler(simclock.New(time.Date(2014, 7, 1, 0, 0, 0, 0, time.UTC)))
-			at := sched.Clock().Now().Add(time.Hour)
-			for i := lo; i < hi; i++ {
-				i := i
-				site, _ := universe.SiteByRank(*from + i)
-				sched.AtKeyed(at, simclock.KeyFor(site.Domain), "crawl "+site.Domain, func(*simclock.Exec) {
-					crawlRank(i)
-				})
-			}
-			ep := &simclock.Epochs{Sched: sched, Workers: nw}
-			ep.RunEpoch()
-			ep.Close()
-			return
-		}
-		var wg sync.WaitGroup
-		span := hi - lo
-		for w := 0; w < nw && w < span; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := lo + w; i < hi; i += nw {
-					crawlRank(i)
-				}
-			}(w)
-		}
-		wg.Wait()
+		par.For(nw, hi-lo, func(i int) { crawlRank(lo + i) })
 	}
 
 	// Checkpoint/resume. Results are pure per rank, so resume skips the

@@ -101,6 +101,14 @@ func parseConfig(environ []string) (config, error) {
 	return cfg, nil
 }
 
+// Connection timeouts: a client gets readHeaderTimeout to send its request
+// headers and idleTimeout between keep-alive requests, so stalled or
+// abandoned connections cannot pile up.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // server is the wired daemon; tests build one on a random port and drive
 // it over HTTP.
 type server struct {
@@ -148,11 +156,15 @@ func newServer(cfg config) (*server, error) {
 		hooks:   hooks,
 		metrics: metrics,
 		ln:      ln,
+		// No WriteTimeout: SSE event streams stay open for a study's whole
+		// run, and a write deadline would cut them off.
 		http: &http.Server{
 			Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				requests.Inc()
 				handler.ServeHTTP(w, r)
 			}),
+			ReadHeaderTimeout: readHeaderTimeout,
+			IdleTimeout:       idleTimeout,
 		},
 	}, nil
 }

@@ -286,3 +286,33 @@ func TestServeRateLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestServerTimeouts: the daemon bounds header reads and idle keep-alive
+// connections, and sets no write deadline, which would cut off SSE
+// streams.
+func TestServerTimeouts(t *testing.T) {
+	cfg, err := parseConfig([]string{
+		"TRIPWIRE_SERVE_ADDR=127.0.0.1:0",
+		"TRIPWIRE_SERVE_DATA_DIR=" + t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		srv.ln.Close()
+		_ = srv.Shutdown(context.Background())
+	}()
+	if srv.http.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", srv.http.ReadHeaderTimeout)
+	}
+	if srv.http.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", srv.http.IdleTimeout)
+	}
+	if srv.http.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want 0 (SSE streams are long-lived)", srv.http.WriteTimeout)
+	}
+}

@@ -136,7 +136,15 @@ func runCoordinator(addr string, n int, scale string, leaseTTL time.Duration, se
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Addr: addr, Handler: distsweep.Handler(coord)}
+	// The read-side timeouts stop stalled or abandoned connections from
+	// piling up. No WriteTimeout, as in tripwire-serve (where it would cut
+	// off SSE streams): every response here is a small JSON document.
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           distsweep.Handler(coord),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() {
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {

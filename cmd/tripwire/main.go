@@ -4,10 +4,10 @@
 //
 // Usage:
 //
-//	tripwire [-scale small|paper] [-seed N] [-workers N] [-timeline-workers N]
+//	tripwire [-scale small|paper] [-seed N] [-workers N]
 //	         [-detections-only] [-metrics-addr HOST:PORT] [-metrics-out FILE]
 //	         [-progress] [-checkpoint-dir DIR] [-checkpoint-every N]
-//	         [-resume FILE] [-eager-accounts] [-adaptive-align]
+//	         [-resume FILE] [-eager-accounts]
 //
 // The paper scale crawls 33,634 synthetic sites and monitors >100,000 honey
 // accounts; small scale runs the same pipeline on a 1,200-site web in a few
@@ -27,7 +27,7 @@
 // replays the completed prefix, verifies it byte-for-byte against the
 // snapshot, and continues; the final output is identical to an
 // uninterrupted run. -scale and -seed are taken from the snapshot when
-// resuming; worker counts and metrics flags still apply.
+// resuming; -workers and the metrics flags still apply.
 package main
 
 import (
@@ -50,8 +50,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	detectionsOnly := flag.Bool("detections-only", false, "print only detected compromises")
 	saveDir := flag.String("save", "", "write a results directory (summary, dataset, JSON records)")
-	workers := flag.Int("workers", 0, "crawl workers per registration wave (0 = GOMAXPROCS); any value yields identical output for a given seed")
-	timelineWorkers := flag.Int("timeline-workers", 0, "timeline epoch workers (0 = GOMAXPROCS); any value yields identical output for a given seed")
+	workers := flag.Int("workers", 0, "goroutines for crawl waves and timeline epochs (0 = GOMAXPROCS); any value yields identical output for a given seed")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /healthz on this address while running")
 	metricsOut := flag.String("metrics-out", "", "dump the metrics registry here at exit (\"-\" = stdout, *.prom = Prometheus text, else JSON)")
 	progress := flag.Bool("progress", false, "stream wave completions and detections to stderr")
@@ -59,7 +58,6 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 10, "checkpoint after every Nth completed wave (with -checkpoint-dir)")
 	resume := flag.String("resume", "", "resume from this checkpoint file; replays and verifies the completed prefix, then continues")
 	eagerAccounts := flag.Bool("eager-accounts", false, "materialize every honey account up front instead of deriving lazily from (seed, rank); results are identical, memory is not")
-	adaptiveAlign := flag.Bool("adaptive-align", false, "let the attacker campaign widen its scheduling grain adaptively so timeline workers overlap more stuffing latency; worker-count invariant, but changes event timestamps vs the fixed grain")
 	flag.Parse()
 
 	var cfg tripwire.Config
@@ -73,15 +71,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := []tripwire.Option{
-		tripwire.WithWorkers(*workers),
-		tripwire.WithTimelineWorkers(*timelineWorkers),
-	}
+	opts := []tripwire.Option{tripwire.WithWorkers(*workers)}
 	if *eagerAccounts {
 		opts = append(opts, tripwire.WithEagerAccounts(true))
-	}
-	if *adaptiveAlign {
-		opts = append(opts, tripwire.WithAdaptiveAlign(true))
 	}
 	if *checkpointDir != "" {
 		opts = append(opts, tripwire.WithCheckpoint(*checkpointDir, *checkpointEvery))

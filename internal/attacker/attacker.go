@@ -201,7 +201,7 @@ func NewCampaign(cfg CampaignConfig, sched *simclock.Scheduler, stuffer *Stuffer
 const DefaultAlignTargetWidth = 256
 
 // DefaultAlignMax is the grain cap callers conventionally pair with
-// adaptive widening (sim.Config.TimelineAdaptiveAlign uses it). Two weeks
+// adaptive widening (the timeline benchmark fixture uses it). Two weeks
 // keeps even the widest grain far below crack/resale delays, so widening
 // redistributes events within the stuffing phase rather than deforming the
 // campaign's macro timeline.

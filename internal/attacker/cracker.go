@@ -10,8 +10,8 @@ package attacker
 import (
 	"runtime"
 	"strings"
-	"sync"
 
+	"tripwire/internal/par"
 	"tripwire/internal/webgen"
 )
 
@@ -29,8 +29,6 @@ type Credential struct {
 type Cracker struct {
 	// Words is the dictionary of seven-letter base words.
 	Words []string
-	// Workers bounds cracking concurrency; 0 means GOMAXPROCS.
-	Workers int
 }
 
 // candidates enumerates the dictionary-attack candidate passwords:
@@ -48,38 +46,21 @@ func (c *Cracker) candidates() []string {
 
 // Crack processes a dump and returns every credential the attacker
 // recovers. Plaintext and reversible entries are recovered outright;
-// hashed entries fall only to the dictionary.
+// hashed entries fall only to the dictionary. Entries crack on GOMAXPROCS
+// goroutines, each into its own result slot, and the recovered credentials
+// come back sorted by email.
 func (c *Cracker) Crack(dump []webgen.DumpEntry) []Credential {
 	cands := c.candidates()
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	jobs := make(chan webgen.DumpEntry)
-	results := make(chan Credential)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for e := range jobs {
-				if pw, ok := crackOne(e, cands); ok {
-					results <- Credential{Username: e.Username, Email: e.Email, Password: pw}
-				}
-			}
-		}()
-	}
-	go func() {
-		for _, e := range dump {
-			jobs <- e
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
+	pws := make([]string, len(dump))
+	cracked := make([]bool, len(dump))
+	par.For(runtime.GOMAXPROCS(0), len(dump), func(i int) {
+		pws[i], cracked[i] = crackOne(dump[i], cands)
+	})
 	var out []Credential
-	for cred := range results {
-		out = append(out, cred)
+	for i, e := range dump {
+		if cracked[i] {
+			out = append(out, Credential{Username: e.Username, Email: e.Email, Password: pws[i]})
+		}
 	}
 	sortCreds(out)
 	return out

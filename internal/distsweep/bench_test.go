@@ -27,8 +27,7 @@ func benchConfig(seed int64) tripwire.Config {
 	cfg.Web.NumSites = 150
 	cfg.NumUnused = 120
 	cfg.NetLatency = 8 * time.Millisecond
-	cfg.CrawlWorkers = 1
-	cfg.TimelineWorkers = 1
+	cfg.Workers = 1
 	return cfg
 }
 

@@ -16,7 +16,7 @@
 //   - Metrics are observation-only. No instrument draws randomness, takes a
 //     simulation lock, or feeds anything back into the pipeline, so a run
 //     with a live Registry attached is bit-identical to one without
-//     (TestWorkerCountInvariance runs with one attached).
+//     (TestTimelineWorkerInvariance runs with one attached).
 //
 // Every instrument method and Registry constructor is nil-receiver-safe:
 // a nil *Registry hands out nil instruments whose methods are no-ops, so

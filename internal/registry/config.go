@@ -19,11 +19,10 @@ type SubmitRequest struct {
 	Scale string `json:"scale"`
 	// Seed overrides the preset's master seed.
 	Seed *int64 `json:"seed,omitempty"`
-	// Workers/TimelineWorkers override the crawl and timeline concurrency;
-	// zero keeps the preset's value. Results are bit-identical for a given
-	// seed regardless.
-	Workers         int `json:"workers,omitempty"`
-	TimelineWorkers int `json:"timeline_workers,omitempty"`
+	// Workers overrides the study's concurrency (crawl waves and timeline
+	// epochs); zero keeps the preset's value. Results are bit-identical for
+	// a given seed regardless.
+	Workers int `json:"workers,omitempty"`
 	// CheckpointEvery writes a resumable snapshot every Nth completed wave.
 	// Zero means 1 — every wave — so a pause can always resume from the
 	// latest wave boundary. Negative disables checkpointing (a pause then
@@ -54,10 +53,7 @@ func (r *SubmitRequest) buildConfig() (tripwire.Config, error) {
 		cfg.Seed = *r.Seed
 	}
 	if r.Workers != 0 {
-		cfg.CrawlWorkers = r.Workers
-	}
-	if r.TimelineWorkers != 0 {
-		cfg.TimelineWorkers = r.TimelineWorkers
+		cfg.Workers = r.Workers
 	}
 	if r.EagerAccounts {
 		cfg.EagerAccounts = true

@@ -10,6 +10,11 @@ import (
 	"tripwire/internal/obs"
 )
 
+// maxSubmitBody caps a POST /studies body. A SubmitRequest is a few hundred
+// bytes; the cap keeps a hostile client from making the decoder buffer an
+// unbounded body.
+const maxSubmitBody = 64 << 10
+
 // Handler builds the control plane's HTTP surface over reg:
 //
 //	POST /studies               submit (SubmitRequest body) → 201 Info
@@ -23,16 +28,22 @@ import (
 //	GET  /metrics, /metrics.json, /healthz   observability (internal/obs)
 //
 // Errors are JSON objects {"error": "..."}: 400 for bad input, 404 for
-// unknown studies, 409 for illegal lifecycle transitions, 429 from the
-// rate limiter. limiter may be nil (no limiting).
+// unknown studies, 409 for illegal lifecycle transitions, 413 for a submit
+// body over maxSubmitBody, 429 from the rate limiter. limiter may be nil
+// (no limiting).
 func Handler(reg *Registry, limiter *RateLimiter) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /studies", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxSubmitBody))
+				return
+			}
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 			return
 		}

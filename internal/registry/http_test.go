@@ -83,7 +83,7 @@ func TestHTTPPauseResumeStatusByteIdentity(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			body := fmt.Sprintf(`{"scale":"demo","workers":%d,"timeline_workers":%d}`, workers, workers)
+			body := fmt.Sprintf(`{"scale":"demo","workers":%d}`, workers)
 			resp, m := postJSON(t, srv.URL+"/studies", body)
 			if resp.StatusCode != http.StatusCreated {
 				t.Fatalf("submit = %d (%v)", resp.StatusCode, m)
@@ -275,6 +275,30 @@ func TestHTTPErrors(t *testing.T) {
 	r3.Body.Close()
 	if len(list) != 1 || list[0].ID != id {
 		t.Fatalf("list = %+v", list)
+	}
+}
+
+// TestHTTPSubmitBodyLimit: a submit body over maxSubmitBody is refused
+// with 413 and submits nothing, while a body just under the cap is still
+// decoded (and here rejected for its scale, with a 400).
+func TestHTTPSubmitBodyLimit(t *testing.T) {
+	reg, srv := newTestServer(t)
+
+	big := `{"scale":"demo","label":"` + strings.Repeat("x", maxSubmitBody) + `"}`
+	resp, m := postJSON(t, srv.URL+"/studies", big)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit = %d (%v), want 413", resp.StatusCode, m)
+	}
+	if len(m["error"]) == 0 {
+		t.Fatal("413 without error body")
+	}
+	if n := len(reg.List()); n != 0 {
+		t.Fatalf("oversized submit registered %d studies", n)
+	}
+
+	under := `{"scale":"galactic","label":"` + strings.Repeat("x", maxSubmitBody-64) + `"}`
+	if resp, m := postJSON(t, srv.URL+"/studies", under); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("submit under the cap = %d (%v), want 400 for the unknown scale", resp.StatusCode, m)
 	}
 }
 

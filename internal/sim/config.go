@@ -81,32 +81,16 @@ type Config struct {
 	// May 2016 to test recovery (paper §6.1.4).
 	ReRegisterDetected bool
 
-	// CrawlWorkers is how many goroutines crawl a registration wave
-	// concurrently. Zero means runtime.GOMAXPROCS(0). Results are
+	// Workers is how many goroutines run the pilot's parallel work: the
+	// crawl tasks of one registration wave, and the conflict partitions of
+	// one timeline epoch (internal/simclock's epoch executor). Zero means
+	// runtime.GOMAXPROCS(0); 1 runs everything serially. Results are
 	// bit-identical for a given seed regardless of the value: each site's
-	// outcome derives only from (seed, rank, attempt), and waves merge in
-	// rank order (see parallel.go).
-	CrawlWorkers int
-	// TimelineWorkers is how many goroutines execute one timeline epoch's
-	// conflict partitions concurrently (see internal/simclock's epoch
-	// executor). Zero means runtime.GOMAXPROCS(0); 1 executes epochs
-	// serially. Results are bit-identical for a given seed regardless of
-	// the value: same-key events are serialized, scheduling from parallel
-	// handlers is flushed in frontier order, and append-ordered shared logs
-	// are re-sequenced per segment.
-	TimelineWorkers int
-	// TimelineAdaptiveAlign lets the attacker campaign widen its scheduling
-	// grain adaptively: the epoch engine feeds each epoch's deterministic
-	// shape back to the campaign, which doubles its align grain (up to
-	// attacker.DefaultAlignMax) while stuffing epochs run narrower than the
-	// target width and narrows it back when they overshoot. Wider epochs
-	// give the worker pool more independent partitions per epoch, which is
-	// what near-linear stuffing-phase scaling needs. Off by default; the
-	// fixed-grain path is the determinism oracle. Either setting is
-	// worker-count invariant (the controller only consumes schedule-derived
-	// statistics), but toggling it changes event timestamps and therefore
-	// study results, like any attacker-timing parameter.
-	TimelineAdaptiveAlign bool
+	// outcome derives only from (seed, rank, attempt) and waves merge in
+	// rank order (see parallel.go), same-key timeline events are
+	// serialized, scheduling from parallel handlers is flushed in frontier
+	// order, and append-ordered shared logs are re-sequenced per segment.
+	Workers int
 	// NetLatency emulates one network round-trip of wall-clock delay per
 	// crawler page load (real crawling is latency-bound, not CPU-bound).
 	// Zero — the default — keeps simulations instant; benchmarks set it to
@@ -145,7 +129,7 @@ type Config struct {
 	// Metrics, when non-nil, receives telemetry from every subsystem of the
 	// pilot. Instruments are observation-only — they draw no randomness and
 	// feed nothing back — so attaching a registry never changes results
-	// (TestWorkerCountInvariance runs with one attached). Nil disables
+	// (TestTimelineWorkerInvariance runs with one attached). Nil disables
 	// telemetry at the cost of one branch per record site.
 	Metrics *obs.Registry
 }

@@ -68,8 +68,8 @@ func Validate(cfg Config) error {
 			fail("%s = %v, must be in [0, 1]", r.name, r.v)
 		}
 	}
-	if cfg.CrawlWorkers < 0 {
-		fail("CrawlWorkers = %d, cannot be negative", cfg.CrawlWorkers)
+	if cfg.Workers < 0 {
+		fail("Workers = %d, cannot be negative", cfg.Workers)
 	}
 	if cfg.NetLatency < 0 {
 		fail("NetLatency = %v, cannot be negative", cfg.NetLatency)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestWorkerCountInvariance asserts the parallel crawl engine's core
-// contract: a pilot sharded over 8 crawl workers is bit-identical to the
+// contract: a pilot sharded over 8 workers is bit-identical to the
 // same pilot run on 1 worker — same attempts in the same order, same
 // detections, and byte-identical Table 1 and Table 2 renderings. Both runs
 // carry a live metrics registry so the invariance covers the instrumented
@@ -20,7 +20,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 	run := func(workers int) *sim.Pilot {
 		cfg := sim.SmallConfig()
-		cfg.CrawlWorkers = workers
+		cfg.Workers = workers
 		cfg.Metrics = obs.New()
 		return sim.NewPilot(cfg).Run()
 	}

@@ -34,7 +34,7 @@ func (k EventKind) String() string {
 // Ordering guarantee: events are emitted synchronously on the scheduler
 // goroutine, so they arrive in virtual-time order; detections within one
 // dump arrive in the monitor's first-seen order. A given run emits the
-// same event sequence regardless of CrawlWorkers.
+// same event sequence regardless of Workers.
 type Event struct {
 	Kind EventKind
 	// At is the virtual time the event fired.

@@ -45,7 +45,7 @@ func envelopeConfig(spillDir string) Config {
 	cfg.BreachUnregistered = 3
 	cfg.OrganicUsersMin = 5
 	cfg.OrganicUsersMax = 15
-	cfg.CrawlWorkers = 8
+	cfg.Workers = 8
 	cfg.NetLatency = time.Millisecond
 	cfg.LogSpillDir = spillDir
 	cfg.LogResidentBudget = envelopeBudget
@@ -176,7 +176,7 @@ func checkpointConfig(ckptDir, spillDir string) Config {
 	cfg.BreachUnregistered = 3
 	cfg.OrganicUsersMin = 5
 	cfg.OrganicUsersMax = 15
-	cfg.CrawlWorkers = 8
+	cfg.Workers = 8
 	cfg.NetLatency = time.Millisecond
 	cfg.CheckpointDir = ckptDir
 	cfg.CheckpointEvery = 1

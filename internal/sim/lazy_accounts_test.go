@@ -29,8 +29,7 @@ func TestLazyEagerAccountEquivalence(t *testing.T) {
 	for _, w := range workerGrid {
 		for _, eager := range []bool{false, true} {
 			cfg := resumeTestConfig()
-			cfg.CrawlWorkers = w
-			cfg.TimelineWorkers = w
+			cfg.Workers = w
 			cfg.EagerAccounts = eager
 			p := NewPilot(cfg).Run()
 			label := fmt.Sprintf("eager=%v workers=%d", eager, w)

@@ -24,7 +24,6 @@ type pilotMetrics struct {
 	tlWidth       *obs.Histogram
 	tlPartitions  *obs.Histogram
 	tlUtilization *obs.Gauge
-	alignSec      *obs.Gauge
 }
 
 // newPilotMetrics registers the sim metric families on r and exposes the
@@ -49,13 +48,9 @@ func (p *Pilot) newPilotMetrics(r *obs.Registry) *pilotMetrics {
 		tlPartitions:  r.Histogram("tripwire_timeline_partitions", "Conflict partitions per epoch.", []float64{1, 2, 4, 8, 16, 32, 64}),
 		tlUtilization: r.Gauge("tripwire_timeline_worker_utilization_percent", "Share of the last parallel epoch's worker-time spent executing events."),
 		tlSegments:    r.Counter("tripwire_timeline_segments_total", "Parallel segments executed across all epochs."),
-		alignSec:      r.Gauge("tripwire_timeline_align_seconds", "Attacker scheduling grain currently in effect (moves only under adaptive align)."),
 	}
-	r.GaugeFunc("tripwire_sim_workers", "Configured crawl workers (0 meant GOMAXPROCS).", func() int64 {
+	r.GaugeFunc("tripwire_sim_workers", "Configured crawl and timeline workers (0 meant GOMAXPROCS).", func() int64 {
 		return int64(p.workers())
-	})
-	r.GaugeFunc("tripwire_timeline_workers", "Configured timeline workers (0 meant GOMAXPROCS).", func() int64 {
-		return int64(p.timelineWorkers())
 	})
 	return m
 }

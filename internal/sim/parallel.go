@@ -3,7 +3,6 @@ package sim
 import (
 	"net/netip"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,12 +11,13 @@ import (
 	"tripwire/internal/core"
 	"tripwire/internal/crawler"
 	"tripwire/internal/identity"
+	"tripwire/internal/par"
 	"tripwire/internal/webgen"
 	"tripwire/internal/xrand"
 )
 
 // The parallel crawl engine shards a wave of registrations across
-// Config.CrawlWorkers goroutines while keeping runs bit-identical for a
+// Config.Workers goroutines (par.For) while keeping runs bit-identical for a
 // given seed regardless of worker count. Determinism rests on three rules:
 //
 //  1. Everything order-sensitive is serial. Task collection, identity
@@ -43,56 +43,12 @@ const (
 	streamProxy
 )
 
-// workers resolves Config.CrawlWorkers, defaulting to GOMAXPROCS.
+// workers resolves Config.Workers, defaulting to GOMAXPROCS.
 func (p *Pilot) workers() int {
-	if p.Cfg.CrawlWorkers > 0 {
-		return p.Cfg.CrawlWorkers
+	if p.Cfg.Workers > 0 {
+		return p.Cfg.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// timelineWorkers resolves Config.TimelineWorkers, defaulting to GOMAXPROCS.
-func (p *Pilot) timelineWorkers() int {
-	if p.Cfg.TimelineWorkers > 0 {
-		return p.Cfg.TimelineWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// runSharded fans fn(0..n-1) out over at most workers goroutines pulling
-// from a shared atomic counter. Which worker runs which task is timing-
-// dependent, as is completion order — callers must keep fn's effects a pure
-// function of i (the engine's self-contained-task rule) so neither matters.
-// Dynamic pull beats static striding here because task durations are wildly
-// uneven (a load-failure site costs one page, a registration flow seven):
-// striding pins the slow tasks to whichever stripe drew them, and the wave
-// waits on that stripe's unlucky sum.
-func runSharded(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // rankAt pairs a rank with its nominal visit time inside a batch window.
@@ -239,7 +195,7 @@ func (p *Pilot) runPhase(tasks []*crawlTask) {
 	}
 	workers := p.workers()
 	if p.metrics == nil {
-		runSharded(workers, len(tasks), func(i int) {
+		par.For(workers, len(tasks), func(i int) {
 			p.crawlTask(tasks[i])
 		})
 	} else {
@@ -249,7 +205,7 @@ func (p *Pilot) runPhase(tasks []*crawlTask) {
 		// task — nothing the crawl itself can observe.
 		var busy atomic.Int64
 		phaseStart := time.Now()
-		runSharded(workers, len(tasks), func(i int) {
+		par.For(workers, len(tasks), func(i int) {
 			start := time.Now()
 			p.crawlTask(tasks[i])
 			d := time.Since(start)

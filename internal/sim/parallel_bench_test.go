@@ -52,7 +52,7 @@ func benchCrawlGrid(b *testing.B, numSites, waveSites int, warm, withMetrics boo
 				b.StopTimer()
 				cfg := SmallConfig()
 				cfg.Web.NumSites = numSites
-				cfg.CrawlWorkers = workers
+				cfg.Workers = workers
 				cfg.NetLatency = time.Millisecond
 				if withMetrics {
 					cfg.Metrics = obs.New()

@@ -183,9 +183,6 @@ func NewPilot(cfg Config) *Pilot {
 	p.Stuffer.UsePOP(pop3.NewServer(p.Provider.POPBackend()), 0.08, cfg.Seed+7)
 	acfg := attacker.DefaultCampaignConfig(cfg.End)
 	acfg.Seed = cfg.Seed + 3
-	if cfg.TimelineAdaptiveAlign {
-		acfg.AlignMax = attacker.DefaultAlignMax
-	}
 	p.Campaign = attacker.NewCampaign(acfg, sched, p.Stuffer, p.Provider)
 
 	// Crawler with CAPTCHA solving service and virtual-time rate limiting.

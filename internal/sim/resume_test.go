@@ -14,6 +14,7 @@ import (
 
 	"tripwire/internal/crawler"
 	"tripwire/internal/identity"
+	"tripwire/internal/snapshot"
 )
 
 func identityClass(rng *rand.Rand) identity.PasswordClass {
@@ -41,8 +42,7 @@ func resumeTestConfig() Config {
 	cfg.BreachUnregistered = 2
 	cfg.OrganicUsersMin = 5
 	cfg.OrganicUsersMax = 15
-	cfg.CrawlWorkers = 2
-	cfg.TimelineWorkers = 2
+	cfg.Workers = 2
 	return cfg
 }
 
@@ -117,8 +117,7 @@ func TestResumeByteIdentical(t *testing.T) {
 		for _, w := range workerGrid {
 			label := fmt.Sprintf("%s workers=%d", filepath.Base(file), w)
 			p, err := ResumePilot(file, func(c *Config) {
-				c.CrawlWorkers = w
-				c.TimelineWorkers = w
+				c.Workers = w
 				c.CheckpointDir = ""
 				c.CheckpointEvery = 0
 			})
@@ -225,6 +224,20 @@ func TestResumeRejectsBadFiles(t *testing.T) {
 	}
 	if _, err := ResumePilot(filepath.Join(dir, "missing.twsnap"), nil); err == nil {
 		t.Fatal("missing file resumed without error")
+	}
+
+	// A checkpoint from an older format version is refused by version, not
+	// misread through the current config-section layout.
+	old := snapshot.New()
+	old.Version = snapshot.Version - 1
+	cfg := resumeTestConfig()
+	old.Add(sectionConfig, encodeConfig(&cfg))
+	oldPath := filepath.Join(dir, "old.twsnap")
+	if err := snapshot.WriteFile(oldPath, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumePilot(oldPath, nil); err == nil || !bytes.Contains([]byte(err.Error()), []byte("checkpoint format v")) {
+		t.Fatalf("older-format checkpoint: err = %v, want a format-version refusal", err)
 	}
 }
 

@@ -51,23 +51,14 @@ func (p *Pilot) RunContext(ctx context.Context) error {
 	p.scheduleDumps()
 	p.scheduleDisclosures()
 	// The epoch-parallel timeline engine: keyed attacker events in one
-	// epoch execute concurrently, bounded by TimelineWorkers; the provider
-	// login ring and the attacker record log are re-sequenced per segment.
+	// epoch execute concurrently, bounded by Workers; the provider login
+	// ring and the attacker record log are re-sequenced per segment.
 	ep := &simclock.Epochs{
 		Sched:      p.Sched,
-		Workers:    p.timelineWorkers(),
+		Workers:    p.workers(),
 		Sequencers: []simclock.Sequencer{p.Provider, p.Stuffer},
 	}
 	defer ep.Close()
-	// The campaign's adaptive align controller consumes the deterministic
-	// epoch shape (a no-op unless AlignMax widening is enabled); the gauge
-	// exports whatever grain it settles on.
-	ep.Tune = func(st simclock.EpochStats) {
-		p.Campaign.TuneEpoch(st)
-		if p.metrics != nil {
-			p.metrics.alignSec.Set(int64(p.Campaign.CurrentAlign() / time.Second))
-		}
-	}
 	if p.metrics != nil {
 		ep.Observe = p.metrics.epochDone
 	}

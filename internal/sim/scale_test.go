@@ -81,7 +81,7 @@ func TestLazyMaterializationSmoke(t *testing.T) {
 	const waveSites = 1024
 	cfg := SmallConfig()
 	cfg.Web.NumSites = 10000
-	cfg.CrawlWorkers = 16
+	cfg.Workers = 16
 	cfg.BreachRegistered = 0
 	cfg.BreachUnregistered = 0
 	p := NewPilot(cfg)

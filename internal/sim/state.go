@@ -95,15 +95,13 @@ func encodeConfig(cfg *Config) []byte {
 	e.Bool(cfg.UseSearchEngine)
 	e.Bool(cfg.UseMultiStage)
 	e.Bool(cfg.ReRegisterDetected)
-	e.Int(int64(cfg.CrawlWorkers))
-	e.Int(int64(cfg.TimelineWorkers))
+	e.Int(int64(cfg.Workers))
 	e.Duration(cfg.NetLatency)
 	e.Int(int64(cfg.CheckpointEvery))
 	e.String(cfg.CheckpointDir)
 	e.Int(int64(cfg.LogResidentBudget))
 	e.String(cfg.LogSpillDir)
 	e.Bool(cfg.EagerAccounts)
-	e.Bool(cfg.TimelineAdaptiveAlign)
 	return e.Bytes()
 }
 
@@ -164,15 +162,13 @@ func decodeConfig(data []byte) (Config, error) {
 	cfg.UseSearchEngine = d.Bool()
 	cfg.UseMultiStage = d.Bool()
 	cfg.ReRegisterDetected = d.Bool()
-	cfg.CrawlWorkers = int(d.Int())
-	cfg.TimelineWorkers = int(d.Int())
+	cfg.Workers = int(d.Int())
 	cfg.NetLatency = d.Duration()
 	cfg.CheckpointEvery = int(d.Int())
 	cfg.CheckpointDir = d.String()
 	cfg.LogResidentBudget = int(d.Int())
 	cfg.LogSpillDir = d.String()
 	cfg.EagerAccounts = d.Bool()
-	cfg.TimelineAdaptiveAlign = d.Bool()
 	if err := d.Err(); err != nil {
 		return Config{}, fmt.Errorf("config section: %w", err)
 	}
@@ -555,9 +551,9 @@ func (p *Pilot) WavesDone() int { return p.wavesDone }
 // continues to the configured end. The completed run is byte-identical to
 // an uninterrupted one, at any worker count.
 //
-// mutate, when non-nil, may adjust runtime knobs (CrawlWorkers,
-// TimelineWorkers, Metrics, checkpoint cadence and directories) on the
-// restored configuration before the pilot is built. Changing
+// mutate, when non-nil, may adjust runtime knobs (Workers, Metrics,
+// checkpoint cadence and directories) on the restored configuration before
+// the pilot is built. Changing
 // determinism-relevant fields (seed, batches, rates, window) makes the
 // replay diverge from the snapshot, which RunContext reports as an error
 // naming the diverging section.
@@ -565,6 +561,11 @@ func ResumePilot(path string, mutate func(*Config)) (*Pilot, error) {
 	f, err := snapshot.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("sim: resume %s: %w", path, err)
+	}
+	// The config section's layout is versioned with the container; an older
+	// checkpoint would misread here, so refuse it by name.
+	if f.Version != snapshot.Version {
+		return nil, fmt.Errorf("sim: resume %s: checkpoint format v%d, this build reads v%d", path, f.Version, snapshot.Version)
 	}
 	cdata, ok := f.Section(sectionConfig)
 	if !ok {

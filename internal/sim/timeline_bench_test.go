@@ -36,8 +36,7 @@ const (
 // buildTimelineBench assembles the attacker-only fixture: provider,
 // stuffer, and a campaign with every domain breached in the first hours.
 // The 24h alignment grain packs independent accounts' visits onto shared
-// timestamps, and adaptive widening (wired through Tune exactly as the
-// pilot wires it) then grows the grain until epochs are wide enough to
+// timestamps, and adaptive widening (wired through Epochs.Tune) then grows the grain until epochs are wide enough to
 // keep the whole worker pool busy.
 func buildTimelineBench(workers int) (*simclock.Epochs, time.Time) {
 	start := date(2015, 6, 1)

@@ -36,7 +36,7 @@ func TestValidateRejections(t *testing.T) {
 		{"zero retention", func(c *Config) { c.Retention = 0 }, "Retention"},
 		{"captcha rate above one", func(c *Config) { c.CaptchaImageErr = 1.5 }, "CaptchaImageErr"},
 		{"negative fault rate", func(c *Config) { c.CrawlerFaultRate = -0.1 }, "CrawlerFaultRate"},
-		{"negative workers", func(c *Config) { c.CrawlWorkers = -2 }, "CrawlWorkers"},
+		{"negative workers", func(c *Config) { c.Workers = -2 }, "Workers"},
 		{"negative latency", func(c *Config) { c.NetLatency = -time.Second }, "NetLatency"},
 	}
 	for _, tc := range cases {

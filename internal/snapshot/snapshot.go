@@ -14,9 +14,10 @@
 //
 // Version policy: Decode accepts exactly the versions it knows how to
 // read. A file written by a newer format version fails with
-// ErrVersionSkew rather than being misread; older versions are migrated
-// explicitly here when the format evolves (none exist yet — Version 1 is
-// the first).
+// ErrVersionSkew rather than being misread. An older file decodes, and the
+// consumer whose section layout changed since refuses it by version (sim
+// checkpoints must match Version exactly; login-log spill segments and
+// crawl checkpoints have kept their layout).
 //
 // Every decode path is hardened against hostile input: all length fields
 // are sanity-capped against the bytes actually remaining before any
@@ -38,8 +39,10 @@ import (
 const Magic = "TWSN"
 
 // Version is the current format version, bumped on any layout change.
-// v2: the sim config section gained the timeline adaptive-align flag.
-const Version = 2
+// v2: the sim config section gained an attacker-timing flag.
+// v3: the sim config section merged its two worker counts into one and
+// dropped that flag.
+const Version = 3
 
 // Sanity bounds on container metadata. Section payloads are bounded by the
 // file size itself (lengths are checked against remaining bytes), so only

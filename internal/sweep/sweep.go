@@ -17,12 +17,11 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tripwire"
 	"tripwire/internal/core"
+	"tripwire/internal/par"
 	"tripwire/internal/report"
 	"tripwire/internal/stats"
 )
@@ -76,36 +75,12 @@ func Run(o Options) *Outcome {
 	if o.N <= 0 {
 		return &Outcome{}
 	}
-	workers := o.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > o.N {
-		workers = o.N
-	}
-
 	results := make([]SeedResult, o.N)
 	pw := NewProgressWriter(o.Progress)
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= o.N {
-					return
-				}
-				r := RunSeed(o.ConfigFor(int64(i + 1)))
-				results[i] = r
-				pw.Write(r)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(o.Parallel, o.N, func(i int) {
+		results[i] = RunSeed(o.ConfigFor(int64(i + 1)))
+		pw.Write(results[i])
+	})
 	pw.Close()
 	return &Outcome{Results: results}
 }

@@ -28,8 +28,7 @@ func resumeConfig() tripwire.Config {
 	cfg.BreachUnregistered = 2
 	cfg.OrganicUsersMin = 5
 	cfg.OrganicUsersMax = 15
-	cfg.CrawlWorkers = 2
-	cfg.TimelineWorkers = 2
+	cfg.Workers = 2
 	return cfg
 }
 

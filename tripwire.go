@@ -106,22 +106,20 @@ func SmallConfig() Config { return sim.SmallConfig() }
 
 // Option customizes a study built by New. Options are applied on top of
 // the base configuration in a fixed precedence: WithConfig replaces the
-// base wholesale, and the targeted options (WithWorkers,
-// WithTimelineWorkers, WithSeed, WithMetrics) are applied afterwards — so
-// the targeted options win regardless of the order they are passed in.
+// base wholesale, and the targeted options (WithWorkers, WithSeed,
+// WithMetrics) are applied afterwards — so the targeted options win
+// regardless of the order they are passed in.
 type Option func(*studyOptions)
 
 type studyOptions struct {
-	cfg             Config
-	cfgSet          bool
-	workers         *int
-	timelineWorkers *int
-	seed            *int64
-	metrics         **Metrics
-	checkpoint      *checkpointOption
-	logSpill        *logSpillOption
-	eagerAccounts   *bool
-	adaptiveAlign   *bool
+	cfg           Config
+	cfgSet        bool
+	workers       *int
+	seed          *int64
+	metrics       **Metrics
+	checkpoint    *checkpointOption
+	logSpill      *logSpillOption
+	eagerAccounts *bool
 }
 
 type checkpointOption struct {
@@ -138,10 +136,7 @@ type logSpillOption struct {
 // already happened by the time this runs).
 func (o *studyOptions) apply(cfg *Config) {
 	if o.workers != nil {
-		cfg.CrawlWorkers = *o.workers
-	}
-	if o.timelineWorkers != nil {
-		cfg.TimelineWorkers = *o.timelineWorkers
+		cfg.Workers = *o.workers
 	}
 	if o.seed != nil {
 		cfg.Seed = *o.seed
@@ -160,9 +155,6 @@ func (o *studyOptions) apply(cfg *Config) {
 	if o.eagerAccounts != nil {
 		cfg.EagerAccounts = *o.eagerAccounts
 	}
-	if o.adaptiveAlign != nil {
-		cfg.TimelineAdaptiveAlign = *o.adaptiveAlign
-	}
 }
 
 // WithConfig replaces the base configuration (DefaultConfig) wholesale.
@@ -171,29 +163,12 @@ func WithConfig(cfg Config) Option {
 	return func(o *studyOptions) { o.cfg, o.cfgSet = cfg, true }
 }
 
-// WithWorkers sets how many goroutines crawl a registration wave
-// concurrently. Zero means GOMAXPROCS. Results are bit-identical for a
+// WithWorkers sets how many goroutines run a study's parallel work: the
+// crawl tasks of a registration wave and the conflict partitions of a
+// timeline epoch. Zero means GOMAXPROCS. Results are bit-identical for a
 // given seed regardless of the value.
 func WithWorkers(n int) Option {
 	return func(o *studyOptions) { o.workers = &n }
-}
-
-// WithTimelineWorkers sets how many goroutines execute one timeline
-// epoch's conflict partitions concurrently (the epoch-parallel
-// discrete-event engine). Zero means GOMAXPROCS. Results are bit-identical
-// for a given seed regardless of the value.
-func WithTimelineWorkers(n int) Option {
-	return func(o *studyOptions) { o.timelineWorkers = &n }
-}
-
-// WithAdaptiveAlign lets the attacker campaign widen its scheduling grain
-// adaptively, packing more independent accounts' visits into each timeline
-// epoch so extra timeline workers have more latency to overlap. Results
-// remain bit-identical across worker counts for a given seed, but toggling
-// the option changes event timestamps like any other attacker-timing
-// parameter. Off by default.
-func WithAdaptiveAlign(on bool) Option {
-	return func(o *studyOptions) { o.adaptiveAlign = &on }
 }
 
 // WithSeed sets the master seed; every derived RNG stream follows from it.
@@ -290,8 +265,8 @@ func NewStudy(cfg Config) *Study { return New(WithConfig(cfg)) }
 // count. Events replays the full sequence from the start of the study,
 // not just the continuation.
 //
-// Targeted options (WithWorkers, WithTimelineWorkers, WithMetrics,
-// WithCheckpoint, WithLogSpill, WithEagerAccounts) adjust runtime knobs on
+// Targeted options (WithWorkers, WithMetrics, WithCheckpoint,
+// WithLogSpill, WithEagerAccounts) adjust runtime knobs on
 // the restored configuration. Resume accepts the same Option set as New
 // but rejects the two that conflict with a snapshot-borne configuration,
 // naming the offending option: WithConfig (the configuration comes from
