@@ -14,7 +14,9 @@
 #                    delivery, under -race), the distributed-sweep smoke
 #                    (coordinator + two in-process workers over loopback
 #                    HTTP, byte-identity incl. a worker killed mid-seed,
-#                    under -race), bench smoke, and the
+#                    under -race), bench smoke, vet and tests of the
+#                    end-to-end benchmark module in bench/ (its own
+#                    module, outside the root ./...), and the
 #                    overhead/alloc/heap gates
 #   make bench       parallel crawl engine benchmark (1/4/8/16 workers, plus
 #                    the lazy 10k-universe variant)
@@ -76,6 +78,7 @@ ci: build metrics-doc-check
 	$(GO) test -race -short -run 'TestLazyMillionAccountSmoke|TestIncrementalCheckpointEquivalence' ./internal/sim/
 	$(GO) test -race -run 'TestServeSmoke' ./cmd/tripwire-serve/
 	$(GO) test -race -run 'TestDistSweepByteIdentical|TestDistSweepWorkerLossByteIdentical' ./internal/distsweep/
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run xxx -bench . -benchtime 1x $(BENCH_PKGS)
 	$(GO) test -run xxx -bench 'BenchmarkParallelCrawl$$/workers=8' -benchtime 1x ./internal/sim/
 	$(MAKE) bench-overhead

@@ -292,8 +292,8 @@ func (c *Campaign) align(t time.Time) time.Time {
 }
 
 // Breach schedules the compromise of domain at time when: the attacker
-// exfiltrates the store's dump, cracks it per the site's storage policy,
-// and begins stuffing recovered provider credentials.
+// exfiltrates the store's dump, keeps the rows at the email provider, cracks
+// them per the site's storage policy, and begins stuffing what it recovers.
 func (c *Campaign) Breach(domain string, store *webgen.Store, when time.Time) {
 	key := simclock.KeyFor(domain)
 	c.sched.AtKeyed(c.align(when), key, "breach "+domain, func(x *simclock.Exec) {
@@ -304,13 +304,12 @@ func (c *Campaign) Breach(domain string, store *webgen.Store, when time.Time) {
 		if c.Metrics != nil {
 			c.Metrics.breaches.Inc()
 		}
-		dump := store.Dump()
+		dump := FilterByDomain(store.Dump(), c.provider.Domain())
 		delay := c.crackDelay(store.Policy())
 		at := c.align(x.Now().Add(delay))
 		x.AtKeyed(at, key, "crack "+domain, func(x *simclock.Exec) {
 			rng := xrand.New(xrand.Mix(c.cfg.Seed, int64(x.Seq()), streamCrack))
-			creds := c.cracker.Crack(dump)
-			provider := FilterByDomain(creds, c.provider.Domain())
+			provider := c.cracker.Crack(dump)
 			if c.Metrics != nil {
 				c.Metrics.credsCracked.Add(uint64(len(provider)))
 			}

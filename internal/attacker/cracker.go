@@ -8,7 +8,10 @@
 package attacker
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"runtime"
+	"slices"
 	"strings"
 
 	"tripwire/internal/par"
@@ -62,7 +65,7 @@ func (c *Cracker) Crack(dump []webgen.DumpEntry) []Credential {
 			out = append(out, Credential{Username: e.Username, Email: e.Email, Password: pws[i]})
 		}
 	}
-	sortCreds(out)
+	slices.SortStableFunc(out, func(a, b Credential) int { return strings.Compare(a.Email, b.Email) })
 	return out
 }
 
@@ -73,9 +76,21 @@ func crackOne(e webgen.DumpEntry, cands []string) (string, bool) {
 		return e.Stored, true
 	case webgen.StoreReversible:
 		return webgen.DecodeReversible(e.Stored)
-	case webgen.StoreWeakHash, webgen.StoreStrongHash:
+	case webgen.StoreWeakHash:
 		for _, cand := range cands {
 			if webgen.EncodePassword(e.Policy, cand, e.Salt) == e.Stored {
+				return cand, true
+			}
+		}
+		return "", false
+	case webgen.StoreStrongHash:
+		raw, err := hex.DecodeString(e.Stored)
+		if err != nil || len(raw) != sha256.Size {
+			return "", false
+		}
+		want := [sha256.Size]byte(raw)
+		for _, cand := range cands {
+			if webgen.StrongDigest(cand, e.Salt) == want {
 				return cand, true
 			}
 		}
@@ -85,24 +100,17 @@ func crackOne(e webgen.DumpEntry, cands []string) (string, bool) {
 	}
 }
 
-// FilterByDomain keeps only credentials whose email is under domain — the
-// attacker testing "the most sensitive and important credentials", those at
-// a major email provider (paper §1).
-func FilterByDomain(creds []Credential, domain string) []Credential {
-	var out []Credential
+// FilterByDomain keeps only the dump rows whose email is under domain, in
+// dump order — the attacker going after "the most sensitive and important
+// credentials", those at a major email provider (paper §1), and cracking
+// nothing else.
+func FilterByDomain(dump []webgen.DumpEntry, domain string) []webgen.DumpEntry {
+	var out []webgen.DumpEntry
 	suffix := "@" + strings.ToLower(domain)
-	for _, c := range creds {
-		if strings.HasSuffix(strings.ToLower(c.Email), suffix) {
-			out = append(out, c)
+	for _, e := range dump {
+		if strings.HasSuffix(strings.ToLower(e.Email), suffix) {
+			out = append(out, e)
 		}
 	}
 	return out
-}
-
-func sortCreds(cs []Credential) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].Email < cs[j-1].Email; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
 }

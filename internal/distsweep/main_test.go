@@ -1,0 +1,11 @@
+package distsweep_test
+
+import (
+	"testing"
+
+	"tripwire/internal/leakcheck"
+)
+
+// TestMain fails the package if goroutines its tests started outlive them:
+// every lease heartbeat and every test HTTP server must have exited.
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -59,7 +60,8 @@ func EncodePassword(policy StoragePolicy, pw, salt string) string {
 		sum := md5.Sum([]byte(pw))
 		return hex.EncodeToString(sum[:])
 	case StoreStrongHash:
-		return strongHash(pw, salt)
+		sum := StrongDigest(pw, salt)
+		return hex.EncodeToString(sum[:])
 	default:
 		panic(fmt.Sprintf("webgen: unknown storage policy %v", policy))
 	}
@@ -88,13 +90,17 @@ func xorKey(b []byte, key string) []byte {
 // the expected plaintext-vs-hashed cost asymmetry.
 const StrongHashRounds = 128
 
-func strongHash(pw, salt string) string {
-	h := []byte(salt + pw)
-	for i := 0; i < StrongHashRounds; i++ {
-		sum := sha256.Sum256(h)
-		h = sum[:]
+// StrongDigest is the raw StoreStrongHash digest of pw under salt:
+// SHA-256 over salt+pw, iterated StrongHashRounds times. It does not
+// allocate for inputs up to 128 bytes, so a dictionary attack can compare
+// digests without building a hex string per candidate.
+func StrongDigest(pw, salt string) [sha256.Size]byte {
+	var buf [128]byte
+	sum := sha256.Sum256(append(append(buf[:0], salt...), pw...))
+	for i := 1; i < StrongHashRounds; i++ {
+		sum = sha256.Sum256(sum[:])
 	}
-	return hex.EncodeToString(h)
+	return sum
 }
 
 // Create adds an account. It fails if the username is taken.
@@ -191,14 +197,6 @@ func (st *Store) Dump() []DumpEntry {
 			Policy:   st.policy,
 		})
 	}
-	sortDump(out)
+	slices.SortStableFunc(out, func(a, b DumpEntry) int { return strings.Compare(a.Username, b.Username) })
 	return out
-}
-
-func sortDump(d []DumpEntry) {
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j].Username < d[j-1].Username; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
 }
