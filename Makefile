@@ -32,8 +32,8 @@
 #                           allocs/op grew >5% (ns/op stays informational)
 #                           or any memory-envelope figure grew >5%
 #                           (heap-MB: the lazy 10k wave and the 1M-site /
-#                           10M-account heap envelopes; ckpt-full-KB /
-#                           ckpt-incr-KB: the incremental-checkpoint split;
+#                           10M-account heap envelopes; ckpt-full-KB: the
+#                           size of a written checkpoint file;
 #                           allocs/event: the timeline engine's per-event
 #                           allocation rate)
 
@@ -75,7 +75,7 @@ ci: build metrics-doc-check
 	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/
 	$(GO) test -race -run 'TestResumeByteIdentical|TestStudyCheckpointResume' ./internal/sim/ .
 	$(GO) test -race -run 'TestTimelineWorkerInvariance/workers=16' ./internal/sim/
-	$(GO) test -race -short -run 'TestLazyMillionAccountSmoke|TestIncrementalCheckpointEquivalence' ./internal/sim/
+	$(GO) test -race -short -run 'TestLazyMillionAccountSmoke|TestCheckpointDigestAttestation' ./internal/sim/
 	$(GO) test -race -run 'TestServeSmoke' ./cmd/tripwire-serve/
 	$(GO) test -race -run 'TestDistSweepByteIdentical|TestDistSweepWorkerLossByteIdentical' ./internal/distsweep/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
@@ -106,7 +106,7 @@ bench:
 bench-json: build
 	@$(BENCH_RUN) \
 	 | $(GO) run ./cmd/tripwire-bench -baseline BENCH_baseline.json -out BENCH_crawl.json \
-	     -note "hot-path run vs seed baseline; crawl workers grid 1/4/8/16 on the 2.3k universe plus the lazy 10k-universe wave, timeline engine events/s, allocs/event and scaling-eff at 1/4/8/16 workers, multi-seed sweep seeds/s (in-process pool and distributed coordinator/worker over loopback HTTP), the 1M-site and 10M-account spilled-log heap envelopes (heap-MB), and the incremental-checkpoint byte split (ckpt-full-KB vs ckpt-incr-KB); allocs/op, post-GC live heap, and checkpoint bytes are deterministic, ns/op on shared hardware is noisy"
+	     -note "hot-path run vs seed baseline; crawl workers grid 1/4/8/16 on the 2.3k universe plus the lazy 10k-universe wave, timeline engine events/s, allocs/event and scaling-eff at 1/4/8/16 workers, multi-seed sweep seeds/s (in-process pool and distributed coordinator/worker over loopback HTTP), the 1M-site and 10M-account spilled-log heap envelopes (heap-MB), and the size of a written checkpoint file (ckpt-full-KB); allocs/op, post-GC live heap, and checkpoint bytes are deterministic, ns/op on shared hardware is noisy"
 	@echo "wrote BENCH_crawl.json"
 
 # Regression gates: re-run the tracked sweep and diff the deterministic

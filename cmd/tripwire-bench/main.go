@@ -26,10 +26,10 @@
 // regressions the same way, over the heap-MB custom metric that the
 // lazy-universe and heap-envelope benchmarks report (live heap after a
 // forced GC, so it is stable across machines in a way wall-clock time is
-// not), the ckpt-full-KB / ckpt-incr-KB figures that BenchmarkCheckpoint
-// reports (full-snapshot size vs bytes re-encoded on a steady-state wave),
-// and the allocs/event figure BenchmarkTimeline reports (allocations per
-// fired timeline event, a property of the engine and protocol hot paths).
+// not), the ckpt-full-KB figure that BenchmarkCheckpoint reports (the size
+// of a written checkpoint file), and the allocs/event figure
+// BenchmarkTimeline reports (allocations per fired timeline event, a
+// property of the engine and protocol hot paths).
 // Benchmarks without a given figure on both sides are skipped.
 //
 // Usage:
@@ -185,19 +185,18 @@ func assertAllocs(current, baseline map[string]Result, maxPct float64) (checked 
 }
 
 // memoryGatedUnits are the deterministic memory-envelope metrics gated by
-// -assert-heap: post-GC live heap (heap-MB), the checkpoint byte split
-// (ckpt-full-KB for a complete re-encode, ckpt-incr-KB for the bytes a
-// steady-state wave's incremental checkpoint actually re-encoded), and the
-// timeline engine's allocation rate (allocs/event, allocations per fired
-// event over BenchmarkTimeline's timed region). All four are properties of
-// the retained data structures and the hot-path code, not of the machine.
-var memoryGatedUnits = []string{"heap-MB", "ckpt-full-KB", "ckpt-incr-KB", "allocs/event"}
+// -assert-heap: post-GC live heap (heap-MB), the size of a written
+// checkpoint file (ckpt-full-KB), and the timeline engine's allocation
+// rate (allocs/event, allocations per fired event over BenchmarkTimeline's
+// timed region). All three are properties of the retained data structures
+// and the hot-path code, not of the machine.
+var memoryGatedUnits = []string{"heap-MB", "ckpt-full-KB", "allocs/event"}
 
 // assertHeap compares every current benchmark's memory-envelope figures
 // (memoryGatedUnits) against its baseline entry. A sustained growth past
 // the budget means an envelope regressed — e.g. the login log stopped
-// spilling, lazy materialization turned eager, or a checkpoint section
-// cache stopped reusing bytes.
+// spilling, lazy materialization turned eager, or a checkpoint started
+// storing a state section instead of its digest.
 func assertHeap(current, baseline map[string]Result, maxPct float64) (checked int, breaches []string) {
 	names := make([]string, 0, len(current))
 	for name := range current {
@@ -234,7 +233,7 @@ func main() {
 	note := flag.String("note", "", "free-form note recorded in the document")
 	assertPct := flag.Float64("assert-overhead", 0, "fail if the metrics-on crawl benchmark is more than this % slower (pages/s) than its metrics-free twin, or allocates more")
 	assertAllocsPct := flag.Float64("assert-allocs", 0, "fail if any benchmark's allocs/op exceeds its -baseline entry by more than this % (new benchmarks without a baseline entry are skipped)")
-	assertHeapPct := flag.Float64("assert-heap", 0, "fail if any benchmark's heap-MB, ckpt-full-KB, ckpt-incr-KB, or allocs/event metric exceeds its -baseline entry by more than this % (benchmarks without the figure on both sides are skipped)")
+	assertHeapPct := flag.Float64("assert-heap", 0, "fail if any benchmark's heap-MB, ckpt-full-KB, or allocs/event metric exceeds its -baseline entry by more than this % (benchmarks without the figure on both sides are skipped)")
 	flag.Parse()
 
 	if *assertAllocsPct > 0 && *baseline == "" {

@@ -7,7 +7,7 @@
 //	tripwire [-scale small|paper] [-seed N] [-workers N]
 //	         [-detections-only] [-metrics-addr HOST:PORT] [-metrics-out FILE]
 //	         [-progress] [-checkpoint-dir DIR] [-checkpoint-every N]
-//	         [-resume FILE] [-eager-accounts]
+//	         [-resume FILE]
 //
 // The paper scale crawls 33,634 synthetic sites and monitors >100,000 honey
 // accounts; small scale runs the same pipeline on a 1,200-site web in a few
@@ -23,8 +23,10 @@
 // Checkpoint/resume: -checkpoint-dir (with -checkpoint-every, default 10)
 // writes a resumable snapshot after every Nth completed wave, so an
 // interrupted paper-scale run loses at most one checkpoint interval.
+// Each snapshot stores the configuration and progress plus the length and
+// SHA-256 of every subsystem's state, about a kilobyte at any scale.
 // -resume FILE rebuilds the study from a snapshot, deterministically
-// replays the completed prefix, verifies it byte-for-byte against the
+// replays the completed prefix, verifies its state digests against the
 // snapshot, and continues; the final output is identical to an
 // uninterrupted run. -scale and -seed are taken from the snapshot when
 // resuming; -workers and the metrics flags still apply.
@@ -57,7 +59,6 @@ func main() {
 	checkpointDir := flag.String("checkpoint-dir", "", "write resumable snapshots into this directory at wave boundaries")
 	checkpointEvery := flag.Int("checkpoint-every", 10, "checkpoint after every Nth completed wave (with -checkpoint-dir)")
 	resume := flag.String("resume", "", "resume from this checkpoint file; replays and verifies the completed prefix, then continues")
-	eagerAccounts := flag.Bool("eager-accounts", false, "materialize every honey account up front instead of deriving lazily from (seed, rank); results are identical, memory is not")
 	flag.Parse()
 
 	var cfg tripwire.Config
@@ -72,9 +73,6 @@ func main() {
 	}
 
 	opts := []tripwire.Option{tripwire.WithWorkers(*workers)}
-	if *eagerAccounts {
-		opts = append(opts, tripwire.WithEagerAccounts(true))
-	}
 	if *checkpointDir != "" {
 		opts = append(opts, tripwire.WithCheckpoint(*checkpointDir, *checkpointEvery))
 	}

@@ -171,7 +171,6 @@ type Campaign struct {
 	breaches map[string]time.Time
 	dead     map[string]bool // accounts the attacker has abandoned
 	resales  []string        // domains whose dumps were resold
-	rev      uint64          // durable-state mutation counter (checkpoint cache key)
 
 	// Metrics, when non-nil, receives campaign-progress observations.
 	// Recording is atomic-only and draws no randomness.
@@ -299,7 +298,6 @@ func (c *Campaign) Breach(domain string, store *webgen.Store, when time.Time) {
 	c.sched.AtKeyed(c.align(when), key, "breach "+domain, func(x *simclock.Exec) {
 		c.mu.Lock()
 		c.breaches[domain] = x.Now()
-		c.rev++
 		c.mu.Unlock()
 		if c.Metrics != nil {
 			c.Metrics.breaches.Inc()
@@ -345,7 +343,6 @@ func (c *Campaign) maybeResell(x *simclock.Exec, rng *rand.Rand, domain string, 
 		}
 		c.mu.Lock()
 		c.resales = append(c.resales, domain)
-		c.rev++
 		c.mu.Unlock()
 		if c.Metrics != nil {
 			c.Metrics.resales.Inc()
@@ -526,7 +523,6 @@ func (c *Campaign) afterLogins(st *accountState) {
 		c.provider.ReportSpam(st.cred.Email, 100+st.rng.Intn(900))
 		c.mu.Lock()
 		c.dead[st.cred.Email] = true
-		c.rev++
 		c.mu.Unlock()
 		if c.Metrics != nil {
 			c.Metrics.spamTakedowns.Inc()

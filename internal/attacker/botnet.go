@@ -56,10 +56,10 @@ type ProxyPool struct {
 // NewProxyPool returns a pool drawing from space.
 func NewProxyPool(space *geo.Space, seed int64, reuseProb float64) *ProxyPool {
 	return &ProxyPool{
-		space:    space,
-		seed:     seed,
-		rng:      rand.New(rand.NewSource(seed)),
-		distinct: make(map[netip.Addr]struct{}),
+		space:     space,
+		seed:      seed,
+		rng:       rand.New(rand.NewSource(seed)),
+		distinct:  make(map[netip.Addr]struct{}),
 		ReuseProb: reuseProb,
 	}
 }
@@ -146,7 +146,6 @@ type Stuffer struct {
 	mu      sync.Mutex
 	records []LoginRecord
 	marked  int               // records index saved by BeginSegment
-	rev     uint64            // durable-state mutation counter (checkpoint cache key)
 	draws   map[string]uint64 // per-account deterministic draw counters
 	pop     *pop3.Server
 	popFrac float64
@@ -176,7 +175,6 @@ func (s *Stuffer) nextDraw(email string) uint64 {
 	s.mu.Lock()
 	n := s.draws[email]
 	s.draws[email] = n + 1
-	s.rev++
 	s.mu.Unlock()
 	return n
 }
@@ -214,7 +212,6 @@ func (s *Stuffer) EndSegment() {
 	blk := s.records[s.marked:]
 	if len(blk) > 1 {
 		sortRecords(blk)
-		s.rev++
 	}
 	s.mu.Unlock()
 }
@@ -253,7 +250,6 @@ func (s *Stuffer) TryLoginFrom(ip netip.Addr, cred Credential, siphon bool) bool
 func (s *Stuffer) record(email string, ip netip.Addr, ok bool) {
 	s.mu.Lock()
 	s.records = append(s.records, LoginRecord{Email: email, Time: s.Now(), IP: ip, Success: ok})
-	s.rev++
 	s.mu.Unlock()
 	s.Metrics.attempt(ok)
 }

@@ -71,11 +71,6 @@ type Registration struct {
 	Code     crawler.Code
 	Status   AccountStatus
 	Manual   bool
-
-	// version counts mutations since creation so the incremental
-	// checkpoint can tell whether its cached per-registration blob is
-	// stale. Guarded by the owning regShard's mutex.
-	version uint64
 }
 
 // ledgerShards is the burn-map stripe count. Burned-identity lookups are
@@ -318,7 +313,6 @@ func (l *Ledger) Burn(id *identity.Identity, domain string, rank int, category s
 		Code:     code,
 		Manual:   manual,
 		Status:   initialStatus(code, manual),
-		version:  1,
 	}
 	sh.regs[email] = reg
 	sh.mu.Unlock()
@@ -376,13 +370,9 @@ func (l *Ledger) NoteEmail(rcpt string, isVerification bool) *Registration {
 		return reg
 	}
 	if isVerification {
-		if reg.Status != StatusEmailVerified {
-			reg.Status = StatusEmailVerified
-			reg.version++
-		}
+		reg.Status = StatusEmailVerified
 	} else if reg.Status < StatusEmailReceived {
 		reg.Status = StatusEmailReceived
-		reg.version++
 	}
 	return reg
 }

@@ -58,9 +58,6 @@ type Monitor struct {
 	detections map[string]*Detection
 	order      []string
 
-	// rev counts durable-state mutations (checkpoint cache key).
-	rev uint64
-
 	// Metrics, when non-nil, receives per-dump observations. Recording is
 	// atomic-only and never influences attribution.
 	Metrics *MonitorMetrics
@@ -100,16 +97,6 @@ func (m *Monitor) ExpectControlLogin(account string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.expectedControls[strings.ToLower(account)] = true
-	m.rev++
-}
-
-// StateRev returns the monitor's durable-state mutation counter: it moves
-// whenever ExportState's result may have changed, so checkpoints can reuse
-// a cached encoding while it holds still.
-func (m *Monitor) StateRev() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rev
 }
 
 // Ingest processes a provider dump: every event is attributed, alarmed, or
@@ -118,7 +105,6 @@ func (m *Monitor) StateRev() uint64 {
 func (m *Monitor) Ingest(events []emailprovider.LoginEvent) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.rev++
 	if m.Metrics != nil {
 		m.Metrics.dumpsIngested.Inc()
 		m.Metrics.eventsIngested.Add(uint64(len(events)))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -152,46 +151,11 @@ func appendIdentity(e *snapshot.Encoder, id *identity.Identity) {
 	e.String(id.Employer)
 }
 
-func decodeIdentity(d *snapshot.Decoder) identity.Identity {
-	return identity.Identity{
-		ID:        int(d.Int()),
-		FirstName: d.String(),
-		LastName:  d.String(),
-		Username:  d.String(),
-		LocalPart: d.String(),
-		Email:     d.String(),
-		Password:  d.String(),
-		Class:     identity.PasswordClass(d.Uint()),
-		Street:    d.String(),
-		City:      d.String(),
-		State:     d.String(),
-		Zip:       d.String(),
-		Phone:     d.String(),
-		Birthday:  d.Time(),
-		Employer:  d.String(),
-	}
-}
-
-// identityMinBytes: an identity costs at least 15 length/flag bytes.
-const identityMinBytes = 15
-
 func encodeIdentities(e *snapshot.Encoder, ids []identity.Identity) {
 	e.Uint(uint64(len(ids)))
 	for i := range ids {
 		appendIdentity(e, &ids[i])
 	}
-}
-
-func decodeIdentities(d *snapshot.Decoder) []identity.Identity {
-	n := d.Count(identityMinBytes)
-	var out []identity.Identity
-	if n > 0 {
-		out = make([]identity.Identity, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, decodeIdentity(d))
-	}
-	return out
 }
 
 func encodePoolSegments(e *snapshot.Encoder, segs []PoolSegmentState) {
@@ -208,55 +172,12 @@ func encodePoolSegments(e *snapshot.Encoder, segs []PoolSegmentState) {
 	}
 }
 
-func decodePoolSegments(d *snapshot.Decoder) []PoolSegmentState {
-	n := d.Count(3)
-	var out []PoolSegmentState
-	for i := 0; i < n; i++ {
-		var s PoolSegmentState
-		s.IsItem = d.Bool()
-		if s.IsItem {
-			s.Item = decodeIdentity(d)
-		} else {
-			s.From = d.Int()
-			s.To = d.Int()
-		}
-		if d.Err() != nil {
-			return out
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 func encodeSpans(e *snapshot.Encoder, spans []SpanState) {
 	e.Uint(uint64(len(spans)))
 	for _, s := range spans {
 		e.Int(s.From)
 		e.Int(s.To)
 	}
-}
-
-func decodeSpans(d *snapshot.Decoder) []SpanState {
-	n := d.Count(2)
-	var out []SpanState
-	for i := 0; i < n; i++ {
-		out = append(out, SpanState{From: d.Int(), To: d.Int()})
-	}
-	return out
-}
-
-// appendRegistrationState encodes one registration body — shared by the
-// monolithic section encode and the per-registration cache blobs, so the
-// two paths are byte-identical by construction.
-func appendRegistrationState(e *snapshot.Encoder, r *RegistrationState) {
-	appendIdentity(e, &r.Identity)
-	e.String(r.Domain)
-	e.Int(int64(r.Rank))
-	e.String(r.Category)
-	e.Time(r.When)
-	e.Uint(uint64(r.Code))
-	e.Uint(uint64(r.Status))
-	e.Bool(r.Manual)
 }
 
 // EncodeLedgerState serializes the export into snapshot-section bytes.
@@ -272,126 +193,15 @@ func EncodeLedgerState(st *LedgerState) []byte {
 	}
 	e.Uint(uint64(len(st.Registrations)))
 	for i := range st.Registrations {
-		appendRegistrationState(e, &st.Registrations[i])
-	}
-	encodeIdentities(e, st.Controls)
-	e.Uint(uint64(len(st.Unused)))
-	for _, email := range st.Unused {
-		e.String(email)
-	}
-	return e.Bytes()
-}
-
-// DecodeLedgerState parses EncodeLedgerState's output.
-func DecodeLedgerState(data []byte) (*LedgerState, error) {
-	d := snapshot.NewDecoder(data)
-	st := &LedgerState{}
-	st.PoolHard = decodePoolSegments(d)
-	st.PoolEasy = decodePoolSegments(d)
-	st.SpansHard = decodeSpans(d)
-	st.SpansEasy = decodeSpans(d)
-	nb := d.Count(1)
-	for i := 0; i < nb; i++ {
-		st.Burned = append(st.Burned, d.Int())
-	}
-	n := d.Count(identityMinBytes + 7)
-	for i := 0; i < n; i++ {
-		var r RegistrationState
-		r.Identity = decodeIdentity(d)
-		r.Domain = d.String()
-		r.Rank = int(d.Int())
-		r.Category = d.String()
-		r.When = d.Time()
-		r.Code = crawler.Code(d.Uint())
-		r.Status = AccountStatus(d.Uint())
-		r.Manual = d.Bool()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		st.Registrations = append(st.Registrations, r)
-	}
-	st.Controls = decodeIdentities(d)
-	nu := d.Count(1)
-	for i := 0; i < nu; i++ {
-		st.Unused = append(st.Unused, d.String())
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in ledger state", snapshot.ErrCorrupt, d.Remaining())
-	}
-	return st, nil
-}
-
-// EncodeStateCached produces the ledger section bytes through a
-// SectionCache: per-registration blobs whose versions did not move since
-// the last checkpoint are stitched back verbatim. Everything else (pool
-// segments, spans, burned ranks, controls, explicit unused) is tiny under
-// the virtual-pool representation and re-encodes fresh. A nil cache falls
-// back to the canonical full encode; the output is byte-identical either
-// way.
-func (l *Ledger) EncodeStateCached(c *snapshot.SectionCache) []byte {
-	if c == nil {
-		return EncodeLedgerState(l.ExportState())
-	}
-	type ref struct {
-		email string
-		reg   *Registration
-		ver   uint64
-	}
-	var refs []ref
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		for email, reg := range sh.regs {
-			refs = append(refs, ref{email: email, reg: reg, ver: reg.version})
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].email < refs[j].email })
-
-	st := &LedgerState{}
-	l.mu.Lock()
-	st.PoolHard = exportPool(&l.pools[identity.Hard])
-	st.PoolEasy = exportPool(&l.pools[identity.Easy])
-	st.SpansHard = exportSpans(l.spans[identity.Hard])
-	st.SpansEasy = exportSpans(l.spans[identity.Easy])
-	for rank := range l.burned {
-		st.Burned = append(st.Burned, rank)
-	}
-	for _, id := range l.controls {
-		st.Controls = append(st.Controls, canonIdentity(id))
-	}
-	for email := range l.unused {
-		st.Unused = append(st.Unused, email)
-	}
-	l.mu.Unlock()
-	sort.Slice(st.Burned, func(i, j int) bool { return st.Burned[i] < st.Burned[j] })
-	sort.Slice(st.Controls, func(i, j int) bool { return st.Controls[i].Email < st.Controls[j].Email })
-	sort.Strings(st.Unused)
-
-	e := snapshot.NewEncoder()
-	encodePoolSegments(e, st.PoolHard)
-	encodePoolSegments(e, st.PoolEasy)
-	encodeSpans(e, st.SpansHard)
-	encodeSpans(e, st.SpansEasy)
-	e.Uint(uint64(len(st.Burned)))
-	for _, rank := range st.Burned {
-		e.Int(rank)
-	}
-	e.Uint(uint64(len(refs)))
-	for _, r := range refs {
-		r := r
-		e.Raw(c.GetOrBuild("lr/"+r.email, r.ver, func() []byte {
-			sh := l.shardFor(r.email)
-			sh.mu.Lock()
-			rs := exportRegistration(r.reg)
-			sh.mu.Unlock()
-			blob := snapshot.NewEncoder()
-			appendRegistrationState(blob, &rs)
-			return blob.Bytes()
-		}))
+		r := &st.Registrations[i]
+		appendIdentity(e, &r.Identity)
+		e.String(r.Domain)
+		e.Int(int64(r.Rank))
+		e.String(r.Category)
+		e.Time(r.When)
+		e.Uint(uint64(r.Code))
+		e.Uint(uint64(r.Status))
+		e.Bool(r.Manual)
 	}
 	encodeIdentities(e, st.Controls)
 	e.Uint(uint64(len(st.Unused)))
@@ -527,59 +337,4 @@ func EncodeMonitorState(st *MonitorState) []byte {
 		}
 	}
 	return e.Bytes()
-}
-
-// DecodeMonitorState parses EncodeMonitorState's output.
-func DecodeMonitorState(data []byte) (*MonitorState, error) {
-	d := snapshot.NewDecoder(data)
-	st := &MonitorState{LastDump: d.Time()}
-	n := d.Count(1)
-	for i := 0; i < n; i++ {
-		st.ExpectedControls = append(st.ExpectedControls, d.String())
-	}
-	n = d.Count(2)
-	for i := 0; i < n; i++ {
-		st.SeenControls = append(st.SeenControls, ControlSeen{Account: d.String(), Count: int(d.Int())})
-	}
-	n = d.Count(5)
-	for i := 0; i < n; i++ {
-		ev, err := emailprovider.DecodeLoginEvent(d)
-		if err != nil {
-			return nil, err
-		}
-		st.Attributed = append(st.Attributed, AttributedState{Event: ev, Domain: d.String()})
-	}
-	st.Alarms = int(d.Int())
-	n = d.Count(10)
-	for i := 0; i < n; i++ {
-		var det DetectionState
-		det.Domain = d.String()
-		det.Rank = int(d.Int())
-		det.Category = d.String()
-		det.FirstSeen = d.Time()
-		det.LastSeen = d.Time()
-		det.HardAccessed = d.Bool()
-		det.AccountsRegistered = int(d.Int())
-		det.AccountsAccessed = int(d.Int())
-		na := d.Count(2)
-		for j := 0; j < na; j++ {
-			acct := d.String()
-			evs, err := emailprovider.DecodeLoginEvents(d)
-			if err != nil {
-				return nil, err
-			}
-			det.Logins = append(det.Logins, AccountLogins{Account: acct, Events: evs})
-		}
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		st.Detections = append(st.Detections, det)
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in monitor state", snapshot.ErrCorrupt, d.Remaining())
-	}
-	return st, nil
 }

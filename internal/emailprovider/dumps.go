@@ -76,9 +76,9 @@ func (p *Provider) Deactivate(email string) bool { return p.setState(email, Deac
 func (p *Provider) ForceReset(email string) bool { return p.setState(email, ResetForced) }
 
 func (p *Provider) setState(email string, st State) bool {
-	return p.mutate(email, func(sh *accountShard, slot int32) bool {
+	return p.mutate(email, func(sh *accountShard, slot int32) {
 		if State(sh.states[slot]) == st {
-			return false
+			return
 		}
 		if p.Metrics != nil {
 			switch st {
@@ -91,7 +91,6 @@ func (p *Provider) setState(email string, st State) bool {
 			}
 		}
 		sh.states[slot] = uint8(st)
-		return true
 	})
 }
 
@@ -101,23 +100,15 @@ func (p *Provider) setState(email string, st State) bool {
 
 // ChangePassword sets a new password on the account.
 func (p *Provider) ChangePassword(email, newPassword string) bool {
-	return p.mutate(email, func(sh *accountShard, slot int32) bool {
-		if sh.passwords[slot] == newPassword {
-			return false
-		}
+	return p.mutate(email, func(sh *accountShard, slot int32) {
 		sh.passwords[slot] = newPassword
-		return true
 	})
 }
 
 // RemoveForwarding clears the account's forwarding address.
 func (p *Provider) RemoveForwarding(email string) bool {
-	return p.mutate(email, func(sh *accountShard, slot int32) bool {
-		if sh.forwards[slot] == "" {
-			return false
-		}
+	return p.mutate(email, func(sh *accountShard, slot int32) {
 		sh.forwards[slot] = ""
-		return true
 	})
 }
 
@@ -126,7 +117,7 @@ func (p *Provider) RemoveForwarding(email string) bool {
 // g2, h1, h2, i2, k1 and m2 in the paper.
 func (p *Provider) ReportSpam(email string, messages int) State {
 	st := Active
-	p.mutate(email, func(sh *accountShard, slot int32) bool {
+	p.mutate(email, func(sh *accountShard, slot int32) {
 		st = State(sh.states[slot])
 		if messages > 0 && st == Active {
 			st = Deactivated
@@ -134,9 +125,7 @@ func (p *Provider) ReportSpam(email string, messages int) State {
 			if p.Metrics != nil {
 				p.Metrics.deactivated.Inc()
 			}
-			return true
 		}
-		return false
 	})
 	return st
 }

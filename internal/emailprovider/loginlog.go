@@ -26,17 +26,6 @@ type loginRing struct {
 	// invalidate the marked index, and mid-segment content is not yet
 	// deterministically ordered.
 	inSegment bool
-	// version counts content changes (appends, seals, purges, spills) so
-	// the incremental checkpoint knows when its cached resident-log blob
-	// is stale.
-	version uint64
-}
-
-// rev returns the content version.
-func (r *loginRing) rev() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.version
 }
 
 // at returns the i-th oldest stored event. Callers hold mu and guarantee
@@ -66,7 +55,6 @@ func (r *loginRing) append(ev LoginEvent) {
 	}
 	*r.at(r.n) = ev
 	r.n++
-	r.version++
 }
 
 // dumpSince returns the events with Time in (since, now] that are not older
@@ -123,9 +111,6 @@ func (r *loginRing) purgeExpired(cutoff time.Time) int {
 		if r.n == 0 {
 			r.head = 0
 		}
-		if drop > 0 {
-			r.version++
-		}
 		return drop
 	}
 	// Out-of-order log: compact in place and recheck orderedness, so a ring
@@ -137,9 +122,6 @@ func (r *loginRing) purgeExpired(cutoff time.Time) int {
 		}
 	}
 	purged := r.n - len(kept)
-	if purged > 0 {
-		r.version++
-	}
 	r.buf = kept
 	r.head = 0
 	r.n = len(kept)
@@ -180,7 +162,6 @@ func (r *loginRing) seal() {
 	if r.n-m < 2 {
 		return
 	}
-	r.version++
 	blk := make([]LoginEvent, r.n-m)
 	for i := m; i < r.n; i++ {
 		blk[i-m] = *r.at(i)
@@ -192,7 +173,7 @@ func (r *loginRing) seal() {
 		return blk[a].Account < blk[b].Account
 	})
 	for i := range blk {
-		*r.at(m+i) = blk[i]
+		*r.at(m + i) = blk[i]
 	}
 }
 
@@ -211,7 +192,6 @@ func (r *loginRing) takeSpill(budget int) []LoginEvent {
 	}
 	keep := budget / 2
 	k := r.n - keep
-	r.version++
 	out := make([]LoginEvent, k)
 	for i := 0; i < k; i++ {
 		out[i] = *r.at(i)

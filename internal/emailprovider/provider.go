@@ -108,8 +108,7 @@ const accountShards = 32
 
 // accountShard guards one stripe of the account table: a local-part index
 // into parallel flat columns. Rows are never deleted, so a slot is a
-// stable handle. versions counts mutations per row — the incremental
-// checkpoint's dirty tracking.
+// stable handle.
 type accountShard struct {
 	mu    sync.Mutex
 	index map[string]int32 // local-part → slot
@@ -123,7 +122,6 @@ type accountShard struct {
 	throttledTil []int64 // UnixNano; 0 = never
 	failedCount  []int32
 	inboxes      [][]imap.Message
-	versions     []uint32
 }
 
 // insertLocked appends a row and returns its slot. Caller holds mu.
@@ -139,7 +137,6 @@ func (sh *accountShard) insertLocked(local, name, password, forwardTo string) in
 	sh.throttledTil = append(sh.throttledTil, 0)
 	sh.failedCount = append(sh.failedCount, 0)
 	sh.inboxes = append(sh.inboxes, nil)
-	sh.versions = append(sh.versions, 1)
 	return slot
 }
 
@@ -334,9 +331,9 @@ func (p *Provider) NumAccounts() int {
 }
 
 // mutate runs fn against the account's row, materializing a covered
-// implicit account first, and bumps the row version when fn reports a
-// change. It returns false when the address has no account at all.
-func (p *Provider) mutate(email string, fn func(sh *accountShard, slot int32) (changed bool)) bool {
+// implicit account first. It returns false when the address has no
+// account at all.
+func (p *Provider) mutate(email string, fn func(sh *accountShard, slot int32)) bool {
 	local, slot, sh := p.lookup(email)
 	defer sh.mu.Unlock()
 	if slot < 0 {
@@ -349,9 +346,7 @@ func (p *Provider) mutate(email string, fn func(sh *accountShard, slot int32) (c
 		}
 		slot = sh.materializeLocked(local, d)
 	}
-	if fn(sh, slot) {
-		sh.versions[slot]++
-	}
+	fn(sh, slot)
 	return true
 }
 
@@ -359,12 +354,8 @@ func (p *Provider) mutate(email string, fn func(sh *accountShard, slot int32) (c
 // addresses are visible in the web interface, so Tripwire points them at
 // innocuous domains it controls (paper §4.2).
 func (p *Provider) SetForwarding(email, target string) error {
-	ok := p.mutate(email, func(sh *accountShard, slot int32) bool {
-		if sh.forwards[slot] == target {
-			return false
-		}
+	ok := p.mutate(email, func(sh *accountShard, slot int32) {
 		sh.forwards[slot] = target
-		return true
 	})
 	if !ok {
 		return fmt.Errorf("emailprovider: no account %q", email)
@@ -415,11 +406,10 @@ func (p *Provider) State(email string) (State, bool) {
 func (p *Provider) Deliver(from, to, subject, body string) error {
 	var fwd string
 	var deactivated bool
-	ok := p.mutate(to, func(sh *accountShard, slot int32) bool {
+	ok := p.mutate(to, func(sh *accountShard, slot int32) {
 		sh.inboxes[slot] = append(sh.inboxes[slot], imap.Message{From: from, Subject: subject, Body: body})
 		fwd = sh.forwards[slot]
 		deactivated = State(sh.states[slot]) == Deactivated
-		return true
 	})
 	if !ok {
 		return fmt.Errorf("emailprovider: no mailbox %q", to)
@@ -507,16 +497,12 @@ func (p *Provider) login(email, password string, remote netip.Addr, method strin
 		if int(sh.failedCount[slot]) > p.BruteForceMax {
 			sh.throttledTil[slot] = now.Add(p.ThrottlePeriod).UnixNano()
 		}
-		sh.versions[slot]++
 		if p.Metrics != nil {
 			p.Metrics.authFailures.Inc()
 		}
 		return "", imap.ErrAuthFailed
 	}
-	if sh.failedCount[slot] != 0 {
-		sh.failedCount[slot] = 0
-		sh.versions[slot]++
-	}
+	sh.failedCount[slot] = 0
 	p.log.append(LoginEvent{Account: local + "@" + p.domain, Time: now, IP: remote, Method: method})
 	p.maybeSpill()
 	p.Metrics.loginOK(method)

@@ -191,26 +191,6 @@ func DecodeLoginEvents(d *snapshot.Decoder) ([]LoginEvent, error) {
 	return evs, nil
 }
 
-// appendAccountState encodes one account body — shared by the monolithic
-// section encode and the per-account cache blobs, so the two paths are
-// byte-identical by construction.
-func appendAccountState(e *snapshot.Encoder, a *AccountState) {
-	e.String(a.Email)
-	e.String(a.Name)
-	e.String(a.Password)
-	e.Uint(uint64(a.State))
-	e.String(a.ForwardTo)
-	e.Uint(uint64(len(a.Inbox)))
-	for _, m := range a.Inbox {
-		e.String(m.From)
-		e.String(m.Subject)
-		e.String(m.Body)
-	}
-	e.Time(a.FailedSince)
-	e.Int(int64(a.FailedCount))
-	e.Time(a.ThrottledTil)
-}
-
 // EncodeProviderState serializes the export into snapshot-section bytes.
 func EncodeProviderState(st *ProviderState) []byte {
 	e := snapshot.NewEncoder()
@@ -218,174 +198,22 @@ func EncodeProviderState(st *ProviderState) []byte {
 	e.Uint(uint64(st.Implicit))
 	e.Uint(uint64(len(st.Accounts)))
 	for i := range st.Accounts {
-		appendAccountState(e, &st.Accounts[i])
+		a := &st.Accounts[i]
+		e.String(a.Email)
+		e.String(a.Name)
+		e.String(a.Password)
+		e.Uint(uint64(a.State))
+		e.String(a.ForwardTo)
+		e.Uint(uint64(len(a.Inbox)))
+		for _, m := range a.Inbox {
+			e.String(m.From)
+			e.String(m.Subject)
+			e.String(m.Body)
+		}
+		e.Time(a.FailedSince)
+		e.Int(int64(a.FailedCount))
+		e.Time(a.ThrottledTil)
 	}
 	EncodeLoginEvents(e, st.Logins)
 	return e.Bytes()
-}
-
-// DecodeProviderState parses EncodeProviderState's output.
-func DecodeProviderState(data []byte) (*ProviderState, error) {
-	d := snapshot.NewDecoder(data)
-	st := &ProviderState{Domain: d.String(), Implicit: int64(d.Uint())}
-	// An empty account still costs ≥ 9 bytes of length/flag fields.
-	n := d.Count(9)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		st.Accounts = make([]AccountState, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		var a AccountState
-		a.Email = d.String()
-		a.Name = d.String()
-		a.Password = d.String()
-		a.State = State(d.Uint())
-		a.ForwardTo = d.String()
-		nm := d.Count(3)
-		for j := 0; j < nm; j++ {
-			a.Inbox = append(a.Inbox, imap.Message{From: d.String(), Subject: d.String(), Body: d.String()})
-		}
-		a.FailedSince = d.Time()
-		a.FailedCount = int(d.Int())
-		a.ThrottledTil = d.Time()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		st.Accounts = append(st.Accounts, a)
-	}
-	logins, err := DecodeLoginEvents(d)
-	if err != nil {
-		return nil, err
-	}
-	st.Logins = logins
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in provider state", snapshot.ErrCorrupt, d.Remaining())
-	}
-	return st, nil
-}
-
-// EncodeStateCached produces the provider section bytes through a
-// SectionCache: per-account blobs and login-log blobs (one per immutable
-// cold segment plus the bounded resident ring) whose versions did not move
-// since the last checkpoint are stitched back verbatim, so encode cost
-// tracks the wave's mutations, not the account population. A nil cache
-// falls back to the canonical full encode. The output is byte-identical to
-// EncodeProviderState(ExportState()) — the incremental-equivalence test
-// and the resume attestation both pin this.
-func (p *Provider) EncodeStateCached(c *snapshot.SectionCache) []byte {
-	if c == nil {
-		return EncodeProviderState(p.ExportState())
-	}
-	type ref struct {
-		email string
-		sh    *accountShard
-		slot  int32
-		ver   uint32
-	}
-	var refs []ref
-	coveredDeviating := int64(0)
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for slot := int32(0); slot < int32(len(sh.locals)); slot++ {
-			if d, covered := p.derive(sh.locals[slot]); covered {
-				if sh.pristineLocked(slot, d) {
-					continue
-				}
-				coveredDeviating++
-			}
-			refs = append(refs, ref{email: sh.locals[slot] + "@" + p.domain, sh: sh, slot: slot, ver: sh.versions[slot]})
-		}
-		sh.mu.Unlock()
-	}
-	implicit := int64(0)
-	if p.deriver != nil {
-		implicit = p.deriver.DerivedCount() - coveredDeviating
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].email < refs[j].email })
-
-	e := snapshot.NewEncoder()
-	e.String(p.domain)
-	e.Uint(uint64(implicit))
-	e.Uint(uint64(len(refs)))
-	for _, r := range refs {
-		r := r
-		e.Raw(c.GetOrBuild("pa/"+r.email, uint64(r.ver), func() []byte {
-			r.sh.mu.Lock()
-			a := r.sh.exportLocked(r.slot, p.domain)
-			r.sh.mu.Unlock()
-			blob := snapshot.NewEncoder()
-			appendAccountState(blob, &a)
-			return blob.Bytes()
-		}))
-	}
-	p.appendLoginsCached(e, c)
-	return e.Bytes()
-}
-
-// appendLoginsCached assembles the EncodeLoginEvents(AllLogins()) bytes
-// from cached blobs: cold segments are immutable once written (only the
-// purge high-water mark can mask a straddling segment's prefix, which is
-// folded into the blob version), and the resident ring blob is bounded by
-// the spill budget.
-func (p *Provider) appendLoginsCached(e *snapshot.Encoder, c *snapshot.SectionCache) {
-	p.spill.mu.Lock()
-	segments := make([]coldSegment, len(p.spill.segments))
-	copy(segments, p.spill.segments)
-	pb := p.spill.purgedBefore
-	p.spill.mu.Unlock()
-
-	type part struct {
-		blob  []byte
-		count uint64
-	}
-	parts := make([]part, 0, len(segments)+1)
-	total := uint64(0)
-	for _, seg := range segments {
-		if seg.max.Before(pb) {
-			continue
-		}
-		seg := seg
-		ver := uint64(0)
-		if seg.min.Before(pb) {
-			ver = uint64(pb.UnixNano()) // straddling: content depends on the mask
-		}
-		blob, kept := c.GetOrBuildAux("pl/"+seg.path, ver, func() ([]byte, uint64) {
-			evs, err := p.readSegment(seg)
-			if err != nil {
-				p.noteSpillErr(err)
-				return nil, 0
-			}
-			lo := sort.Search(len(evs), func(i int) bool {
-				return !evs[i].Time.Before(pb)
-			})
-			enc := snapshot.NewEncoder()
-			for _, ev := range evs[lo:] {
-				AppendLoginEvent(enc, ev)
-			}
-			return enc.Bytes(), uint64(len(evs) - lo)
-		})
-		parts = append(parts, part{blob: blob, count: kept})
-		total += kept
-	}
-	resBlob, resCount := c.GetOrBuildAux("pl/resident", p.log.rev(), func() ([]byte, uint64) {
-		evs := p.log.all()
-		enc := snapshot.NewEncoder()
-		for _, ev := range evs {
-			AppendLoginEvent(enc, ev)
-		}
-		return enc.Bytes(), uint64(len(evs))
-	})
-	parts = append(parts, part{blob: resBlob, count: resCount})
-	total += resCount
-
-	e.Uint(total)
-	for _, pt := range parts {
-		e.Raw(pt.blob)
-	}
 }

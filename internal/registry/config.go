@@ -31,9 +31,6 @@ type SubmitRequest struct {
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// Label is a free-form caller tag echoed in status output.
 	Label string `json:"label,omitempty"`
-	// EagerAccounts materializes all honey accounts up front (debugging
-	// aid; results are identical either way).
-	EagerAccounts bool `json:"eager_accounts,omitempty"`
 }
 
 // buildConfig resolves the request to a concrete study configuration.
@@ -54,9 +51,6 @@ func (r *SubmitRequest) buildConfig() (tripwire.Config, error) {
 	}
 	if r.Workers != 0 {
 		cfg.Workers = r.Workers
-	}
-	if r.EagerAccounts {
-		cfg.EagerAccounts = true
 	}
 	return cfg, nil
 }

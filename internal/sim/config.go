@@ -117,15 +117,6 @@ type Config struct {
 	// LogSpillDir is where cold login-log segments are written.
 	LogSpillDir string
 
-	// EagerAccounts forces the pilot to materialize every provisioned
-	// identity as an explicit provider account up front, as the original
-	// implementation did. The default (false) provisions lazily: bulk
-	// identities exist only as index spans, and accounts materialize on
-	// first deviation from their derived pristine state. Both modes
-	// produce byte-identical state exports at any worker count; eager
-	// mode exists as the equivalence oracle and for debugging.
-	EagerAccounts bool
-
 	// Metrics, when non-nil, receives telemetry from every subsystem of the
 	// pilot. Instruments are observation-only — they draw no randomness and
 	// feed nothing back — so attaching a registry never changes results

@@ -1,11 +1,12 @@
 package sim
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
-
-	"tripwire/internal/snapshot"
 )
 
 // The heap-envelope configuration: a full (short) study over a 1M-site
@@ -160,10 +161,8 @@ func BenchmarkHeapEnvelope10M(b *testing.B) {
 }
 
 // checkpointConfig is the study BenchmarkCheckpoint measures: two batches
-// over the same 1024 ranks, so the refresh batch's waves re-crawl already
-// -materialized sites — steady-state waves where the only dirty state is
-// the wave's own registrations and attempts. CheckpointEvery=1 exercises
-// the section cache at every wave boundary.
+// over the same 1024 ranks, a 100k-account unused pool and a spilled
+// login log, with a checkpoint at every wave boundary.
 func checkpointConfig(ckptDir, spillDir string) Config {
 	cfg := SmallConfig()
 	cfg.Web.NumSites = 4000
@@ -185,68 +184,45 @@ func checkpointConfig(ckptDir, spillDir string) Config {
 	return cfg
 }
 
-// checkpointSteadyRatio is the in-bench floor on full-encode bytes over
-// the steadiest wave's incrementally re-encoded bytes. The acceptance
-// criterion is >=10x; the measured ratio is far higher, and the absolute
-// figures (ckpt-full-KB, ckpt-incr-KB) are gated at 5% drift via
-// BENCH_baseline.json.
-const checkpointSteadyRatio = 10
+// checkpointMaxKB is the in-bench ceiling on every checkpoint file the
+// study writes. A checkpoint stores its config and progress verbatim and
+// every other section as a length and SHA-256, ~1 KB whatever the study
+// size; a state section stored whole again costs hundreds of KB here. The
+// ckpt-full-KB figure is also gated at 5% drift via BENCH_baseline.json.
+const checkpointMaxKB = 4
 
-// BenchmarkCheckpoint runs a checkpoint-every-wave study and reports the
-// cost split of incremental checkpointing: ckpt-full-KB is the size of a
-// complete snapshot re-encoded from live state, ckpt-incr-KB is the
-// bytes the steadiest mid-run wave actually re-encoded (everything else
-// was stitched from the section cache, CRC-verified). The wall-clock of
-// the run itself includes every incremental checkpoint.
+// BenchmarkCheckpoint runs a checkpoint-every-wave study and reports
+// ckpt-full-KB, the size of the last checkpoint file it wrote. The
+// wall-clock of the run itself includes every checkpoint.
 func BenchmarkCheckpoint(b *testing.B) {
 	b.ReportAllocs()
-	var fullKB, steadyKB float64
+	var lastKB float64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		p := NewPilot(checkpointConfig(b.TempDir(), b.TempDir()))
-		// Collect each checkpoint's encoded-byte figure. Stats are written
-		// on the driver goroutine between epochs; the wave event that
-		// observes them runs after that write, so the read is ordered.
-		var encoded []int64
-		var last CheckpointStats
-		p.OnEvent = func(ev Event) {
-			if ev.Kind != EventWaveDone {
-				return
-			}
-			if s := p.LastCheckpointStats(); s != last && s.EncodedBytes > 0 {
-				encoded = append(encoded, s.EncodedBytes)
-				last = s
-			}
-		}
+		dir := b.TempDir()
+		p := NewPilot(checkpointConfig(dir, b.TempDir()))
 		b.StartTimer()
 		p.Run()
 		b.StopTimer()
-		if s := p.LastCheckpointStats(); s != last && s.EncodedBytes > 0 {
-			encoded = append(encoded, s.EncodedBytes)
-		}
-		if len(encoded) < 4 {
-			b.Fatalf("only %d checkpoints observed; the cadence did not engage", len(encoded))
-		}
-		full, err := p.CheckpointFull()
+		files, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.twsnap"))
 		if err != nil {
 			b.Fatal(err)
 		}
-		fullBytes := int64(len(snapshot.Encode(full)))
-		// The first checkpoint encodes ~everything (cold cache); the steady
-		// figure is the cheapest later wave.
-		steady := encoded[1]
-		for _, e := range encoded[2:] {
-			if e < steady {
-				steady = e
-			}
+		if len(files) < 4 {
+			b.Fatalf("only %d checkpoints written; the cadence did not engage", len(files))
 		}
-		fullKB = float64(fullBytes) / 1e3
-		steadyKB = float64(steady) / 1e3
-		if fullBytes < steady*checkpointSteadyRatio {
-			b.Fatalf("incremental checkpoint on a steady-state wave re-encoded %d bytes against a %d-byte full snapshot (< %dx)",
-				steady, fullBytes, checkpointSteadyRatio)
+		sort.Strings(files)
+		for _, file := range files {
+			fi, err := os.Stat(file)
+			if err != nil {
+				b.Fatal(err)
+			}
+			kb := float64(fi.Size()) / 1e3
+			if kb > checkpointMaxKB {
+				b.Fatalf("%s is %.1f KB, over the %d KB checkpoint ceiling", filepath.Base(file), kb, checkpointMaxKB)
+			}
+			lastKB = kb
 		}
 	}
-	b.ReportMetric(fullKB, "ckpt-full-KB")
-	b.ReportMetric(steadyKB, "ckpt-incr-KB")
+	b.ReportMetric(lastKB, "ckpt-full-KB")
 }

@@ -68,10 +68,10 @@ type Pilot struct {
 	Disclosure *disclosure.Campaign
 	DNS        *dnssim.Resolver
 
-	gen       *identity.Generator
-	rng       *rand.Rand
-	verifier  *browser.Client // clicks verification links
-	forwarder *smtpForwarder
+	gen        *identity.Generator
+	rng        *rand.Rand
+	verifier   *browser.Client // clicks verification links
+	forwarder  *smtpForwarder
 	institutIP netip.Addr
 	taskSeq    int64 // crawl-task creation counter (see parallel.go)
 	metrics    *pilotMetrics
@@ -95,11 +95,10 @@ type Pilot struct {
 	// against resumeSnap section by section before continuing.
 	replayEpochs uint64
 	resumeSnap   *snapshot.File
-	// ckptCache retains encoded checkpoint sub-sections between waves so
-	// Checkpoint re-encodes only state that changed (O(dirty)); lastCkpt
-	// records the encoded/reused byte split of the latest assembly.
-	ckptCache *snapshot.SectionCache
-	lastCkpt  CheckpointStats
+	// eagerAccounts makes provisionIdentities create every provider
+	// account up front instead of leaving it to the deriver. Only the
+	// lazy/eager equivalence test sets it, as its reference path.
+	eagerAccounts bool
 
 	// prog mirrors the driver-owned progress counters behind atomics so
 	// Status/HTTP readers never race the run (see progress.go).
@@ -133,7 +132,6 @@ func NewPilot(cfg Config) *Pilot {
 		controlCreds:   make(map[string]string),
 		DetectionTimes: make(map[string]time.Time),
 		lastDump:       cfg.Start,
-		ckptCache:      snapshot.NewSectionCache(),
 	}
 
 	// Synthetic web.
@@ -333,15 +331,14 @@ func (a *accountDeriver) DerivedCount() int64 {
 }
 
 // provisionIdentities reserves n fresh identities of class and extends the
-// ledger pool with their index span. Lazily (the default) that is all:
-// the identities' provider accounts exist implicitly through the deriver
-// until something deviates them. With Cfg.EagerAccounts the accounts are
-// additionally materialized up front, exactly as the original
-// implementation provisioned them; both modes export byte-identical state.
+// ledger pool with their index span. That is all: the identities' provider
+// accounts exist implicitly through the deriver until something deviates
+// them. With eagerAccounts (tests only) the accounts are additionally
+// materialized up front; both modes export byte-identical state.
 func (p *Pilot) provisionIdentities(n int, class identity.PasswordClass) {
 	from := p.gen.Reserve(class, n)
 	p.Ledger.ExtendPool(class, from, int64(n))
-	if p.Cfg.EagerAccounts {
+	if p.eagerAccounts {
 		for idx := from; idx < from+int64(n); idx++ {
 			id := p.gen.At(identity.RankFor(class, idx))
 			if err := p.Provider.CreateAccount(id.Email, id.FullName(), id.Password); err != nil {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,20 +12,21 @@ import (
 
 	"tripwire/internal/attacker"
 	"tripwire/internal/core"
-	"tripwire/internal/crawler"
 	"tripwire/internal/emailprovider"
-	"tripwire/internal/identity"
 	"tripwire/internal/snapshot"
 	"tripwire/internal/webgen"
 )
 
 // A checkpoint is one snapshot.File with these sections. "config" and
-// "progress" drive resume (rebuild the pilot, replay this many epochs);
-// the rest are attestation material: byte images of every subsystem's
-// durable state, re-derived after replay and compared section by section.
-// The scheduler's pending queue is deliberately absent — it holds closures
-// over live subsystem state and is instead re-derived by re-running the
-// deterministic schedule (see Pilot.replay).
+// "progress" drive resume (rebuild the pilot, replay this many epochs) and
+// are stored verbatim. The rest are attestation material: each holds
+// uvarint(len(b)) followed by sha256(b), where b is the byte image of one
+// subsystem's durable state (exportSection). Resume never reads those
+// images back; it re-derives them after replay and compares digests
+// section by section, so a checkpoint stays about a kilobyte however
+// large the study grows. The scheduler's pending queue is deliberately
+// absent — it holds closures over live subsystem state and is instead
+// re-derived by re-running the deterministic schedule (see Pilot.replay).
 const (
 	sectionConfig   = "config"
 	sectionProgress = "progress"
@@ -101,7 +104,6 @@ func encodeConfig(cfg *Config) []byte {
 	e.String(cfg.CheckpointDir)
 	e.Int(int64(cfg.LogResidentBudget))
 	e.String(cfg.LogSpillDir)
-	e.Bool(cfg.EagerAccounts)
 	return e.Bytes()
 }
 
@@ -168,7 +170,6 @@ func decodeConfig(data []byte) (Config, error) {
 	cfg.CheckpointDir = d.String()
 	cfg.LogResidentBudget = int(d.Int())
 	cfg.LogSpillDir = d.String()
-	cfg.EagerAccounts = d.Bool()
 	if err := d.Err(); err != nil {
 		return Config{}, fmt.Errorf("config section: %w", err)
 	}
@@ -276,19 +277,21 @@ func (p *Pilot) outputs() outputsState {
 	return st
 }
 
-func appendAttempt(e *snapshot.Encoder, a *Attempt) {
-	e.String(a.Domain)
-	e.Int(int64(a.Rank))
-	e.Int(int64(a.Class))
-	e.Int(int64(a.Code))
-	e.Bool(a.Exposed)
-	e.Bool(a.Manual)
-	e.Time(a.When)
-	e.String(a.Email)
-	e.Int(int64(a.PageLoad))
-}
-
-func appendOutputsTail(e *snapshot.Encoder, st *outputsState) {
+func encodeOutputs(st outputsState) []byte {
+	e := snapshot.NewEncoder()
+	e.Uint(uint64(len(st.Attempts)))
+	for i := range st.Attempts {
+		a := &st.Attempts[i]
+		e.String(a.Domain)
+		e.Int(int64(a.Rank))
+		e.Int(int64(a.Class))
+		e.Int(int64(a.Code))
+		e.Bool(a.Exposed)
+		e.Bool(a.Manual)
+		e.Time(a.When)
+		e.String(a.Email)
+		e.Int(int64(a.PageLoad))
+	}
 	e.Uint(uint64(len(st.DetectionTimes)))
 	for _, dt := range st.DetectionTimes {
 		e.String(dt.Domain)
@@ -298,93 +301,7 @@ func appendOutputsTail(e *snapshot.Encoder, st *outputsState) {
 	for _, m := range st.Missed {
 		e.String(m)
 	}
-}
-
-func encodeOutputs(st outputsState) []byte {
-	e := snapshot.NewEncoder()
-	e.Uint(uint64(len(st.Attempts)))
-	for i := range st.Attempts {
-		appendAttempt(e, &st.Attempts[i])
-	}
-	appendOutputsTail(e, &st)
 	return e.Bytes()
-}
-
-// attemptChunk is the attempt-log cache granularity: the log is
-// append-only, so every full chunk is immutable (version = fill count
-// freezes at attemptChunk) and only the growing tail chunk re-encodes.
-const attemptChunk = 256
-
-// encodeOutputsCached assembles encodeOutputs(st) bytes through the
-// section cache, re-encoding only the tail attempt chunk plus the small
-// detection/missed trailer. Byte-identical to encodeOutputs by
-// construction (shared append helpers).
-func encodeOutputsCached(st outputsState, c *snapshot.SectionCache) []byte {
-	e := snapshot.NewEncoder()
-	e.Uint(uint64(len(st.Attempts)))
-	for i := 0; i < len(st.Attempts); i += attemptChunk {
-		j := i + attemptChunk
-		if j > len(st.Attempts) {
-			j = len(st.Attempts)
-		}
-		chunk := st.Attempts[i:j]
-		e.Raw(c.GetOrBuild(fmt.Sprintf("ou/att/%d", i/attemptChunk), uint64(j-i), func() []byte {
-			blob := snapshot.NewEncoder()
-			for k := range chunk {
-				appendAttempt(blob, &chunk[k])
-			}
-			return blob.Bytes()
-		}))
-	}
-	// DetectionTimes entries are written once per domain and MissedBreaches
-	// only at the very end of a run, so the pair's lengths are a sound
-	// version for the trailer.
-	e.Raw(c.GetOrBuild("ou/tail", uint64(len(st.DetectionTimes))<<20|uint64(len(st.Missed)), func() []byte {
-		blob := snapshot.NewEncoder()
-		appendOutputsTail(blob, &st)
-		return blob.Bytes()
-	}))
-	return e.Bytes()
-}
-
-func decodeOutputs(data []byte) (outputsState, error) {
-	d := snapshot.NewDecoder(data)
-	var st outputsState
-	if n := d.Count(9); n > 0 {
-		st.Attempts = make([]Attempt, n)
-		for i := range st.Attempts {
-			a := &st.Attempts[i]
-			a.Domain = d.String()
-			a.Rank = int(d.Int())
-			a.Class = identity.PasswordClass(d.Int())
-			a.Code = crawler.Code(d.Int())
-			a.Exposed = d.Bool()
-			a.Manual = d.Bool()
-			a.When = d.Time()
-			a.Email = d.String()
-			a.PageLoad = int(d.Int())
-		}
-	}
-	if n := d.Count(2); n > 0 {
-		st.DetectionTimes = make([]domainTime, n)
-		for i := range st.DetectionTimes {
-			st.DetectionTimes[i].Domain = d.String()
-			st.DetectionTimes[i].At = d.Time()
-		}
-	}
-	if n := d.Count(1); n > 0 {
-		st.Missed = make([]string, n)
-		for i := range st.Missed {
-			st.Missed[i] = d.String()
-		}
-	}
-	if err := d.Err(); err != nil {
-		return outputsState{}, fmt.Errorf("outputs section: %w", err)
-	}
-	if d.Remaining() != 0 {
-		return outputsState{}, fmt.Errorf("outputs section: %w: %d trailing bytes", snapshot.ErrCorrupt, d.Remaining())
-	}
-	return st, nil
 }
 
 // exportSection renders one attestation section from live pilot state.
@@ -414,96 +331,33 @@ func (p *Pilot) exportSection(name string) []byte {
 	}
 }
 
-// exportSectionCached renders one attestation section through the
-// checkpoint cache: unchanged sub-sections (per-account blobs, attempt
-// chunks, whole small sections keyed on their owners' mutation counters)
-// are stitched back verbatim instead of re-encoded. A nil cache degrades
-// to exportSection. The bytes are identical either way — the resume
-// attestation (which always uses exportSection) and the
-// incremental-equivalence test both pin this.
-func (p *Pilot) exportSectionCached(name string, c *snapshot.SectionCache) []byte {
-	if c == nil {
-		return p.exportSection(name)
-	}
-	switch name {
-	case sectionProgress:
-		// Progress moves every checkpoint (epochs advanced); keying on the
-		// epoch count keeps its bytes in the encoded/reused accounting.
-		return c.GetOrBuild("sec/progress", p.epochsRun, func() []byte {
-			return encodeProgress(p.progress())
-		})
-	case sectionOutputs:
-		return encodeOutputsCached(p.outputs(), c)
-	case sectionProvider:
-		return p.Provider.EncodeStateCached(c)
-	case sectionLedger:
-		return p.Ledger.EncodeStateCached(c)
-	case sectionMonitor:
-		return c.GetOrBuild("sec/monitor", p.Monitor.StateRev(), func() []byte {
-			return p.exportSection(sectionMonitor)
-		})
-	case sectionAttacker:
-		// Both counters are monotone, so their sum moves whenever either
-		// does.
-		return c.GetOrBuild("sec/attacker", p.Campaign.StateRev()+p.Stuffer.StateRev(), func() []byte {
-			return p.exportSection(sectionAttacker)
-		})
-	case sectionWebgen:
-		return c.GetOrBuild("sec/webgen", uint64(p.Universe.MaterializedSites()), func() []byte {
-			return p.exportSection(sectionWebgen)
-		})
-	default:
-		return p.exportSection(name)
-	}
-}
-
-// CheckpointStats is the byte accounting of one checkpoint assembly.
-type CheckpointStats struct {
-	EncodedBytes int64 // bytes re-encoded because their sub-section changed
-	ReusedBytes  int64 // bytes stitched back from the cache, CRC-verified
-}
-
-// LastCheckpointStats reports the encoded/reused split of the most recent
-// Checkpoint call. Zero until the first checkpoint.
-func (p *Pilot) LastCheckpointStats() CheckpointStats { return p.lastCkpt }
-
-// Checkpoint assembles a resumable snapshot of the pilot's current state,
-// re-encoding only sub-sections that changed since the previous checkpoint
-// (O(dirty), not O(state)). The emitted file is complete and
-// self-contained — incrementality saves encode work, not file content.
-// Must be called between epochs (RunContext's driver loop does), when no
-// parallel work is in flight.
+// Checkpoint assembles a resumable snapshot of the pilot's current state:
+// the config and progress sections verbatim, then a digest of every other
+// attested section. Must be called between epochs (RunContext's driver
+// loop does), when no parallel work is in flight.
 func (p *Pilot) Checkpoint() (*snapshot.File, error) {
-	return p.checkpoint(p.ckptCache)
-}
-
-// CheckpointFull assembles the same snapshot without the sub-section
-// cache, re-encoding everything from live state. Checkpoint's output is
-// byte-identical; this is the oracle the equivalence test compares
-// against.
-func (p *Pilot) CheckpointFull() (*snapshot.File, error) {
-	return p.checkpoint(nil)
-}
-
-func (p *Pilot) checkpoint(c *snapshot.SectionCache) (*snapshot.File, error) {
 	if err := p.Provider.SpillErr(); err != nil {
 		// A failed cold tier means AllLogins — and so the provider section —
 		// is missing events; a checkpoint written now would attest garbage.
 		return nil, fmt.Errorf("login-log spill failed earlier: %w", err)
 	}
-	if c != nil {
-		c.BeginBuild()
-	}
 	f := snapshot.New()
 	f.Add(sectionConfig, encodeConfig(&p.Cfg))
 	for _, name := range attested {
-		f.Add(name, p.exportSectionCached(name, c))
-	}
-	if c != nil {
-		enc, reused := c.Stats()
-		p.lastCkpt = CheckpointStats{EncodedBytes: enc, ReusedBytes: reused}
+		b := p.exportSection(name)
+		if name != sectionProgress {
+			b = digest(b)
+		}
+		f.Add(name, b)
 	}
 	return f, nil
+}
+
+// digest is what a checkpoint stores for an attested section other than
+// progress: uvarint(len(b)) followed by sha256(b).
+func digest(b []byte) []byte {
+	sum := sha256.Sum256(b)
+	return append(binary.AppendUvarint(nil, uint64(len(b))), sum[:]...)
 }
 
 // WriteCheckpoint writes a checkpoint atomically to path, creating parent
@@ -521,16 +375,23 @@ func (p *Pilot) WriteCheckpoint(path string) error {
 	return snapshot.WriteFile(path, f)
 }
 
-// attest byte-compares every rebuilt state section against the snapshot,
-// naming the first diverging section. Called once, after replay.
+// attest compares every rebuilt state section against the snapshot —
+// progress byte for byte, the rest by length and digest — naming the first
+// diverging section. Called once, after replay.
 func (p *Pilot) attest(f *snapshot.File) error {
 	for _, name := range attested {
 		want, ok := f.Section(name)
 		if !ok {
 			return fmt.Errorf("sim: resume: %w: snapshot has no %q section", snapshot.ErrCorrupt, name)
 		}
-		if got := p.exportSection(name); !bytes.Equal(got, want) {
-			return fmt.Errorf("sim: resume: replayed state diverges from checkpoint in section %q (%d vs %d bytes) — the snapshot was taken with a different seed, configuration, or code version", name, len(got), len(want))
+		b := p.exportSection(name)
+		got, wantLen := b, uint64(len(want))
+		if name != sectionProgress {
+			got = digest(b)
+			wantLen, _ = binary.Uvarint(want)
+		}
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("sim: resume: replayed state diverges from checkpoint in section %q (%d vs %d bytes) — the snapshot was taken with a different seed, configuration, or code version", name, len(b), wantLen)
 		}
 	}
 	return nil
@@ -547,9 +408,9 @@ func (p *Pilot) WavesDone() int { return p.wavesDone }
 // WriteCheckpoint. The returned pilot's RunContext first re-executes the
 // checkpoint's recorded epoch count — the scheduler queue holds closures
 // and cannot be serialized, so resume replays the deterministic prefix —
-// then verifies the rebuilt state byte-for-byte against the snapshot and
-// continues to the configured end. The completed run is byte-identical to
-// an uninterrupted one, at any worker count.
+// then verifies the rebuilt state against the snapshot section by section
+// and continues to the configured end. The completed run is
+// byte-identical to an uninterrupted one, at any worker count.
 //
 // mutate, when non-nil, may adjust runtime knobs (Workers, Metrics,
 // checkpoint cadence and directories) on the restored configuration before

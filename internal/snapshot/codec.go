@@ -68,11 +68,6 @@ func (e *Encoder) Time(t time.Time) {
 // Duration appends a signed varint of nanoseconds.
 func (e *Encoder) Duration(d time.Duration) { e.Int(int64(d)) }
 
-// Raw appends pre-encoded bytes verbatim, with no length prefix. It is how
-// incremental section assembly stitches cached sub-section blobs into a
-// stream that stays byte-identical to a from-scratch encode.
-func (e *Encoder) Raw(p []byte) { e.b = append(e.b, p...) }
-
 // Decoder reads the Encoder's formats back with a sticky error: the first
 // malformed field poisons the decoder, every later read returns a zero
 // value, and the caller checks Err once at the end. All length fields are

@@ -1,7 +1,10 @@
 // Package snapshot is the compact, versioned binary container every piece
 // of durable Tripwire state travels in: study checkpoints written at wave
 // boundaries, the cold login-log segments the email provider spills to
-// disk, and the crawl-resume files of cmd/tripwire-crawl.
+// disk, and the crawl-resume files of cmd/tripwire-crawl. A study
+// checkpoint stores verbatim only what resume reads back (its config and
+// progress); every other subsystem section is attested by its length and
+// SHA-256, so a checkpoint stays about a kilobyte at any study size.
 //
 // A snapshot file is a magic tag, a format version, and a sequence of
 // named, length-prefixed sections, each protected by its own CRC-32. The
@@ -42,7 +45,10 @@ const Magic = "TWSN"
 // v2: the sim config section gained an attacker-timing flag.
 // v3: the sim config section merged its two worker counts into one and
 // dropped that flag.
-const Version = 3
+// v4: sim checkpoints store each attested state section as
+// uvarint(length) followed by the SHA-256 of its bytes, instead of the
+// bytes; the config section dropped its eager-accounts flag.
+const Version = 4
 
 // Sanity bounds on container metadata. Section payloads are bounded by the
 // file size itself (lengths are checked against remaining bytes), so only
@@ -171,30 +177,45 @@ func Decode(data []byte) (*File, error) {
 	return f, nil
 }
 
-// WriteFile atomically writes the encoded container to path: the bytes land
-// in a temp file in the same directory first and are renamed into place, so
-// a crash mid-write never leaves a half-written checkpoint behind.
+// WriteFile atomically and durably writes the encoded container to path:
+// the bytes land in a temp file in the same directory, are fsynced, and
+// the file is renamed into place; the directory is then fsynced so the
+// rename itself is on disk. A crash at any point leaves either the
+// previous file or the complete new one, never a half-written checkpoint.
 func WriteFile(path string, f *File) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".snapshot-*")
 	if err != nil {
 		return err
 	}
-	data := Encode(f)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(Encode(f))
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, persisting the entries renamed into it.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	return err
 }
 
 // ReadFile reads and decodes the container at path.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -124,6 +125,29 @@ func TestWriteFileReadFile(t *testing.T) {
 	}
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing file read without error")
+	}
+}
+
+// TestWriteFileFailureLeavesNoTemp: when the final rename fails — here
+// because the target path is an existing directory — WriteFile reports the
+// error and removes its temp file instead of leaving it in the directory.
+func TestWriteFileFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "ck.twsnap")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f := New()
+	f.Add("state", []byte{1, 2, 3})
+	if err := WriteFile(target, f); err == nil {
+		t.Fatal("WriteFile onto a directory succeeded")
+	}
+	leftovers, err := filepath.Glob(filepath.Join(dir, ".snapshot-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leftovers) != 0 {
+		t.Fatalf("failed write left temp files behind: %v", leftovers)
 	}
 }
 

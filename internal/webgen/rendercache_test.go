@@ -34,7 +34,7 @@ func TestRenderCacheByteIdentical(t *testing.T) {
 	cfg.Seed = 11
 	cached := Generate(cfg)
 	uncached := Generate(cfg)
-	uncached.DisableRenderCache = true
+	uncached.disableRenderCache = true
 
 	type pageKey struct{ host, path string }
 	want := make(map[pageKey]string)

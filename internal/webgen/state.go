@@ -1,10 +1,6 @@
 package webgen
 
-import (
-	"fmt"
-
-	"tripwire/internal/snapshot"
-)
+import "tripwire/internal/snapshot"
 
 // UniverseState is the universe's durable lazy-materialization record:
 // which site ranks have been derived so far. Site contents themselves are
@@ -41,27 +37,4 @@ func EncodeUniverseState(st *UniverseState) []byte {
 		prev = r
 	}
 	return e.Bytes()
-}
-
-// DecodeUniverseState parses EncodeUniverseState's output.
-func DecodeUniverseState(data []byte) (*UniverseState, error) {
-	d := snapshot.NewDecoder(data)
-	st := &UniverseState{NumSites: int(d.Int())}
-	n := d.Count(1)
-	prev := 0
-	for i := 0; i < n; i++ {
-		r := prev + int(d.Uint())
-		if d.Err() == nil && (r <= prev || r > st.NumSites) {
-			return nil, fmt.Errorf("%w: materialized rank %d out of range", snapshot.ErrCorrupt, r)
-		}
-		st.Materialized = append(st.Materialized, r)
-		prev = r
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in universe state", snapshot.ErrCorrupt, d.Remaining())
-	}
-	return st, nil
 }

@@ -84,9 +84,9 @@ type Universe struct {
 	renderHits   atomic.Uint64
 	renderMisses atomic.Uint64
 
-	// DisableRenderCache forces every page to be rendered from scratch.
+	// disableRenderCache forces every page to be rendered from scratch.
 	// Tests use it to prove cached and uncached serving are byte-identical.
-	DisableRenderCache bool
+	disableRenderCache bool
 
 	// Mailer receives site-originated email. Nil drops mail.
 	Mailer Mailer
@@ -294,7 +294,7 @@ func (u *Universe) Observe(r *obs.Registry) {
 // effect, so it only makes sense when the whole universe will be crawled —
 // a full-coverage study, or a benchmark whose timed region is the crawl.
 func (u *Universe) WarmRender() {
-	if u.DisableRenderCache {
+	if u.disableRenderCache {
 		return
 	}
 	for _, site := range u.Sites() {
@@ -320,7 +320,7 @@ func (u *Universe) WarmRender() {
 // servePage writes a static page body, serving it from the render cache
 // unless caching is disabled.
 func (u *Universe) servePage(w http.ResponseWriter, site *Site, kind string, render func() string) {
-	if u.DisableRenderCache {
+	if u.disableRenderCache {
 		io.WriteString(w, render())
 		return
 	}
@@ -330,7 +330,7 @@ func (u *Universe) servePage(w http.ResponseWriter, site *Site, kind string, ren
 // registrationPage produces the GET registration page: the static template
 // from the cache with this serve's dynamic values spliced in.
 func (u *Universe) registrationPage(site *Site) string {
-	if u.DisableRenderCache {
+	if u.disableRenderCache {
 		return renderRegistration(site, u.FormSpec(site), u.Issuer(site))
 	}
 	tpl := u.cachedBody(site, "registration", func() string {

@@ -112,14 +112,13 @@ func SmallConfig() Config { return sim.SmallConfig() }
 type Option func(*studyOptions)
 
 type studyOptions struct {
-	cfg           Config
-	cfgSet        bool
-	workers       *int
-	seed          *int64
-	metrics       **Metrics
-	checkpoint    *checkpointOption
-	logSpill      *logSpillOption
-	eagerAccounts *bool
+	cfg        Config
+	cfgSet     bool
+	workers    *int
+	seed       *int64
+	metrics    **Metrics
+	checkpoint *checkpointOption
+	logSpill   *logSpillOption
 }
 
 type checkpointOption struct {
@@ -151,9 +150,6 @@ func (o *studyOptions) apply(cfg *Config) {
 	if o.logSpill != nil {
 		cfg.LogSpillDir = o.logSpill.dir
 		cfg.LogResidentBudget = o.logSpill.budget
-	}
-	if o.eagerAccounts != nil {
-		cfg.EagerAccounts = *o.eagerAccounts
 	}
 }
 
@@ -189,15 +185,6 @@ func WithMetrics(r *Metrics) Option {
 // is observation-only: enabling it never changes study results.
 func WithCheckpoint(dir string, every int) Option {
 	return func(o *studyOptions) { o.checkpoint = &checkpointOption{dir: dir, every: every} }
-}
-
-// WithEagerAccounts materializes every provisioned honey account in the
-// provider up front instead of deriving it lazily from (seed, rank) on
-// first use. Both modes produce byte-identical results — the eager path
-// exists as the equivalence oracle and for debugging; lazy (the default)
-// is what makes multi-million-account studies fit in memory.
-func WithEagerAccounts(eager bool) Option {
-	return func(o *studyOptions) { o.eagerAccounts = &eager }
 }
 
 // WithLogSpill caps the email provider's in-memory login log at budget
@@ -258,16 +245,17 @@ func NewStudy(cfg Config) *Study { return New(WithConfig(cfg)) }
 // over live subsystem state), so resume replays: the study is rebuilt from
 // the checkpoint's embedded configuration, RunContext deterministically
 // re-executes the completed prefix — exactly the epoch count the
-// checkpoint recorded — verifies the rebuilt state byte-for-byte against
-// the snapshot (an error names the first diverging section), and then
-// continues. The finished run's results (attempts, detections, login
-// logs, events) are byte-identical to an uninterrupted run at any worker
-// count. Events replays the full sequence from the start of the study,
-// not just the continuation.
+// checkpoint recorded — verifies the rebuilt state against the snapshot,
+// and then continues. The checkpoint holds the length and SHA-256 of each
+// subsystem's exported state rather than the state itself, so
+// verification re-exports every subsystem and compares digests; an error
+// names the first diverging section. The finished run's results
+// (attempts, detections, login logs, events) are byte-identical to an
+// uninterrupted run at any worker count. Events replays the full sequence
+// from the start of the study, not just the continuation.
 //
 // Targeted options (WithWorkers, WithMetrics, WithCheckpoint,
-// WithLogSpill, WithEagerAccounts) adjust runtime knobs on
-// the restored configuration. Resume accepts the same Option set as New
+// WithLogSpill) adjust runtime knobs on the restored configuration. Resume accepts the same Option set as New
 // but rejects the two that conflict with a snapshot-borne configuration,
 // naming the offending option: WithConfig (the configuration comes from
 // the snapshot) and WithSeed (a changed seed would make the replay diverge
