@@ -3,11 +3,13 @@
 #   make build       compile everything
 #   make test        the seed tier-1 gate (build + tests)
 #   make race        full suite under the race detector
-#   make ci          what a PR must pass: build, vet, race tests, snapshot/
+#   make ci          what a PR must pass: build, gofmt (no file may need
+#                    formatting), vet, race tests, snapshot/
 #                    crawler/epoch-equivalence fuzz corpora as seed tests,
-#                    resume byte-identity smoke (workers grid incl. 8,
-#                    under -race), the 16-worker invariance smoke over
-#                    crawl waves and timeline epochs (under -race), the 1M-account
+#                    resume byte-identity smoke (workers grid incl. 8, and
+#                    the stop checkpoint, under -race), the 16-worker
+#                    invariance smoke over crawl waves and timeline
+#                    epochs (under -race), the 1M-account
 #                    lazy-store smoke (-short, under -race), the serve
 #                    smoke (boot tripwire-serve, pause/resume a study over
 #                    HTTP, require an SSE detection + a signed webhook
@@ -70,10 +72,11 @@ race:
 	$(GO) test -race ./...
 
 ci: build metrics-doc-check
+	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/
-	$(GO) test -race -run 'TestResumeByteIdentical|TestStudyCheckpointResume' ./internal/sim/ .
+	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume' ./internal/sim/ .
 	$(GO) test -race -run 'TestTimelineWorkerInvariance/workers=16' ./internal/sim/
 	$(GO) test -race -short -run 'TestLazyMillionAccountSmoke|TestCheckpointDigestAttestation' ./internal/sim/
 	$(GO) test -race -run 'TestServeSmoke' ./cmd/tripwire-serve/

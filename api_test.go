@@ -36,14 +36,6 @@ func TestOptionsOverrideConfigRegardlessOfOrder(t *testing.T) {
 	}
 }
 
-func TestNewStudyMatchesNewWithConfig(t *testing.T) {
-	a := tripwire.NewStudy(tripwire.SmallConfig()).Pilot().Cfg
-	b := tripwire.New(tripwire.WithConfig(tripwire.SmallConfig())).Pilot().Cfg
-	if a.Seed != b.Seed || a.Web.NumSites != b.Web.NumSites || len(a.Batches) != len(b.Batches) {
-		t.Fatalf("NewStudy and New(WithConfig) disagree: %+v vs %+v", a, b)
-	}
-}
-
 func TestRunSurfacesValidationError(t *testing.T) {
 	cfg := tripwire.SmallConfig()
 	cfg.Web.NumSites = 0

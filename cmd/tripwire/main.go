@@ -6,8 +6,7 @@
 //
 //	tripwire [-scale small|paper] [-seed N] [-workers N]
 //	         [-detections-only] [-metrics-addr HOST:PORT] [-metrics-out FILE]
-//	         [-progress] [-checkpoint-dir DIR] [-checkpoint-every N]
-//	         [-resume FILE]
+//	         [-progress] [-checkpoint-dir DIR] [-resume FILE]
 //
 // The paper scale crawls 33,634 synthetic sites and monitors >100,000 honey
 // accounts; small scale runs the same pipeline on a 1,200-site web in a few
@@ -17,19 +16,21 @@
 // /metrics.json and /healthz while the study runs; -metrics-out dumps the
 // final registry at exit ("-" for stdout, *.prom for text, anything else
 // JSON); -progress streams wave and detection events to stderr. Ctrl-C
-// stops the study at the next wave boundary, keeping every completed
-// wave's results (and the metrics dump) intact.
+// (or SIGTERM) stops the study at the next timeline epoch boundary,
+// keeping every completed epoch's results (and the metrics dump) intact.
 //
-// Checkpoint/resume: -checkpoint-dir (with -checkpoint-every, default 10)
-// writes a resumable snapshot after every Nth completed wave, so an
-// interrupted paper-scale run loses at most one checkpoint interval.
-// Each snapshot stores the configuration and progress plus the length and
-// SHA-256 of every subsystem's state, about a kilobyte at any scale.
-// -resume FILE rebuilds the study from a snapshot, deterministically
-// replays the completed prefix, verifies its state digests against the
-// snapshot, and continues; the final output is identical to an
-// uninterrupted run. -scale and -seed are taken from the snapshot when
-// resuming; -workers and the metrics flags still apply.
+// Checkpoint/resume: with -checkpoint-dir, Ctrl-C also writes one
+// resumable snapshot into DIR at the epoch where the study stopped, named
+// checkpoint-NNNNNN.twsnap by completed-wave count; a run that reaches
+// its end writes none. The snapshot stores the configuration and progress
+// plus the length and SHA-256 of every subsystem's state, about a
+// kilobyte at any scale. -resume FILE rebuilds the study from a snapshot,
+// deterministically replays the completed prefix, verifies its state
+// digests against the snapshot, and continues; the final output is
+// identical to an uninterrupted run. Resume replays from the start, so it
+// costs what rerunning the prefix costs. -scale and -seed are taken from
+// the snapshot when resuming; -workers, -checkpoint-dir and the metrics
+// flags still apply.
 package main
 
 import (
@@ -56,8 +57,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /healthz on this address while running")
 	metricsOut := flag.String("metrics-out", "", "dump the metrics registry here at exit (\"-\" = stdout, *.prom = Prometheus text, else JSON)")
 	progress := flag.Bool("progress", false, "stream wave completions and detections to stderr")
-	checkpointDir := flag.String("checkpoint-dir", "", "write resumable snapshots into this directory at wave boundaries")
-	checkpointEvery := flag.Int("checkpoint-every", 10, "checkpoint after every Nth completed wave (with -checkpoint-dir)")
+	checkpointDir := flag.String("checkpoint-dir", "", "on Ctrl-C, write a resumable snapshot into this directory")
 	resume := flag.String("resume", "", "resume from this checkpoint file; replays and verifies the completed prefix, then continues")
 	flag.Parse()
 
@@ -74,7 +74,7 @@ func main() {
 
 	opts := []tripwire.Option{tripwire.WithWorkers(*workers)}
 	if *checkpointDir != "" {
-		opts = append(opts, tripwire.WithCheckpoint(*checkpointDir, *checkpointEvery))
+		opts = append(opts, tripwire.WithCheckpoint(*checkpointDir, 0))
 	}
 	var reg *tripwire.Metrics
 	if *metricsAddr != "" || *metricsOut != "" {
@@ -139,6 +139,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tripwire: pilot finished in %v\n", time.Since(start))
 	case errors.Is(runErr, context.Canceled):
 		fmt.Fprintf(os.Stderr, "tripwire: interrupted after %v; results below cover completed waves only\n", time.Since(start))
+		if runErr != context.Canceled {
+			// The stop checkpoint failed; its error is joined to ctx's.
+			fmt.Fprintf(os.Stderr, "tripwire: %v\n", runErr)
+		}
 	default:
 		fmt.Fprintf(os.Stderr, "tripwire: %v\n", runErr)
 		os.Exit(1)

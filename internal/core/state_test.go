@@ -72,7 +72,7 @@ func randLedgerState(rng *rand.Rand) *LedgerState {
 		var spans []SpanState
 		for i := 0; i < rng.Intn(3); i++ {
 			from := rng.Int63n(1 << 30)
-			spans = append(spans, SpanState{From: from, To: from + 1 + rng.Int63n(1 << 20)})
+			spans = append(spans, SpanState{From: from, To: from + 1 + rng.Int63n(1<<20)})
 		}
 		return spans
 	}

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -175,7 +176,8 @@ type Options struct {
 	// Metrics, when non-nil, receives the tripwire_distsweep_* inventory.
 	Metrics *obs.Registry
 	// Rate and Burst configure the per-IP token-bucket limiter on the
-	// control plane; Rate <= 0 disables limiting.
+	// control plane; Rate <= 0 disables limiting. Burst <= 0 with a
+	// positive Rate means ⌈2×Rate⌉, tripwire-serve's default ratio.
 	Rate  float64
 	Burst int
 	// Now is the clock (test hook). Default time.Now.
@@ -231,6 +233,9 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
+	}
+	if opts.Rate > 0 && opts.Burst <= 0 {
+		opts.Burst = int(math.Ceil(2 * opts.Rate))
 	}
 	c := &Coordinator{
 		opts:      opts,

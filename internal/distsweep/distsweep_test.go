@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -308,6 +310,29 @@ func TestDistSweepAuth(t *testing.T) {
 	}
 	if _, err := good.Lease("worker"); err != nil {
 		t.Fatalf("signed lease: %v", err)
+	}
+}
+
+// TestDistSweepRateLimit: a coordinator given a Rate but no Burst still
+// limits. Burst defaults to ⌈2×Rate⌉, so at Rate 1 two back-to-back
+// requests pass and a burst of ten draws a 429.
+func TestDistSweepRateLimit(t *testing.T) {
+	coord, err := distsweep.NewCoordinator(distsweep.Options{N: 1, Scale: "test", Rate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := distsweep.Handler(coord)
+	var codes []int
+	for i := 0; i < 10; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/status", nil))
+		codes = append(codes, rec.Code)
+	}
+	if codes[0] != http.StatusOK || codes[1] != http.StatusOK {
+		t.Fatalf("first two requests = %v, want 200s within the burst", codes[:2])
+	}
+	if !slices.Contains(codes, http.StatusTooManyRequests) {
+		t.Fatalf("ten back-to-back requests at Rate 1 = %v, want a 429", codes)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"time"
 )
 
 // Handler serves the registry over HTTP:
@@ -38,9 +39,20 @@ func Serve(addr string, r *Registry) (boundAddr string, shutdown func() error, e
 	if err != nil {
 		return "", nil, fmt.Errorf("obs: metrics listener: %w", err)
 	}
-	srv := &http.Server{Handler: Handler(r)}
+	srv := newServer(r)
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), srv.Close, nil
+}
+
+// newServer is Serve's http.Server. It bounds slow request headers and
+// idle keep-alive connections as tripwire-serve does, and sets no
+// WriteTimeout.
+func newServer(r *Registry) *http.Server {
+	return &http.Server{
+		Handler:           Handler(r),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 // WriteFile dumps the registry to path: Prometheus text for *.prom paths,

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func httpTestRegistry() *Registry {
@@ -74,6 +75,21 @@ func TestServeBindsAndShutsDown(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Error("server still reachable after shutdown")
+	}
+}
+
+// TestServeTimeouts pins the metrics listener's timeouts to those of
+// tripwire-serve: a bounded header read and idle period, no write limit.
+func TestServeTimeouts(t *testing.T) {
+	srv := newServer(httpTestRegistry())
+	if srv.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want 0", srv.WriteTimeout)
 	}
 }
 

@@ -23,12 +23,6 @@ type SubmitRequest struct {
 	// epochs); zero keeps the preset's value. Results are bit-identical for
 	// a given seed regardless.
 	Workers int `json:"workers,omitempty"`
-	// CheckpointEvery writes a resumable snapshot every Nth completed wave.
-	// Zero means 1 — every wave — so a pause can always resume from the
-	// latest wave boundary. Negative disables checkpointing (a pause then
-	// restarts the study from scratch on resume; determinism makes that an
-	// equivalence, just a slower one).
-	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// Label is a free-form caller tag echoed in status output.
 	Label string `json:"label,omitempty"`
 }

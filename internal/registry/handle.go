@@ -24,7 +24,7 @@ const (
 	// Running: the simulation is executing (or re-acquiring its slot after
 	// a resume).
 	Running
-	// Paused: stopped at a wave boundary with a checkpoint on disk;
+	// Paused: stopped at an epoch boundary with a checkpoint on disk;
 	// Resume continues it.
 	Paused
 	// Done: ran to the configured end date.
@@ -94,11 +94,11 @@ const intentNone = Pending
 
 // Handle is one study under registry management: the lifecycle state
 // machine, the current simulation incarnation, and the study's
-// sequence-numbered event stream. Pause works by checkpoint-and-cancel —
-// the study snapshots at every wave boundary, so cancelling the run
-// context leaves a resume point at the last completed wave — and Resume
-// rebuilds a fresh incarnation from the newest checkpoint (or, if none
-// was written yet, from scratch: determinism makes the rerun equivalent).
+// sequence-numbered event stream. Pause cancels the run context; the
+// study then stops at the next epoch boundary and writes one checkpoint
+// there into the handle's checkpoint directory. Resume rebuilds a fresh
+// incarnation from the newest checkpoint (or, if none was written, from
+// scratch: determinism makes the rerun equivalent).
 // Because the simulation is bit-identical for its seed, the resumed
 // incarnation replays the same event prefix the old one published; the
 // handle skips the already-published prefix so the study's stream stays
@@ -110,9 +110,7 @@ type Handle struct {
 	cfg   tripwire.Config
 	reg   *Registry
 
-	// checkpointDir is empty when checkpointing is disabled.
-	checkpointDir   string
-	checkpointEvery int
+	checkpointDir string
 
 	bus   *evbus.Hub[Event]
 	pubMu sync.Mutex // serializes Seq assignment with Append
@@ -202,13 +200,13 @@ func (h *Handle) Wait(ctx context.Context) (State, error) {
 	return st, ctx.Err()
 }
 
-// Pause stops a Running study at the next wave boundary and parks it
+// Pause stops a Running study at the next epoch boundary and parks it
 // Paused. It blocks until the stop lands, so a successful return means
-// the checkpoint to resume from is on disk (or the study had not reached
-// its first wave, in which case Resume reruns from scratch — an
-// equivalence under determinism). If the study reaches a terminal state
-// before the pause takes effect, a TransitionError naming that state is
-// returned.
+// the checkpoint to resume from is on disk — unless the pause landed
+// while a resumed incarnation was still replaying its prefix, in which
+// case the checkpoint it resumed from stays the newest. If the study
+// reaches a terminal state before the pause takes effect, a
+// TransitionError naming that state is returned.
 func (h *Handle) Pause() error {
 	h.mu.Lock()
 	if h.state != Running {
@@ -255,16 +253,13 @@ func (h *Handle) Resume() error {
 // checkpoint when one exists, otherwise a fresh study over the original
 // configuration. Called with h.mu held.
 func (h *Handle) rebuild() (*tripwire.Study, error) {
-	if h.checkpointDir != "" {
-		files, err := filepath.Glob(filepath.Join(h.checkpointDir, "checkpoint-*.twsnap"))
-		if err != nil {
-			return nil, err
-		}
-		if len(files) > 0 {
-			sort.Strings(files)
-			return tripwire.Resume(files[len(files)-1],
-				tripwire.WithCheckpoint(h.checkpointDir, h.checkpointEvery))
-		}
+	files, err := filepath.Glob(filepath.Join(h.checkpointDir, "checkpoint-*.twsnap"))
+	if err != nil {
+		return nil, err
+	}
+	if len(files) > 0 {
+		sort.Strings(files)
+		return tripwire.Resume(files[len(files)-1], tripwire.WithCheckpoint(h.checkpointDir, 0))
 	}
 	study := h.newIncarnation()
 	if err := study.Err(); err != nil {
@@ -275,15 +270,11 @@ func (h *Handle) rebuild() (*tripwire.Study, error) {
 
 // newIncarnation builds a from-scratch study over the handle's config.
 func (h *Handle) newIncarnation() *tripwire.Study {
-	opts := []tripwire.Option{tripwire.WithConfig(h.cfg)}
-	if h.checkpointDir != "" {
-		opts = append(opts, tripwire.WithCheckpoint(h.checkpointDir, h.checkpointEvery))
-	}
-	return tripwire.New(opts...)
+	return tripwire.New(tripwire.WithConfig(h.cfg), tripwire.WithCheckpoint(h.checkpointDir, 0))
 }
 
 // Cancel stops the study for good: a queued or running study is cancelled
-// at the next wave boundary (blocking until the stop lands), a paused one
+// at the next epoch boundary (blocking until the stop lands), a paused one
 // immediately. If a racing completion wins, a TransitionError naming the
 // terminal state is returned.
 func (h *Handle) Cancel() error {
@@ -389,7 +380,7 @@ func (h *Handle) settle(study *tripwire.Study, gen int, ran bool) {
 		to = Failed
 		h.err = err
 	default:
-		// Interrupted at a wave boundary, or never ran: the stop intent
+		// Interrupted at an epoch boundary, or never ran: the stop intent
 		// chose the destination. Registry shutdown cancels without intent.
 		if h.intent == Paused {
 			to = Paused

@@ -20,7 +20,7 @@ const maxSubmitBody = 64 << 10
 //	POST /studies               submit (SubmitRequest body) → 201 Info
 //	GET  /studies               list → []Info
 //	GET  /studies/{id}          status → Info (Status served verbatim)
-//	POST /studies/{id}/pause    park at the next wave boundary → Info
+//	POST /studies/{id}/pause    park at the next epoch boundary → Info
 //	POST /studies/{id}/resume   continue from the newest checkpoint → Info
 //	POST /studies/{id}/cancel   stop for good → Info
 //	GET  /studies/{id}/events   SSE stream with Last-Event-ID replay

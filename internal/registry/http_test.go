@@ -226,6 +226,11 @@ func TestHTTPErrors(t *testing.T) {
 	if resp, _ := postJSON(t, srv.URL+"/studies", `{"unknown_field":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field = %d", resp.StatusCode)
 	}
+	// Every study checkpoints once when it stops; the old cadence field is
+	// refused rather than silently ignored.
+	if resp, _ := postJSON(t, srv.URL+"/studies", `{"scale":"demo","checkpoint_every":1}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("checkpoint_every = %d", resp.StatusCode)
+	}
 	if resp, _ := getJSON(t, srv.URL+"/studies/study-9999"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown study = %d", resp.StatusCode)
 	}

@@ -86,11 +86,6 @@ func (r *Registry) Submit(req SubmitRequest) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	every := req.CheckpointEvery
-	if every == 0 {
-		every = 1
-	}
-
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -101,25 +96,20 @@ func (r *Registry) Submit(req SubmitRequest) (*Handle, error) {
 	r.mu.Unlock()
 
 	h := &Handle{
-		id:              id,
-		label:           req.Label,
-		scale:           req.Scale,
-		cfg:             cfg,
-		reg:             r,
-		checkpointEvery: every,
-		bus:             evbus.New[Event](),
-		state:           Pending,
+		id:            id,
+		label:         req.Label,
+		scale:         req.Scale,
+		cfg:           cfg,
+		reg:           r,
+		checkpointDir: filepath.Join(r.opts.DataDir, id, "checkpoints"),
+		bus:           evbus.New[Event](),
+		state:         Pending,
 	}
 	if h.scale == "" {
 		h.scale = "small"
 	}
-	if every > 0 {
-		h.checkpointDir = filepath.Join(r.opts.DataDir, id, "checkpoints")
-		if err := os.MkdirAll(h.checkpointDir, 0o755); err != nil {
-			return nil, fmt.Errorf("registry: %s: checkpoint dir: %w", id, err)
-		}
-	} else {
-		h.checkpointEvery = 0
+	if err := os.MkdirAll(h.checkpointDir, 0o755); err != nil {
+		return nil, fmt.Errorf("registry: %s: checkpoint dir: %w", id, err)
 	}
 
 	study := h.newIncarnation()

@@ -141,10 +141,11 @@ func simEvents(events []Event) []Event {
 	return out
 }
 
-// TestPauseResume: pause after the first wave, check the checkpoint and
-// the parked state, resume, and require (a) the final Status byte-identical
-// to an uninterrupted run's and (b) the simulation event stream duplicate-
-// free and identical to the uninterrupted stream.
+// TestPauseResume: pause after the first wave, check the one checkpoint
+// the pause wrote and the parked state, resume, and require (a) the final
+// Status byte-identical to an uninterrupted run's, (b) the simulation
+// event stream duplicate-free and identical to the uninterrupted stream,
+// and (c) no checkpoint beyond the pause's.
 func TestPauseResume(t *testing.T) {
 	dir := t.TempDir()
 	reg := newTestRegistry(t, Options{DataDir: dir})
@@ -173,9 +174,9 @@ func TestPauseResume(t *testing.T) {
 	if err := h.Pause(); err == nil {
 		t.Fatal("second Pause succeeded")
 	}
-	snaps, _ := filepath.Glob(filepath.Join(dir, h.ID(), "checkpoints", "checkpoint-*.twsnap"))
-	if len(snaps) == 0 {
-		t.Fatal("no checkpoint on disk after a post-wave pause")
+	snapGlob := filepath.Join(dir, h.ID(), "checkpoints", "checkpoint-*.twsnap")
+	if snaps, _ := filepath.Glob(snapGlob); len(snaps) != 1 {
+		t.Fatalf("%d checkpoints on disk after one pause, want 1", len(snaps))
 	}
 	if last := h.Info(); last.State != "paused" {
 		t.Fatalf("info.State = %s", last.State)
@@ -186,6 +187,9 @@ func TestPauseResume(t *testing.T) {
 	}
 	if st, err := h.Wait(ctx); st != Done || err != nil {
 		t.Fatalf("Wait after resume = %s, %v", st, err)
+	}
+	if snaps, _ := filepath.Glob(snapGlob); len(snaps) != 1 {
+		t.Fatalf("%d checkpoints on disk after a paused study finished, want the pause's 1", len(snaps))
 	}
 	if err := h.Resume(); err == nil {
 		t.Fatal("Resume of a done study succeeded")
@@ -227,9 +231,10 @@ func TestPauseResume(t *testing.T) {
 	}
 }
 
-// TestPauseBeforeFirstCheckpoint: pausing a study that has not completed
-// a wave leaves no checkpoint; Resume reruns from scratch and still
-// converges to the uninterrupted result.
+// TestPauseBeforeFirstCheckpoint: pausing a study as soon as it starts,
+// possibly before its first wave, still leaves a resume point: the stop
+// checkpoint at whatever epoch boundary the pause landed on. Resume
+// replays from it and converges to the uninterrupted result.
 func TestPauseBeforeFirstCheckpoint(t *testing.T) {
 	reg := newTestRegistry(t, Options{})
 	ref, err := reg.Submit(demoRequest())
@@ -270,7 +275,7 @@ func TestPauseBeforeFirstCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCancelRunning: cancel lands at a wave boundary, the stream ends
+// TestCancelRunning: cancel lands at an epoch boundary, the stream ends
 // with study.cancelled, and no further transition is legal.
 func TestCancelRunning(t *testing.T) {
 	reg := newTestRegistry(t, Options{})

@@ -97,15 +97,18 @@ type Config struct {
 	// measure how well workers overlap network waits.
 	NetLatency time.Duration
 
-	// CheckpointEvery, with CheckpointDir, writes a resumable snapshot
-	// after every CheckpointEvery-th completed registration wave (see
-	// internal/snapshot and Pilot.WriteCheckpoint). Zero disables periodic
-	// checkpoints. Checkpoint writes are observation-only: they draw no
-	// randomness and feed nothing back, so enabling them never changes
-	// study results.
+	// CheckpointEvery, with CheckpointDir, also writes a checkpoint after
+	// every CheckpointEvery-th completed registration wave. Only the
+	// benchmark's durable workload sets it; resume replays from time zero
+	// either way, so a periodic checkpoint saves no work. Zero, the
+	// default, writes none.
 	CheckpointEvery int
-	// CheckpointDir is where periodic checkpoints land, named
-	// checkpoint-%06d.twsnap by completed-wave count. Created on demand.
+	// CheckpointDir makes a cancelled run write one resumable snapshot at
+	// the epoch boundary where it stopped (see internal/snapshot and
+	// Pilot.WriteCheckpoint), named checkpoint-%06d.twsnap by
+	// completed-wave count. Created on demand. Checkpoint writes are
+	// observation-only: they draw no randomness and feed nothing back, so
+	// enabling them never changes study results.
 	CheckpointDir string
 
 	// LogResidentBudget caps how many login events the email provider

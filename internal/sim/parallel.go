@@ -240,7 +240,7 @@ func (p *Pilot) runWave(ranks []rankAt, manual bool, batch string) {
 	}
 	p.metrics.waveDone(timer)
 	// Wave events are exclusive scheduler events (they mutate p.Attempts),
-	// so the counter needs no synchronization. It is the checkpoint cadence:
+	// so the counter needs no synchronization. It names checkpoint files:
 	// wave boundaries depend only on batch rank ranges, never on workers.
 	p.wavesDone++
 	if len(ranks) > 0 {

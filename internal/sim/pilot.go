@@ -86,13 +86,14 @@ type Pilot struct {
 	// timeline epochs — the replay unit of resume: an epoch's boundary is a
 	// pure function of the schedule, never of worker count, so "run N
 	// epochs" lands every run in the same global state. wavesDone counts
-	// completed registration waves and drives the checkpoint cadence.
+	// completed registration waves; it names checkpoint files and drives
+	// the CheckpointEvery cadence.
 	epochsRun uint64
 	wavesDone int
-	ckptNext  int // next wavesDone value that triggers a checkpoint
 	// replayEpochs/resumeSnap are set by ResumePilot: RunContext first
 	// re-executes replayEpochs epochs, then attests the rebuilt state
-	// against resumeSnap section by section before continuing.
+	// against resumeSnap section by section and clears it before
+	// continuing.
 	replayEpochs uint64
 	resumeSnap   *snapshot.File
 	// eagerAccounts makes provisionIdentities create every provider

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -182,6 +183,114 @@ func TestResumeAfterCancel(t *testing.T) {
 	// must end with more checkpoints on disk than the cancelled run left.
 	if after := checkpointFiles(t, dir); len(after) <= len(files) {
 		t.Fatalf("resumed run wrote no further checkpoints (%d -> %d)", len(files), len(after))
+	}
+}
+
+// TestStopCheckpoint: with a checkpoint directory and no cadence, a run
+// cancelled mid-epoch-stream leaves exactly one checkpoint, taken at the
+// epoch where it stopped. The cancels land on dump epochs (the 1st, 2nd
+// and 3rd detection), not wave boundaries, so the checkpoint records an
+// epoch count no wave cadence could have produced. Each resumes to the
+// uninterrupted run at 1 and 4 workers, and a cancel during a resume's
+// replay, before attestation, writes nothing.
+func TestStopCheckpoint(t *testing.T) {
+	ref := NewPilot(resumeTestConfig())
+	var refEvents []string
+	ref.OnEvent = func(ev Event) { refEvents = append(refEvents, eventLine(ev)) }
+	ref.Run()
+	want := fingerprint(ref)
+
+	for _, nth := range []int{1, 2, 3} {
+		dir := t.TempDir()
+		cfg := resumeTestConfig()
+		cfg.CheckpointDir = dir
+		p := NewPilot(cfg)
+		ctx, cancel := context.WithCancel(context.Background())
+		detections := 0
+		p.OnEvent = func(ev Event) {
+			if ev.Kind == EventDetection {
+				if detections++; detections == nth {
+					cancel()
+				}
+			}
+		}
+		err := p.RunContext(ctx)
+		cancel()
+		if !errors.Is(err, context.Canceled) || !p.Interrupted {
+			t.Fatalf("detection %d: run was not interrupted (err=%v, interrupted=%v)", nth, err, p.Interrupted)
+		}
+		files := checkpointFiles(t, dir)
+		if len(files) != 1 {
+			t.Fatalf("detection %d: %d checkpoints written, want exactly one", nth, len(files))
+		}
+		f, err := snapshot.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pdata, _ := f.Section(sectionProgress)
+		prog, err := decodeProgress(pdata)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.Epochs != p.EpochsRun() {
+			t.Fatalf("detection %d: checkpoint records %d epochs, the run stopped after %d", nth, prog.Epochs, p.EpochsRun())
+		}
+
+		for _, w := range []int{1, 4} {
+			label := fmt.Sprintf("detection %d workers=%d", nth, w)
+			r, err := ResumePilot(files[0], func(c *Config) {
+				c.Workers = w
+				c.CheckpointDir = ""
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			var events []string
+			r.OnEvent = func(ev Event) { events = append(events, eventLine(ev)) }
+			if err := r.RunContext(context.Background()); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sameFingerprint(t, label, fingerprint(r), want)
+			if !reflect.DeepEqual(events, refEvents) {
+				t.Fatalf("%s: event sequence differs (%d vs %d events)", label, len(events), len(refEvents))
+			}
+		}
+
+		// Cancel the resume at its first replayed event: it stops before
+		// attestation, where a checkpoint would only repeat the one it
+		// resumed from, so it writes none.
+		replayDir := t.TempDir()
+		r, err := ResumePilot(files[0], func(c *Config) { c.CheckpointDir = replayDir })
+		if err != nil {
+			t.Fatal(err)
+		}
+		rctx, rcancel := context.WithCancel(context.Background())
+		r.OnEvent = func(Event) { rcancel() }
+		err = r.RunContext(rctx)
+		rcancel()
+		if !errors.Is(err, context.Canceled) || r.EpochsRun() >= prog.Epochs {
+			t.Fatalf("detection %d: resume was not cancelled during replay (err=%v, epochs %d of %d)", nth, err, r.EpochsRun(), prog.Epochs)
+		}
+		if got := checkpointFiles(t, replayDir); len(got) != 0 {
+			t.Fatalf("detection %d: a cancel during replay wrote %v", nth, got)
+		}
+	}
+
+	// A stop checkpoint that cannot be written (its directory would sit
+	// under a regular file) is joined to the cancellation, not swallowed.
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := resumeTestConfig()
+	cfg.CheckpointDir = filepath.Join(blocker, "ckpt")
+	p := NewPilot(cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	p.OnEvent = func(Event) { cancel() }
+	err := p.RunContext(ctx)
+	cancel()
+	if !errors.Is(err, context.Canceled) || !strings.Contains(fmt.Sprint(err), "sim: checkpoint") {
+		t.Fatalf("unwritable stop checkpoint: err = %v, want context.Canceled joined with the write error", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/url"
@@ -35,10 +36,14 @@ func (p *Pilot) Run() *Pilot {
 // accounting (final mail drain, missed-breach analysis) is skipped, and
 // ctx's error is returned.
 //
-// With Config.CheckpointEvery set, a resumable snapshot is written after
-// every Nth completed wave (see WriteCheckpoint); a pilot built by
-// ResumePilot first replays the checkpoint's epoch prefix and attests the
-// rebuilt state against the snapshot before continuing.
+// With Config.CheckpointDir set, a cancelled run writes one resumable
+// snapshot at the epoch boundary where it stopped (see WriteCheckpoint);
+// a failed write is joined to ctx's error. Config.CheckpointEvery adds a
+// checkpoint whenever an epoch completes a multiple of that many waves. A
+// pilot built by ResumePilot first replays the checkpoint's epoch prefix
+// and attests the rebuilt state against the snapshot; until then it
+// writes no checkpoint of either kind, because the original run already
+// covered those boundaries.
 func (p *Pilot) RunContext(ctx context.Context) error {
 	// The SMTP forwarding session stays open for the whole run; closing it
 	// here releases the pipe and its server goroutine (a later send would
@@ -62,26 +67,37 @@ func (p *Pilot) RunContext(ctx context.Context) error {
 	if p.metrics != nil {
 		ep.Observe = p.metrics.epochDone
 	}
-	if p.resumeSnap != nil {
-		if err := p.replay(ctx, ep); err != nil {
-			return err
-		}
-	}
 	for {
+		// The scheduler queue holds closures over live subsystem state and
+		// cannot be serialized, so resume re-derives it by replaying the
+		// recorded epoch count; determinism makes the replayed prefix
+		// identical to the original run, and attest proves it (catching a
+		// changed seed, a changed binary, or a corrupted snapshot by naming
+		// the diverging section).
+		if p.resumeSnap != nil && p.epochsRun == p.replayEpochs {
+			if err := p.attest(p.resumeSnap); err != nil {
+				return err
+			}
+			p.resumeSnap = nil
+		}
 		if err := ctx.Err(); err != nil {
-			p.Interrupted = true
-			p.publishProgress()
-			return err
+			return p.stop(err)
 		}
 		at, ok := p.Sched.NextAt()
 		if !ok || at.After(p.Cfg.End) {
+			if p.resumeSnap != nil {
+				return fmt.Errorf("sim: resume: schedule ran dry after %d of %d recorded epochs (checkpoint from a different configuration?)", p.epochsRun, p.replayEpochs)
+			}
 			break
 		}
+		waves := p.wavesDone
 		ep.RunEpoch()
 		p.epochsRun++
 		p.publishProgress()
-		if err := p.maybeCheckpoint(); err != nil {
-			return err
+		if every := p.Cfg.CheckpointEvery; every > 0 && p.resumeSnap == nil && p.wavesDone/every > waves/every {
+			if err := p.checkpoint(); err != nil {
+				return err
+			}
 		}
 	}
 	p.Clock.AdvanceTo(p.Cfg.End)
@@ -91,59 +107,28 @@ func (p *Pilot) RunContext(ctx context.Context) error {
 	return nil
 }
 
-// replay re-executes a resumed run's completed prefix — exactly the epoch
-// count the checkpoint recorded — then byte-compares every rebuilt state
-// section against the snapshot. The scheduler queue holds closures over
-// live subsystem state and cannot be serialized, so resume re-derives it:
-// determinism makes the replayed prefix identical to the original run, and
-// the attestation proves it (catching a changed seed, a changed binary, or
-// a corrupted snapshot by naming the diverging section). Checkpoints are
-// not rewritten during replay; the cadence counter just advances past the
-// boundaries the original run already covered.
-func (p *Pilot) replay(ctx context.Context, ep *simclock.Epochs) error {
-	for p.epochsRun < p.replayEpochs {
-		if err := ctx.Err(); err != nil {
-			p.Interrupted = true
-			return err
+// stop ends a cancelled run at the current epoch boundary, writing the
+// stop checkpoint unless a resume is still replaying.
+func (p *Pilot) stop(err error) error {
+	p.Interrupted = true
+	p.publishProgress()
+	if p.Cfg.CheckpointDir != "" && p.resumeSnap == nil {
+		if werr := p.checkpoint(); werr != nil {
+			return errors.Join(err, werr)
 		}
-		at, ok := p.Sched.NextAt()
-		if !ok || at.After(p.Cfg.End) {
-			return fmt.Errorf("sim: resume: schedule ran dry after %d of %d recorded epochs (checkpoint from a different configuration?)", p.epochsRun, p.replayEpochs)
-		}
-		ep.RunEpoch()
-		p.epochsRun++
-		p.publishProgress()
 	}
-	if err := p.attest(p.resumeSnap); err != nil {
-		return err
-	}
-	p.resumeSnap = nil
-	if every := p.Cfg.CheckpointEvery; every > 0 {
-		p.ckptNext = (p.wavesDone/every + 1) * every
-	}
-	return nil
+	return err
 }
 
-// maybeCheckpoint writes a periodic checkpoint when the completed-wave
-// count has crossed the configured cadence. Called between epochs on the
-// driver goroutine, where no parallel work is in flight and every
-// subsystem is safe to export.
-func (p *Pilot) maybeCheckpoint() error {
-	every := p.Cfg.CheckpointEvery
-	if every <= 0 || p.Cfg.CheckpointDir == "" {
-		return nil
-	}
-	if p.ckptNext == 0 {
-		p.ckptNext = every
-	}
-	if p.wavesDone < p.ckptNext {
-		return nil
-	}
+// checkpoint writes a checkpoint into Config.CheckpointDir, named by the
+// completed-wave count. Called between epochs on the driver goroutine,
+// where no parallel work is in flight and every subsystem is safe to
+// export.
+func (p *Pilot) checkpoint() error {
 	path := filepath.Join(p.Cfg.CheckpointDir, fmt.Sprintf("checkpoint-%06d.twsnap", p.wavesDone))
 	if err := p.WriteCheckpoint(path); err != nil {
 		return fmt.Errorf("sim: checkpoint after wave %d: %w", p.wavesDone, err)
 	}
-	p.ckptNext = (p.wavesDone/every + 1) * every
 	return nil
 }
 

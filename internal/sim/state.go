@@ -26,7 +26,7 @@ import (
 // section by section, so a checkpoint stays about a kilobyte however
 // large the study grows. The scheduler's pending queue is deliberately
 // absent — it holds closures over live subsystem state and is instead
-// re-derived by re-running the deterministic schedule (see Pilot.replay).
+// re-derived by re-running the deterministic schedule (see RunContext).
 const (
 	sectionConfig   = "config"
 	sectionProgress = "progress"

@@ -63,11 +63,11 @@ type Sequencer interface {
 // Observe hook is installed, so an unobserved run pays nothing for them.
 type EpochStats struct {
 	At         time.Time
-	Width      int // events in the frontier
-	Keyed      int // keyed (parallel-eligible) events among them
-	Segments   int // parallel segments executed
-	Partitions int // conflict partitions summed over segments
-	Workers    int // widest worker count any segment could use
+	Width      int           // events in the frontier
+	Keyed      int           // keyed (parallel-eligible) events among them
+	Segments   int           // parallel segments executed
+	Partitions int           // conflict partitions summed over segments
+	Workers    int           // widest worker count any segment could use
 	Busy       time.Duration // summed partition execution time
 	Elapsed    time.Duration // wall-clock time executing the epoch
 }

@@ -179,10 +179,14 @@ func WithMetrics(r *Metrics) Option {
 	return func(o *studyOptions) { o.metrics = &r }
 }
 
-// WithCheckpoint writes a resumable snapshot into dir after every Nth
-// completed registration wave, named checkpoint-%06d.twsnap by wave count.
-// Pass a snapshot to Resume to continue a cancelled study. Checkpointing
-// is observation-only: enabling it never changes study results.
+// WithCheckpoint makes a cancelled study write one resumable snapshot into
+// dir at the epoch boundary where it stopped, named checkpoint-%06d.twsnap
+// by completed-wave count; a study that runs to its end writes none. Pass
+// the snapshot to Resume to continue. A positive every also writes one
+// after every Nth completed registration wave; only the benchmark's
+// durable workload uses that, since resume replays from time zero and a
+// periodic checkpoint saves no work. Checkpointing is observation-only:
+// enabling it never changes study results.
 func WithCheckpoint(dir string, every int) Option {
 	return func(o *studyOptions) { o.checkpoint = &checkpointOption{dir: dir, every: every} }
 }
@@ -230,16 +234,9 @@ func New(opts ...Option) *Study {
 	return s
 }
 
-// NewStudy builds a study from an explicit configuration. Every caller in
-// the tree has been migrated to New; this wrapper remains only so external
-// plain-config callers keep compiling.
-//
-// Deprecated: use New(WithConfig(cfg)).
-func NewStudy(cfg Config) *Study { return New(WithConfig(cfg)) }
-
 // Resume rebuilds a study from a checkpoint written by a run configured
-// with WithCheckpoint (or Config.CheckpointEvery/CheckpointDir) and
-// prepares it to continue to the configured end date.
+// with WithCheckpoint (or Config.CheckpointDir) and prepares it to
+// continue to the configured end date.
 //
 // The scheduler's pending queue cannot be serialized (it holds closures
 // over live subsystem state), so resume replays: the study is rebuilt from
@@ -280,9 +277,11 @@ func Resume(path string, opts ...Option) (*Study, error) {
 
 // RunContext executes the study to its configured end date. For an
 // invalid configuration it returns the validation error instead of
-// running. The context is checked at wave boundaries: cancelling stops
-// the study cleanly after the event in flight, leaving every completed
-// wave's results valid, and returns ctx's error.
+// running. The context is checked at timeline epoch boundaries:
+// cancelling stops the study cleanly after the epoch in flight, leaving
+// every completed epoch's results valid, writes the WithCheckpoint
+// snapshot if one is configured, and returns ctx's error (joined with
+// the checkpoint's write error, if that failed).
 //
 // RunContext is idempotent: second and later calls return the first run's
 // error without re-running.
