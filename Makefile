@@ -9,7 +9,8 @@
 #                    resume byte-identity smoke (workers grid incl. 8, and
 #                    the stop checkpoint, under -race), the 16-worker
 #                    invariance smoke over crawl waves and timeline
-#                    epochs (under -race), the 1M-account
+#                    epochs (under -race), the browser's concurrent
+#                    session-recycling test (-race -count=10), the 1M-account
 #                    lazy-store smoke (-short, under -race), the serve
 #                    smoke (boot tripwire-serve, pause/resume a study over
 #                    HTTP, require an SSE detection + a signed webhook
@@ -78,6 +79,7 @@ ci: build metrics-doc-check
 	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/
 	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume' ./internal/sim/ .
 	$(GO) test -race -run 'TestTimelineWorkerInvariance/workers=16' ./internal/sim/
+	$(GO) test -race -count=10 -run 'TestConcurrentSessionsRecycleStorage' ./internal/browser/
 	$(GO) test -race -short -run 'TestLazyMillionAccountSmoke|TestCheckpointDigestAttestation' ./internal/sim/
 	$(GO) test -race -run 'TestServeSmoke' ./cmd/tripwire-serve/
 	$(GO) test -race -run 'TestDistSweepByteIdentical|TestDistSweepWorkerLossByteIdentical' ./internal/distsweep/

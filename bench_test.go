@@ -52,7 +52,7 @@ func BenchmarkTable1AccountCreation(b *testing.B) {
 	p := benchPilot(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows := report.Table1(p)
+		rows := report.Table1(p.ValidateAll())
 		byStatus := map[core.AccountStatus]report.Table1Row{}
 		for _, r := range rows {
 			byStatus[r.Status] = r
@@ -176,7 +176,7 @@ func BenchmarkFigure3Funnel(b *testing.B) {
 	p := benchPilot(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := report.Fig3(p)
+		f := report.Fig3(p, p.ValidateAll())
 		if f.IneligibleFrac < 0.45 || f.IneligibleFrac > 0.80 {
 			b.Fatalf("ineligible fraction %.2f out of band (~0.64)", f.IneligibleFrac)
 		}
@@ -341,7 +341,7 @@ func BenchmarkHTMLParse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		doc := htmldom.Parse(raw)
-		if len(doc.Children) == 0 {
+		if doc.FirstChild() == nil {
 			b.Fatal("empty parse")
 		}
 	}

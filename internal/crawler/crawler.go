@@ -441,14 +441,21 @@ func (c *Crawler) looksLikeSuccess(pageText string) bool {
 }
 
 // bestForm returns the highest-scoring registration-form candidate on the
-// page, or nil when none clears the bar.
+// page, or nil when none clears the bar. The lowered page text, a walk of
+// the whole DOM, is built once, and only if some form has a password field.
 func bestForm(p *browser.Page) *browser.Form {
+	var text string
+	built := false
+	lowered := func() string {
+		if !built {
+			text, built = strings.ToLower(p.DOM.Text()), true
+		}
+		return text
+	}
 	var best *browser.Form
 	bestScore := 0.0
-	// Lower once: FormScore's internal ToLower is then a no-op scan.
-	text := strings.ToLower(p.DOM.Text())
 	for _, f := range p.Forms() {
-		if s := FormScore(f, text); s > bestScore {
+		if s := formScore(f, lowered); s > bestScore {
 			best, bestScore = f, s
 		}
 	}

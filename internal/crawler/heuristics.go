@@ -446,6 +446,13 @@ func looksLikeSuccessLower(lower string) bool {
 // and surrounding page text all add weight; login-shaped forms (password +
 // a single identifier, few fields) are penalized.
 func FormScore(f *browser.Form, pageText string) float64 {
+	return formScore(f, func() string { return strings.ToLower(pageText) })
+}
+
+// formScore is FormScore with the page text supplied lowered by lowered,
+// which it calls only for a form with a password field: any other form
+// scores zero whatever its page says.
+func formScore(f *browser.Form, lowered func() string) float64 {
 	var hasPassword, hasConfirm, hasEmailish bool
 	fillable := 0
 	for i := range f.Fields {
@@ -478,7 +485,7 @@ func FormScore(f *browser.Form, pageText string) float64 {
 	if fillable <= 2 && !hasEmailish {
 		s -= 3.0 // login-shaped
 	}
-	lower := strings.ToLower(pageText)
+	lower := lowered()
 	s += 0.5 * score(regPageTextRules, lower)
 	if strings.Contains(lower, "log in") || strings.Contains(lower, "login") {
 		s -= 0.5

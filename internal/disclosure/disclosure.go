@@ -76,6 +76,7 @@ type Campaign struct {
 	Universe *webgen.Universe
 	Sched    *simclock.Scheduler
 	// Browser fetches contact pages; a fresh in-process session is fine.
+	// DiscoverAddresses releases its pages after each scrape.
 	Browser *browser.Client
 	// DNS, when set, performs the MX deliverability check.
 	DNS MailChecker
@@ -119,6 +120,7 @@ func (c *Campaign) DiscoverAddresses(domain string) []string {
 			return true
 		})
 	}
+	c.Browser.Release()
 	// 2. Domain WHOIS registrant (skipping expired contact domains).
 	if w, ok := c.Universe.Whois(domain); ok && !w.Expired {
 		add(w.Registrant)

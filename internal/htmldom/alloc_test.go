@@ -8,15 +8,32 @@ import "testing"
 const allocPage = `<html><head><title>t</title></head><body><div class="x"><p>hello &amp; goodbye</p><a href="/reg">Sign up</a></div></body></html>`
 
 // TestParseAllocBudget pins the allocation count of the streaming parse
-// path. The slab allocator hands out nodes in chunks and the tokenizer
-// feeds the parser without materializing a token slice, so the whole
-// parse of allocPage costs a fixed handful of allocations. The budget is
-// the measured count plus slack of two; a regression that reintroduces
-// per-token or per-node allocation blows well past it.
+// path. A fresh Arena hands out nodes and attributes in chunks and the
+// tokenizer feeds the parser without materializing a token slice, so the
+// whole parse of allocPage costs a fixed handful of allocations. The
+// budget is the measured count plus slack of two; a regression that
+// reintroduces per-token or per-node allocation blows well past it.
 func TestParseAllocBudget(t *testing.T) {
-	const budget = 16
+	const budget = 7
 	if got := testing.AllocsPerRun(200, func() { Parse(allocPage) }); got > budget {
 		t.Errorf("Parse(allocPage) = %.1f allocs/op, budget %d", got, budget)
+	}
+}
+
+// TestArenaParseAllocBudget pins the recycled path a browser session
+// takes: a warmed Arena parses and resets allocPage with one allocation,
+// the decoded "&amp;" text. Nodes, attributes and the parser's stack all
+// come from storage the arena kept across Reset.
+func TestArenaParseAllocBudget(t *testing.T) {
+	var a Arena
+	a.Parse(allocPage)
+	a.Reset()
+	got := testing.AllocsPerRun(200, func() {
+		a.Parse(allocPage)
+		a.Reset()
+	})
+	if got > 1 {
+		t.Errorf("warm Arena.Parse+Reset(allocPage) = %.1f allocs/op, want <= 1", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package htmldom
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -78,8 +79,8 @@ func TestTokenizeScriptRawText(t *testing.T) {
 		t.Fatalf("script content leaked into DOM: %d <p> elements", len(ps))
 	}
 	script := doc.ElementsByTag("script")[0]
-	if !strings.Contains(script.Children[0].Data, "a < b") {
-		t.Fatalf("script text lost: %q", script.Children[0].Data)
+	if !strings.Contains(script.FirstChild().Data, "a < b") {
+		t.Fatalf("script text lost: %q", script.FirstChild().Data)
 	}
 }
 
@@ -151,12 +152,57 @@ func TestVoidElementsTakeNoChildren(t *testing.T) {
 		t.Fatalf("got %d inputs, want 2", len(inputs))
 	}
 	for _, in := range inputs {
-		if len(in.Children) != 0 {
+		if in.FirstChild() != nil {
 			t.Fatalf("void element has children: %+v", in)
 		}
 	}
 	if inputs[0].Parent.Tag != "form" || inputs[1].Parent.Tag != "form" {
 		t.Fatal("inputs not siblings under form")
+	}
+}
+
+// A tag with more attributes than an arena chunk holds keeps them all,
+// contiguous and in order.
+func TestParseManyAttributes(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`<div a="1" b="2"><p`)
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&b, " x%d=%d", i, i)
+	}
+	b.WriteString(`>hi</p><br c="3"></div>`)
+	doc := Parse(b.String())
+	p := doc.ElementsByTag("p")[0]
+	if len(p.Attrs) != 300 || p.Attrs[0].Key != "x0" || p.Attrs[299] != (Attr{Key: "x299", Val: "299"}) {
+		t.Fatalf("got %d attributes, first %+v", len(p.Attrs), p.Attrs[0])
+	}
+	if got := doc.ElementsByTag("div")[0].AttrOr("b", ""); got != "2" {
+		t.Fatalf("earlier tag's attribute clobbered: b=%q", got)
+	}
+	if got := doc.ElementsByTag("br")[0].AttrOr("c", ""); got != "3" {
+		t.Fatalf("later tag's attribute lost: c=%q", got)
+	}
+}
+
+// An Arena keeps every tree parsed into it intact until Reset, and after
+// Reset parses a new document exactly as a fresh arena would.
+func TestArenaKeepsTreesUntilReset(t *testing.T) {
+	pages := []string{
+		`<html><body><form action="/r"><label>Email</label><input name="e"></form></body></html>`,
+		`<ul><li>one<li>two</ul><p>after &amp; more`,
+		strings.Repeat(`<div class="c"><a href="/x">link</a> text</div>`, 40),
+	}
+	var a Arena
+	for round := 0; round < 3; round++ {
+		var docs []*Node
+		for _, src := range pages {
+			docs = append(docs, a.Parse(src))
+		}
+		for i, doc := range docs {
+			if !Equal(doc, Parse(pages[i])) {
+				t.Fatalf("round %d: page %d differs from a fresh parse:\n%s", round, i, Render(doc))
+			}
+		}
+		a.Reset()
 	}
 }
 
@@ -254,15 +300,26 @@ func TestLoneLessThanIsText(t *testing.T) {
 	}
 }
 
-// Property: Parse never panics and yields a document whose element parents
-// are consistent, for arbitrary byte soup.
+// Property: Parse never panics and yields a document whose links are
+// consistent, for arbitrary byte soup: every child names its parent, the
+// parent's FirstChild has no predecessor, and PrevSibling and NextSibling
+// are inverses.
 func TestQuickParseTotal(t *testing.T) {
 	f := func(s string) bool {
 		doc := Parse(s)
-		ok := true
+		ok := doc.Parent == nil && doc.PrevSibling() == nil && doc.NextSibling() == nil
 		doc.Walk(func(n *Node) bool {
-			for _, c := range n.Children {
+			if first := n.FirstChild(); first != nil && first.PrevSibling() != nil {
+				ok = false
+			}
+			for c := n.FirstChild(); c != nil; c = c.NextSibling() {
 				if c.Parent != n {
+					ok = false
+				}
+				if next := c.NextSibling(); next != nil && next.PrevSibling() != c {
+					ok = false
+				}
+				if prev := c.PrevSibling(); prev != nil && prev.NextSibling() != c {
 					ok = false
 				}
 			}

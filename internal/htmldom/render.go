@@ -17,7 +17,7 @@ func Render(n *Node) string {
 func renderTo(buf []byte, n *Node) []byte {
 	switch n.Type {
 	case DocumentNode:
-		for _, c := range n.Children {
+		for c := n.firstChild; c != nil; c = c.nextSibling {
 			buf = renderTo(buf, c)
 		}
 	case TextNode:
@@ -40,7 +40,7 @@ func renderTo(buf []byte, n *Node) []byte {
 		if voidElements[n.Tag] {
 			return buf
 		}
-		for _, c := range n.Children {
+		for c := n.firstChild; c != nil; c = c.nextSibling {
 			buf = renderTo(buf, c)
 		}
 		buf = append(buf, "</"...)
@@ -92,7 +92,7 @@ func Equal(a, b *Node) bool {
 	if a.Type != b.Type || a.Tag != b.Tag || a.Data != b.Data {
 		return false
 	}
-	if len(a.Attrs) != len(b.Attrs) || len(a.Children) != len(b.Children) {
+	if len(a.Attrs) != len(b.Attrs) {
 		return false
 	}
 	for i := range a.Attrs {
@@ -100,10 +100,11 @@ func Equal(a, b *Node) bool {
 			return false
 		}
 	}
-	for i := range a.Children {
-		if !Equal(a.Children[i], b.Children[i]) {
+	ca, cb := a.firstChild, b.firstChild
+	for ; ca != nil && cb != nil; ca, cb = ca.nextSibling, cb.nextSibling {
+		if !Equal(ca, cb) {
 			return false
 		}
 	}
-	return true
+	return ca == nil && cb == nil
 }

@@ -11,8 +11,9 @@
 //
 // The tokenizer streams: Parse consumes tokens one at a time from a
 // Tokenizer without materializing a token slice, tag and attribute names
-// are interned, and entity decoding has an allocation-free fast path, so
-// the steady-state crawl loop parses pages with a near-minimal number of
+// are interned, entity decoding has an allocation-free fast path, and an
+// Arena recycles node and attribute storage across documents, so the
+// steady-state crawl loop parses pages with a near-minimal number of
 // allocations.
 package htmldom
 
@@ -65,17 +66,15 @@ type Tokenizer struct {
 	queue [2]Token
 	qn    int // tokens in queue
 	qi    int // next queue slot to return
-	// attrs is a chunked slab backing every token's Attrs slice, so a
-	// document costs a handful of attribute allocations rather than one per
-	// tag. A full chunk is abandoned, never regrown, keeping issued slices
-	// valid; tokens get capacity-clamped views so an append on a token
-	// cannot clobber a neighbour.
-	attrs []Attr
+	// arena backs every token's Attrs slice, so a document costs a handful
+	// of attribute allocations rather than one per tag, and none once the
+	// arena is warm.
+	arena *Arena
 }
 
 // NewTokenizer returns a tokenizer over src.
 func NewTokenizer(src string) *Tokenizer {
-	return &Tokenizer{src: src}
+	return &Tokenizer{src: src, arena: new(Arena)}
 }
 
 // Next returns the next token. ok is false when the input is exhausted.
@@ -239,7 +238,7 @@ func asciiFoldEqual(a, b string) bool {
 // degrades to text. Adjacent text is coalesced, matching what Parse builds.
 func Tokenize(src string) []Token {
 	var toks []Token
-	z := Tokenizer{src: src}
+	z := Tokenizer{src: src, arena: new(Arena)}
 	for {
 		tok, ok := z.Next()
 		if !ok {
@@ -258,20 +257,6 @@ func Tokenize(src string) []Token {
 	}
 }
 
-// pushAttr appends a to the attribute slab, growing it with the current
-// tag's attributes carried over so a tag's slice stays contiguous. It
-// returns the (possibly relocated) index of the tag's first attribute.
-func (z *Tokenizer) pushAttr(tagStart int, a Attr) int {
-	if len(z.attrs) == cap(z.attrs) {
-		next := make([]Attr, len(z.attrs)-tagStart, 64)
-		copy(next, z.attrs[tagStart:])
-		z.attrs = next
-		tagStart = 0
-	}
-	z.attrs = append(z.attrs, a)
-	return tagStart
-}
-
 // lexStartTag lexes a start tag beginning at src[0] == '<'. It returns the
 // token and the number of bytes consumed.
 func (z *Tokenizer) lexStartTag(src string) (Token, int) {
@@ -282,7 +267,6 @@ func (z *Tokenizer) lexStartTag(src string) (Token, int) {
 		i++
 	}
 	tok := Token{Type: StartTagToken, Data: lowerName(src[start:i])}
-	tagStart := len(z.attrs)
 	for {
 		for i < n && isSpace(src[i]) {
 			i++
@@ -341,8 +325,7 @@ func (z *Tokenizer) lexStartTag(src string) (Token, int) {
 			}
 		}
 		if name != "" {
-			tagStart = z.pushAttr(tagStart, Attr{Key: name, Val: DecodeEntities(val)})
-			tok.Attrs = z.attrs[tagStart:len(z.attrs):len(z.attrs)]
+			tok.Attrs = z.arena.attrs.push(Attr{Key: name, Val: DecodeEntities(val)}, len(tok.Attrs))
 		}
 	}
 }

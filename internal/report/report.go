@@ -30,11 +30,11 @@ type Table1Row struct {
 	ValidSites int
 }
 
-// Table1 computes the account-creation estimates. Unlike the paper, which
-// sampled 50 accounts per bin and extrapolated, the simulation probes every
-// account's login endpoint, so "valid" counts are exact.
-func Table1(p *sim.Pilot) []Table1Row {
-	vals := p.ValidateAll()
+// Table1 computes the account-creation estimates from the pilot's
+// validations (Pilot.ValidateAll). Unlike the paper, which sampled 50
+// accounts per bin and extrapolated, the simulation probes every account's
+// login endpoint, so "valid" counts are exact.
+func Table1(vals []sim.Validation) []Table1Row {
 	statuses := []core.AccountStatus{
 		core.StatusEmailVerified, core.StatusEmailReceived,
 		core.StatusOKSubmission, core.StatusBadHeuristics, core.StatusManual,

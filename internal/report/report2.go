@@ -87,9 +87,10 @@ type Funnel struct {
 	IneligibleFrac float64 // of all sites
 }
 
-// Fig3 computes the funnel. Outcomes are taken per site from the first
-// automated attempt, mirroring how the paper accounts one crawl per site.
-func Fig3(p *sim.Pilot) Funnel {
+// Fig3 computes the funnel from the pilot and its validations
+// (Pilot.ValidateAll). Outcomes are taken per site from the first automated
+// attempt, mirroring how the paper accounts one crawl per site.
+func Fig3(p *sim.Pilot, vals []sim.Validation) Funnel {
 	f := Funnel{}
 	bestBySite := make(map[string]crawler.Code)
 	for _, a := range p.Attempts {
@@ -138,7 +139,7 @@ func Fig3(p *sim.Pilot) Funnel {
 	// True success: eligible sites where at least one automated account is
 	// actually valid.
 	validSites := make(map[string]bool)
-	for _, v := range p.ValidateAll() {
+	for _, v := range vals {
 		if v.Valid && !v.Registration.Manual {
 			validSites[v.Registration.Domain] = true
 		}

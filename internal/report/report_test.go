@@ -25,7 +25,7 @@ func pilot(t *testing.T) *sim.Pilot {
 
 func TestTable1ShapesAndRendering(t *testing.T) {
 	p := pilot(t)
-	rows := Table1(p)
+	rows := Table1(p.ValidateAll())
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d, want 5 status bins", len(rows))
 	}
@@ -180,7 +180,7 @@ func TestFig2RowsMatchDetections(t *testing.T) {
 
 func TestFig3Bounds(t *testing.T) {
 	p := pilot(t)
-	f := Fig3(p)
+	f := Fig3(p, p.ValidateAll())
 	if f.TotalSites == 0 || f.EligibleSites == 0 {
 		t.Fatalf("funnel empty: %+v", f)
 	}

@@ -50,7 +50,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		}
 	}
 
-	if t1s, t1p := report.RenderTable1(report.Table1(serial)), report.RenderTable1(report.Table1(parallel)); t1s != t1p {
+	if t1s, t1p := report.RenderTable1(report.Table1(serial.ValidateAll())), report.RenderTable1(report.Table1(parallel.ValidateAll())); t1s != t1p {
 		t.Errorf("Table 1 differs across worker counts:\n--- 1 worker ---\n%s\n--- 8 workers ---\n%s", t1s, t1p)
 	}
 	if t2s, t2p := report.RenderTable2(report.Table2(serial)), report.RenderTable2(report.Table2(parallel)); t2s != t2p {

@@ -380,11 +380,11 @@ func (p *Pilot) drainMail() {
 			continue
 		}
 		if link, ok := m.VerificationLink(); ok {
-			// Load the verification page and retain it, as the paper's
-			// mail server did.
-			if page, err := p.verifier.Get(link); err == nil {
-				_ = page
-			}
+			// Load the verification page, as the paper's mail server did.
+			// A failed load leaves the account unverified, which is the
+			// outcome to model, so its error is dropped.
+			_, _ = p.verifier.Get(link)
+			p.verifier.Release()
 		}
 	}
 }

@@ -45,7 +45,7 @@ func comparePilots(t *testing.T, serial, par *sim.Pilot, label string) {
 		t.Fatalf("DetectionTimes diverge between baseline and %s:\nbase: %v\n%s: %v",
 			label, serial.DetectionTimes, label, par.DetectionTimes)
 	}
-	if a, b := report.RenderTable1(report.Table1(serial)), report.RenderTable1(report.Table1(par)); a != b {
+	if a, b := report.RenderTable1(report.Table1(serial.ValidateAll())), report.RenderTable1(report.Table1(par.ValidateAll())); a != b {
 		t.Fatalf("Table 1 differs between baseline and %s:\n--- baseline ---\n%s\n--- %s ---\n%s", label, a, label, b)
 	}
 	if a, b := report.RenderTable2(report.Table2(serial)), report.RenderTable2(report.Table2(par)); a != b {

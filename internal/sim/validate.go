@@ -27,6 +27,7 @@ func (p *Pilot) ValidateAll() []Validation {
 	out := make([]Validation, 0, len(regs))
 	for _, reg := range regs {
 		out = append(out, Validation{Registration: reg, Valid: p.probeLogin(b, reg)})
+		b.Release()
 	}
 	return out
 }

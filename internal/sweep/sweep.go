@@ -115,8 +115,9 @@ func RunSeedContext(ctx context.Context, cfg tripwire.Config) (r SeedResult) {
 			r.Plaintext++
 		}
 	}
+	vals := p.ValidateAll()
 	att, valid := 0, 0
-	for _, row := range report.Table1(p) {
+	for _, row := range report.Table1(vals) {
 		att += row.AttHard + row.AttEasy
 		valid += row.ValidHard + row.ValidEasy
 	}
@@ -124,7 +125,7 @@ func RunSeedContext(ctx context.Context, cfg tripwire.Config) (r SeedResult) {
 		r.ValidPct = 100 * float64(valid) / float64(att)
 		r.HasValid = true
 	}
-	r.EligPct = 100 * report.Fig3(p).SuccessOnElig
+	r.EligPct = 100 * report.Fig3(p, vals).SuccessOnElig
 	r.Alarms = len(p.Monitor.Alarms())
 	return r
 }

@@ -358,8 +358,9 @@ func (s *Study) Summary() string {
 		return b.String()
 	}
 	p := s.pilot
+	vals := p.ValidateAll()
 	b.WriteString("\n== Table 1: Estimates of accounts created by account status ==\n")
-	b.WriteString(report.RenderTable1(report.Table1(p)))
+	b.WriteString(report.RenderTable1(report.Table1(vals)))
 	b.WriteString("\n== Table 2: Sites with detected login activity ==\n")
 	b.WriteString(report.RenderTable2(report.Table2(p)))
 	b.WriteString("\n== Table 3: Login activity for compromised accounts ==\n")
@@ -371,7 +372,7 @@ func (s *Study) Summary() string {
 	b.WriteString("\n== Figure 2: Registration and login timeline ==\n")
 	b.WriteString(report.Fig2(p))
 	b.WriteString("\n== Figure 3: Registration funnel ==\n")
-	b.WriteString(report.RenderFig3(report.Fig3(p)))
+	b.WriteString(report.RenderFig3(report.Fig3(p, vals)))
 	b.WriteString("\n== Section 6.2: Undetected compromises ==\n")
 	b.WriteString(report.RenderMisses(report.MissAnalysis(p)))
 	b.WriteString("\n== Section 6.3: Disclosure ==\n")
