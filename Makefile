@@ -6,8 +6,10 @@
 #   make ci          what a PR must pass: build, gofmt (no file may need
 #                    formatting), vet, race tests, snapshot/
 #                    crawler/epoch-equivalence fuzz corpora as seed tests,
-#                    resume byte-identity smoke (workers grid incl. 8, and
-#                    the stop checkpoint, under -race), the 16-worker
+#                    resume byte-identity smoke (workers grid incl. 8, the
+#                    stop checkpoint, a spill read failure failing the
+#                    checkpoint and the resume, and streamed section
+#                    digests equal to their images, under -race), the 16-worker
 #                    invariance smoke over crawl waves and timeline
 #                    epochs (under -race), the browser's concurrent
 #                    session-recycling test (-race -count=10), the 1M-account
@@ -77,7 +79,7 @@ ci: build metrics-doc-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/
-	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume' ./internal/sim/ .
+	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume|TestSpillFailureFailsCheckpoint|TestStreamedDigestsMatchImages' ./internal/sim/ .
 	$(GO) test -race -run 'TestTimelineWorkerInvariance/workers=16' ./internal/sim/
 	$(GO) test -race -count=10 -run 'TestConcurrentSessionsRecycleStorage' ./internal/browser/
 	$(GO) test -race -short -run 'TestLazyMillionAccountSmoke|TestCheckpointDigestAttestation' ./internal/sim/

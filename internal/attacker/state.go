@@ -79,9 +79,8 @@ func (s *Stuffer) ExportState() StufferState {
 	return st
 }
 
-// EncodeAttackerState serializes the export into snapshot-section bytes.
-func EncodeAttackerState(st *AttackerState) []byte {
-	e := snapshot.NewEncoder()
+// EncodeAttackerState writes the export's snapshot-section image to e.
+func EncodeAttackerState(e *snapshot.Encoder, st *AttackerState) {
 	e.Uint(uint64(len(st.Campaign.Breaches)))
 	for _, b := range st.Campaign.Breaches {
 		e.String(b.Domain)
@@ -107,5 +106,4 @@ func EncodeAttackerState(st *AttackerState) []byte {
 		e.String(dr.Email)
 		e.Uint(dr.N)
 	}
-	return e.Bytes()
 }

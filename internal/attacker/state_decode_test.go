@@ -11,6 +11,13 @@ import (
 // back, so its decoder lives with the tests: the round trip through it is
 // what proves EncodeAttackerState lossless, which a digest relies on.
 
+// attackerImage is EncodeAttackerState's output as bytes.
+func attackerImage(st *AttackerState) []byte {
+	e := snapshot.NewEncoder()
+	EncodeAttackerState(e, st)
+	return e.Bytes()
+}
+
 // DecodeAttackerState parses EncodeAttackerState's output.
 func DecodeAttackerState(data []byte) (*AttackerState, error) {
 	d := snapshot.NewDecoder(data)

@@ -50,7 +50,7 @@ func TestAttackerStateRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		st := randAttackerState(rng)
-		data := EncodeAttackerState(st)
+		data := attackerImage(st)
 		got, err := DecodeAttackerState(data)
 		if err != nil {
 			t.Logf("decode: %v", err)
@@ -60,7 +60,7 @@ func TestAttackerStateRoundTrip(t *testing.T) {
 			t.Logf("mismatch:\n got %+v\nwant %+v", got, st)
 			return false
 		}
-		return bytes.Equal(EncodeAttackerState(got), data)
+		return bytes.Equal(attackerImage(got), data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestStufferExportDrawCounters(t *testing.T) {
 	if !reflect.DeepEqual(st.Draws, want) {
 		t.Fatalf("draws = %+v, want %+v", st.Draws, want)
 	}
-	got, err := DecodeAttackerState(EncodeAttackerState(&AttackerState{Stuffer: st}))
+	got, err := DecodeAttackerState(attackerImage(&AttackerState{Stuffer: st}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -16,9 +17,10 @@ import (
 
 // TestLedgerParallelStress hammers the ledger from many goroutines the way
 // a crawl wave does — concurrent takes, burns, returns, mail notes, and
-// readers — and checks the conservation invariant afterwards. Run under
-// -race this doubles as the data-race proof for the parallel engine's
-// shared ledger.
+// readers — and checks the conservation invariant afterwards, and that
+// every identity taken, returned ones included, equals its rank's persona.
+// Run under -race this doubles as the data-race proof for the parallel
+// engine's shared ledger.
 func TestLedgerParallelStress(t *testing.T) {
 	t.Parallel()
 	const (
@@ -27,6 +29,7 @@ func TestLedgerParallelStress(t *testing.T) {
 	)
 	l := NewLedger()
 	g := identity.NewGenerator("bigmail.test", 101)
+	l.SetDeriver(g.At)
 	total := goroutines * perWorker
 	for i := 0; i < total; i++ {
 		l.AddIdentity(g.New(identity.Hard))
@@ -42,6 +45,10 @@ func TestLedgerParallelStress(t *testing.T) {
 				id := l.Take(identity.Hard)
 				if id == nil {
 					t.Error("pool ran dry: Take lost an identity")
+					return
+				}
+				if want := g.At(int64(id.ID)); !reflect.DeepEqual(id, want) {
+					t.Errorf("took %v, want its rank's persona %v", id, want)
 					return
 				}
 				switch rng.Intn(3) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,6 +21,7 @@ func newGen() *identity.Generator { return identity.NewGenerator("bigmail.test",
 func TestPoolTakeReturn(t *testing.T) {
 	l := NewLedger()
 	g := newGen()
+	l.SetDeriver(g.At)
 	hard := g.New(identity.Hard)
 	easy := g.New(identity.Easy)
 	l.AddIdentity(hard)
@@ -28,15 +30,71 @@ func TestPoolTakeReturn(t *testing.T) {
 		t.Fatalf("pool=%d unused=%d", l.PoolSize(), l.UnusedCount())
 	}
 	got := l.Take(identity.Easy)
-	if got != easy {
+	if !reflect.DeepEqual(got, easy) {
 		t.Fatalf("Take(Easy) = %v", got)
 	}
 	if l.Take(identity.Easy) != nil {
 		t.Fatal("Take from empty class should return nil")
 	}
 	l.Return(got)
-	if l.Take(identity.Easy) != easy {
-		t.Fatal("returned identity not reusable")
+	if back := l.Take(identity.Easy); !reflect.DeepEqual(back, easy) {
+		t.Fatalf("returned identity came back as %v, want %v", back, easy)
+	}
+}
+
+// TestReturnKeepsRanks: the pool keeps a returned identity as its index.
+// Returns come back value-equal in FIFO order; an index that directly
+// follows the pool's last span extends it, and a gap starts a new span,
+// as does an index that follows a span Take has already used up.
+// Returning needs the deriver, and returning a burned identity panics.
+func TestReturnKeepsRanks(t *testing.T) {
+	g := newGen()
+	l := NewLedger()
+	l.SetDeriver(g.At)
+	from := g.Reserve(identity.Hard, 8)
+	l.ExtendPool(identity.Hard, from, 8)
+	var taken []*identity.Identity
+	for i := 0; i < 8; i++ {
+		taken = append(taken, l.Take(identity.Hard))
+	}
+	if l.PoolSize() != 0 {
+		t.Fatalf("pool holds %d after taking all 8", l.PoolSize())
+	}
+
+	order := []int{0, 1, 2, 5, 6, 3}
+	for _, i := range order {
+		l.Return(taken[i])
+	}
+	want := []PoolSegmentState{{From: from, To: from + 3}, {From: from + 5, To: from + 7}, {From: from + 3, To: from + 4}}
+	if got := l.ExportState().PoolHard; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pool segments = %+v, want %+v", got, want)
+	}
+	for _, i := range order {
+		if got := l.Take(identity.Hard); !reflect.DeepEqual(got, taken[i]) {
+			t.Fatalf("took %v, want the returned identity %v", got, taken[i])
+		}
+	}
+	l.Return(taken[4]) // follows the used-up span [from+3, from+4)
+	if got := l.Take(identity.Hard); !reflect.DeepEqual(got, taken[4]) {
+		t.Fatalf("return after a used-up span: took %v, want %v", got, taken[4])
+	}
+	if got := l.Take(identity.Hard); got != nil {
+		t.Fatalf("pool should be dry, took %v", got)
+	}
+
+	l.Burn(taken[7], "site1.test", 1, "News", t0, crawler.CodeOKSubmission, false)
+	for label, ret := range map[string]func(){
+		"a burned identity": func() { l.Return(taken[7]) },
+		"without a deriver": func() { NewLedger().Return(taken[6]) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("returning %s did not panic", label)
+				}
+			}()
+			ret()
+		}()
 	}
 }
 

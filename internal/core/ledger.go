@@ -86,10 +86,11 @@ type regShard struct {
 }
 
 // poolSegment is one run of the FIFO identity pool: either a contiguous
-// span of not-yet-materialized identity indexes [from, to) — the common
-// case after bulk provisioning — or a single explicitly added identity
-// (AddIdentity, Return). Spans keep the 10M-account pool O(1) resident;
-// identities materialize one at a time as Take reaches them.
+// span of not-yet-materialized identity indexes [from, to) — bulk
+// provisioning (ExtendPool) and returned identities (Return) — or a single
+// explicitly added identity (AddIdentity). Spans keep the 10M-account pool
+// O(1) resident; identities materialize one at a time as Take reaches
+// them.
 type poolSegment struct {
 	from, to int64              // index span when id == nil
 	id       *identity.Identity // explicit item when id != nil
@@ -130,11 +131,12 @@ type rankSpan struct{ from, to int64 }
 // per-site registrations, and the monitored-but-unused account set. All
 // methods are safe for concurrent use.
 //
-// The pool and the unused set are virtual: bulk provisioning records index
-// spans (ExtendPool) instead of materialized identities, and membership
-// questions resolve arithmetically through the deriver/rank functions the
-// pilot injects. Only explicitly added identities (AddIdentity, Return)
-// and burned registrations occupy per-account memory.
+// The pool and the unused set are virtual: bulk provisioning and returns
+// record index spans (ExtendPool, Return) instead of materialized
+// identities, and membership questions resolve arithmetically through the
+// deriver/rank functions the pilot injects. Only explicitly added
+// identities (AddIdentity) and burned registrations occupy per-account
+// memory.
 type Ledger struct {
 	mu        sync.Mutex // guards pools, bySite, controls, unused, spans, burned
 	pools     [2]classPool
@@ -167,7 +169,7 @@ func NewLedger() *Ledger {
 }
 
 // SetDeriver installs the rank → identity materializer (identity.Generator.At)
-// used when Take reaches a span segment.
+// used when Take reaches a span segment. Return requires it.
 func (l *Ledger) SetDeriver(fn func(rank int64) *identity.Identity) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -240,8 +242,9 @@ func (l *Ledger) IsControl(email string) bool {
 
 // Take removes and returns an identity of the given class from the pool,
 // or nil when the pool is dry. Identities are handed out in FIFO order so
-// runs are deterministic; a span segment materializes its front rank
-// through the injected deriver.
+// runs are deterministic. A span segment, provisioned or returned,
+// materializes its front rank through the injected deriver, so a returned
+// identity comes back as a fresh value equal to the one returned.
 func (l *Ledger) Take(class identity.PasswordClass) *identity.Identity {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -269,11 +272,17 @@ func (l *Ledger) Take(class identity.PasswordClass) *identity.Identity {
 	return nil
 }
 
-// Return puts an identity back in the pool. Only legal if the identity was
-// never exposed: "the identity used may be returned to the general pool ...
-// only if neither the email address nor password were exposed" (§4.3.1).
-// Returning a burned identity panics: that is a protocol violation the
-// simulation must never commit.
+// Return puts an identity back at the tail of its class pool. Only legal
+// if the identity was never exposed: "the identity used may be returned to
+// the general pool ... only if neither the email address nor password were
+// exposed" (§4.3.1). Returning a burned identity panics: that is a
+// protocol violation the simulation must never commit.
+//
+// An unexposed identity is still exactly the persona its rank derives, so
+// the pool keeps only its index: one that directly follows the pool's last
+// span extends it, any other starts a one-wide span. Take re-derives it
+// through the deriver, so returning requires one (SetDeriver); the
+// identity must be the deriver's value at id.ID, unmodified.
 func (l *Ledger) Return(id *identity.Identity) {
 	email := strings.ToLower(id.Email)
 	sh := l.shardFor(email)
@@ -285,8 +294,16 @@ func (l *Ledger) Return(id *identity.Identity) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.deriver == nil {
+		panic("core: Return without a deriver (SetDeriver)")
+	}
 	p := &l.pools[id.Class]
-	p.segs = append(p.segs, poolSegment{id: id})
+	idx := identity.IndexOf(int64(id.ID))
+	if k := len(p.segs) - 1; k >= p.head && p.segs[k].id == nil && p.segs[k].to == idx {
+		p.segs[k].to++
+		return
+	}
+	p.segs = append(p.segs, poolSegment{from: idx, to: idx + 1})
 }
 
 // Burn permanently associates id with a site. The first burn wins; burning

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"strings"
 	"time"
 
 	"tripwire/internal/crawler"
@@ -27,8 +26,8 @@ type RegistrationState struct {
 }
 
 // PoolSegmentState is one FIFO pool segment in canonical form: either a
-// contiguous run of not-yet-materialized identity indexes [From, To) or a
-// single explicitly added identity.
+// contiguous run of not-yet-materialized identity indexes [From, To),
+// provisioned or returned, or a single explicitly added identity.
 type PoolSegmentState struct {
 	IsItem   bool
 	From, To int64             // index span when !IsItem
@@ -99,19 +98,29 @@ func exportRegistration(reg *Registration) RegistrationState {
 
 // ExportState captures the ledger. Pool segments keep their FIFO order;
 // map-backed sets are sorted, so equivalent ledgers export identically.
+// Registrations sort by the lowercased email their shards key them by.
 func (l *Ledger) ExportState() *LedgerState {
 	st := &LedgerState{}
+	type keyedReg struct {
+		email string
+		reg   *Registration
+	}
+	var regs []keyedReg
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
-		for _, reg := range sh.regs {
-			st.Registrations = append(st.Registrations, exportRegistration(reg))
+		for email, reg := range sh.regs {
+			regs = append(regs, keyedReg{email, reg})
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(st.Registrations, func(i, j int) bool {
-		return strings.ToLower(st.Registrations[i].Identity.Email) < strings.ToLower(st.Registrations[j].Identity.Email)
-	})
+	sort.Slice(regs, func(i, j int) bool { return regs[i].email < regs[j].email })
+	if len(regs) > 0 {
+		st.Registrations = make([]RegistrationState, len(regs))
+		for i, r := range regs {
+			st.Registrations[i] = exportRegistration(r.reg)
+		}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st.PoolHard = exportPool(&l.pools[identity.Hard])
@@ -180,9 +189,8 @@ func encodeSpans(e *snapshot.Encoder, spans []SpanState) {
 	}
 }
 
-// EncodeLedgerState serializes the export into snapshot-section bytes.
-func EncodeLedgerState(st *LedgerState) []byte {
-	e := snapshot.NewEncoder()
+// EncodeLedgerState writes the export's snapshot-section image to e.
+func EncodeLedgerState(e *snapshot.Encoder, st *LedgerState) {
 	encodePoolSegments(e, st.PoolHard)
 	encodePoolSegments(e, st.PoolEasy)
 	encodeSpans(e, st.SpansHard)
@@ -208,7 +216,6 @@ func EncodeLedgerState(st *LedgerState) []byte {
 	for _, email := range st.Unused {
 		e.String(email)
 	}
-	return e.Bytes()
 }
 
 // ControlSeen is one control account's observed-login count.
@@ -300,9 +307,8 @@ func (m *Monitor) ExportState() *MonitorState {
 	return st
 }
 
-// EncodeMonitorState serializes the export into snapshot-section bytes.
-func EncodeMonitorState(st *MonitorState) []byte {
-	e := snapshot.NewEncoder()
+// EncodeMonitorState writes the export's snapshot-section image to e.
+func EncodeMonitorState(e *snapshot.Encoder, st *MonitorState) {
 	e.Time(st.LastDump)
 	e.Uint(uint64(len(st.ExpectedControls)))
 	for _, acct := range st.ExpectedControls {
@@ -336,5 +342,4 @@ func EncodeMonitorState(st *MonitorState) []byte {
 			emailprovider.EncodeLoginEvents(e, al.Events)
 		}
 	}
-	return e.Bytes()
 }

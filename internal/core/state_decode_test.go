@@ -14,6 +14,20 @@ import (
 // through them are what prove EncodeLedgerState and EncodeMonitorState
 // lossless, which a digest relies on.
 
+// ledgerImage is EncodeLedgerState's output as bytes.
+func ledgerImage(st *LedgerState) []byte {
+	e := snapshot.NewEncoder()
+	EncodeLedgerState(e, st)
+	return e.Bytes()
+}
+
+// monitorImage is EncodeMonitorState's output as bytes.
+func monitorImage(st *MonitorState) []byte {
+	e := snapshot.NewEncoder()
+	EncodeMonitorState(e, st)
+	return e.Bytes()
+}
+
 func decodeIdentity(d *snapshot.Decoder) identity.Identity {
 	return identity.Identity{
 		ID:        int(d.Int()),

@@ -108,7 +108,7 @@ func TestLedgerStateRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		st := randLedgerState(rng)
-		data := EncodeLedgerState(st)
+		data := ledgerImage(st)
 		got, err := DecodeLedgerState(data)
 		if err != nil {
 			t.Logf("decode: %v", err)
@@ -118,7 +118,7 @@ func TestLedgerStateRoundTrip(t *testing.T) {
 			t.Logf("mismatch:\n got %+v\nwant %+v", got, st)
 			return false
 		}
-		return bytes.Equal(EncodeLedgerState(got), data)
+		return bytes.Equal(ledgerImage(got), data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestMonitorStateRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		st := randMonitorState(rng)
-		data := EncodeMonitorState(st)
+		data := monitorImage(st)
 		got, err := DecodeMonitorState(data)
 		if err != nil {
 			t.Logf("decode: %v", err)
@@ -182,7 +182,7 @@ func TestMonitorStateRoundTrip(t *testing.T) {
 			t.Logf("mismatch:\n got %+v\nwant %+v", got, st)
 			return false
 		}
-		return bytes.Equal(EncodeMonitorState(got), data)
+		return bytes.Equal(monitorImage(got), data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestLedgerExportRoundTrip(t *testing.T) {
 	l.NoteEmail(id.Email, true)
 
 	st := l.ExportState()
-	got, err := DecodeLedgerState(EncodeLedgerState(st))
+	got, err := DecodeLedgerState(ledgerImage(st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestLedgerExportRoundTrip(t *testing.T) {
 	if len(got.Registrations) != 1 || got.Registrations[0].Status != StatusEmailVerified {
 		t.Fatalf("registrations exported wrong: %+v", got.Registrations)
 	}
-	if !bytes.Equal(EncodeLedgerState(l.ExportState()), EncodeLedgerState(st)) {
+	if !bytes.Equal(ledgerImage(l.ExportState()), ledgerImage(st)) {
 		t.Fatal("re-export changed bytes")
 	}
 }

@@ -191,9 +191,8 @@ func DecodeLoginEvents(d *snapshot.Decoder) ([]LoginEvent, error) {
 	return evs, nil
 }
 
-// EncodeProviderState serializes the export into snapshot-section bytes.
-func EncodeProviderState(st *ProviderState) []byte {
-	e := snapshot.NewEncoder()
+// EncodeProviderState writes the export's snapshot-section image to e.
+func EncodeProviderState(e *snapshot.Encoder, st *ProviderState) {
 	e.String(st.Domain)
 	e.Uint(uint64(st.Implicit))
 	e.Uint(uint64(len(st.Accounts)))
@@ -215,5 +214,4 @@ func EncodeProviderState(st *ProviderState) []byte {
 		e.Time(a.ThrottledTil)
 	}
 	EncodeLoginEvents(e, st.Logins)
-	return e.Bytes()
 }

@@ -11,6 +11,13 @@ import (
 // back, so its decoder lives with the tests: the round trip through it is
 // what proves EncodeProviderState lossless, which a digest relies on.
 
+// providerImage is EncodeProviderState's output as bytes.
+func providerImage(st *ProviderState) []byte {
+	e := snapshot.NewEncoder()
+	EncodeProviderState(e, st)
+	return e.Bytes()
+}
+
 // DecodeProviderState parses EncodeProviderState's output.
 func DecodeProviderState(data []byte) (*ProviderState, error) {
 	d := snapshot.NewDecoder(data)

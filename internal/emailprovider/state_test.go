@@ -88,7 +88,7 @@ func TestProviderStateRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		st := randProviderState(rng)
-		data := EncodeProviderState(st)
+		data := providerImage(st)
 		got, err := DecodeProviderState(data)
 		if err != nil {
 			t.Logf("decode: %v", err)
@@ -98,7 +98,7 @@ func TestProviderStateRoundTrip(t *testing.T) {
 			t.Logf("state mismatch:\n got %+v\nwant %+v", got, st)
 			return false
 		}
-		return bytes.Equal(EncodeProviderState(got), data)
+		return bytes.Equal(providerImage(got), data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestProviderStateDecodeRejectsTruncation(t *testing.T) {
 	for st = randProviderState(rng); len(st.Accounts) == 0 || len(st.Logins) == 0; {
 		st = randProviderState(rng)
 	}
-	data := EncodeProviderState(st)
+	data := providerImage(st)
 	for n := 0; n < len(data); n++ {
 		if _, err := DecodeProviderState(data[:n]); err == nil {
 			t.Fatalf("truncation to %d/%d bytes decoded without error", n, len(data))
@@ -152,7 +152,7 @@ func TestExportStateRoundTrip(t *testing.T) {
 	if len(st.Accounts) != 5 || len(st.Logins) != 20 {
 		t.Fatalf("export: %d accounts, %d logins", len(st.Accounts), len(st.Logins))
 	}
-	got, err := DecodeProviderState(EncodeProviderState(st))
+	got, err := DecodeProviderState(providerImage(st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestExportStateRoundTrip(t *testing.T) {
 	}
 	// A second export is byte-identical: exporting is read-only and
 	// deterministic.
-	if !bytes.Equal(EncodeProviderState(p.ExportState()), EncodeProviderState(st)) {
+	if !bytes.Equal(providerImage(p.ExportState()), providerImage(st)) {
 		t.Fatal("re-export changed bytes")
 	}
 }

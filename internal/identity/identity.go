@@ -19,6 +19,7 @@ package identity
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -162,53 +163,87 @@ func (g *Generator) Batch(n int, class PasswordClass) []*Identity {
 
 // At derives the identity at rank — a pure function of (seed, rank),
 // independent of allocation order, so lazy materialization and eager
-// provisioning see byte-identical personas.
+// provisioning see byte-identical personas. The ledger re-derives every
+// identity it hands out, returned ones included, so the fields are
+// formatted into stack buffers rather than through fmt.
 func (g *Generator) At(rank int64) *Identity {
 	class := ClassOf(rank)
-	local := g.localPartAt(rank)
+	var buf [64]byte
+	lp := g.appendLocalPart(buf[:0], rank)
+	local := string(lp)
 	username := local
 	if len(username) > 14 {
 		username = username[:14]
 	}
-	pwRng := xrand.New(xrand.Mix(g.seed, rank, streamPassword))
+	for i, c := range lp { // the local-part is ASCII
+		if 'A' <= c && c <= 'Z' {
+			lp[i] = c + ('a' - 'A')
+		}
+	}
+	email := string(append(append(lp, '@'), g.domain...))
+	rng := xrand.New(xrand.Mix(g.seed, rank, streamPassword))
 	var password string
 	if class == Hard {
-		password = HardPassword(pwRng)
+		password = HardPassword(rng)
 	} else {
-		password = EasyPassword(pwRng)
+		password = EasyPassword(rng)
 	}
-	rng := xrand.New(xrand.Mix(g.seed, rank, streamFields))
+	// Reseeding restarts the generator on the persona-field stream exactly
+	// as a fresh one would; the fields draw in declaration order.
+	rng.Seed(xrand.Mix(g.seed, rank, streamFields))
+	firstName := pick(rng, firstNames)
+	lastName := pick(rng, lastNames)
+	street := strconv.AppendInt(buf[:0], int64(1+rng.Intn(9899)), 10)
+	street = append(append(street, ' '), pick(rng, streetNames)...)
+	street = append(append(street, ' '), pick(rng, streetSuffixes)...)
 	return &Identity{
 		ID:        int(rank),
-		FirstName: pick(rng, firstNames),
-		LastName:  pick(rng, lastNames),
+		FirstName: firstName,
+		LastName:  lastName,
 		Username:  username,
 		LocalPart: local,
-		Email:     strings.ToLower(local) + "@" + g.domain,
+		Email:     email,
 		Password:  password,
 		Class:     class,
-		Street:    fmt.Sprintf("%d %s %s", 1+rng.Intn(9899), pick(rng, streetNames), pick(rng, streetSuffixes)),
+		Street:    string(street),
 		City:      pick(rng, cities),
 		State:     pick(rng, states),
-		Zip:       fmt.Sprintf("%05d", 10000+rng.Intn(89999)),
+		Zip:       strconv.Itoa(10000 + rng.Intn(89999)), // always five digits
 		Phone:     g.phoneAt(rank),
 		Birthday:  birthday(rng),
 		Employer:  pick(rng, employers),
 	}
 }
 
-func (g *Generator) localPartAt(rank int64) string {
+// appendLocalPart appends the rank's adjective+noun+4-digit local-part.
+func (g *Generator) appendLocalPart(b []byte, rank int64) []byte {
 	idx := g.localPerm.apply(uint64(rank) % g.localPerm.size)
 	pair := idx / digitsPerPair
-	adj := adjectives[pair/uint64(len(nouns))]
-	noun := nouns[pair%uint64(len(nouns))]
-	return fmt.Sprintf("%s%s%04d", adj, noun, idx%digitsPerPair)
+	b = append(b, adjectives[pair/uint64(len(nouns))]...)
+	b = append(b, nouns[pair%uint64(len(nouns))]...)
+	return appendDigits(b, idx%digitsPerPair, 4)
 }
 
 func (g *Generator) phoneAt(rank int64) string {
 	idx := g.phonePerm.apply(uint64(rank) % phoneSpace)
-	// NANP-shaped numbers in the fictional 555 exchange space.
-	return fmt.Sprintf("+1-%03d-555-%04d", 200+idx/10000, idx%10000)
+	// NANP-shaped numbers in the fictional 555 exchange space:
+	// +1-[2-9]xx-555-dddd.
+	var buf [16]byte
+	b := appendDigits(append(buf[:0], "+1-"...), 200+idx/10000, 3)
+	return string(appendDigits(append(b, "-555-"...), idx%10000, 4))
+}
+
+// appendDigits appends v as exactly width decimal digits, zero-padded on
+// the left; v must be below 10^width.
+func appendDigits(b []byte, v uint64, width int) []byte {
+	for i := 0; i < width; i++ {
+		b = append(b, '0')
+	}
+	for i := len(b) - 1; v > 0; i-- {
+		b[i] = byte('0' + v%10)
+		v /= 10
+	}
+	return b
 }
 
 // RankOf inverts an email address under the generator's domain back to its

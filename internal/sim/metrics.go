@@ -7,11 +7,12 @@ import (
 	"tripwire/internal/simclock"
 )
 
-// pilotMetrics is the sim-layer view of the registry: wave spans, task
-// throughput, worker utilization, and timeline-engine telemetry. A nil
-// *pilotMetrics is a no-op.
+// pilotMetrics is the sim-layer view of the registry: wave and checkpoint
+// spans, task throughput, worker utilization, and timeline-engine
+// telemetry. A nil *pilotMetrics is a no-op.
 type pilotMetrics struct {
 	waveSpan    *obs.Span
+	ckptSpan    *obs.Span
 	waves       *obs.Counter
 	tasks       *obs.Counter
 	taskDur     *obs.Histogram
@@ -34,6 +35,7 @@ func (p *Pilot) newPilotMetrics(r *obs.Registry) *pilotMetrics {
 	}
 	m := &pilotMetrics{
 		waveSpan:    r.Span("tripwire_sim_wave", "One crawl wave (both phases)", nil),
+		ckptSpan:    r.Span("tripwire_sim_checkpoint", "One checkpoint: export, digest and write", nil),
 		waves:       r.Counter("tripwire_sim_waves_total", "Crawl waves completed."),
 		tasks:       r.Counter("tripwire_sim_crawl_tasks_total", "Crawl tasks executed across all waves."),
 		taskDur:     r.Histogram("tripwire_sim_task_duration_seconds", "Wall-clock duration of one crawl task.", nil),
@@ -78,6 +80,15 @@ func (m *pilotMetrics) waveStart() obs.SpanTimer {
 		return obs.SpanTimer{}
 	}
 	return m.waveSpan.Start()
+}
+
+// checkpointStart opens the checkpoint span; End it once the file is
+// written or has failed.
+func (m *pilotMetrics) checkpointStart() obs.SpanTimer {
+	if m == nil {
+		return obs.SpanTimer{}
+	}
+	return m.ckptSpan.Start()
 }
 
 // waveDone closes the wave span and counts the wave.

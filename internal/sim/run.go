@@ -125,6 +125,7 @@ func (p *Pilot) stop(err error) error {
 // where no parallel work is in flight and every subsystem is safe to
 // export.
 func (p *Pilot) checkpoint() error {
+	defer p.metrics.checkpointStart().End()
 	path := filepath.Join(p.Cfg.CheckpointDir, fmt.Sprintf("checkpoint-%06d.twsnap", p.wavesDone))
 	if err := p.WriteCheckpoint(path); err != nil {
 		return fmt.Errorf("sim: checkpoint after wave %d: %w", p.wavesDone, err)

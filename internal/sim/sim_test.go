@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -174,5 +175,43 @@ func TestPilotEasyFollowsHard(t *testing.T) {
 		} else if !hardSeen[a.Domain] {
 			t.Errorf("easy attempt at %s without prior hard attempt", a.Domain)
 		}
+	}
+}
+
+// TestTakenIdentitiesStayPristine pins the premise of keeping returned
+// identities as ranks: after a SmallConfig run at 1 and at 4 workers,
+// every registration's identity still equals the persona its rank
+// derives, so nothing mutates an identity once it is taken.
+func TestTakenIdentitiesStayPristine(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		cfg := SmallConfig()
+		cfg.Workers = w
+		p := NewPilot(cfg).Run()
+		regs := p.Ledger.Registrations()
+		if len(regs) == 0 {
+			t.Fatalf("workers=%d: no registrations", w)
+		}
+		for _, reg := range regs {
+			if want := p.gen.At(int64(reg.Identity.ID)); !reflect.DeepEqual(reg.Identity, want) {
+				t.Fatalf("workers=%d: the identity registered at %s is %+v, its rank derives %+v", w, reg.Domain, reg.Identity, want)
+			}
+		}
+	}
+}
+
+// TestLedgerImageKeepsRanks: at the end of the seed-42 small pilot the
+// ledger's pools hold only index spans, every returned identity included,
+// so the ledger image stays small (199,570 bytes when returned identities
+// were kept whole).
+func TestLedgerImageKeepsRanks(t *testing.T) {
+	p := pilot(t)
+	st := p.Ledger.ExportState()
+	for _, seg := range append(st.PoolHard, st.PoolEasy...) {
+		if seg.IsItem {
+			t.Fatalf("pool holds a whole identity: %+v", seg.Item)
+		}
+	}
+	if n := len(sectionImage(p, sectionLedger)); n > 60_000 {
+		t.Fatalf("ledger image is %d bytes, want at most 60,000", n)
 	}
 }

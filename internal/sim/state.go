@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -21,12 +20,13 @@ import (
 // "progress" drive resume (rebuild the pilot, replay this many epochs) and
 // are stored verbatim. The rest are attestation material: each holds
 // uvarint(len(b)) followed by sha256(b), where b is the byte image of one
-// subsystem's durable state (exportSection). Resume never reads those
-// images back; it re-derives them after replay and compares digests
-// section by section, so a checkpoint stays about a kilobyte however
-// large the study grows. The scheduler's pending queue is deliberately
-// absent — it holds closures over live subsystem state and is instead
-// re-derived by re-running the deterministic schedule (see RunContext).
+// subsystem's durable state (exportSection), streamed into the digest
+// rather than built. Resume never reads those images back; it re-derives
+// them after replay and compares digests section by section, so a
+// checkpoint stays about a kilobyte however large the study grows. The
+// scheduler's pending queue is deliberately absent — it holds closures
+// over live subsystem state and is instead re-derived by re-running the
+// deterministic schedule (see RunContext).
 const (
 	sectionConfig   = "config"
 	sectionProgress = "progress"
@@ -208,8 +208,7 @@ func (p *Pilot) progress() progressState {
 	}
 }
 
-func encodeProgress(st progressState) []byte {
-	e := snapshot.NewEncoder()
+func encodeProgress(e *snapshot.Encoder, st progressState) {
 	e.Uint(st.Epochs)
 	e.Int(int64(st.WavesDone))
 	e.Time(st.Now)
@@ -218,7 +217,6 @@ func encodeProgress(st progressState) []byte {
 	e.Int(int64(st.MailCursor))
 	e.Time(st.LastDump)
 	e.Int(int64(st.OrganicSeq))
-	return e.Bytes()
 }
 
 func decodeProgress(data []byte) (progressState, error) {
@@ -252,17 +250,13 @@ type domainTime struct {
 // times, and missed breaches — everything resume must reproduce
 // byte-identically for the completed prefix.
 type outputsState struct {
-	Attempts       []Attempt
+	Attempts       []Attempt    // the pilot's own log, not a copy
 	DetectionTimes []domainTime // sorted by domain
 	Missed         []string
 }
 
 func (p *Pilot) outputs() outputsState {
-	var st outputsState
-	for _, a := range p.Attempts {
-		a.When = snapshot.CanonTime(a.When)
-		st.Attempts = append(st.Attempts, a)
-	}
+	st := outputsState{Attempts: p.Attempts}
 	for domain, at := range p.DetectionTimes {
 		st.DetectionTimes = append(st.DetectionTimes, domainTime{Domain: domain, At: snapshot.CanonTime(at)})
 	}
@@ -277,8 +271,7 @@ func (p *Pilot) outputs() outputsState {
 	return st
 }
 
-func encodeOutputs(st outputsState) []byte {
-	e := snapshot.NewEncoder()
+func encodeOutputs(e *snapshot.Encoder, st outputsState) {
 	e.Uint(uint64(len(st.Attempts)))
 	for i := range st.Attempts {
 		a := &st.Attempts[i]
@@ -301,63 +294,60 @@ func encodeOutputs(st outputsState) []byte {
 	for _, m := range st.Missed {
 		e.String(m)
 	}
-	return e.Bytes()
 }
 
-// exportSection renders one attestation section from live pilot state.
-// Must run on the driver goroutine between epochs.
-func (p *Pilot) exportSection(name string) []byte {
+// exportSection writes one attestation section's image of live pilot
+// state to e. Must run on the driver goroutine between epochs.
+func (p *Pilot) exportSection(e *snapshot.Encoder, name string) {
 	switch name {
 	case sectionProgress:
-		return encodeProgress(p.progress())
+		encodeProgress(e, p.progress())
 	case sectionOutputs:
-		return encodeOutputs(p.outputs())
+		encodeOutputs(e, p.outputs())
 	case sectionProvider:
-		return emailprovider.EncodeProviderState(p.Provider.ExportState())
+		emailprovider.EncodeProviderState(e, p.Provider.ExportState())
 	case sectionLedger:
-		return core.EncodeLedgerState(p.Ledger.ExportState())
+		core.EncodeLedgerState(e, p.Ledger.ExportState())
 	case sectionMonitor:
-		return core.EncodeMonitorState(p.Monitor.ExportState())
+		core.EncodeMonitorState(e, p.Monitor.ExportState())
 	case sectionAttacker:
 		st := attacker.AttackerState{
 			Campaign: p.Campaign.ExportState(),
 			Stuffer:  p.Stuffer.ExportState(),
 		}
-		return attacker.EncodeAttackerState(&st)
+		attacker.EncodeAttackerState(e, &st)
 	case sectionWebgen:
-		return webgen.EncodeUniverseState(p.Universe.ExportState())
+		webgen.EncodeUniverseState(e, p.Universe.ExportState())
 	default:
 		panic("sim: unknown snapshot section " + name)
 	}
 }
 
 // Checkpoint assembles a resumable snapshot of the pilot's current state:
-// the config and progress sections verbatim, then a digest of every other
-// attested section. Must be called between epochs (RunContext's driver
-// loop does), when no parallel work is in flight.
+// the config and progress sections verbatim, then the streamed digest of
+// every other attested section. Must be called between epochs
+// (RunContext's driver loop does), when no parallel work is in flight.
 func (p *Pilot) Checkpoint() (*snapshot.File, error) {
-	if err := p.Provider.SpillErr(); err != nil {
-		// A failed cold tier means AllLogins — and so the provider section —
-		// is missing events; a checkpoint written now would attest garbage.
-		return nil, fmt.Errorf("login-log spill failed earlier: %w", err)
-	}
 	f := snapshot.New()
 	f.Add(sectionConfig, encodeConfig(&p.Cfg))
 	for _, name := range attested {
-		b := p.exportSection(name)
-		if name != sectionProgress {
-			b = digest(b)
+		if name == sectionProgress {
+			e := snapshot.NewEncoder()
+			p.exportSection(e, name)
+			f.Add(name, e.Bytes())
+			continue
 		}
-		f.Add(name, b)
+		e := snapshot.NewDigestEncoder()
+		p.exportSection(e, name)
+		f.Add(name, e.Digest())
+	}
+	// A cold segment that cannot be read drops its events from AllLogins,
+	// so the provider digest would cover a truncated log. The check comes
+	// after the export, so it also sees a read that failed during it.
+	if err := p.Provider.SpillErr(); err != nil {
+		return nil, fmt.Errorf("login-log spill failed: %w", err)
 	}
 	return f, nil
-}
-
-// digest is what a checkpoint stores for an attested section other than
-// progress: uvarint(len(b)) followed by sha256(b).
-func digest(b []byte) []byte {
-	sum := sha256.Sum256(b)
-	return append(binary.AppendUvarint(nil, uint64(len(b))), sum[:]...)
 }
 
 // WriteCheckpoint writes a checkpoint atomically to path, creating parent
@@ -377,24 +367,35 @@ func (p *Pilot) WriteCheckpoint(path string) error {
 
 // attest compares every rebuilt state section against the snapshot —
 // progress byte for byte, the rest by length and digest — naming the first
-// diverging section. Called once, after replay.
+// diverging section. Called once, after replay. The rebuilt sections come
+// from Checkpoint, so a cold tier that cannot be read fails with its spill
+// error rather than as a divergence.
 func (p *Pilot) attest(f *snapshot.File) error {
+	mine, err := p.Checkpoint()
+	if err != nil {
+		return fmt.Errorf("sim: resume: %w", err)
+	}
 	for _, name := range attested {
 		want, ok := f.Section(name)
 		if !ok {
 			return fmt.Errorf("sim: resume: %w: snapshot has no %q section", snapshot.ErrCorrupt, name)
 		}
-		b := p.exportSection(name)
-		got, wantLen := b, uint64(len(want))
-		if name != sectionProgress {
-			got = digest(b)
-			wantLen, _ = binary.Uvarint(want)
-		}
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("sim: resume: replayed state diverges from checkpoint in section %q (%d vs %d bytes) — the snapshot was taken with a different seed, configuration, or code version", name, len(b), wantLen)
+		if got, _ := mine.Section(name); !bytes.Equal(got, want) {
+			return fmt.Errorf("sim: resume: replayed state diverges from checkpoint in section %q (%d vs %d bytes) — the snapshot was taken with a different seed, configuration, or code version", name, imageLen(name, got), imageLen(name, want))
 		}
 	}
 	return nil
+}
+
+// imageLen is the length of the section image that a checkpoint's section
+// b stands for: progress is stored whole, the rest as uvarint(length)
+// followed by the digest.
+func imageLen(name string, b []byte) uint64 {
+	if name == sectionProgress {
+		return uint64(len(b))
+	}
+	n, _ := binary.Uvarint(b)
+	return n
 }
 
 // EpochsRun returns how many timeline epochs the pilot has completed; a

@@ -12,6 +12,27 @@ import (
 // so its decoder lives with the tests: the round trip through it is what
 // proves encodeOutputs lossless, which a digest relies on.
 
+// sectionImage is the byte image exportSection writes for one section.
+func sectionImage(p *Pilot, name string) []byte {
+	e := snapshot.NewEncoder()
+	p.exportSection(e, name)
+	return e.Bytes()
+}
+
+// progressImage is encodeProgress's output as bytes.
+func progressImage(st progressState) []byte {
+	e := snapshot.NewEncoder()
+	encodeProgress(e, st)
+	return e.Bytes()
+}
+
+// outputsImage is encodeOutputs's output as bytes.
+func outputsImage(st outputsState) []byte {
+	e := snapshot.NewEncoder()
+	encodeOutputs(e, st)
+	return e.Bytes()
+}
+
 func decodeOutputs(data []byte) (outputsState, error) {
 	d := snapshot.NewDecoder(data)
 	var st outputsState

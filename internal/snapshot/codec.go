@@ -1,34 +1,98 @@
 package snapshot
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"math"
 	"time"
 )
 
-// Encoder appends primitive values to a growing buffer. Integers are
+// Encoder appends primitive values to a buffer. Integers are
 // varint-encoded (the dominant fields — ranks, counts, sequence numbers —
 // are small), strings and byte slices are length-prefixed, and times carry
 // an explicit zero flag so time.Time{} survives a round trip exactly.
+//
+// An encoder from NewEncoder grows its buffer and hands the bytes back
+// through Bytes. One from NewDigestEncoder never holds more than
+// digestBufSize bytes: it streams the same bytes into SHA-256 and hands
+// back only their Digest, so attesting a section costs one fixed buffer
+// however large the section is.
 type Encoder struct {
 	b []byte
+	h hash.Hash // digest sink; nil for a byte encoder
+	n uint64    // bytes already flushed into h
 }
+
+// digestBufSize is a digest encoder's buffer: 64 SHA-256 blocks per Write.
+const digestBufSize = 4096
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
-// Bytes returns the encoded buffer.
+// NewDigestEncoder returns an empty encoder that streams into SHA-256.
+func NewDigestEncoder() *Encoder {
+	return &Encoder{b: make([]byte, 0, digestBufSize), h: sha256.New()}
+}
+
+// Bytes returns the encoded buffer of an encoder from NewEncoder.
 func (e *Encoder) Bytes() []byte { return e.b }
 
+// Digest returns uvarint(n) followed by the SHA-256 of the n bytes encoded
+// so far, for an encoder from NewDigestEncoder: what a checkpoint stores
+// for an attested section. A byte encoder given the same values would have
+// built exactly those n bytes.
+func (e *Encoder) Digest() []byte {
+	e.flush()
+	return e.h.Sum(binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+sha256.Size), e.n))
+}
+
+// flush moves a digest encoder's buffer into the hash.
+func (e *Encoder) flush() {
+	e.h.Write(e.b)
+	e.n += uint64(len(e.b))
+	e.b = e.b[:0]
+}
+
+// reserve makes room for one fixed-width value of at most
+// binary.MaxVarintLen64 bytes: a digest encoder flushes first when its
+// buffer could not take it.
+func (e *Encoder) reserve() {
+	if e.h != nil && len(e.b) > digestBufSize-binary.MaxVarintLen64 {
+		e.flush()
+	}
+}
+
+// appendRaw appends p; a digest encoder copies it through its buffer a
+// bufferful at a time, so a long value never grows the buffer.
+func appendRaw[T string | []byte](e *Encoder, p T) {
+	if e.h != nil {
+		for len(e.b)+len(p) > digestBufSize {
+			n := copy(e.b[len(e.b):digestBufSize], p)
+			e.b = e.b[:digestBufSize]
+			p = p[n:]
+			e.flush()
+		}
+	}
+	e.b = append(e.b, p...)
+}
+
 // Uint appends an unsigned varint.
-func (e *Encoder) Uint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *Encoder) Uint(v uint64) {
+	e.reserve()
+	e.b = binary.AppendUvarint(e.b, v)
+}
 
 // Int appends a signed (zig-zag) varint.
-func (e *Encoder) Int(v int64) { e.b = binary.AppendVarint(e.b, v) }
+func (e *Encoder) Int(v int64) {
+	e.reserve()
+	e.b = binary.AppendVarint(e.b, v)
+}
 
 // Bool appends one byte.
 func (e *Encoder) Bool(v bool) {
+	e.reserve()
 	if v {
 		e.b = append(e.b, 1)
 	} else {
@@ -38,19 +102,20 @@ func (e *Encoder) Bool(v bool) {
 
 // Float appends a float64 as 8 fixed little-endian bytes.
 func (e *Encoder) Float(v float64) {
+	e.reserve()
 	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v))
 }
 
 // String appends a length-prefixed string.
 func (e *Encoder) String(s string) {
 	e.Uint(uint64(len(s)))
-	e.b = append(e.b, s...)
+	appendRaw(e, s)
 }
 
 // Blob appends a length-prefixed byte slice.
 func (e *Encoder) Blob(p []byte) {
 	e.Uint(uint64(len(p)))
-	e.b = append(e.b, p...)
+	appendRaw(e, p)
 }
 
 // Time appends a zero flag plus UnixNano. Only times representable as

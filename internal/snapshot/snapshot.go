@@ -10,7 +10,7 @@
 // named, length-prefixed sections, each protected by its own CRC-32. The
 // container knows nothing about what a section means — subsystems encode
 // their state with the Encoder/Decoder primitives in codec.go and register
-// the bytes under a section name. That split keeps the format honest:
+// the bytes, or a digest encoder's Digest of them, under a section name. That split keeps the format honest:
 // decoding is pure (no domain imports), corruption is detected per section
 // with the section name in the error, and a version bump never requires
 // touching every subsystem at once.
@@ -48,7 +48,9 @@ const Magic = "TWSN"
 // v4: sim checkpoints store each attested state section as
 // uvarint(length) followed by the SHA-256 of its bytes, instead of the
 // bytes; the config section dropped its eager-accounts flag.
-const Version = 4
+// v5: the ledger image keeps a returned identity as its index, extending
+// the pool's last span when adjacent, instead of as a whole identity.
+const Version = 5
 
 // Sanity bounds on container metadata. Section payloads are bounded by the
 // file size itself (lengths are checked against remaining bytes), so only

@@ -2,8 +2,12 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -190,6 +194,112 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 		return d.Err() == nil && d.Remaining() == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// byteDigest is what a digest encoder must return for the byte image b.
+func byteDigest(b []byte) []byte {
+	sum := sha256.Sum256(b)
+	return append(binary.AppendUvarint(nil, uint64(len(b))), sum[:]...)
+}
+
+// sameDigest feeds emit to a byte encoder and a digest encoder and fails
+// unless the streamed digest equals the digest of the byte image.
+func sameDigest(t *testing.T, label string, emit func(e *Encoder)) bool {
+	t.Helper()
+	be, de := NewEncoder(), NewDigestEncoder()
+	emit(be)
+	emit(de)
+	if got, want := de.Digest(), byteDigest(be.Bytes()); !bytes.Equal(got, want) {
+		t.Errorf("%s: streamed digest %x, byte image (%d bytes) digests to %x", label, got, len(be.Bytes()), want)
+		return false
+	}
+	return true
+}
+
+// TestDigestEncoderMatchesBytes: random sequences of every primitive
+// digest the same through the streaming sink as through the byte encoder,
+// as do the edges of its fixed buffer — nothing at all, a value that ends
+// exactly at either flush threshold, and strings and blobs several
+// buffers long.
+func TestDigestEncoderMatchesBytes(t *testing.T) {
+	sameDigest(t, "empty", func(*Encoder) {})
+
+	// A string whose encoding (2-byte length prefix plus body) ends exactly
+	// at byte end, then values that must go to the next buffer.
+	for _, end := range []int{
+		digestBufSize - binary.MaxVarintLen64 - 1, digestBufSize - binary.MaxVarintLen64,
+		digestBufSize - binary.MaxVarintLen64 + 1, digestBufSize - 1, digestBufSize, digestBufSize + 1,
+	} {
+		body := string(bytes.Repeat([]byte{'x'}, end-2))
+		sameDigest(t, fmt.Sprintf("value ending at byte %d", end), func(e *Encoder) {
+			e.String(body)
+			e.Uint(math.MaxUint64)
+			e.Float(math.Pi)
+		})
+		sameDigest(t, fmt.Sprintf("buffer ending at byte %d", end), func(e *Encoder) {
+			for i := 0; i < end; i++ {
+				e.Bool(i%3 == 0)
+			}
+		})
+	}
+
+	long := bytes.Repeat([]byte("0123456789abcdef"), 3*digestBufSize/16+7)
+	sameDigest(t, "long string and blob", func(e *Encoder) {
+		e.Int(-1)
+		e.String(string(long))
+		e.Blob(long[1:])
+		e.Bool(true)
+	})
+
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var vals []func(e *Encoder)
+		for i := rng.Intn(2000); i > 0; i-- {
+			switch rng.Intn(8) {
+			case 0:
+				v := rng.Uint64() >> rng.Intn(64)
+				vals = append(vals, func(e *Encoder) { e.Uint(v) })
+			case 1:
+				v := rng.Int63() - rng.Int63()
+				vals = append(vals, func(e *Encoder) { e.Int(v) })
+			case 2:
+				v := string(long[:rng.Intn(40)])
+				if rng.Intn(50) == 0 {
+					v = string(long[:rng.Intn(len(long))])
+				}
+				vals = append(vals, func(e *Encoder) { e.String(v) })
+			case 3:
+				v := long[rng.Intn(len(long)):]
+				if rng.Intn(8) != 0 {
+					v = v[:min(len(v), 16)]
+				}
+				vals = append(vals, func(e *Encoder) { e.Blob(v) })
+			case 4:
+				v := time.Unix(0, rng.Int63()).UTC()
+				if rng.Intn(4) == 0 {
+					v = time.Time{}
+				}
+				vals = append(vals, func(e *Encoder) { e.Time(v) })
+			case 5:
+				v := rng.NormFloat64()
+				vals = append(vals, func(e *Encoder) { e.Float(v) })
+			case 6:
+				v := rng.Intn(2) == 0
+				vals = append(vals, func(e *Encoder) { e.Bool(v) })
+			default:
+				v := time.Duration(rng.Int63())
+				vals = append(vals, func(e *Encoder) { e.Duration(v) })
+			}
+		}
+		return sameDigest(t, fmt.Sprintf("seed %d", seed), func(e *Encoder) {
+			for _, v := range vals {
+				v(e)
+			}
+		})
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -24,11 +24,10 @@ func (u *Universe) ExportState() *UniverseState {
 	return st
 }
 
-// EncodeUniverseState serializes the export into snapshot-section bytes.
+// EncodeUniverseState writes the export's snapshot-section image to e.
 // Ranks are delta-encoded: the set is sorted and typically dense, so the
 // section stays small even at millions of materialized sites.
-func EncodeUniverseState(st *UniverseState) []byte {
-	e := snapshot.NewEncoder()
+func EncodeUniverseState(e *snapshot.Encoder, st *UniverseState) {
 	e.Int(int64(st.NumSites))
 	e.Uint(uint64(len(st.Materialized)))
 	prev := 0
@@ -36,5 +35,4 @@ func EncodeUniverseState(st *UniverseState) []byte {
 		e.Uint(uint64(r - prev))
 		prev = r
 	}
-	return e.Bytes()
 }

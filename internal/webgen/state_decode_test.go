@@ -10,6 +10,13 @@ import (
 // so its decoder lives with the tests: the round trip through it is what
 // proves EncodeUniverseState lossless, which a digest relies on.
 
+// universeImage is EncodeUniverseState's output as bytes.
+func universeImage(st *UniverseState) []byte {
+	e := snapshot.NewEncoder()
+	EncodeUniverseState(e, st)
+	return e.Bytes()
+}
+
 // DecodeUniverseState parses EncodeUniverseState's output.
 func DecodeUniverseState(data []byte) (*UniverseState, error) {
 	d := snapshot.NewDecoder(data)

@@ -20,7 +20,7 @@ func TestUniverseStateRoundTrip(t *testing.T) {
 			}
 			st.Materialized = append(st.Materialized, rank)
 		}
-		data := EncodeUniverseState(st)
+		data := universeImage(st)
 		got, err := DecodeUniverseState(data)
 		if err != nil {
 			t.Logf("decode: %v", err)
@@ -30,7 +30,7 @@ func TestUniverseStateRoundTrip(t *testing.T) {
 			t.Logf("mismatch: got %+v want %+v", got, st)
 			return false
 		}
-		return bytes.Equal(EncodeUniverseState(got), data)
+		return bytes.Equal(universeImage(got), data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestUniverseExportTracksMaterialization(t *testing.T) {
 	if st.NumSites != 500 || !reflect.DeepEqual(st.Materialized, []int{7, 99, 401}) {
 		t.Fatalf("export = %+v", st)
 	}
-	got, err := DecodeUniverseState(EncodeUniverseState(st))
+	got, err := DecodeUniverseState(universeImage(st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestUniverseExportTracksMaterialization(t *testing.T) {
 // TestUniverseStateRejectsBadRanks pins the decoder's range checks.
 func TestUniverseStateRejectsBadRanks(t *testing.T) {
 	st := &UniverseState{NumSites: 10, Materialized: []int{3, 9}}
-	data := EncodeUniverseState(st)
+	data := universeImage(st)
 	// Corrupt the second delta so ranks run past NumSites.
 	bad := bytes.Clone(data)
 	bad[len(bad)-1] = 200
