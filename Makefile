@@ -11,7 +11,10 @@
 #                    checkpoint and the resume, and streamed section
 #                    digests equal to their images, under -race), the 16-worker
 #                    invariance smoke over crawl waves and timeline
-#                    epochs (under -race), the browser's concurrent
+#                    epochs (under -race), the inline-session conn
+#                    contract and IMAP/POP3 transcript tests under a 60 s
+#                    timeout (a read that blocks fails the run, under
+#                    -race), the browser's concurrent
 #                    session-recycling test (-race -count=10), the 1M-account
 #                    lazy-store smoke (-short, under -race), the serve
 #                    smoke (boot tripwire-serve, pause/resume a study over
@@ -81,6 +84,7 @@ ci: build metrics-doc-check
 	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/
 	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume|TestSpillFailureFailsCheckpoint|TestStreamedDigestsMatchImages' ./internal/sim/ .
 	$(GO) test -race -run 'TestTimelineWorkerInvariance/workers=16' ./internal/sim/
+	$(GO) test -race -timeout 60s ./internal/memconn/ ./internal/imap/ ./internal/pop3/
 	$(GO) test -race -count=10 -run 'TestConcurrentSessionsRecycleStorage' ./internal/browser/
 	$(GO) test -race -short -run 'TestLazyMillionAccountSmoke|TestCheckpointDigestAttestation' ./internal/sim/
 	$(GO) test -race -run 'TestServeSmoke' ./cmd/tripwire-serve/
@@ -113,7 +117,7 @@ bench:
 bench-json: build
 	@$(BENCH_RUN) \
 	 | $(GO) run ./cmd/tripwire-bench -baseline BENCH_baseline.json -out BENCH_crawl.json \
-	     -note "hot-path run vs seed baseline; crawl workers grid 1/4/8/16 on the 2.3k universe plus the lazy 10k-universe wave, timeline engine events/s, allocs/event and scaling-eff at 1/4/8/16 workers, multi-seed sweep seeds/s (in-process pool and distributed coordinator/worker over loopback HTTP), the 1M-site and 10M-account spilled-log heap envelopes (heap-MB), and the size of a written checkpoint file (ckpt-full-KB); allocs/op, post-GC live heap, and checkpoint bytes are deterministic, ns/op on shared hardware is noisy"
+	     -note "hot-path run vs seed baseline; crawl workers grid 1/4/8/16 on the 2.3k universe plus the lazy 10k-universe wave, timeline engine events/s, allocs/event, cpu-s/event and scaling-eff at 1/4/8/16 workers, multi-seed sweep seeds/s (in-process pool and distributed coordinator/worker over loopback HTTP), the 1M-site and 10M-account spilled-log heap envelopes (heap-MB), and the size of a written checkpoint file (ckpt-full-KB); allocs/op, post-GC live heap, and checkpoint bytes are deterministic, ns/op on shared hardware is noisy"
 	@echo "wrote BENCH_crawl.json"
 
 # Regression gates: re-run the tracked sweep and diff the deterministic

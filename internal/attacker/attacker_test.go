@@ -1,8 +1,12 @@
 package attacker
 
 import (
+	"fmt"
 	"net/netip"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,6 +14,7 @@ import (
 	"tripwire/internal/geo"
 	"tripwire/internal/identity"
 	"tripwire/internal/imap"
+	"tripwire/internal/pop3"
 	"tripwire/internal/simclock"
 	"tripwire/internal/webgen"
 )
@@ -93,11 +98,8 @@ func TestFilterByDomain(t *testing.T) {
 func TestProxyPoolReuseAndCount(t *testing.T) {
 	pool := NewProxyPool(geo.NewSpace(), 1, 0.5)
 	seen := make(map[netip.Addr]int)
-	for i := 0; i < 2000; i++ {
-		seen[pool.Next()]++
-	}
-	if pool.DistinctCount() != len(seen) {
-		t.Fatalf("DistinctCount = %d, map = %d", pool.DistinctCount(), len(seen))
+	for n := uint64(0); n < 2000; n++ {
+		seen[pool.Lease("reuse@bigmail.test", n)]++
 	}
 	reused := 0
 	for _, n := range seen {
@@ -110,6 +112,37 @@ func TestProxyPoolReuseAndCount(t *testing.T) {
 	}
 	if len(seen) < 500 {
 		t.Fatalf("distinct proxies %d suspiciously low", len(seen))
+	}
+}
+
+// TestProxyPoolLeaseConcurrent: leases from many goroutines on a fresh
+// pool, racing to build its hot set, equal the same leases made serially.
+func TestProxyPoolLeaseConcurrent(t *testing.T) {
+	const keys, draws = 8, 200
+	want := make([][]netip.Addr, keys)
+	serial := NewProxyPool(geo.NewSpace(), 7, 0.5)
+	for k := range want {
+		for n := uint64(0); n < draws; n++ {
+			want[k] = append(want[k], serial.Lease(fmt.Sprintf("k%d@bigmail.test", k), n))
+		}
+	}
+	pool := NewProxyPool(geo.NewSpace(), 7, 0.5)
+	got := make([][]netip.Addr, keys)
+	var wg sync.WaitGroup
+	for k := range got {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for n := uint64(0); n < draws; n++ {
+				got[k] = append(got[k], pool.Lease(fmt.Sprintf("k%d@bigmail.test", k), n))
+			}
+		}(k)
+	}
+	wg.Wait()
+	for k := range want {
+		if !slices.Equal(got[k], want[k]) {
+			t.Fatalf("key %d: concurrent leases differ from serial ones", k)
+		}
 	}
 }
 
@@ -176,6 +209,47 @@ func TestStufferPinnedIP(t *testing.T) {
 
 // TestCampaignEndToEnd drives one breach through exfil, cracking, and
 // stuffing over virtual time and asserts the easy/hard asymmetry.
+// countingBackend accepts every login, recording how many goroutines were
+// running while it served each one.
+type countingBackend struct{ goroutines []int }
+
+func (b *countingBackend) Login(user, pass string, remote netip.Addr) (imap.Session, error) {
+	b.goroutines = append(b.goroutines, runtime.NumGoroutine())
+	return oneMessage{}, nil
+}
+
+type oneMessage struct{}
+
+func (oneMessage) Select(string) (int, error) { return 1, nil }
+func (oneMessage) Fetch(int) (imap.Message, error) {
+	return imap.Message{From: "a@site.test", Subject: "Hi", Body: ".dot\r\nbody"}, nil
+}
+func (oneMessage) Logout() error { return nil }
+
+// TestStufferStartsNoGoroutinePerLogin: the provider's half of a stuffed
+// login runs on the stuffer's own goroutine, over IMAP and POP3 alike.
+func TestStufferStartsNoGoroutinePerLogin(t *testing.T) {
+	for _, viaPOP := range []bool{false, true} {
+		imapB, popB := &countingBackend{}, &countingBackend{}
+		st := NewStuffer(imap.NewServer(imapB), NewProxyPool(geo.NewSpace(), 6, 0.1), func() time.Time { return t0 })
+		served := imapB
+		if viaPOP {
+			st.UsePOP(pop3.NewServer(popB), 1, 9)
+			served = popB
+		}
+		before := runtime.NumGoroutine()
+		if ok, _ := st.TryLogin(Credential{Email: "g@bigmail.test", Password: "pw"}, true); !ok {
+			t.Fatalf("pop=%v: login failed", viaPOP)
+		}
+		if len(imapB.goroutines)+len(popB.goroutines) != 1 || len(served.goroutines) != 1 {
+			t.Fatalf("pop=%v: IMAP served %d logins, POP3 %d", viaPOP, len(imapB.goroutines), len(popB.goroutines))
+		}
+		if got := served.goroutines[0]; got != before {
+			t.Fatalf("pop=%v: %d goroutines during Login, %d before TryLogin", viaPOP, got, before)
+		}
+	}
+}
+
 func TestCampaignEndToEnd(t *testing.T) {
 	clock := simclock.New(t0)
 	sched := simclock.NewScheduler(clock)

@@ -1,9 +1,9 @@
 package attacker
 
 import (
-	"math/rand"
-	"net"
 	"net/netip"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,19 +35,14 @@ func fnv64(s string) uint64 {
 // §6.4). Most logins come from fresh addresses; a minority of proxies are
 // reused, and a few are reused heavily.
 //
-// The pool offers two leasing paths. Next draws from one shared RNG — fine
-// for serial callers, but its results depend on global call order. Lease is
-// the epoch-parallel path: the exit for (key, n) is a pure function of the
-// pool seed, so concurrent leases by different accounts can never perturb
-// each other's draws and timeline runs stay worker-count invariant.
+// The exit Lease returns for (key, n) is a pure function of the pool seed,
+// so concurrent leases by different accounts can never perturb each
+// other's draws and timeline runs stay worker-count invariant.
 type ProxyPool struct {
-	mu       sync.Mutex
-	space    *geo.Space
-	seed     int64
-	rng      *rand.Rand
-	used     []netip.Addr // fresh exits leased via Next, its reuse pool
-	hot      []netip.Addr // deterministic reuse set for Lease, built lazily
-	distinct map[netip.Addr]struct{}
+	space   *geo.Space
+	seed    int64
+	hotOnce sync.Once
+	hot     []netip.Addr // deterministic reuse set, built on first Lease
 	// ReuseProb is the probability a login reuses a previously seen proxy
 	// instead of leasing a fresh one.
 	ReuseProb float64
@@ -55,27 +50,7 @@ type ProxyPool struct {
 
 // NewProxyPool returns a pool drawing from space.
 func NewProxyPool(space *geo.Space, seed int64, reuseProb float64) *ProxyPool {
-	return &ProxyPool{
-		space:     space,
-		seed:      seed,
-		rng:       rand.New(rand.NewSource(seed)),
-		distinct:  make(map[netip.Addr]struct{}),
-		ReuseProb: reuseProb,
-	}
-}
-
-// Next leases an exit address for one login from the shared RNG. Results
-// depend on global call order, so Next belongs on serial paths only.
-func (p *ProxyPool) Next() netip.Addr {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.used) > 0 && p.rng.Float64() < p.ReuseProb {
-		return p.used[p.rng.Intn(len(p.used))]
-	}
-	ip := p.space.SampleProxyIP(p.rng)
-	p.used = append(p.used, ip)
-	p.distinct[ip] = struct{}{}
-	return ip
+	return &ProxyPool{space: space, seed: seed, ReuseProb: reuseProb}
 }
 
 // Lease leases the exit address for the n-th draw of key (an account
@@ -84,31 +59,18 @@ func (p *ProxyPool) Next() netip.Addr {
 // from a seed-derived hot set — so leases are deterministic under any
 // interleaving of concurrent callers.
 func (p *ProxyPool) Lease(key string, n uint64) netip.Addr {
-	rng := xrand.New(xrand.Mix(p.seed, int64(fnv64(key)), int64(n)))
-	p.mu.Lock()
-	if p.hot == nil {
+	p.hotOnce.Do(func() {
 		hotRng := xrand.New(xrand.Mix(p.seed, -1, 0))
 		p.hot = make([]netip.Addr, hotProxies)
 		for i := range p.hot {
 			p.hot[i] = p.space.SampleProxyIP(hotRng)
 		}
-	}
-	var ip netip.Addr
+	})
+	rng := xrand.New(xrand.Mix(p.seed, int64(fnv64(key)), int64(n)))
 	if rng.Float64() < p.ReuseProb {
-		ip = p.hot[rng.Intn(len(p.hot))]
-	} else {
-		ip = p.space.SampleProxyIP(rng)
+		return p.hot[rng.Intn(len(p.hot))]
 	}
-	p.distinct[ip] = struct{}{}
-	p.mu.Unlock()
-	return ip
-}
-
-// DistinctCount returns how many distinct proxies have been leased.
-func (p *ProxyPool) DistinctCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.distinct)
+	return p.space.SampleProxyIP(rng)
 }
 
 // LoginRecord is the attacker-side log of one attempt against the provider.
@@ -179,15 +141,20 @@ func (s *Stuffer) nextDraw(email string) uint64 {
 	return n
 }
 
-func (s *Stuffer) pickPOP(email string) bool {
+// pickPOP returns the POP3 server when this login of email goes over POP3,
+// and nil when it goes over IMAP.
+func (s *Stuffer) pickPOP(email string) *pop3.Server {
 	s.mu.Lock()
 	pop, frac, seed := s.pop, s.popFrac, s.popSeed
 	s.mu.Unlock()
 	if pop == nil || frac <= 0 {
-		return false
+		return nil
 	}
 	rng := xrand.New(xrand.Mix(seed, int64(fnv64(email)), int64(s.nextDraw(email))))
-	return rng.Float64() < frac
+	if rng.Float64() < frac {
+		return pop
+	}
+	return nil
 }
 
 // LeaseIP leases a proxy exit for one login against email, deterministic
@@ -209,22 +176,10 @@ func (s *Stuffer) BeginSegment() {
 // EndSegment closes the segment opened by BeginSegment.
 func (s *Stuffer) EndSegment() {
 	s.mu.Lock()
-	blk := s.records[s.marked:]
-	if len(blk) > 1 {
-		sortRecords(blk)
-	}
+	slices.SortStableFunc(s.records[s.marked:], func(a, b LoginRecord) int {
+		return strings.Compare(a.Email, b.Email)
+	})
 	s.mu.Unlock()
-}
-
-// sortRecords stably orders a same-timestamp block by account email.
-func sortRecords(blk []LoginRecord) {
-	// Insertion sort: segment blocks are small and almost sorted, and this
-	// avoids pulling package sort's interface boxing into the hot path.
-	for i := 1; i < len(blk); i++ {
-		for j := i; j > 0 && blk[j].Email < blk[j-1].Email; j-- {
-			blk[j], blk[j-1] = blk[j-1], blk[j]
-		}
-	}
 }
 
 // TryLogin attempts one IMAP login with cred from a leased proxy. When
@@ -254,49 +209,42 @@ func (s *Stuffer) record(email string, ip netip.Addr, ok bool) {
 	s.Metrics.attempt(ok)
 }
 
-// bot bundles the reusable pieces of one in-flight IMAP stuffing session:
-// a rewindable in-memory conn pair, a buffer-retaining client, and the
-// join handle for the serving goroutine. Bots are pooled so steady-state
-// stuffing performs no per-login connection or buffer allocation.
+// bot bundles the reusable pieces of one stuffing login: an inline conn
+// that runs the provider's half of the session on the stuffer's goroutine,
+// and a buffer-retaining client and server session per protocol. Bots are
+// pooled so steady-state stuffing starts no goroutine and allocates no
+// connection or buffer per login.
 type bot struct {
-	pair *memconn.Pair
-	cli  imap.Client
-	srv  *imap.Server
-	ip   netip.Addr
-	wg   sync.WaitGroup
+	conn    memconn.Conn
+	imapSrv imap.ServerSession
+	imapCli imap.Client
+	popSrv  pop3.ServerSession
+	popCli  pop3.Client
 }
 
-var botPool = sync.Pool{New: func() any { return &bot{pair: memconn.NewPair()} }}
-
-// serve runs the provider side of the session to completion.
-func (b *bot) serve() {
-	defer b.wg.Done()
-	_ = b.srv.ServeConn(b.pair.Server(), b.ip)
-	b.pair.Server().Close()
-}
+var botPool = sync.Pool{New: func() any { return new(bot) }}
 
 func (s *Stuffer) loginVia(ip netip.Addr, cred Credential, siphon bool) bool {
 	if s.Latency > 0 {
 		time.Sleep(s.Latency)
 	}
-	if s.pickPOP(cred.Email) {
-		return s.loginPOP(ip, cred, siphon)
-	}
 	b := botPool.Get().(*bot)
-	b.srv, b.ip = s.Server, ip
-	b.pair.Reset()
-	b.wg.Add(1)
-	go b.serve()
-	client := b.pair.Client()
-	defer func() {
-		client.Close()
-		b.wg.Wait()
-		b.srv = nil
-		botPool.Put(b)
-	}()
+	defer botPool.Put(b)
+	defer b.conn.Close()
+	if pop := s.pickPOP(cred.Email); pop != nil {
+		b.popSrv.Reset(pop, ip)
+		b.conn.Reset(&b.popSrv)
+		return b.collectPOP(cred, siphon)
+	}
+	b.imapSrv.Reset(s.Server, ip)
+	b.conn.Reset(&b.imapSrv)
+	return b.collectIMAP(cred, siphon)
+}
 
-	c := &b.cli
-	if err := c.Reset(client); err != nil {
+// collectIMAP logs in over IMAP and, when siphon is set, fetches the inbox.
+func (b *bot) collectIMAP(cred Credential, siphon bool) bool {
+	c := &b.imapCli
+	if err := c.Reset(&b.conn); err != nil {
 		return false
 	}
 	if err := c.Login(cred.Email, cred.Password); err != nil {
@@ -312,22 +260,10 @@ func (s *Stuffer) loginVia(ip netip.Addr, cred Credential, siphon bool) bool {
 	return true
 }
 
-// loginPOP collects over POP3 instead of IMAP.
-func (s *Stuffer) loginPOP(ip netip.Addr, cred Credential, siphon bool) bool {
-	client, server := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = s.pop.ServeConn(server, ip)
-		server.Close()
-	}()
-	defer func() {
-		client.Close()
-		<-done
-	}()
-
-	c, err := pop3.Dial(client)
-	if err != nil {
+// collectPOP collects over POP3 instead of IMAP.
+func (b *bot) collectPOP(cred Credential, siphon bool) bool {
+	c := &b.popCli
+	if err := c.Reset(&b.conn); err != nil {
 		return false
 	}
 	if err := c.Auth(cred.Email, cred.Password); err != nil {

@@ -189,7 +189,7 @@ func (c *Client) Fetch(lo, hi int) ([]Message, error) {
 			continue
 		}
 		if c.isTagged(line) {
-			if bytes.Contains(line, []byte("OK")) {
+			if bytes.HasPrefix(line[len(c.tagBuf)+1:], []byte("OK")) {
 				return out, nil
 			}
 			return out, fmt.Errorf("imap: FETCH failed: %s", line)

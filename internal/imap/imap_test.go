@@ -17,6 +17,8 @@ type memBackend struct {
 	frozen   map[string]bool
 	throttle map[string]bool
 	logins   []netip.Addr
+	calls    []string // every Login call as "user pass remote"
+	logouts  int
 }
 
 func newMemBackend() *memBackend {
@@ -31,6 +33,7 @@ func newMemBackend() *memBackend {
 func (b *memBackend) Login(user, pass string, remote netip.Addr) (Session, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.calls = append(b.calls, user+" "+pass+" "+remote.String())
 	if b.throttle[user] {
 		return nil, ErrThrottled
 	}
@@ -68,7 +71,12 @@ func (s *memSession) Fetch(seq int) (Message, error) {
 	return box[seq-1], nil
 }
 
-func (s *memSession) Logout() error { return nil }
+func (s *memSession) Logout() error {
+	s.b.mu.Lock()
+	s.b.logouts++
+	s.b.mu.Unlock()
+	return nil
+}
 
 // dial starts a client/server pair over an in-memory pipe.
 func dial(t *testing.T, backend Backend, remote netip.Addr) (*Client, func()) {
@@ -173,6 +181,37 @@ func TestFetchEmptyMailbox(t *testing.T) {
 	msgs, err := c.Fetch(1, 10)
 	if err != nil || len(msgs) != 0 {
 		t.Fatalf("Fetch on empty = %v, %v", msgs, err)
+	}
+}
+
+// scriptedConn replays a fixed server script and discards what the client
+// writes.
+type scriptedConn struct {
+	net.Conn
+	script *strings.Reader
+}
+
+func (c scriptedConn) Read(p []byte) (int, error)  { return c.script.Read(p) }
+func (c scriptedConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestFetchFailureReported: a tagged NO to FETCH is an error, even when the
+// status text happens to contain "OK".
+func TestFetchFailureReported(t *testing.T) {
+	c, err := Dial(scriptedConn{script: strings.NewReader("* OK ready\r\n" +
+		"a001 OK LOGIN completed\r\n" +
+		"* 1 EXISTS\r\na002 OK [READ-ONLY] SELECT completed\r\n" +
+		"a003 NO LOOKUP failed\r\n")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Login("u@mail.test", "pw"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Select("INBOX"); err != nil || n != 1 {
+		t.Fatalf("Select = %d, %v", n, err)
+	}
+	if msgs, err := c.Fetch(1, 1); err == nil {
+		t.Fatalf("FETCH answered NO returned %v and no error", msgs)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/netip"
 	"strconv"
-	"sync"
 )
 
 // Server speaks IMAP4rev1 (subset) over accepted connections, delegating
@@ -42,183 +41,157 @@ func remoteAddr(conn net.Conn) netip.Addr {
 	return netip.Addr{}
 }
 
-// serverConn holds one session's reusable buffers; pooled so the stuffing
-// hot path, which runs one short session per simulated login, reuses the
-// same read buffer, response buffer, and field scratch across sessions.
-type serverConn struct {
-	r      lineReader
-	out    []byte
-	fields [][]byte
-}
-
-var serverConnPool = sync.Pool{New: func() any { return new(serverConn) }}
-
 // ServeConn runs one IMAP session. remote is the client address used for
 // login logging; for proxied connections callers pass the proxy exit IP.
 func (s *Server) ServeConn(conn net.Conn, remote netip.Addr) error {
-	st := serverConnPool.Get().(*serverConn)
-	st.r.reset(conn)
-	defer func() {
-		st.r.conn = nil
-		for i := range st.fields {
-			st.fields[i] = nil
-		}
-		serverConnPool.Put(st)
-	}()
-
-	// reply appends CRLF and writes the response in one call; multi-line
-	// responses embed interior CRLFs and go out as a single write.
-	reply := func(b []byte) error {
-		b = append(b, '\r', '\n')
-		st.out = b
-		_, err := conn.Write(b)
-		return err
-	}
-	// tagged builds "<tag> <rest>" onto the reused response buffer b.
-	tagged := func(b, tag []byte, rest string) []byte {
-		b = append(b, tag...)
-		b = append(b, ' ')
-		return append(b, rest...)
-	}
-
-	b := append(st.out[:0], "* OK "...)
-	b = append(b, s.Greeting...)
-	if err := reply(b); err != nil {
-		return err
-	}
-
-	var sess Session
-	var selected bool
-	defer func() {
-		if sess != nil {
-			_ = sess.Logout()
-		}
-	}()
-
+	var ss ServerSession
+	ss.Reset(s, remote)
+	defer ss.End()
+	var r lineReader
+	r.reset(conn)
+	out, done := ss.Greet(nil), false
 	for {
-		line, err := st.r.ReadLine()
+		if _, err := conn.Write(out); err != nil || done {
+			return err
+		}
+		line, err := r.ReadLine()
 		if err != nil {
 			return err
 		}
-		st.fields = splitQuoted(line, st.fields)
-		if len(st.fields) < 2 {
-			if err := reply(append(st.out[:0], "* BAD malformed command"...)); err != nil {
-				return err
-			}
-			continue
+		out, done = ss.Serve(out[:0], line)
+	}
+}
+
+// ServerSession is the server half of one IMAP session, driven one request
+// line at a time: ServeConn drives one over a network connection, and a
+// memconn.Conn drives one inline on its caller's goroutine. Its buffers
+// survive Reset, so one ServerSession can serve many sessions in turn.
+type ServerSession struct {
+	srv      *Server
+	remote   netip.Addr
+	sess     Session
+	selected bool
+	fields   [][]byte
+}
+
+// Reset ends the session if it is still open and starts a fresh one served
+// by s for a client at remote, whose address the backend logs on login.
+func (ss *ServerSession) Reset(s *Server, remote netip.Addr) {
+	ss.End()
+	ss.srv, ss.remote, ss.selected = s, remote, false
+}
+
+// Greet appends the server greeting to dst.
+func (ss *ServerSession) Greet(dst []byte) []byte {
+	dst = append(dst, "* OK "...)
+	return reply(append(dst, ss.srv.Greeting...))
+}
+
+// End logs the backend session out, if a login succeeded. Idempotent.
+func (ss *ServerSession) End() {
+	if ss.sess != nil {
+		_ = ss.sess.Logout()
+		ss.sess = nil
+	}
+}
+
+// reply terminates a response built onto dst; multi-line responses embed
+// their interior CRLFs.
+func reply(dst []byte) []byte { return append(dst, '\r', '\n') }
+
+// tagged appends "<tag> <rest>" CRLF to dst.
+func tagged(dst, tag []byte, rest string) []byte {
+	dst = append(dst, tag...)
+	dst = append(dst, ' ')
+	return reply(append(dst, rest...))
+}
+
+// Serve handles one request line (without its CRLF) and appends the
+// replies to dst. done reports LOGOUT: the session is over, and the caller
+// should read no further requests.
+func (ss *ServerSession) Serve(dst, line []byte) (out []byte, done bool) {
+	ss.fields = splitQuoted(line, ss.fields)
+	if len(ss.fields) < 2 {
+		return reply(append(dst, "* BAD malformed command"...)), false
+	}
+	tag, verb, args := ss.fields[0], ss.fields[1], ss.fields[2:]
+	switch {
+	case verbIs(verb, "CAPABILITY"):
+		dst = append(dst, "* CAPABILITY IMAP4rev1 LOGINDISABLED-NOT\r\n"...)
+		return tagged(dst, tag, "OK CAPABILITY completed"), false
+	case verbIs(verb, "LOGIN"):
+		if len(args) < 2 {
+			return tagged(dst, tag, "BAD LOGIN expects user and password"), false
 		}
-		tag, verb, args := st.fields[0], st.fields[1], st.fields[2:]
+		// The Backend interface takes strings; these two conversions
+		// are the session's only parse-side allocations.
+		user, pass := string(unquote(args[0])), string(unquote(args[1]))
+		newSess, lerr := ss.srv.Backend.Login(user, pass, ss.remote)
+		status := "NO LOGIN failed"
 		switch {
-		case verbIs(verb, "CAPABILITY"):
-			b := append(st.out[:0], "* CAPABILITY IMAP4rev1 LOGINDISABLED-NOT\r\n"...)
-			if err := reply(tagged(b, tag, "OK CAPABILITY completed")); err != nil {
-				return err
-			}
-		case verbIs(verb, "LOGIN"):
-			if len(args) < 2 {
-				if err := reply(tagged(st.out[:0], tag, "BAD LOGIN expects user and password")); err != nil {
-					return err
-				}
-				continue
-			}
-			// The Backend interface takes strings; these two conversions
-			// are the session's only parse-side allocations.
-			user, pass := string(unquote(args[0])), string(unquote(args[1]))
-			newSess, lerr := s.Backend.Login(user, pass, remote)
-			status := "NO LOGIN failed"
-			switch {
-			case lerr == nil:
-				sess = newSess
-				status = "OK LOGIN completed"
-			case lerr == ErrThrottled:
-				status = "NO [UNAVAILABLE] too many attempts"
-			case lerr == ErrAccountFrozen:
-				status = "NO [CONTACTADMIN] account unavailable"
-			}
-			if err := reply(tagged(st.out[:0], tag, status)); err != nil {
-				return err
-			}
-		case verbIs(verb, "SELECT"):
-			if sess == nil {
-				if err := reply(tagged(st.out[:0], tag, "NO not authenticated")); err != nil {
-					return err
-				}
-				continue
-			}
-			box := "INBOX"
-			if len(args) > 0 {
-				box = string(unquote(args[0]))
-			}
-			n, serr := sess.Select(box)
-			if serr != nil {
-				if err := reply(tagged(st.out[:0], tag, "NO no such mailbox")); err != nil {
-					return err
-				}
-				continue
-			}
-			selected = true
-			b := append(st.out[:0], "* "...)
-			b = strconv.AppendInt(b, int64(n), 10)
-			b = append(b, " EXISTS\r\n* OK [UIDVALIDITY 1] UIDs valid\r\n"...)
-			if err := reply(tagged(b, tag, "OK [READ-ONLY] SELECT completed")); err != nil {
-				return err
-			}
-		case verbIs(verb, "FETCH"):
-			if sess == nil || !selected {
-				if err := reply(tagged(st.out[:0], tag, "NO no mailbox selected")); err != nil {
-					return err
-				}
-				continue
-			}
-			if len(args) < 1 {
-				if err := reply(tagged(st.out[:0], tag, "BAD FETCH expects sequence set")); err != nil {
-					return err
-				}
-				continue
-			}
-			lo, hi, ok := parseSeqSet(args[0])
-			if !ok {
-				if err := reply(tagged(st.out[:0], tag, "BAD bad sequence set")); err != nil {
-					return err
-				}
-				continue
-			}
-			for seq := lo; seq <= hi; seq++ {
-				m, ferr := sess.Fetch(seq)
-				if ferr != nil {
-					break
-				}
-				litLen := len("From: ") + len(m.From) + len("\r\nSubject: ") + len(m.Subject) + len("\r\n\r\n") + len(m.Body)
-				b := append(st.out[:0], "* "...)
-				b = strconv.AppendInt(b, int64(seq), 10)
-				b = append(b, " FETCH (BODY[] {"...)
-				b = strconv.AppendInt(b, int64(litLen), 10)
-				b = append(b, "}\r\nFrom: "...)
-				b = append(b, m.From...)
-				b = append(b, "\r\nSubject: "...)
-				b = append(b, m.Subject...)
-				b = append(b, "\r\n\r\n"...)
-				b = append(b, m.Body...)
-				b = append(b, ')')
-				if err := reply(b); err != nil {
-					return err
-				}
-			}
-			if err := reply(tagged(st.out[:0], tag, "OK FETCH completed")); err != nil {
-				return err
-			}
-		case verbIs(verb, "NOOP"):
-			if err := reply(tagged(st.out[:0], tag, "OK NOOP completed")); err != nil {
-				return err
-			}
-		case verbIs(verb, "LOGOUT"):
-			b := append(st.out[:0], "* BYE logging out\r\n"...)
-			return reply(tagged(b, tag, "OK LOGOUT completed"))
-		default:
-			if err := reply(tagged(st.out[:0], tag, "BAD unsupported command")); err != nil {
-				return err
-			}
+		case lerr == nil:
+			ss.sess = newSess
+			status = "OK LOGIN completed"
+		case lerr == ErrThrottled:
+			status = "NO [UNAVAILABLE] too many attempts"
+		case lerr == ErrAccountFrozen:
+			status = "NO [CONTACTADMIN] account unavailable"
 		}
+		return tagged(dst, tag, status), false
+	case verbIs(verb, "SELECT"):
+		if ss.sess == nil {
+			return tagged(dst, tag, "NO not authenticated"), false
+		}
+		box := "INBOX"
+		if len(args) > 0 {
+			box = string(unquote(args[0]))
+		}
+		n, serr := ss.sess.Select(box)
+		if serr != nil {
+			return tagged(dst, tag, "NO no such mailbox"), false
+		}
+		ss.selected = true
+		dst = append(dst, "* "...)
+		dst = strconv.AppendInt(dst, int64(n), 10)
+		dst = append(dst, " EXISTS\r\n* OK [UIDVALIDITY 1] UIDs valid\r\n"...)
+		return tagged(dst, tag, "OK [READ-ONLY] SELECT completed"), false
+	case verbIs(verb, "FETCH"):
+		if ss.sess == nil || !ss.selected {
+			return tagged(dst, tag, "NO no mailbox selected"), false
+		}
+		if len(args) < 1 {
+			return tagged(dst, tag, "BAD FETCH expects sequence set"), false
+		}
+		lo, hi, ok := parseSeqSet(args[0])
+		if !ok {
+			return tagged(dst, tag, "BAD bad sequence set"), false
+		}
+		for seq := lo; seq <= hi; seq++ {
+			m, ferr := ss.sess.Fetch(seq)
+			if ferr != nil {
+				break
+			}
+			litLen := len("From: ") + len(m.From) + len("\r\nSubject: ") + len(m.Subject) + len("\r\n\r\n") + len(m.Body)
+			dst = append(dst, "* "...)
+			dst = strconv.AppendInt(dst, int64(seq), 10)
+			dst = append(dst, " FETCH (BODY[] {"...)
+			dst = strconv.AppendInt(dst, int64(litLen), 10)
+			dst = append(dst, "}\r\nFrom: "...)
+			dst = append(dst, m.From...)
+			dst = append(dst, "\r\nSubject: "...)
+			dst = append(dst, m.Subject...)
+			dst = append(dst, "\r\n\r\n"...)
+			dst = append(dst, m.Body...)
+			dst = reply(append(dst, ')'))
+		}
+		return tagged(dst, tag, "OK FETCH completed"), false
+	case verbIs(verb, "NOOP"):
+		return tagged(dst, tag, "OK NOOP completed"), false
+	case verbIs(verb, "LOGOUT"):
+		dst = append(dst, "* BYE logging out\r\n"...)
+		return tagged(dst, tag, "OK LOGOUT completed"), true
+	default:
+		return tagged(dst, tag, "BAD unsupported command"), false
 	}
 }
 

@@ -1,25 +1,50 @@
-// Package memconn provides a reusable in-memory duplex net.Conn pair.
+// Package memconn provides an in-memory net.Conn that runs the server half
+// of a line-oriented protocol session inline, on the caller's goroutine.
 //
-// It exists for the credential-stuffing hot path: every simulated IMAP/POP3
-// login used to dial a fresh net.Pipe, whose synchronous rendezvous and
-// per-conn deadline machinery allocate on every session. A Pair is two
-// buffered byte streams with a mutex/cond each; Reset rewinds both ends so
-// one Pair serves tens of thousands of sequential sessions without
-// reallocating.
+// It exists for the credential-stuffing hot path: every simulated IMAP or
+// POP3 login speaks the real protocol, but handing each command and reply
+// between a client goroutine and a server goroutine cost more than the
+// protocol itself (a fresh goroutine stack per session, and a park and a
+// wake-up per message). A Conn instead buffers the client's writes and,
+// for each complete request line, calls the protocol's per-session Handler
+// before Write returns; the handler appends its replies to a buffer that
+// Read drains. The bytes on the wire are exactly those a server driven by
+// ServeConn over a real connection would send.
 //
-// Semantics differ from net.Pipe in one deliberate way: writes are
-// buffered (never block waiting for a reader), and a reader keeps draining
-// buffered bytes after the peer closes, hitting io.EOF only when the
-// stream is empty. That matches TCP shutdown semantics, which is what the
-// protocol code written against real conns expects.
+// Reads never block. A Read with no reply pending while the session is open
+// fails at once with ErrWouldBlock, so a client that is out of step with
+// the server fails instead of hanging. After the handler ends the session
+// (LOGOUT, QUIT), reads drain the remaining replies and then return io.EOF,
+// as a TCP peer's shutdown would, and writes fail. Reset rewinds a Conn so
+// one Conn carries many sequential sessions without reallocating.
 package memconn
 
 import (
+	"bytes"
+	"errors"
 	"io"
 	"net"
-	"sync"
 	"time"
 )
+
+// ErrWouldBlock is returned by a Read while the session is open and no
+// reply is pending: the client is waiting for a reply to a request it has
+// not sent.
+var ErrWouldBlock = errors.New("memconn: read with no reply pending")
+
+// Handler is the server half of one session, driven one request line at a
+// time.
+type Handler interface {
+	// Greet appends the greeting the server sends on connect to dst.
+	Greet(dst []byte) []byte
+	// Serve handles one request line, without its LF and without one CR
+	// before the LF, and appends the replies to dst. done reports that the
+	// request ended the session.
+	Serve(dst, line []byte) (out []byte, done bool)
+	// End ends the session, releasing whatever the session holds in the
+	// backend.
+	End()
+}
 
 // addr is the static address both ends report.
 type addr struct{}
@@ -27,142 +52,111 @@ type addr struct{}
 func (addr) Network() string { return "mem" }
 func (addr) String() string  { return "mem" }
 
-// stream is one direction of the pair: an append buffer with a read
-// cursor, guarded by a mutex, with a cond for blocked readers.
-type stream struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	buf     []byte
-	r       int
-	wclosed bool // write end closed: drain, then EOF
-	rclosed bool // read end closed: reads and peer writes fail
+// Conn is the client end of an inline session. The zero value is unusable
+// until Reset. A Conn is not safe for concurrent use: the goroutine that
+// writes a request runs the server's handling of it.
+type Conn struct {
+	h      Handler // nil once the session has ended
+	in     []byte  // request bytes not yet framed into a line
+	out    []byte  // replies not yet read, from out[r:]
+	r      int
+	closed bool
 }
 
-func (s *stream) init() { s.cond.L = &s.mu }
-
-func (s *stream) read(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.rclosed {
-			return 0, io.ErrClosedPipe
-		}
-		if s.r < len(s.buf) {
-			n := copy(p, s.buf[s.r:])
-			s.r += n
-			if s.r == len(s.buf) {
-				s.buf = s.buf[:0]
-				s.r = 0
-			}
-			return n, nil
-		}
-		if s.wclosed {
-			return 0, io.EOF
-		}
-		s.cond.Wait()
-	}
+// Reset ends the previous session if it is still open, drops every byte
+// of it, and starts a fresh session served by h whose greeting the first
+// Read returns.
+func (c *Conn) Reset(h Handler) {
+	c.end()
+	c.h = h
+	c.in = c.in[:0]
+	c.r = 0
+	c.out = h.Greet(c.out[:0])
+	c.closed = false
 }
 
-func (s *stream) write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wclosed || s.rclosed {
+// Read drains pending replies. With none pending it returns ErrWouldBlock
+// while the session is open, io.EOF after it ended, and io.ErrClosedPipe
+// after Close.
+func (c *Conn) Read(p []byte) (int, error) {
+	if c.closed {
 		return 0, io.ErrClosedPipe
 	}
-	s.buf = append(s.buf, p...)
-	s.cond.Broadcast()
+	if c.r < len(c.out) {
+		n := copy(p, c.out[c.r:])
+		c.r += n
+		return n, nil
+	}
+	if c.h == nil {
+		return 0, io.EOF
+	}
+	return 0, ErrWouldBlock
+}
+
+// Write hands each complete request line in p to the handler before it
+// returns. Lines are framed at LF, so a bare LF inside an IMAP command
+// splits it where the IMAP server's CRLF framing would not; no client in
+// this repository sends one. Bytes after the request that ends the session
+// are discarded, as a server that stopped reading would leave them unread.
+// Writing after the session ended fails with io.ErrClosedPipe.
+func (c *Conn) Write(p []byte) (int, error) {
+	if c.closed || c.h == nil {
+		return 0, io.ErrClosedPipe
+	}
+	if c.r == len(c.out) {
+		c.out, c.r = c.out[:0], 0
+	}
+	c.in = append(c.in, p...)
+	rest := c.in
+	for {
+		i := bytes.IndexByte(rest, '\n')
+		if i < 0 {
+			break
+		}
+		line := rest[:i]
+		rest = rest[i+1:]
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
+		}
+		var done bool
+		c.out, done = c.h.Serve(c.out, line)
+		if done {
+			c.end()
+			c.in = c.in[:0]
+			return len(p), nil
+		}
+	}
+	c.in = c.in[:copy(c.in, rest)]
 	return len(p), nil
 }
 
-func (s *stream) closeWrite() {
-	s.mu.Lock()
-	s.wclosed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
+// end ends the session exactly once.
+func (c *Conn) end() {
+	if c.h != nil {
+		c.h.End()
+		c.h = nil
+	}
 }
 
-func (s *stream) closeRead() {
-	s.mu.Lock()
-	s.rclosed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// reset rewinds the stream for reuse. The caller must guarantee no
-// goroutine is still using either end (the Pair contract).
-func (s *stream) reset() {
-	s.mu.Lock()
-	s.buf = s.buf[:0]
-	s.r = 0
-	s.wclosed = false
-	s.rclosed = false
-	s.mu.Unlock()
-}
-
-// Pair is a connected in-memory duplex conn pair. The zero value is not
-// usable; construct with NewPair. A Pair may be Reset and reused once both
-// sides are done with the previous session.
-type Pair struct {
-	ab, ba stream // client→server, server→client
-	client End
-	server End
-}
-
-// NewPair returns a connected pair.
-func NewPair() *Pair {
-	p := &Pair{}
-	p.ab.init()
-	p.ba.init()
-	p.client = End{read: &p.ba, write: &p.ab}
-	p.server = End{read: &p.ab, write: &p.ba}
-	return p
-}
-
-// Client returns the client-side conn.
-func (p *Pair) Client() net.Conn { return &p.client }
-
-// Server returns the server-side conn.
-func (p *Pair) Server() net.Conn { return &p.server }
-
-// Reset rewinds both directions so the pair can carry a fresh session.
-// Callers must have joined whatever goroutines used the previous session.
-func (p *Pair) Reset() {
-	p.ab.reset()
-	p.ba.reset()
-}
-
-// End is one side of a Pair. It satisfies net.Conn; deadlines are
-// accepted and ignored (virtual-time simulations have no wall-clock I/O
-// timeouts).
-type End struct {
-	read, write *stream
-}
-
-// Read implements net.Conn.
-func (e *End) Read(p []byte) (int, error) { return e.read.read(p) }
-
-// Write implements net.Conn.
-func (e *End) Write(p []byte) (int, error) { return e.write.write(p) }
-
-// Close shuts this end: its pending reads fail, and the peer drains
-// whatever was already written before seeing io.EOF. Idempotent.
-func (e *End) Close() error {
-	e.read.closeRead()
-	e.write.closeWrite()
+// Close ends the session if a request has not already, then makes every
+// later Read and Write fail. Idempotent.
+func (c *Conn) Close() error {
+	c.end()
+	c.closed = true
 	return nil
 }
 
 // LocalAddr implements net.Conn.
-func (e *End) LocalAddr() net.Addr { return addr{} }
+func (c *Conn) LocalAddr() net.Addr { return addr{} }
 
 // RemoteAddr implements net.Conn.
-func (e *End) RemoteAddr() net.Addr { return addr{} }
+func (c *Conn) RemoteAddr() net.Addr { return addr{} }
 
-// SetDeadline implements net.Conn as a no-op.
-func (e *End) SetDeadline(time.Time) error { return nil }
+// SetDeadline implements net.Conn as a no-op: reads and writes never block.
+func (c *Conn) SetDeadline(time.Time) error { return nil }
 
 // SetReadDeadline implements net.Conn as a no-op.
-func (e *End) SetReadDeadline(time.Time) error { return nil }
+func (c *Conn) SetReadDeadline(time.Time) error { return nil }
 
 // SetWriteDeadline implements net.Conn as a no-op.
-func (e *End) SetWriteDeadline(time.Time) error { return nil }
+func (c *Conn) SetWriteDeadline(time.Time) error { return nil }

@@ -4,104 +4,166 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 )
 
-func TestPingPong(t *testing.T) {
-	p := NewPair()
-	c, s := p.Client(), p.Server()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]byte, 16)
-		n, err := s.Read(buf)
-		if err != nil {
-			t.Errorf("server read: %v", err)
-			return
-		}
-		if _, err := s.Write(bytes.ToUpper(buf[:n])); err != nil {
-			t.Errorf("server write: %v", err)
-		}
-	}()
-	if _, err := c.Write([]byte("hello")); err != nil {
-		t.Fatalf("client write: %v", err)
-	}
-	buf := make([]byte, 16)
-	n, err := c.Read(buf)
-	if err != nil || string(buf[:n]) != "HELLO" {
-		t.Fatalf("client read = %q, %v", buf[:n], err)
-	}
-	<-done
+// echo is a line protocol for exercising Conn: it greets, answers each
+// request line with the line upper-cased, and ends the session on "quit".
+type echo struct {
+	lines []string // request lines served, in order
+	ends  int
 }
 
-// TestDrainThenEOF pins the TCP-shutdown-like close semantics the protocol
-// code relies on: bytes written before the peer closed stay readable, and
-// only then does the reader see io.EOF.
-func TestDrainThenEOF(t *testing.T) {
-	p := NewPair()
-	c, s := p.Client(), p.Server()
-	if _, err := s.Write([]byte("bye")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	buf := make([]byte, 2)
+func (e *echo) Greet(dst []byte) []byte { return append(dst, "+ hello\r\n"...) }
+
+func (e *echo) Serve(dst, line []byte) ([]byte, bool) {
+	e.lines = append(e.lines, string(line))
+	dst = append(dst, bytes.ToUpper(line)...)
+	return append(dst, "\r\n"...), string(line) == "quit"
+}
+
+func (e *echo) End() { e.ends++ }
+
+// readAll drains c through a small buffer until Read fails, returning the
+// bytes and the error that stopped it.
+func readAll(c *Conn) (string, error) {
 	var got []byte
+	buf := make([]byte, 3)
 	for {
 		n, err := c.Read(buf)
 		got = append(got, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
 		if err != nil {
-			t.Fatalf("read: %v", err)
+			return string(got), err
 		}
-	}
-	if string(got) != "bye" {
-		t.Fatalf("drained %q, want %q", got, "bye")
-	}
-	if _, err := c.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
-		t.Fatalf("write to closed peer: %v, want ErrClosedPipe", err)
 	}
 }
 
-func TestCloseUnblocksReader(t *testing.T) {
-	p := NewPair()
-	c := p.Client()
-	errc := make(chan error, 1)
-	go func() {
-		_, err := c.Read(make([]byte, 1))
-		errc <- err
-	}()
+func write(t *testing.T, c *Conn, s string) {
+	t.Helper()
+	if n, err := c.Write([]byte(s)); err != nil || n != len(s) {
+		t.Fatalf("Write(%q) = %d, %v", s, n, err)
+	}
+}
+
+// TestPingPong: each request is served before Write returns, and its reply
+// is the next thing Read returns, after the greeting.
+func TestPingPong(t *testing.T) {
+	var c Conn
+	h := &echo{}
+	c.Reset(h)
+	write(t, &c, "ping\r\n")
+	if got, err := readAll(&c); got != "+ hello\r\nPING\r\n" || !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("read %q, %v; want greeting and PING, then ErrWouldBlock", got, err)
+	}
+}
+
+// TestWriteFramesLines: the handler gets one line per call, whatever the
+// Write boundaries, with the LF and one CR before it removed.
+func TestWriteFramesLines(t *testing.T) {
+	var c Conn
+	h := &echo{}
+	c.Reset(h)
+	write(t, &c, "one\r\ntwo\r\nthr")
+	write(t, &c, "ee\r")
+	write(t, &c, "\nbare\ncr\r\r\n\r\n")
+	want := []string{"one", "two", "three", "bare", "cr\r", ""}
+	if strings.Join(h.lines, "|") != strings.Join(want, "|") {
+		t.Fatalf("handler saw %q, want %q", h.lines, want)
+	}
+	if got, _ := readAll(&c); got != "+ hello\r\nONE\r\nTWO\r\nTHREE\r\nBARE\r\nCR\r\r\n\r\n" {
+		t.Fatalf("replies %q", got)
+	}
+}
+
+// TestReadWithNothingPendingFails: a client waiting for a reply to a request
+// it has not finished sending fails at once instead of blocking.
+func TestReadWithNothingPendingFails(t *testing.T) {
+	var c Conn
+	c.Reset(&echo{})
+	buf := make([]byte, 64)
+	if n, err := c.Read(buf); err != nil || string(buf[:n]) != "+ hello\r\n" {
+		t.Fatalf("greeting = %q, %v", buf[:n], err)
+	}
+	if n, err := c.Read(buf); n != 0 || !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("read with nothing pending = %d, %v; want ErrWouldBlock", n, err)
+	}
+	write(t, &c, "partial")
+	if n, err := c.Read(buf); n != 0 || !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("read after a partial line = %d, %v; want ErrWouldBlock", n, err)
+	}
+}
+
+// TestDrainThenEOF: after the request that ends the session, every reply
+// already queued stays readable, then Read returns io.EOF and Write fails.
+// Bytes written after that request are never served.
+func TestDrainThenEOF(t *testing.T) {
+	var c Conn
+	h := &echo{}
+	c.Reset(h)
+	write(t, &c, "last\r\nquit\r\nignored\r\n")
+	if h.ends != 1 {
+		t.Fatalf("End called %d times at quit, want 1", h.ends)
+	}
+	if got, err := readAll(&c); got != "+ hello\r\nLAST\r\nQUIT\r\n" || err != io.EOF {
+		t.Fatalf("drained %q, %v; want every reply, then io.EOF", got, err)
+	}
+	if _, err := c.Write([]byte("more\r\n")); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("write after quit: %v, want io.ErrClosedPipe", err)
+	}
+	if strings.Join(h.lines, "|") != "last|quit" {
+		t.Fatalf("handler saw %q", h.lines)
+	}
 	c.Close()
-	if err := <-errc; !errors.Is(err, io.ErrClosedPipe) {
-		t.Fatalf("read after own close: %v, want ErrClosedPipe", err)
+	if h.ends != 1 {
+		t.Fatalf("End called %d times after Close, want 1", h.ends)
 	}
 }
 
-// TestResetReuse cycles one pair through many sessions, the stuffing
-// bot-pool usage pattern: session, both ends closed, Reset, repeat.
+// TestCloseEndsSessionOnce: Close ends a session no request ended, exactly
+// once however often it is called, and every later Read and Write fails.
+func TestCloseEndsSessionOnce(t *testing.T) {
+	var c Conn
+	h := &echo{}
+	c.Reset(h)
+	write(t, &c, "hi\r\n")
+	c.Close()
+	c.Close()
+	if h.ends != 1 {
+		t.Fatalf("End called %d times, want 1", h.ends)
+	}
+	if _, err := c.Read(make([]byte, 8)); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("read after Close: %v, want io.ErrClosedPipe", err)
+	}
+	if _, err := c.Write([]byte("x\r\n")); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("write after Close: %v, want io.ErrClosedPipe", err)
+	}
+}
+
+// TestResetReuse cycles one Conn through many sessions, the stuffing bot
+// pool's pattern. Each session leaves an unread reply and a partial request
+// behind; none of it reaches the next session, and a session still open at
+// Reset is ended.
 func TestResetReuse(t *testing.T) {
-	p := NewPair()
+	var c Conn
+	var prev *echo
 	for i := 0; i < 100; i++ {
-		c, s := p.Client(), p.Server()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			buf := make([]byte, 8)
-			n, _ := s.Read(buf)
-			s.Write(buf[:n])
-			s.Close()
-		}()
-		if _, err := c.Write([]byte("ping")); err != nil {
-			t.Fatalf("session %d write: %v", i, err)
+		h := &echo{}
+		c.Reset(h)
+		if prev != nil && prev.ends != 1 {
+			t.Fatalf("session %d: previous session ended %d times, want 1", i, prev.ends)
 		}
-		buf := make([]byte, 8)
-		n, err := c.Read(buf)
-		if err != nil || string(buf[:n]) != "ping" {
-			t.Fatalf("session %d read = %q, %v", i, buf[:n], err)
+		write(t, &c, "ping\r\n")
+		if got, err := readAll(&c); got != "+ hello\r\nPING\r\n" || !errors.Is(err, ErrWouldBlock) {
+			t.Fatalf("session %d read %q, %v", i, got, err)
 		}
-		c.Close()
-		<-done
-		p.Reset()
+		write(t, &c, "unread\r\npart")
+		if i%2 == 0 {
+			c.Close()
+		}
+		if strings.Join(h.lines, "|") != "ping|unread" {
+			t.Fatalf("session %d: handler saw %q", i, h.lines)
+		}
+		prev = h
 	}
 }

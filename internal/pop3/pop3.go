@@ -7,6 +7,7 @@ package pop3
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"net/netip"
@@ -50,150 +51,131 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // ServeConn runs one POP3 session; remote is the address recorded on login.
 func (s *Server) ServeConn(conn net.Conn, remote netip.Addr) error {
+	var ss ServerSession
+	ss.Reset(s, remote)
+	defer ss.End()
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	ok := func(format string, args ...any) error {
-		if _, err := fmt.Fprintf(w, "+OK "+format+"\r\n", args...); err != nil {
-			return err
-		}
-		return w.Flush()
-	}
-	bad := func(format string, args ...any) error {
-		if _, err := fmt.Fprintf(w, "-ERR "+format+"\r\n", args...); err != nil {
-			return err
-		}
-		return w.Flush()
-	}
-	if err := ok("%s", s.Greeting); err != nil {
-		return err
-	}
-
-	var user string
-	var sess imap.Session
-	var count int
-	defer func() {
-		if sess != nil {
-			_ = sess.Logout()
-		}
-	}()
-
+	out, done := ss.Greet(nil), false
 	for {
-		line, err := r.ReadString('\n')
+		if _, err := conn.Write(out); err != nil || done {
+			return err
+		}
+		line, err := r.ReadBytes('\n')
 		if err != nil {
 			return err
 		}
-		verb, arg := splitVerb(strings.TrimRight(line, "\r\n"))
-		switch verb {
-		case "USER":
-			user = arg
-			if err := ok("send PASS"); err != nil {
-				return err
-			}
-		case "PASS":
-			if user == "" {
-				if err := bad("USER first"); err != nil {
-					return err
-				}
-				continue
-			}
-			newSess, err := s.Backend.Login(user, arg, remote)
-			if err != nil {
-				if err := bad("authentication failed"); err != nil {
-					return err
-				}
-				continue
-			}
-			sess = newSess
-			count, err = sess.Select("INBOX")
-			if err != nil {
-				count = 0
-			}
-			if err := ok("maildrop has %d messages", count); err != nil {
-				return err
-			}
-		case "STAT":
-			if sess == nil {
-				if err := bad("not authenticated"); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := ok("%d %d", count, count*1024); err != nil {
-				return err
-			}
-		case "LIST":
-			if sess == nil {
-				if err := bad("not authenticated"); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := ok("%d messages", count); err != nil {
-				return err
-			}
-			for i := 1; i <= count; i++ {
-				fmt.Fprintf(w, "%d 1024\r\n", i)
-			}
-			if _, err := w.WriteString(".\r\n"); err != nil {
-				return err
-			}
-			if err := w.Flush(); err != nil {
-				return err
-			}
-		case "RETR":
-			if sess == nil {
-				if err := bad("not authenticated"); err != nil {
-					return err
-				}
-				continue
-			}
-			n, err := strconv.Atoi(arg)
-			if err != nil || n < 1 || n > count {
-				if err := bad("no such message"); err != nil {
-					return err
-				}
-				continue
-			}
-			m, err := sess.Fetch(n)
-			if err != nil {
-				if err := bad("fetch failed"); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := ok("message follows"); err != nil {
-				return err
-			}
-			body := fmt.Sprintf("From: %s\r\nSubject: %s\r\n\r\n%s", m.From, m.Subject, m.Body)
-			for _, ln := range strings.Split(body, "\r\n") {
-				if strings.HasPrefix(ln, ".") {
-					ln = "." + ln
-				}
-				fmt.Fprintf(w, "%s\r\n", ln)
-			}
-			if _, err := w.WriteString(".\r\n"); err != nil {
-				return err
-			}
-			if err := w.Flush(); err != nil {
-				return err
-			}
-		case "DELE", "RSET":
-			// Honey mailboxes are read-only in the simulation; accept and
-			// ignore, like a maildrop that never expunges.
-			if err := ok("noted"); err != nil {
-				return err
-			}
-		case "NOOP":
-			if err := ok(""); err != nil {
-				return err
-			}
-		case "QUIT":
-			return ok("bye")
-		default:
-			if err := bad("unknown command"); err != nil {
-				return err
-			}
+		out, done = ss.Serve(out[:0], line)
+	}
+}
+
+// ServerSession is the server half of one POP3 session, driven one request
+// line at a time: ServeConn drives one over a network connection, and a
+// memconn.Conn drives one inline on its caller's goroutine.
+type ServerSession struct {
+	srv    *Server
+	remote netip.Addr
+	user   string
+	sess   imap.Session
+	count  int
+}
+
+// Reset ends the session if it is still open and starts a fresh one served
+// by s for a client at remote, whose address the backend logs on login.
+func (ss *ServerSession) Reset(s *Server, remote netip.Addr) {
+	ss.End()
+	*ss = ServerSession{srv: s, remote: remote}
+}
+
+// Greet appends the server greeting to dst.
+func (ss *ServerSession) Greet(dst []byte) []byte {
+	return okf(dst, "%s", ss.srv.Greeting)
+}
+
+// End logs the backend session out, if a login succeeded. Idempotent.
+func (ss *ServerSession) End() {
+	if ss.sess != nil {
+		_ = ss.sess.Logout()
+		ss.sess = nil
+	}
+}
+
+func okf(dst []byte, format string, args ...any) []byte {
+	return fmt.Appendf(dst, "+OK "+format+"\r\n", args...)
+}
+
+func errf(dst []byte, format string, args ...any) []byte {
+	return fmt.Appendf(dst, "-ERR "+format+"\r\n", args...)
+}
+
+// Serve handles one request line and appends the replies to dst; trailing
+// CR and LF bytes on line are ignored. done reports QUIT: the session is
+// over, and the caller should read no further requests.
+func (ss *ServerSession) Serve(dst, line []byte) (out []byte, done bool) {
+	verb, arg := splitVerb(string(bytes.TrimRight(line, "\r\n")))
+	switch verb {
+	case "USER":
+		ss.user = arg
+		return okf(dst, "send PASS"), false
+	case "PASS":
+		if ss.user == "" {
+			return errf(dst, "USER first"), false
 		}
+		sess, err := ss.srv.Backend.Login(ss.user, arg, ss.remote)
+		if err != nil {
+			return errf(dst, "authentication failed"), false
+		}
+		ss.sess = sess
+		ss.count, err = sess.Select("INBOX")
+		if err != nil {
+			ss.count = 0
+		}
+		return okf(dst, "maildrop has %d messages", ss.count), false
+	case "STAT":
+		if ss.sess == nil {
+			return errf(dst, "not authenticated"), false
+		}
+		return okf(dst, "%d %d", ss.count, ss.count*1024), false
+	case "LIST":
+		if ss.sess == nil {
+			return errf(dst, "not authenticated"), false
+		}
+		dst = okf(dst, "%d messages", ss.count)
+		for i := 1; i <= ss.count; i++ {
+			dst = fmt.Appendf(dst, "%d 1024\r\n", i)
+		}
+		return append(dst, ".\r\n"...), false
+	case "RETR":
+		if ss.sess == nil {
+			return errf(dst, "not authenticated"), false
+		}
+		n, err := strconv.Atoi(arg)
+		if err != nil || n < 1 || n > ss.count {
+			return errf(dst, "no such message"), false
+		}
+		m, err := ss.sess.Fetch(n)
+		if err != nil {
+			return errf(dst, "fetch failed"), false
+		}
+		dst = okf(dst, "message follows")
+		body := fmt.Sprintf("From: %s\r\nSubject: %s\r\n\r\n%s", m.From, m.Subject, m.Body)
+		for _, ln := range strings.Split(body, "\r\n") {
+			if strings.HasPrefix(ln, ".") {
+				dst = append(dst, '.')
+			}
+			dst = append(dst, ln...)
+			dst = append(dst, "\r\n"...)
+		}
+		return append(dst, ".\r\n"...), false
+	case "DELE", "RSET":
+		// Honey mailboxes are read-only in the simulation; accept and
+		// ignore, like a maildrop that never expunges.
+		return okf(dst, "noted"), false
+	case "NOOP":
+		return okf(dst, ""), false
+	case "QUIT":
+		return okf(dst, "bye"), true
+	default:
+		return errf(dst, "unknown command"), false
 	}
 }
 
@@ -204,7 +186,9 @@ func splitVerb(line string) (string, string) {
 	return strings.ToUpper(line), ""
 }
 
-// Client is a minimal POP3 client.
+// Client is a minimal POP3 client. Reset rebinds it to a fresh connection
+// while keeping its buffers, so one Client can drive many sessions in turn;
+// the zero value plus Reset is equivalent to Dial.
 type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
@@ -213,11 +197,25 @@ type Client struct {
 
 // Dial opens a POP3 session over conn, consuming the greeting.
 func Dial(conn net.Conn) (*Client, error) {
-	c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
-	if _, err := c.expectOK(); err != nil {
+	c := &Client{}
+	if err := c.Reset(conn); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// Reset rebinds the client to a fresh connection and consumes the
+// greeting.
+func (c *Client) Reset(conn net.Conn) error {
+	c.conn = conn
+	if c.r == nil {
+		c.r, c.w = bufio.NewReader(conn), bufio.NewWriter(conn)
+	} else {
+		c.r.Reset(conn)
+		c.w.Reset(conn)
+	}
+	_, err := c.expectOK()
+	return err
 }
 
 // Auth authenticates with USER/PASS.

@@ -12,18 +12,24 @@ import (
 
 // fakeBackend implements imap.Backend for protocol tests.
 type fakeBackend struct {
-	pass  map[string]string
-	boxes map[string][]imap.Message
+	pass    map[string]string
+	boxes   map[string][]imap.Message
+	calls   []string // every Login call as "user pass remote"
+	logouts int
 }
 
 func (b *fakeBackend) Login(user, pwd string, remote netip.Addr) (imap.Session, error) {
+	b.calls = append(b.calls, user+" "+pwd+" "+remote.String())
 	if b.pass[user] != pwd || pwd == "" {
 		return nil, imap.ErrAuthFailed
 	}
-	return &fakeSession{msgs: b.boxes[user]}, nil
+	return &fakeSession{b: b, msgs: b.boxes[user]}, nil
 }
 
-type fakeSession struct{ msgs []imap.Message }
+type fakeSession struct {
+	b    *fakeBackend
+	msgs []imap.Message
+}
 
 func (s *fakeSession) Select(box string) (int, error) {
 	if !strings.EqualFold(box, "INBOX") {
@@ -39,7 +45,10 @@ func (s *fakeSession) Fetch(seq int) (imap.Message, error) {
 	return s.msgs[seq-1], nil
 }
 
-func (s *fakeSession) Logout() error { return nil }
+func (s *fakeSession) Logout() error {
+	s.b.logouts++
+	return nil
+}
 
 func dialPOP(t *testing.T, backend imap.Backend) (*Client, func()) {
 	t.Helper()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -85,9 +86,12 @@ func buildTimelineBench(workers int) (*simclock.Epochs, time.Time) {
 // several worker counts over the attacker-heavy fixture, plus the two
 // quality metrics the bench harness gates: allocs/event (allocations per
 // fired event, timed region only) and scaling-eff (events/s per worker
-// relative to the workers=1 run of the same bench invocation). The fixture
-// is rebuilt outside the timer each iteration (a breach only happens
-// once); the timed region is exactly the epoch loop RunContext drives.
+// relative to the workers=1 run of the same bench invocation). events/s
+// mostly measures how well workers overlap the emulated latency, so
+// cpu-s/event (process user+system CPU per fired event, timed region
+// only) reports the CPU work apart from it. The fixture is rebuilt
+// outside the timer each iteration (a breach only happens once); the
+// timed region is exactly the epoch loop RunContext drives.
 func BenchmarkTimeline(b *testing.B) {
 	var baseEventsPerSec float64
 	for _, workers := range []int{1, 4, 8, 16} {
@@ -95,15 +99,18 @@ func BenchmarkTimeline(b *testing.B) {
 			b.ReportAllocs()
 			var events int64
 			var mallocs uint64
+			var cpu float64
 			var ms runtime.MemStats
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				ep, end := buildTimelineBench(workers)
 				runtime.ReadMemStats(&ms)
 				m0 := ms.Mallocs
+				cpu0 := cpuSeconds()
 				b.StartTimer()
 				events += int64(ep.RunUntil(end))
 				b.StopTimer()
+				cpu += cpuSeconds() - cpu0
 				runtime.ReadMemStats(&ms)
 				mallocs += ms.Mallocs - m0
 				ep.Close()
@@ -114,6 +121,7 @@ func BenchmarkTimeline(b *testing.B) {
 			b.ReportMetric(evs, "events/s")
 			if events > 0 {
 				b.ReportMetric(float64(mallocs)/float64(events), "allocs/event")
+				b.ReportMetric(cpu/float64(events), "cpu-s/event")
 			}
 			if workers == 1 {
 				baseEventsPerSec = evs
@@ -122,4 +130,13 @@ func BenchmarkTimeline(b *testing.B) {
 			}
 		})
 	}
+}
+
+// cpuSeconds is the process's user+system CPU so far, all threads.
+func cpuSeconds() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
 }
