@@ -22,14 +22,9 @@ func main() {
 	artifact := flag.String("artifact", "all", "which artifact to print")
 	flag.Parse()
 
-	var cfg tripwire.Config
-	switch *scale {
-	case "small":
-		cfg = tripwire.SmallConfig()
-	case "paper":
-		cfg = tripwire.DefaultConfig()
-	default:
-		fmt.Fprintf(os.Stderr, "tripwire-report: unknown scale %q\n", *scale)
+	cfg, err := sim.ScaleConfig(*scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tripwire-report: %v\n", err)
 		os.Exit(2)
 	}
 	cfg.Seed = *seed
@@ -44,7 +39,7 @@ func main() {
 	case "table3":
 		fmt.Print(report.RenderTable3(report.Table3(p)))
 	case "table4":
-		fmt.Print(report.RenderTable4(report.Table4(p, tableRanks(p))))
+		fmt.Print(report.RenderTable4(report.Table4(p, report.EligibilityRanks(p))))
 	case "fig1":
 		fmt.Print(report.RenderFig1(report.Fig1(p)))
 	case "fig2":
@@ -59,17 +54,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tripwire-report: unknown artifact %q\n", *artifact)
 		os.Exit(2)
 	}
-}
-
-func tableRanks(p *sim.Pilot) []int {
-	var out []int
-	for _, r := range []int{1, 1000, 10000, 100000} {
-		if r+99 <= p.Cfg.Web.NumSites {
-			out = append(out, r)
-		}
-	}
-	if len(out) == 0 {
-		out = []int{1}
-	}
-	return out
 }

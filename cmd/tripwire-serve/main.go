@@ -9,7 +9,7 @@
 //	TRIPWIRE_SERVE_DATA_DIR    study state root     (default <tmp>/tripwire-serve)
 //	TRIPWIRE_SERVE_MAX_ACTIVE  concurrent studies   (default 2)
 //	TRIPWIRE_SERVE_RATE        per-IP requests/sec  (default 20; 0 disables)
-//	TRIPWIRE_SERVE_BURST       per-IP burst         (default 40)
+//	TRIPWIRE_SERVE_BURST       per-IP burst         (default ⌈2×RATE⌉)
 //
 // Webhook endpoints are declared the same way, one rule per <NAME>:
 //
@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"tripwire/internal/hook"
+	"tripwire/internal/httpx"
 	"tripwire/internal/obs"
 	"tripwire/internal/registry"
 )
@@ -46,7 +47,7 @@ type config struct {
 	dataDir   string
 	maxActive int
 	rate      float64
-	burst     int
+	burst     int // 0 means ⌈2×rate⌉
 	rules     []hook.Rule
 }
 
@@ -54,9 +55,8 @@ type config struct {
 // out of an os.Environ-shaped list.
 func parseConfig(environ []string) (config, error) {
 	cfg := config{
-		addr:  "127.0.0.1:8080",
-		rate:  20,
-		burst: 40,
+		addr: "127.0.0.1:8080",
+		rate: 20,
 	}
 	get := func(key string) (string, bool) {
 		for _, kv := range environ {
@@ -101,14 +101,6 @@ func parseConfig(environ []string) (config, error) {
 	return cfg, nil
 }
 
-// Connection timeouts: a client gets readHeaderTimeout to send its request
-// headers and idleTimeout between keep-alive requests, so stalled or
-// abandoned connections cannot pile up.
-const (
-	readHeaderTimeout = 10 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
-
 // server is the wired daemon; tests build one on a random port and drive
 // it over HTTP.
 type server struct {
@@ -140,11 +132,7 @@ func newServer(cfg config) (*server, error) {
 		hooks.Close()
 		return nil, err
 	}
-	var limiter *registry.RateLimiter
-	if cfg.rate > 0 {
-		limiter = registry.NewRateLimiter(cfg.rate, cfg.burst)
-	}
-	handler := registry.Handler(reg, limiter)
+	handler := registry.Handler(reg, httpx.NewRateLimiter(cfg.rate, cfg.burst))
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		reg.Close()
@@ -156,16 +144,10 @@ func newServer(cfg config) (*server, error) {
 		hooks:   hooks,
 		metrics: metrics,
 		ln:      ln,
-		// No WriteTimeout: SSE event streams stay open for a study's whole
-		// run, and a write deadline would cut them off.
-		http: &http.Server{
-			Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				requests.Inc()
-				handler.ServeHTTP(w, r)
-			}),
-			ReadHeaderTimeout: readHeaderTimeout,
-			IdleTimeout:       idleTimeout,
-		},
+		http: httpx.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Inc()
+			handler.ServeHTTP(w, r)
+		})),
 	}, nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"tripwire/internal/hook"
+	"tripwire/internal/httpx"
 )
 
 func TestParseConfig(t *testing.T) {
@@ -194,7 +195,7 @@ stream:
 		if d.kind != "detection" && d.kind != "study.done" {
 			t.Fatalf("unexpected webhook kind %q", d.kind)
 		}
-		if !hook.Verify(secret, d.body, d.sig) {
+		if !httpx.Verify(secret, d.body, d.sig) {
 			t.Fatalf("webhook signature %q does not verify", d.sig)
 		}
 		var ev struct {
@@ -314,5 +315,37 @@ func TestServerTimeouts(t *testing.T) {
 	}
 	if srv.http.WriteTimeout != 0 {
 		t.Errorf("WriteTimeout = %v, want 0 (SSE streams are long-lived)", srv.http.WriteTimeout)
+	}
+}
+
+// TestBurstDefaultFollowsRate: without TRIPWIRE_SERVE_BURST the per-IP
+// burst is ⌈2×RATE⌉ — 40 at the default rate of 20, 200 at RATE=100 —
+// and an explicit burst wins.
+func TestBurstDefaultFollowsRate(t *testing.T) {
+	for _, tc := range []struct {
+		environ []string
+		burst   int
+	}{
+		{nil, 40},
+		{[]string{"TRIPWIRE_SERVE_RATE=100"}, 200},
+		{[]string{"TRIPWIRE_SERVE_RATE=100", "TRIPWIRE_SERVE_BURST=7"}, 7},
+	} {
+		cfg, err := parseConfig(tc.environ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limiter := httpx.NewRateLimiter(cfg.rate, cfg.burst)
+		start := time.Now()
+		allowed := 0
+		for i := 0; i < 2*tc.burst+10; i++ {
+			if limiter.Allow("client") {
+				allowed++
+			}
+		}
+		// The bucket refills at the rate while the loop runs.
+		refill := int(time.Since(start).Seconds() * cfg.rate)
+		if allowed < tc.burst || allowed > tc.burst+refill {
+			t.Errorf("%v: %d back-to-back requests allowed, want a burst of %d", tc.environ, allowed, tc.burst)
+		}
 	}
 }

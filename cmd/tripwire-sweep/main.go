@@ -40,7 +40,9 @@ import (
 
 	"tripwire"
 	"tripwire/internal/distsweep"
+	"tripwire/internal/httpx"
 	"tripwire/internal/obs"
+	"tripwire/internal/sim"
 	"tripwire/internal/sweep"
 )
 
@@ -48,16 +50,11 @@ import (
 // function local sweeps, the coordinator, and every joined worker must
 // share for the outputs to be byte-identical.
 func configFor(scale string) (func(seed int64) tripwire.Config, error) {
-	if scale != "small" && scale != "paper" {
-		return nil, fmt.Errorf("unknown scale %q (want small or paper)", scale)
+	if _, err := sim.ScaleConfig(scale); err != nil {
+		return nil, err
 	}
 	return func(seed int64) tripwire.Config {
-		var cfg tripwire.Config
-		if scale == "paper" {
-			cfg = tripwire.DefaultConfig()
-		} else {
-			cfg = tripwire.SmallConfig()
-		}
+		cfg, _ := sim.ScaleConfig(scale)
 		cfg.Seed = seed * 101
 		return cfg
 	}, nil
@@ -136,15 +133,8 @@ func runCoordinator(addr string, n int, scale string, leaseTTL time.Duration, se
 	if err != nil {
 		return nil, err
 	}
-	// The read-side timeouts stop stalled or abandoned connections from
-	// piling up. No WriteTimeout, as in tripwire-serve (where it would cut
-	// off SSE streams): every response here is a small JSON document.
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           distsweep.Handler(coord),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	srv := httpx.NewServer(distsweep.Handler(coord))
+	srv.Addr = addr
 	errc := make(chan error, 1)
 	go func() {
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {

@@ -18,6 +18,7 @@ import (
 
 	"tripwire"
 	"tripwire/internal/datarelease"
+	"tripwire/internal/sim"
 )
 
 func main() {
@@ -25,14 +26,9 @@ func main() {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	flag.Parse()
 
-	var cfg tripwire.Config
-	switch *scale {
-	case "small":
-		cfg = tripwire.SmallConfig()
-	case "paper":
-		cfg = tripwire.DefaultConfig()
-	default:
-		fmt.Fprintf(os.Stderr, "tripwire-verify: unknown scale %q\n", *scale)
+	cfg, err := sim.ScaleConfig(*scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tripwire-verify: %v\n", err)
 		os.Exit(2)
 	}
 	cfg.Seed = *seed

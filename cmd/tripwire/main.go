@@ -51,6 +51,7 @@ import (
 	"tripwire"
 	"tripwire/internal/obs"
 	"tripwire/internal/runlog"
+	"tripwire/internal/sim"
 )
 
 func main() { os.Exit(run()) }
@@ -72,14 +73,9 @@ func run() (code int) {
 	memprofile := flag.String("memprofile", "", "write a heap profile, taken after the report, to this file")
 	flag.Parse()
 
-	var cfg tripwire.Config
-	switch *scale {
-	case "small":
-		cfg = tripwire.SmallConfig()
-	case "paper":
-		cfg = tripwire.DefaultConfig()
-	default:
-		fmt.Fprintf(os.Stderr, "tripwire: unknown scale %q (want small or paper)\n", *scale)
+	cfg, err := sim.ScaleConfig(*scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tripwire: %v\n", err)
 		return 2
 	}
 

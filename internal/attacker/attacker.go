@@ -295,7 +295,7 @@ func (c *Campaign) align(t time.Time) time.Time {
 // them per the site's storage policy, and begins stuffing what it recovers.
 func (c *Campaign) Breach(domain string, store *webgen.Store, when time.Time) {
 	key := simclock.KeyFor(domain)
-	c.sched.AtKeyed(c.align(when), key, "breach "+domain, func(x *simclock.Exec) {
+	c.sched.AtKeyed(c.align(when), key, func(x *simclock.Exec) {
 		c.mu.Lock()
 		c.breaches[domain] = x.Now()
 		c.mu.Unlock()
@@ -305,7 +305,7 @@ func (c *Campaign) Breach(domain string, store *webgen.Store, when time.Time) {
 		dump := FilterByDomain(store.Dump(), c.provider.Domain())
 		delay := c.crackDelay(store.Policy())
 		at := c.align(x.Now().Add(delay))
-		x.AtKeyed(at, key, "crack "+domain, func(x *simclock.Exec) {
+		x.AtKeyed(at, key, func(x *simclock.Exec) {
 			rng := xrand.New(xrand.Mix(c.cfg.Seed, int64(x.Seq()), streamCrack))
 			provider := c.cracker.Crack(dump)
 			if c.Metrics != nil {
@@ -336,7 +336,7 @@ func (c *Campaign) maybeResell(x *simclock.Exec, rng *rand.Rand, domain string, 
 	}
 	at := c.align(x.Now().Add(delay))
 	key := simclock.KeyFor(domain)
-	x.AtKeyed(at, key, "resale of "+domain+" dump", func(x *simclock.Exec) {
+	x.AtKeyed(at, key, func(x *simclock.Exec) {
 		now := x.Now()
 		if now.After(c.cfg.End) {
 			return
@@ -402,7 +402,7 @@ func (c *Campaign) scheduleStuffing(x *simclock.Exec, rng *rand.Rand, cred Crede
 		rng:          xrand.New(rng.Int63()),
 	}
 	at := c.align(x.Now().Add(first))
-	x.AtKeyed(at, state.key, "first-use "+cred.Email, func(x *simclock.Exec) {
+	x.AtKeyed(at, state.key, func(x *simclock.Exec) {
 		c.access(state, x)
 	})
 }
@@ -559,7 +559,7 @@ func (c *Campaign) scheduleNext(st *accountState, x *simclock.Exec) {
 	if next.After(c.cfg.End) {
 		return
 	}
-	x.AtKeyed(next, st.key, "revisit "+st.cred.Email, func(x *simclock.Exec) {
+	x.AtKeyed(next, st.key, func(x *simclock.Exec) {
 		c.access(st, x)
 	})
 }

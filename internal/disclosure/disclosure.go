@@ -162,7 +162,7 @@ func (c *Campaign) Notify(domain string) *Notification {
 		n.Outcome = OutcomeNoResponse
 		return n
 	}
-	c.Sched.After(site.ResponseDelay, "disclosure response from "+domain, func(at time.Time) {
+	c.Sched.After(site.ResponseDelay, func(at time.Time) {
 		n.Outcome = OutcomeResponded
 		n.Reaction = site.Reaction
 		n.RespondedAfter = at.Sub(n.SentAt)

@@ -29,10 +29,10 @@
 //     and rejects mismatches, so a corrupted result can never enter the
 //     aggregate.
 //
-// The control plane reuses the patterns of internal/registry and
-// internal/hook: a Go 1.22 ServeMux, the registry's per-IP token-bucket
-// rate limiter, and hook-style HMAC-SHA256 request signing
-// (X-Tripwire-Signature over the request body) under a shared secret.
+// The control plane is a Go 1.22 ServeMux on the study daemon's HTTP
+// policy, internal/httpx: its per-IP token-bucket rate limiter, and
+// HMAC-SHA256 request signing (httpx.Sign over the request body) under a
+// shared secret.
 package distsweep
 
 import (
@@ -42,7 +42,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
 
@@ -166,7 +165,7 @@ type Options struct {
 	// is re-issued. Default 30s; tests shrink it to force expiry.
 	LeaseTTL time.Duration
 	// Secret, when non-empty, requires every mutating request to carry a
-	// valid X-Tripwire-Signature (hook.Sign over the body).
+	// valid httpx.SignatureHeader (httpx.Sign over the body).
 	Secret string
 	// Progress, when non-nil, receives one sweep progress line per
 	// accepted completion, in completion order, through a single
@@ -176,8 +175,8 @@ type Options struct {
 	// Metrics, when non-nil, receives the tripwire_distsweep_* inventory.
 	Metrics *obs.Registry
 	// Rate and Burst configure the per-IP token-bucket limiter on the
-	// control plane; Rate <= 0 disables limiting. Burst <= 0 with a
-	// positive Rate means ⌈2×Rate⌉, tripwire-serve's default ratio.
+	// control plane (httpx.NewRateLimiter): Rate <= 0 disables limiting,
+	// and Burst <= 0 means ⌈2×Rate⌉.
 	Rate  float64
 	Burst int
 	// Now is the clock (test hook). Default time.Now.
@@ -233,9 +232,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
-	}
-	if opts.Rate > 0 && opts.Burst <= 0 {
-		opts.Burst = int(math.Ceil(2 * opts.Rate))
 	}
 	c := &Coordinator{
 		opts:      opts,

@@ -313,6 +313,41 @@ func TestDistSweepAuth(t *testing.T) {
 	}
 }
 
+// TestDistSweepHostileBodies: every control-plane POST answers 413 over
+// the 1 MiB cap and 400 for an unknown field or for data after the
+// object, and none of them leases anything.
+func TestDistSweepHostileBodies(t *testing.T) {
+	coord, err := distsweep.NewCoordinator(distsweep.Options{N: 1, Scale: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(distsweep.Handler(coord))
+	defer srv.Close()
+
+	for _, path := range []string{"/lease", "/renew", "/complete"} {
+		for _, tc := range []struct {
+			body string
+			want int
+		}{
+			{`{"worker":"a","pad":"` + strings.Repeat("x", 1<<20) + `"}`, http.StatusRequestEntityTooLarge},
+			{`{"worker":"a","bogus":1}`, http.StatusBadRequest},
+			{`{"worker":"a"}{"worker":"b"}`, http.StatusBadRequest},
+		} {
+			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("POST %s %.40q = %d, want %d", path, tc.body, resp.StatusCode, tc.want)
+			}
+		}
+	}
+	if st := coord.Status(); st.Leased != 0 {
+		t.Fatalf("a rejected body leased a task: %+v", st)
+	}
+}
+
 // TestDistSweepRateLimit: a coordinator given a Rate but no Burst still
 // limits. Burst defaults to ⌈2×Rate⌉, so at Rate 1 two back-to-back
 // requests pass and a burst of ten draws a 429.

@@ -8,9 +8,8 @@ import (
 	"io"
 	"net/http"
 
-	"tripwire/internal/hook"
+	"tripwire/internal/httpx"
 	"tripwire/internal/obs"
-	"tripwire/internal/registry"
 )
 
 // maxBody bounds control-plane request bodies; a SeedResult is a few
@@ -57,119 +56,79 @@ type completeRequest struct {
 //	GET  /status     task-set progress → Status
 //	GET  /metrics, /metrics.json, /healthz   observability (internal/obs)
 //
-// When opts.Secret is set, every POST must carry X-Tripwire-Signature =
-// hook.Sign(secret, body); bad or missing signatures get 401. The
-// registry's per-IP token-bucket limiter wraps everything but /healthz
-// when opts.Rate > 0.
+// Every POST body is read by httpx.DecodeJSON under maxBody. When
+// opts.Secret is set it must carry httpx.Sign(secret, body); bad or
+// missing signatures get 401. The httpx per-IP token-bucket limiter wraps
+// everything but /healthz when opts.Rate > 0.
 func Handler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("GET /sweep", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Spec())
+		httpx.WriteJSON(w, http.StatusOK, c.Spec())
 	})
 
-	mux.HandleFunc("POST /lease", signed(c, func(w http.ResponseWriter, r *http.Request, body []byte) {
+	mux.HandleFunc("POST /lease", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		if !httpx.DecodeJSON(w, r, maxBody, c.opts.Secret, &req) {
 			return
 		}
 		idx, gen, ok := c.Lease(req.Worker)
 		if !ok {
 			if c.Remaining() == 0 {
-				writeError(w, http.StatusGone, "sweep complete")
+				httpx.WriteError(w, http.StatusGone, "sweep complete")
 				return
 			}
 			w.Header().Set("Retry-After", "1")
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		writeJSON(w, http.StatusOK, leaseResponse{
+		httpx.WriteJSON(w, http.StatusOK, leaseResponse{
 			SeedIndex:  idx,
 			Generation: gen,
 			LeaseTTLMS: c.opts.LeaseTTL.Milliseconds(),
 		})
-	}))
+	})
 
-	mux.HandleFunc("POST /renew", signed(c, func(w http.ResponseWriter, r *http.Request, body []byte) {
+	mux.HandleFunc("POST /renew", func(w http.ResponseWriter, r *http.Request) {
 		var req renewRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		if !httpx.DecodeJSON(w, r, maxBody, c.opts.Secret, &req) {
 			return
 		}
 		if !c.Renew(req.Worker, req.SeedIndex, req.Generation) {
-			writeError(w, http.StatusConflict, "lease lost")
+			httpx.WriteError(w, http.StatusConflict, "lease lost")
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "renewed"})
-	}))
+		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "renewed"})
+	})
 
-	mux.HandleFunc("POST /complete", signed(c, func(w http.ResponseWriter, r *http.Request, body []byte) {
+	mux.HandleFunc("POST /complete", func(w http.ResponseWriter, r *http.Request) {
 		var req completeRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		if !httpx.DecodeJSON(w, r, maxBody, c.opts.Secret, &req) {
 			return
 		}
 		err := c.Complete(req.Worker, req.SeedIndex, req.Generation, req.Result, req.Digest)
 		var ce *CompleteError
 		switch {
 		case err == nil:
-			writeJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
+			httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
 		case errors.As(err, &ce) && ce.Reason != discardDigest:
 			// Stale generation or duplicate: the seed is (or will be) covered
 			// by another completion; the worker should just move on.
-			writeError(w, http.StatusConflict, err.Error())
+			httpx.WriteError(w, http.StatusConflict, err.Error())
 		default:
-			writeError(w, http.StatusBadRequest, err.Error())
+			httpx.WriteError(w, http.StatusBadRequest, err.Error())
 		}
-	}))
+	})
 
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Status())
+		httpx.WriteJSON(w, http.StatusOK, c.Status())
 	})
 
 	mux.Handle("/metrics", obs.Handler(c.opts.Metrics))
 	mux.Handle("/metrics.json", obs.Handler(c.opts.Metrics))
 	mux.Handle("/healthz", obs.Handler(c.opts.Metrics))
 
-	var limiter *registry.RateLimiter
-	if c.opts.Rate > 0 {
-		limiter = registry.NewRateLimiter(c.opts.Rate, c.opts.Burst)
-	}
-	return limiter.Middleware(mux)
-}
-
-// signed wraps a mutating handler with body capture and, when a secret is
-// configured, HMAC verification in the internal/hook signature format.
-func signed(c *Coordinator, next func(http.ResponseWriter, *http.Request, []byte)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "reading body")
-			return
-		}
-		if len(body) > maxBody {
-			writeError(w, http.StatusRequestEntityTooLarge, "body too large")
-			return
-		}
-		if c.opts.Secret != "" && !hook.Verify(c.opts.Secret, body, r.Header.Get("X-Tripwire-Signature")) {
-			writeError(w, http.StatusUnauthorized, "bad or missing signature")
-			return
-		}
-		next(w, r, body)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	return httpx.NewRateLimiter(c.opts.Rate, c.opts.Burst).Middleware(mux)
 }
 
 // Client is the worker side of the control plane: thin typed wrappers
@@ -190,18 +149,6 @@ func (cl *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// errStatus decodes the control plane's {"error": ...} body into an error.
-func errStatus(op string, resp *http.Response) error {
-	var e struct {
-		Error string `json:"error"`
-	}
-	_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e)
-	if e.Error == "" {
-		e.Error = resp.Status
-	}
-	return fmt.Errorf("distsweep: %s: %s", op, e.Error)
-}
-
 // post sends one signed POST and returns the response (caller closes).
 func (cl *Client) post(path string, v any) (*http.Response, error) {
 	body, err := json.Marshal(v)
@@ -214,7 +161,7 @@ func (cl *Client) post(path string, v any) (*http.Response, error) {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if cl.Secret != "" {
-		req.Header.Set("X-Tripwire-Signature", hook.Sign(cl.Secret, body))
+		req.Header.Set(httpx.SignatureHeader, httpx.Sign(cl.Secret, body))
 	}
 	return cl.httpClient().Do(req)
 }
@@ -227,7 +174,7 @@ func (cl *Client) Spec() (Spec, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return Spec{}, errStatus("join", resp)
+		return Spec{}, fmt.Errorf("distsweep: join: %w", httpx.ResponseError(resp))
 	}
 	var s Spec
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBody)).Decode(&s); err != nil {
@@ -267,7 +214,7 @@ func (cl *Client) Lease(worker string) (leaseResponse, error) {
 	case http.StatusGone:
 		return leaseResponse{}, ErrSweepDone
 	default:
-		return leaseResponse{}, errStatus("lease", resp)
+		return leaseResponse{}, fmt.Errorf("distsweep: lease: %w", httpx.ResponseError(resp))
 	}
 }
 
@@ -284,7 +231,7 @@ func (cl *Client) Renew(worker string, seedIndex, generation int) error {
 	case http.StatusConflict:
 		return ErrLeaseLost
 	default:
-		return errStatus("renew", resp)
+		return fmt.Errorf("distsweep: renew: %w", httpx.ResponseError(resp))
 	}
 }
 
@@ -310,6 +257,6 @@ func (cl *Client) Complete(worker string, seedIndex, generation int, resultBytes
 	case http.StatusConflict:
 		return ErrLeaseLost
 	default:
-		return errStatus("complete", resp)
+		return fmt.Errorf("distsweep: complete: %w", httpx.ResponseError(resp))
 	}
 }

@@ -9,9 +9,6 @@ package hook
 
 import (
 	"bytes"
-	"crypto/hmac"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -21,6 +18,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tripwire/internal/httpx"
 )
 
 // Rule routes matching events to one endpoint.
@@ -30,8 +29,8 @@ type Rule struct {
 	Name string
 	// URL receives matching events as JSON POSTs.
 	URL string
-	// Secret, when non-empty, signs each payload: the X-Tripwire-Signature
-	// header carries "sha256=" + hex(HMAC-SHA256(secret, body)).
+	// Secret, when non-empty, signs each payload: the httpx.SignatureHeader
+	// carries httpx.Sign(secret, body).
 	Secret string
 	// Kinds filters event kinds ("detection", "wave", "study.done", ...).
 	// Empty — or containing "*" — matches every kind.
@@ -261,7 +260,7 @@ func (d *Dispatcher) post(e *endpoint, del delivery, attempt int) bool {
 	req.Header.Set("X-Tripwire-Delivery", strconv.FormatUint(del.id, 10))
 	req.Header.Set("X-Tripwire-Attempt", strconv.Itoa(attempt))
 	if e.rule.Secret != "" {
-		req.Header.Set("X-Tripwire-Signature", Sign(e.rule.Secret, del.body))
+		req.Header.Set(httpx.SignatureHeader, httpx.Sign(e.rule.Secret, del.body))
 	}
 	resp, err := d.opts.Client.Do(req)
 	if err != nil {
@@ -269,20 +268,6 @@ func (d *Dispatcher) post(e *endpoint, del delivery, attempt int) bool {
 	}
 	resp.Body.Close()
 	return resp.StatusCode >= 200 && resp.StatusCode < 300
-}
-
-// Sign computes the payload signature header value:
-// "sha256=" + hex(HMAC-SHA256(secret, body)).
-func Sign(secret string, body []byte) string {
-	mac := hmac.New(sha256.New, []byte(secret))
-	mac.Write(body)
-	return "sha256=" + hex.EncodeToString(mac.Sum(nil))
-}
-
-// Verify reports whether header is a valid signature of body under
-// secret, in constant time. Receivers use it to authenticate deliveries.
-func Verify(secret string, body []byte, header string) bool {
-	return hmac.Equal([]byte(Sign(secret, body)), []byte(header))
 }
 
 // envPrefix introduces every hook rule variable:

@@ -9,29 +9,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tripwire/internal/httpx"
 )
 
 // fastOpts keeps the retry path quick in tests.
 func fastOpts() Options {
 	return Options{BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond}
-}
-
-func TestSignGolden(t *testing.T) {
-	// Pinned value: HMAC-SHA256("s3cret", `{"kind":"detection"}`).
-	got := Sign("s3cret", []byte(`{"kind":"detection"}`))
-	want := "sha256=c7a4c612b990ba3c41c26e6a39b19701e60886c9d5f97be18739fcce834cd16f"
-	if got != want {
-		t.Fatalf("Sign = %s, want %s", got, want)
-	}
-	if !Verify("s3cret", []byte(`{"kind":"detection"}`), got) {
-		t.Fatal("Verify rejected its own signature")
-	}
-	if Verify("s3cret", []byte(`{"kind":"detection!"}`), got) {
-		t.Fatal("Verify accepted signature of different body")
-	}
-	if Verify("other", []byte(`{"kind":"detection"}`), got) {
-		t.Fatal("Verify accepted signature under wrong secret")
-	}
 }
 
 func TestDispatchSignsAndSetsHeaders(t *testing.T) {
@@ -44,7 +28,7 @@ func TestDispatchSignsAndSetsHeaders(t *testing.T) {
 		body, _ := io.ReadAll(r.Body)
 		got <- seen{
 			body:     body,
-			sig:      r.Header.Get("X-Tripwire-Signature"),
+			sig:      r.Header.Get(httpx.SignatureHeader),
 			kind:     r.Header.Get("X-Tripwire-Event"),
 			hook:     r.Header.Get("X-Tripwire-Hook"),
 			delivery: r.Header.Get("X-Tripwire-Delivery"),
@@ -62,7 +46,7 @@ func TestDispatchSignsAndSetsHeaders(t *testing.T) {
 		if string(s.body) != `{"site":"a.example"}` {
 			t.Fatalf("body = %q", s.body)
 		}
-		if !Verify("k", s.body, s.sig) {
+		if !httpx.Verify("k", s.body, s.sig) {
 			t.Fatalf("delivered signature %q does not verify", s.sig)
 		}
 		if s.kind != "detection" || s.hook != "lab" || s.delivery == "" {

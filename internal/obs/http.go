@@ -6,7 +6,8 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"time"
+
+	"tripwire/internal/httpx"
 )
 
 // Handler serves the registry over HTTP:
@@ -44,15 +45,10 @@ func Serve(addr string, r *Registry) (boundAddr string, shutdown func() error, e
 	return ln.Addr().String(), srv.Close, nil
 }
 
-// newServer is Serve's http.Server. It bounds slow request headers and
-// idle keep-alive connections as tripwire-serve does, and sets no
-// WriteTimeout.
+// newServer is the metrics listener's server: r's handler under the shared
+// httpx timeouts.
 func newServer(r *Registry) *http.Server {
-	return &http.Server{
-		Handler:           Handler(r),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	return httpx.NewServer(Handler(r))
 }
 
 // WriteFile dumps the registry to path: Prometheus text for *.prom paths,

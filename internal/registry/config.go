@@ -1,10 +1,12 @@
 package registry
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
 	"tripwire"
+	"tripwire/internal/sim"
 )
 
 // SubmitRequest is the POST /studies body: a named scale preset plus the
@@ -30,15 +32,13 @@ type SubmitRequest struct {
 // buildConfig resolves the request to a concrete study configuration.
 func (r *SubmitRequest) buildConfig() (tripwire.Config, error) {
 	var cfg tripwire.Config
-	switch r.Scale {
-	case "", "small":
-		cfg = tripwire.SmallConfig()
-	case "paper":
-		cfg = tripwire.DefaultConfig()
-	case "demo":
+	if r.Scale == "demo" {
 		cfg = DemoConfig()
-	default:
-		return cfg, fmt.Errorf(`unknown scale %q (want "small", "paper", or "demo")`, r.Scale)
+	} else {
+		var err error
+		if cfg, err = sim.ScaleConfig(cmp.Or(r.Scale, "small")); err != nil {
+			return cfg, fmt.Errorf(`%w; the service also offers "demo"`, err)
+		}
 	}
 	if r.Seed != nil {
 		cfg.Seed = *r.Seed

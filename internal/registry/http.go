@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"tripwire/internal/httpx"
 	"tripwire/internal/obs"
 )
 
@@ -31,20 +32,12 @@ const maxSubmitBody = 64 << 10
 // unknown studies, 409 for illegal lifecycle transitions, 413 for a submit
 // body over maxSubmitBody, 429 from the rate limiter. limiter may be nil
 // (no limiting).
-func Handler(reg *Registry, limiter *RateLimiter) http.Handler {
+func Handler(reg *Registry, limiter *httpx.RateLimiter) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /studies", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxSubmitBody))
-				return
-			}
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		if !httpx.DecodeJSON(w, r, maxSubmitBody, "", &req) {
 			return
 		}
 		h, err := reg.Submit(req)
@@ -53,11 +46,11 @@ func Handler(reg *Registry, limiter *RateLimiter) http.Handler {
 			if errors.Is(err, ErrClosed) {
 				code = http.StatusServiceUnavailable
 			}
-			writeError(w, code, err.Error())
+			httpx.WriteError(w, code, err.Error())
 			return
 		}
 		w.Header().Set("Location", "/studies/"+h.ID())
-		writeJSON(w, http.StatusCreated, h.Info())
+		httpx.WriteJSON(w, http.StatusCreated, h.Info())
 	})
 
 	mux.HandleFunc("GET /studies", func(w http.ResponseWriter, r *http.Request) {
@@ -66,35 +59,35 @@ func Handler(reg *Registry, limiter *RateLimiter) http.Handler {
 		for i, h := range handles {
 			infos[i] = h.Info()
 		}
-		writeJSON(w, http.StatusOK, infos)
+		httpx.WriteJSON(w, http.StatusOK, infos)
 	})
 
 	mux.HandleFunc("GET /studies/{id}", func(w http.ResponseWriter, r *http.Request) {
 		h, ok := reg.Get(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, "no such study")
+			httpx.WriteError(w, http.StatusNotFound, "no such study")
 			return
 		}
-		writeJSON(w, http.StatusOK, h.Info())
+		httpx.WriteJSON(w, http.StatusOK, h.Info())
 	})
 
 	lifecycle := func(op func(*Handle) error) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			h, ok := reg.Get(r.PathValue("id"))
 			if !ok {
-				writeError(w, http.StatusNotFound, "no such study")
+				httpx.WriteError(w, http.StatusNotFound, "no such study")
 				return
 			}
 			if err := op(h); err != nil {
 				var te *TransitionError
 				if errors.As(err, &te) {
-					writeError(w, http.StatusConflict, err.Error())
+					httpx.WriteError(w, http.StatusConflict, err.Error())
 				} else {
-					writeError(w, http.StatusInternalServerError, err.Error())
+					httpx.WriteError(w, http.StatusInternalServerError, err.Error())
 				}
 				return
 			}
-			writeJSON(w, http.StatusOK, h.Info())
+			httpx.WriteJSON(w, http.StatusOK, h.Info())
 		}
 	}
 	mux.HandleFunc("POST /studies/{id}/pause", lifecycle((*Handle).Pause))
@@ -104,14 +97,14 @@ func Handler(reg *Registry, limiter *RateLimiter) http.Handler {
 	mux.HandleFunc("GET /studies/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		h, ok := reg.Get(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, "no such study")
+			httpx.WriteError(w, http.StatusNotFound, "no such study")
 			return
 		}
 		serveSSE(w, r, h)
 	})
 
 	mux.HandleFunc("GET /hooks", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, reg.HookStats())
+		httpx.WriteJSON(w, http.StatusOK, reg.HookStats())
 	})
 
 	mux.Handle("/metrics", obs.Handler(reg.opts.Metrics))
@@ -130,7 +123,7 @@ func Handler(reg *Registry, limiter *RateLimiter) http.Handler {
 func serveSSE(w http.ResponseWriter, r *http.Request, h *Handle) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		httpx.WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	var since uint64
@@ -141,7 +134,7 @@ func serveSSE(w http.ResponseWriter, r *http.Request, h *Handle) {
 	} else if v := r.URL.Query().Get("since"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad since parameter")
+			httpx.WriteError(w, http.StatusBadRequest, "bad since parameter")
 			return
 		}
 		since = n
@@ -159,20 +152,4 @@ func serveSSE(w http.ResponseWriter, r *http.Request, h *Handle) {
 		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, data)
 		flusher.Flush()
 	}
-}
-
-// writeJSON renders v as the response.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// writeError renders a JSON error body.
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

@@ -21,6 +21,21 @@ type Table4Row struct {
 	Rest           float64
 }
 
+// EligibilityRanks picks the Table 4 sample windows available in the
+// configured universe (the paper used ranks 1, 1,000, 10,000 and 100,000).
+func EligibilityRanks(p *sim.Pilot) []int {
+	var out []int
+	for _, r := range []int{1, 1000, 10000, 100000} {
+		if r+99 <= p.Cfg.Web.NumSites {
+			out = append(out, r)
+		}
+	}
+	if len(out) == 0 {
+		out = []int{1}
+	}
+	return out
+}
+
 // Table4 censuses 100-site windows starting at the given ranks,
 // classifying each site into the paper's mutually exclusive buckets.
 func Table4(p *sim.Pilot, startRanks []int) []Table4Row {

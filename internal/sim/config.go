@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"fmt"
 	"time"
 
 	"tripwire/internal/obs"
@@ -178,6 +179,18 @@ func DefaultConfig() Config {
 		CrawlerFaultRate:    0.18,
 		ReRegisterDetected:  true,
 	}
+}
+
+// ScaleConfig returns the preset a -scale flag names: "small"
+// (SmallConfig) or "paper" (DefaultConfig).
+func ScaleConfig(scale string) (Config, error) {
+	switch scale {
+	case "small":
+		return SmallConfig(), nil
+	case "paper":
+		return DefaultConfig(), nil
+	}
+	return Config{}, fmt.Errorf("unknown scale %q (want small or paper)", scale)
 }
 
 // SmallConfig scales everything down for tests and quick demos while

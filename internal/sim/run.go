@@ -143,7 +143,7 @@ func (p *Pilot) scheduleDisclosures() {
 		if d.After(p.Cfg.End) || d.Before(p.Cfg.Start) {
 			continue
 		}
-		p.Sched.At(d, "disclosure batch "+fmtDate(d), func(now time.Time) {
+		p.Sched.At(d, func(now time.Time) {
 			for _, det := range p.Monitor.Detections() {
 				if notified[det.Domain] {
 					continue
@@ -186,7 +186,7 @@ func (p *Pilot) scheduleControls() {
 	}
 	sort.Strings(emails)
 	for t := p.Cfg.Start.Add(p.Cfg.ControlLoginEvery); t.Before(p.Cfg.End); t = t.Add(p.Cfg.ControlLoginEvery) {
-		p.Sched.At(t, "control logins", func(now time.Time) {
+		p.Sched.At(t, func(now time.Time) {
 			for _, email := range emails {
 				p.Monitor.ExpectControlLogin(email)
 				_ = p.Provider.WebLogin(email, p.controlCreds[email], p.institutIP)
@@ -218,7 +218,7 @@ func (p *Pilot) scheduleBatches() {
 				wave = append(wave, rankAt{rank: rank, at: b.Start.Add(step * time.Duration(rank-b.FromRank))})
 			}
 			manual := b.Manual
-			p.Sched.At(wave[0].at, fmt.Sprintf("register ranks %d-%d (%s)", lo, hi, b.Name), func(now time.Time) {
+			p.Sched.At(wave[0].at, func(now time.Time) {
 				p.runWave(wave, manual, b.Name)
 			})
 		}
@@ -314,7 +314,7 @@ func (p *Pilot) scheduleDumps() {
 		if d.After(p.Cfg.End) {
 			continue
 		}
-		p.Sched.At(d, "provider dump "+fmtDate(d), func(now time.Time) {
+		p.Sched.At(d, func(now time.Time) {
 			events := p.Provider.DumpSince(p.lastDump)
 			newly := p.Monitor.Ingest(events)
 			for _, domain := range newly {
@@ -340,7 +340,7 @@ func (p *Pilot) reRegisterDetected(domains []string, now time.Time) {
 		if !ok || !site.Eligible() {
 			continue
 		}
-		p.Sched.After(30*24*time.Hour, "re-register "+domain, func(t time.Time) {
+		p.Sched.After(30*24*time.Hour, func(t time.Time) {
 			p.crawlOnce(site, identity.Hard)
 		})
 	}
@@ -355,7 +355,7 @@ func (p *Pilot) scheduleBreaches() {
 
 	for i := 0; i < p.Cfg.BreachRegistered; i++ {
 		at := p.Cfg.BreachWindowStart.Add(time.Duration(rng.Int63n(int64(window))))
-		p.Sched.At(at, "breach (registered site)", func(now time.Time) {
+		p.Sched.At(at, func(now time.Time) {
 			domain := p.pickBreachTarget(rng, breached, true)
 			if domain == "" {
 				return
@@ -366,7 +366,7 @@ func (p *Pilot) scheduleBreaches() {
 	}
 	for i := 0; i < p.Cfg.BreachUnregistered; i++ {
 		at := p.Cfg.BreachWindowStart.Add(time.Duration(rng.Int63n(int64(window))))
-		p.Sched.At(at, "breach (unregistered site)", func(now time.Time) {
+		p.Sched.At(at, func(now time.Time) {
 			domain := p.pickBreachTarget(rng, breached, false)
 			if domain == "" {
 				return

@@ -60,14 +60,14 @@ func buildToyTimeline(s *Scheduler, w *toyWorld, seed int64, keys int) {
 			}
 			if rng.Float64() < 0.8 {
 				d := time.Duration(1+rng.Intn(4)) * time.Hour
-				x.AfterKeyed(d, key, "follow", handler(key, depth+1))
+				x.AfterKeyed(d, key, handler(key, depth+1))
 			}
 			if rng.Float64() < 0.3 {
 				nk := uint64(1 + rng.Intn(keys))
 				// Delay 0 lands at the event's own timestamp: it must fire
 				// in a later epoch, after everything already pending there.
 				d := time.Duration(rng.Intn(3)) * time.Hour
-				x.AfterKeyed(d, nk, "cross", handler(nk, depth+1))
+				x.AfterKeyed(d, nk, handler(nk, depth+1))
 			}
 		}
 	}
@@ -75,13 +75,13 @@ func buildToyTimeline(s *Scheduler, w *toyWorld, seed int64, keys int) {
 	for i := 0; i < 4*keys; i++ {
 		key := uint64(1 + i%keys)
 		at := t0.Add(time.Duration(i%7) * time.Hour)
-		s.AtKeyed(at, key, "seed", handler(key, 0))
+		s.AtKeyed(at, key, handler(key, 0))
 	}
 	// Serial barrier events interleaved at shared timestamps: they must
 	// split segments without perturbing anything.
 	for i := 0; i < 6; i++ {
 		i := i
-		s.At(t0.Add(time.Duration(i)*time.Hour), "barrier", func(now time.Time) {
+		s.At(t0.Add(time.Duration(i)*time.Hour), func(now time.Time) {
 			w.record(0, fmt.Sprintf("barrier%d t%s", i, now.Format("15:04")))
 		})
 	}
@@ -149,12 +149,12 @@ func TestStarvationGuard(t *testing.T) {
 			order = append(order, fmt.Sprintf("requeue%d@%s", count, x.Now().Format("15:04")))
 			count++
 			if count < 5 {
-				x.AtKeyed(x.Now(), 7, "requeue", requeue) // same timestamp, again
+				x.AtKeyed(x.Now(), 7, requeue) // same timestamp, again
 			}
 		}
-		s.AtKeyed(at, 7, "requeue", requeue)
-		s.AtKeyed(at, 9, "other", func(x *Exec) { order = append(order, "other") })
-		s.At(at, "serial", func(time.Time) { order = append(order, "serial") })
+		s.AtKeyed(at, 7, requeue)
+		s.AtKeyed(at, 9, func(x *Exec) { order = append(order, "other") })
+		s.At(at, func(time.Time) { order = append(order, "serial") })
 		widths := drive(s, at)
 		// The first epoch is the three originally pending events; each
 		// requeue then forms its own width-1 epoch at the same timestamp.
@@ -205,16 +205,16 @@ func TestEpochSerialEventsAreBarriers(t *testing.T) {
 		mu.Unlock()
 	}
 	for i := 0; i < 8; i++ {
-		s.AtKeyed(at, uint64(1+i), fmt.Sprintf("pre%d", i), func(x *Exec) { mark("pre") })
+		s.AtKeyed(at, uint64(1+i), func(x *Exec) { mark("pre") })
 	}
 	var sawPre, sawPost bool
-	s.At(at, "barrier", func(time.Time) {
+	s.At(at, func(time.Time) {
 		mu.Lock()
 		sawPre, sawPost = done["pre"], done["post"]
 		mu.Unlock()
 	})
 	for i := 0; i < 8; i++ {
-		s.AtKeyed(at, uint64(1+i), fmt.Sprintf("post%d", i), func(x *Exec) { mark("post") })
+		s.AtKeyed(at, uint64(1+i), func(x *Exec) { mark("post") })
 	}
 	ex := &Epochs{Sched: s, Workers: 8}
 	defer ex.Close()
@@ -232,9 +232,9 @@ func TestEpochObserveStats(t *testing.T) {
 	s := NewScheduler(New(t0))
 	at := t0.Add(time.Hour)
 	for i := 0; i < 12; i++ {
-		s.AtKeyed(at, uint64(1+i%4), "k", func(x *Exec) {})
+		s.AtKeyed(at, uint64(1+i%4), func(x *Exec) {})
 	}
-	s.At(at, "serial", func(time.Time) {})
+	s.At(at, func(time.Time) {})
 	var stats []EpochStats
 	ex := &Epochs{Sched: s, Workers: 8, Observe: func(st EpochStats) { stats = append(stats, st) }}
 	defer ex.Close()
@@ -274,13 +274,13 @@ func TestEpochExecutorRaceHammer(t *testing.T) {
 			w.record(key, fmt.Sprintf("k%02d %04d", key, counters[key]))
 			rng := xrand.New(xrand.Mix(3, int64(x.Seq()), 2))
 			if depth < 6 && rng.Float64() < 0.85 {
-				x.AfterKeyed(time.Duration(rng.Intn(5))*time.Hour, key, "f", handler(key, depth+1))
+				x.AfterKeyed(time.Duration(rng.Intn(5))*time.Hour, key, handler(key, depth+1))
 			}
 		}
 	}
 	for i := 0; i < 256; i++ {
 		key := uint64(1 + i%64)
-		s.AtKeyed(start.Add(time.Duration(i%5)*time.Hour), key, "seed", handler(key, 0))
+		s.AtKeyed(start.Add(time.Duration(i%5)*time.Hour), key, handler(key, 0))
 	}
 	events := 0
 	ex := &Epochs{Sched: s, Workers: 8, Sequencers: []Sequencer{w}, Observe: func(st EpochStats) { events += st.Width }}

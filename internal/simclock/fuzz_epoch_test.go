@@ -31,15 +31,15 @@ func buildFuzzTimeline(s *Scheduler, w *toyWorld, data []byte) int {
 				// Delay 0 reschedules at the event's own timestamp: the
 				// requeue must land in a later epoch at the same time.
 				d := time.Duration(rng.Intn(3)) * time.Hour
-				x.AtKeyed(x.Now().Add(d), key, "self", keyed(key, depth+1))
+				x.AtKeyed(x.Now().Add(d), key, keyed(key, depth+1))
 			}
 			if rng.Float64() < 0.4 {
 				nk := uint64(rng.Intn(9)) // 0 = exclusive
-				x.AtKeyed(x.Now().Add(time.Duration(1+rng.Intn(5))*time.Hour), nk, "cross", keyed(nk, depth+1))
+				x.AtKeyed(x.Now().Add(time.Duration(1+rng.Intn(5))*time.Hour), nk, keyed(nk, depth+1))
 			}
 			if rng.Float64() < 0.2 {
 				from := x.Seq()
-				x.After(time.Duration(rng.Intn(4))*time.Hour, "serial", func(now time.Time) {
+				x.After(time.Duration(rng.Intn(4))*time.Hour, func(now time.Time) {
 					w.record(0, fmt.Sprintf("serial-from-%05d t%s", from, now.Format("01-02 15:04")))
 				})
 			}
@@ -52,11 +52,11 @@ func buildFuzzTimeline(s *Scheduler, w *toyWorld, data []byte) int {
 		at := t0.Add(time.Duration(data[i+2]%12) * time.Hour)
 		if kind == 0 {
 			i := i
-			s.At(at, "serial", func(now time.Time) {
+			s.At(at, func(now time.Time) {
 				w.record(0, fmt.Sprintf("serial%d t%s", i, now.Format("01-02 15:04")))
 			})
 		} else {
-			s.AtKeyed(at, key, "seed", keyed(key, 0))
+			s.AtKeyed(at, key, keyed(key, 0))
 		}
 		n++
 	}

@@ -67,9 +67,8 @@ func (c *Clock) AdvanceTo(t time.Time) {
 // carry a conflict key; the epoch executor may run keyed events with
 // different keys concurrently, while events sharing a key stay ordered.
 type Event struct {
-	At   time.Time
-	Name string
-	Fn   func(now time.Time)
+	At time.Time
+	Fn func(now time.Time)
 
 	// KFn is the keyed callback. It receives an execution context instead
 	// of a bare timestamp so that events it schedules are sequenced
@@ -176,26 +175,26 @@ func (s *Scheduler) popFrontier(dst []*Event) ([]*Event, time.Time) {
 // At schedules fn to run at t. Scheduling in the past is allowed (the event
 // fires immediately on the next Run step at the current clock time); this
 // mirrors how a backlog of provider login dumps is processed on arrival.
-func (s *Scheduler) At(t time.Time, name string, fn func(now time.Time)) *Event {
-	return s.push(&Event{At: t, Name: name, Fn: fn})
+func (s *Scheduler) At(t time.Time, fn func(now time.Time)) *Event {
+	return s.push(&Event{At: t, Fn: fn})
 }
 
 // After schedules fn to run d after the current virtual time.
-func (s *Scheduler) After(d time.Duration, name string, fn func(now time.Time)) *Event {
-	return s.At(s.clock.Now().Add(d), name, fn)
+func (s *Scheduler) After(d time.Duration, fn func(now time.Time)) *Event {
+	return s.At(s.clock.Now().Add(d), fn)
 }
 
 // AtKeyed schedules a keyed event at t. Events with the same key are
 // guaranteed to run in schedule order even under the epoch executor;
 // events with different keys may run concurrently when their timestamps
 // coincide. Key 0 makes the event exclusive.
-func (s *Scheduler) AtKeyed(t time.Time, key uint64, name string, fn func(*Exec)) *Event {
-	return s.push(&Event{At: t, Name: name, KFn: fn, Key: key})
+func (s *Scheduler) AtKeyed(t time.Time, key uint64, fn func(*Exec)) *Event {
+	return s.push(&Event{At: t, KFn: fn, Key: key})
 }
 
 // AfterKeyed schedules a keyed event d after the current virtual time.
-func (s *Scheduler) AfterKeyed(d time.Duration, key uint64, name string, fn func(*Exec)) *Event {
-	return s.AtKeyed(s.clock.Now().Add(d), key, name, fn)
+func (s *Scheduler) AfterKeyed(d time.Duration, key uint64, fn func(*Exec)) *Event {
+	return s.AtKeyed(s.clock.Now().Add(d), key, fn)
 }
 
 // Cancel removes ev from the queue. Cancelling an already-fired or
@@ -331,23 +330,23 @@ func (x *Exec) add(ev *Event) {
 }
 
 // At schedules a serial event at t.
-func (x *Exec) At(t time.Time, name string, fn func(now time.Time)) {
-	x.add(&Event{At: t, Name: name, Fn: fn})
+func (x *Exec) At(t time.Time, fn func(now time.Time)) {
+	x.add(&Event{At: t, Fn: fn})
 }
 
 // After schedules a serial event d after the event's own time.
-func (x *Exec) After(d time.Duration, name string, fn func(now time.Time)) {
-	x.At(x.now.Add(d), name, fn)
+func (x *Exec) After(d time.Duration, fn func(now time.Time)) {
+	x.At(x.now.Add(d), fn)
 }
 
 // AtKeyed schedules a keyed event at t.
-func (x *Exec) AtKeyed(t time.Time, key uint64, name string, fn func(*Exec)) {
-	x.add(&Event{At: t, Name: name, KFn: fn, Key: key})
+func (x *Exec) AtKeyed(t time.Time, key uint64, fn func(*Exec)) {
+	x.add(&Event{At: t, KFn: fn, Key: key})
 }
 
 // AfterKeyed schedules a keyed event d after the event's own time.
-func (x *Exec) AfterKeyed(d time.Duration, key uint64, name string, fn func(*Exec)) {
-	x.AtKeyed(x.now.Add(d), key, name, fn)
+func (x *Exec) AfterKeyed(d time.Duration, key uint64, fn func(*Exec)) {
+	x.AtKeyed(x.now.Add(d), key, fn)
 }
 
 // eventQueue is a min-heap over (At, seq). It implements the sift

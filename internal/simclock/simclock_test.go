@@ -43,9 +43,9 @@ func TestClockAdvanceToIsMonotonic(t *testing.T) {
 func TestSchedulerFiresInTimeOrder(t *testing.T) {
 	s := NewScheduler(New(t0))
 	var got []string
-	s.At(t0.Add(3*time.Hour), "c", func(time.Time) { got = append(got, "c") })
-	s.At(t0.Add(1*time.Hour), "a", func(time.Time) { got = append(got, "a") })
-	s.At(t0.Add(2*time.Hour), "b", func(time.Time) { got = append(got, "b") })
+	s.At(t0.Add(3*time.Hour), func(time.Time) { got = append(got, "c") })
+	s.At(t0.Add(1*time.Hour), func(time.Time) { got = append(got, "a") })
+	s.At(t0.Add(2*time.Hour), func(time.Time) { got = append(got, "b") })
 	if n := s.Run(100); n != 3 {
 		t.Fatalf("Run fired %d events, want 3", n)
 	}
@@ -63,7 +63,7 @@ func TestSchedulerTieBreakIsFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(at, "tie", func(time.Time) { got = append(got, i) })
+		s.At(at, func(time.Time) { got = append(got, i) })
 	}
 	s.Run(100)
 	if !sort.IntsAreSorted(got) {
@@ -75,7 +75,7 @@ func TestSchedulerRunUntil(t *testing.T) {
 	s := NewScheduler(New(t0))
 	fired := 0
 	for i := 1; i <= 10; i++ {
-		s.At(t0.Add(time.Duration(i)*time.Hour), "e", func(time.Time) { fired++ })
+		s.At(t0.Add(time.Duration(i)*time.Hour), func(time.Time) { fired++ })
 	}
 	n := s.RunUntil(t0.Add(5 * time.Hour))
 	if n != 5 || fired != 5 {
@@ -101,7 +101,7 @@ func TestSchedulerRunUntilAdvancesToDeadlineWhenEmpty(t *testing.T) {
 func TestSchedulerCancel(t *testing.T) {
 	s := NewScheduler(New(t0))
 	fired := false
-	ev := s.At(t0.Add(time.Hour), "x", func(time.Time) { fired = true })
+	ev := s.At(t0.Add(time.Hour), func(time.Time) { fired = true })
 	if !s.Cancel(ev) {
 		t.Fatal("Cancel returned false for pending event")
 	}
@@ -121,10 +121,10 @@ func TestSchedulerEventsMaySchedule(t *testing.T) {
 	tick = func(now time.Time) {
 		count++
 		if count < 5 {
-			s.After(time.Hour, "tick", tick)
+			s.After(time.Hour, tick)
 		}
 	}
-	s.After(time.Hour, "tick", tick)
+	s.After(time.Hour, tick)
 	s.Run(100)
 	if count != 5 {
 		t.Fatalf("self-scheduling chain ran %d times, want 5", count)
@@ -137,8 +137,8 @@ func TestSchedulerEventsMaySchedule(t *testing.T) {
 func TestSchedulerRunawayGuard(t *testing.T) {
 	s := NewScheduler(New(t0))
 	var loop func(now time.Time)
-	loop = func(now time.Time) { s.After(time.Second, "loop", loop) }
-	s.After(time.Second, "loop", loop)
+	loop = func(now time.Time) { s.After(time.Second, loop) }
+	s.After(time.Second, loop)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected runaway-schedule panic")
@@ -152,7 +152,7 @@ func TestSchedulerPastEventFiresAtCurrentTime(t *testing.T) {
 	c.Advance(10 * time.Hour)
 	s := NewScheduler(c)
 	var at time.Time
-	s.At(t0, "backlog", func(now time.Time) { at = now })
+	s.At(t0, func(now time.Time) { at = now })
 	s.Run(10)
 	if !at.Equal(t0.Add(10 * time.Hour)) {
 		t.Fatalf("past event saw now=%v, want current clock", at)
@@ -166,7 +166,7 @@ func TestQuickFiringOrderMonotonic(t *testing.T) {
 		var fired []time.Time
 		for _, off := range offsets {
 			at := t0.Add(time.Duration(off) * time.Second)
-			s.At(at, "e", func(now time.Time) { fired = append(fired, now) })
+			s.At(at, func(now time.Time) { fired = append(fired, now) })
 		}
 		s.Run(len(offsets) + 1)
 		for i := 1; i < len(fired); i++ {

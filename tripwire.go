@@ -366,7 +366,7 @@ func (s *Study) Summary() string {
 	b.WriteString("\n== Table 3: Login activity for compromised accounts ==\n")
 	b.WriteString(report.RenderTable3(report.Table3(p)))
 	b.WriteString("\n== Table 4: Registration eligibility by rank ==\n")
-	b.WriteString(report.RenderTable4(report.Table4(p, eligibilityRanks(p))))
+	b.WriteString(report.RenderTable4(report.Table4(p, report.EligibilityRanks(p))))
 	b.WriteString("\n== Figure 1: Crawler termination codes ==\n")
 	b.WriteString(report.RenderFig1(report.Fig1(p)))
 	b.WriteString("\n== Figure 2: Registration and login timeline ==\n")
@@ -380,19 +380,4 @@ func (s *Study) Summary() string {
 	b.WriteString("\n== Section 6.4: Attacker behaviour ==\n")
 	b.WriteString(report.RenderSec64(report.Sec64(p)))
 	return b.String()
-}
-
-// eligibilityRanks picks the Table 4 sample windows available in the
-// configured universe (the paper used ranks 1, 1,000, 10,000 and 100,000).
-func eligibilityRanks(p *sim.Pilot) []int {
-	var out []int
-	for _, r := range []int{1, 1000, 10000, 100000} {
-		if r+99 <= p.Cfg.Web.NumSites {
-			out = append(out, r)
-		}
-	}
-	if len(out) == 0 {
-		out = []int{1}
-	}
-	return out
 }
