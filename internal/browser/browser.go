@@ -29,12 +29,19 @@ import (
 	"tripwire/internal/htmldom"
 )
 
-// Page is one fetched and parsed document.
+// Page is one fetched and parsed document. Forms and Links share one walk
+// of the DOM, made by whichever is called first; like its Client, a Page
+// belongs to one goroutine at a time.
 type Page struct {
 	URL        *url.URL // final URL after redirects
 	StatusCode int
 	Raw        string
 	DOM        *htmldom.Node
+
+	// forms and anchors are the page's form and a elements in document
+	// order, collected once walked is set.
+	forms, anchors []*htmldom.Node
+	walked         bool
 }
 
 // Link is an anchor on a page with its resolved destination.
@@ -45,9 +52,13 @@ type Link struct {
 }
 
 // Client is a headless browser session. Construct with New; the zero value
-// is not usable.
+// is not usable. It calls its http.RoundTripper itself, one call per
+// request hop, and follows redirects and keeps cookies the way net/http's
+// client does.
 type Client struct {
-	hc *http.Client
+	rt http.RoundTripper
+	// jar holds the session's cookies; nil until a response sets one.
+	jar *cookiejar.Jar
 	// UserAgent is sent on every request.
 	UserAgent string
 	// MaxBodyBytes caps how much of a response body is read.
@@ -69,27 +80,26 @@ type Client struct {
 type Option func(*Client)
 
 // WithTransport sets the underlying RoundTripper (e.g. an in-process
-// handler transport or a proxy-bound transport).
+// handler transport or a proxy-bound transport). A nil rt means
+// http.DefaultTransport.
 func WithTransport(rt http.RoundTripper) Option {
-	return func(c *Client) { c.hc.Transport = rt }
+	return func(c *Client) { c.rt = rt }
 }
 
-// New returns a browser session with a fresh cookie jar. The client owns
+// New returns a browser session with an empty cookie jar. The client owns
 // the storage its pages are parsed into, and keeps every page it loads
 // until Release: a long-lived client calls Release once it is done with a
 // page, or it holds every page it ever parsed.
 func New(opts ...Option) *Client {
-	jar, err := cookiejar.New(nil)
-	if err != nil {
-		panic(err) // cookiejar.New with nil options cannot fail
-	}
 	c := &Client{
-		hc:           &http.Client{Jar: jar},
 		UserAgent:    "Mozilla/5.0 (compatible; tripwire-crawler/1.0)",
 		MaxBodyBytes: 4 << 20,
 	}
 	for _, o := range opts {
 		o(c)
+	}
+	if c.rt == nil {
+		c.rt = http.DefaultTransport
 	}
 	return c
 }
@@ -197,7 +207,7 @@ func (c *Client) do(req *http.Request) (*Page, error) {
 	}
 	req.Header["User-Agent"] = c.uaValue
 	c.pageLoads++
-	resp, err := c.hc.Do(req)
+	resp, final, err := c.fetch(req)
 	if err != nil {
 		return nil, fmt.Errorf("browser: fetch %s: %w", req.URL, err)
 	}
@@ -210,11 +220,101 @@ func (c *Client) do(req *http.Request) (*Page, error) {
 		c.arena = c.pool.get()
 	}
 	return &Page{
-		URL:        resp.Request.URL,
+		URL:        final,
 		StatusCode: resp.StatusCode,
 		Raw:        raw,
 		DOM:        c.arena.Parse(raw),
 	}, nil
+}
+
+// maxRedirects is net/http's default redirect policy: the tenth redirect
+// in a row fails the fetch.
+const maxRedirects = 10
+
+// fetch sends req and follows its redirects by net/http's rules: a 301,
+// 302 or 303 turns a request other than GET or HEAD into a GET without a
+// body, a 307 or 308 repeats the method and replays the body through
+// GetBody, and a redirect hop carries the headers the browser set on the
+// first request plus a Referer. It returns the last response and the URL
+// that produced it.
+func (c *Client) fetch(req *http.Request) (*http.Response, *url.URL, error) {
+	first, keepBody := req, true
+	for sent := 1; ; sent++ {
+		resp, err := c.send(req)
+		if err != nil {
+			return nil, nil, err
+		}
+		method, withBody, redirect := redirectBehavior(req.Method, resp.StatusCode)
+		loc := resp.Header.Get("Location")
+		if !redirect || loc == "" {
+			return resp, req.URL, nil
+		}
+		keepBody = keepBody && withBody
+		resp.Body.Close()
+		u, err := req.URL.Parse(loc)
+		if err != nil {
+			return nil, nil, fmt.Errorf("failed to parse Location header %q: %v", loc, err)
+		}
+		if sent >= maxRedirects {
+			return nil, nil, fmt.Errorf("stopped after %d redirects", maxRedirects)
+		}
+		next := &http.Request{Method: method, URL: u, Header: make(http.Header, 3), Response: resp}
+		if keepBody && first.GetBody != nil {
+			if next.Body, err = first.GetBody(); err != nil {
+				return nil, nil, err
+			}
+			next.ContentLength = first.ContentLength
+		}
+		for _, k := range [...]string{"User-Agent", "Content-Type"} {
+			if v, ok := first.Header[k]; ok {
+				next.Header[k] = v
+			}
+		}
+		if req.URL.Scheme != "https" || u.Scheme != "http" {
+			ref := *req.URL
+			ref.User = nil
+			next.Header["Referer"] = []string{ref.String()}
+		}
+		req = next
+	}
+}
+
+// redirectBehavior reports how a response with the given status to a
+// request with method is followed, as net/http decides it: the next hop's
+// method, whether it keeps the body, and whether to follow at all. Every
+// request the browser sends with a body can replay it through GetBody.
+func redirectBehavior(method string, status int) (next string, withBody, redirect bool) {
+	switch status {
+	case 301, 302, 303:
+		if method != http.MethodGet && method != http.MethodHead {
+			method = http.MethodGet
+		}
+		return method, false, true
+	case 307, 308:
+		return method, true, true
+	}
+	return method, false, false
+}
+
+// send makes one request hop: it adds the jar's cookies for the hop's URL,
+// calls the transport and keeps the cookies the response sets.
+func (c *Client) send(req *http.Request) (*http.Response, error) {
+	if c.jar != nil {
+		for _, ck := range c.jar.Cookies(req.URL) {
+			req.AddCookie(ck)
+		}
+	}
+	resp, err := c.rt.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	if rc := resp.Cookies(); len(rc) > 0 {
+		if c.jar == nil {
+			c.jar, _ = cookiejar.New(nil) // cannot fail with nil options
+		}
+		c.jar.SetCookies(req.URL, rc)
+	}
+	return resp, nil
 }
 
 // readBody drains the response body, capped at limit bytes. When the
@@ -237,19 +337,70 @@ func readBody(resp *http.Response, limit int64) (string, error) {
 
 // Links returns every anchor on the page with a resolvable href.
 func (p *Page) Links() []Link {
+	p.walk()
 	var out []Link
-	for _, a := range p.DOM.ElementsByTag("a") {
+	for _, a := range p.anchors {
 		href, ok := a.Attr("href")
 		if !ok || href == "" || strings.HasPrefix(href, "javascript:") || strings.HasPrefix(href, "#") {
 			continue
 		}
-		u, err := p.URL.Parse(href)
+		u, err := resolve(p.URL, href)
 		if err != nil {
 			continue
+		}
+		if out == nil {
+			out = make([]Link, 0, len(p.anchors))
 		}
 		out = append(out, Link{URL: u, Text: a.Text(), Node: a})
 	}
 	return out
+}
+
+// walk collects the page's form and a elements in one pass over the DOM.
+func (p *Page) walk() {
+	if p.walked {
+		return
+	}
+	p.walked = true
+	p.DOM.Walk(func(n *htmldom.Node) bool {
+		if n.Type == htmldom.ElementNode {
+			switch n.Tag {
+			case "form":
+				p.forms = append(p.forms, n)
+			case "a":
+				p.anchors = append(p.anchors, n)
+			}
+		}
+		return true
+	})
+}
+
+// resolve returns base.Parse(href) without parsing a plain path: href is
+// plain when it is a single '/' followed by ASCII letters, digits, '-' and
+// '_' in segments joined by single '/'. Parse resolves such an href to
+// base's scheme, user and host with href as the path and nothing else set;
+// every other href, with dots, escapes, a query, a fragment, a scheme or
+// an authority, goes through Parse.
+func resolve(base *url.URL, href string) (*url.URL, error) {
+	if !plainPath(href) {
+		return base.Parse(href)
+	}
+	return &url.URL{Scheme: base.Scheme, User: base.User, Host: base.Host, Path: href}, nil
+}
+
+func plainPath(s string) bool {
+	if s == "" || s[0] != '/' {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '-', c == '_':
+		case c == '/' && s[i-1] != '/':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // Title returns the page's <title> text.

@@ -149,6 +149,50 @@ func TestFormExtraction(t *testing.T) {
 	}
 }
 
+// Forms are listed in document order and a control inside nested forms
+// belongs to every enclosing form. A form finds label-for text only within
+// its own subtree: the inner form does not see the outer form's label for
+// b. An anchor inside a form is still a link.
+func TestNestedForms(t *testing.T) {
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `<html><body>
+			<form id="outer" action="/outer" method="POST">
+			<input name="a" id="a"><label for="b">Bee</label>
+			<form id="inner" action="inner/x?y=1" method="get">
+			<input name="b" id="b"><label for="a">Ay</label><a href="/in-form">in form</a>
+			</form>
+			<textarea name="c">text</textarea>
+			</form>
+			<form action="/last" method="pOsT"><select name="s"><option>o1</option></select></form>
+			</body></html>`)
+	})
+	c := New(WithTransport(&HandlerTransport{Handler: h}))
+	p, err := c.Get("http://site.test/dir/page")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range p.Forms() {
+		var fields []string
+		for _, fld := range f.Fields {
+			fields = append(fields, fld.Name+"="+fld.Label)
+		}
+		got = append(got, fmt.Sprintf("%s %s %s [%s]", f.Node.ID(), f.Method, f.Action, strings.Join(fields, " ")))
+	}
+	links := p.Links()
+	if len(links) != 1 || links[0].URL.String() != "http://site.test/in-form" {
+		t.Fatalf("links = %v", links)
+	}
+	want := []string{
+		"outer POST http://site.test/outer [a=Ay b=Bee c=]",
+		"inner GET http://site.test/dir/inner/x?y=1 [b=]",
+		" POST http://site.test/last [s=]",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("forms:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestFieldContext(t *testing.T) {
 	c := testClient()
 	p, _ := c.Get("http://site.test/form")

@@ -39,46 +39,60 @@ type Form struct {
 // Forms extracts every form on the page, resolving actions against the
 // page URL and associating labels with controls the way a rendering engine
 // would: <label for=id>, wrapping <label>, or the nearest preceding label
-// in the same container.
+// in the same container. A control inside nested forms belongs to each.
 func (p *Page) Forms() []*Form {
-	var out []*Form
-	for _, f := range p.DOM.ElementsByTag("form") {
-		form := &Form{Node: f, Method: strings.ToUpper(f.AttrOr("method", "GET"))}
-		if form.Method != "POST" {
-			form.Method = "GET"
-		}
-		action := f.AttrOr("action", "")
-		if u, err := p.URL.Parse(action); err == nil {
-			form.Action = u
-		} else {
-			form.Action = p.URL
-		}
-		labelFor := labelIndex(f)
-		f.Walk(func(n *htmldom.Node) bool {
-			switch n.Tag {
-			case "input", "select", "textarea":
-				form.Fields = append(form.Fields, makeField(n, labelFor))
-			}
-			return true
-		})
-		out = append(out, form)
+	p.walk()
+	if len(p.forms) == 0 {
+		return nil
+	}
+	forms := make([]Form, len(p.forms))
+	out := make([]*Form, len(p.forms))
+	for i, f := range p.forms {
+		out[i] = &forms[i]
+		p.fillForm(out[i], f)
 	}
 	return out
 }
 
-// labelIndex maps control ids to label text within a form.
-func labelIndex(form *htmldom.Node) map[string]string {
-	idx := make(map[string]string)
-	for _, l := range form.ElementsByTag("label") {
-		if id, ok := l.Attr("for"); ok && id != "" {
-			idx[id] = l.Text()
-		}
+// fillForm builds form from the <form> element f in one pass over f's
+// subtree, which collects its controls and its <label for=> elements.
+func (p *Page) fillForm(form *Form, f *htmldom.Node) {
+	form.Node = f
+	form.Method = "GET"
+	if strings.EqualFold(f.AttrOr("method", "GET"), "POST") {
+		form.Method = "POST"
 	}
-	return idx
+	if u, err := resolve(p.URL, f.AttrOr("action", "")); err == nil {
+		form.Action = u
+	} else {
+		form.Action = p.URL
+	}
+	var ctrlBuf, labelBuf [32]*htmldom.Node
+	controls, labels := ctrlBuf[:0], labelBuf[:0]
+	f.Walk(func(n *htmldom.Node) bool {
+		switch n.Tag {
+		case "input", "select", "textarea":
+			controls = append(controls, n)
+		case "label":
+			if id, ok := n.Attr("for"); ok && id != "" {
+				labels = append(labels, n)
+			}
+		}
+		return true
+	})
+	if len(controls) == 0 {
+		return
+	}
+	form.Fields = make([]Field, len(controls))
+	for i, n := range controls {
+		makeField(&form.Fields[i], n, labels)
+	}
 }
 
-func makeField(n *htmldom.Node, labelFor map[string]string) Field {
-	fld := Field{
+// makeField fills fld from the control n; labels are the form's <label
+// for=> elements in document order.
+func makeField(fld *Field, n *htmldom.Node, labels []*htmldom.Node) {
+	*fld = Field{
 		Node:        n,
 		Tag:         n.Tag,
 		Type:        strings.ToLower(n.AttrOr("type", "text")),
@@ -97,11 +111,15 @@ func makeField(n *htmldom.Node, labelFor map[string]string) Field {
 		fld.Type = "textarea"
 		fld.Value = n.Text()
 	}
-	// Label discovery: explicit for=, wrapping label, else nearest
-	// preceding label/text in the same paragraph-ish container.
+	// Label discovery: explicit for= (the last such label wins), wrapping
+	// label, else nearest preceding label/text in the same paragraph-ish
+	// container.
 	if id := n.ID(); id != "" {
-		if txt, ok := labelFor[id]; ok {
-			fld.Label = txt
+		for i := len(labels) - 1; i >= 0; i-- {
+			if labels[i].AttrOr("for", "") == id {
+				fld.Label = labels[i].Text()
+				break
+			}
 		}
 	}
 	if fld.Label == "" {
@@ -112,7 +130,6 @@ func makeField(n *htmldom.Node, labelFor map[string]string) Field {
 	if fld.Label == "" {
 		fld.Label = nearestLabelText(n)
 	}
-	return fld
 }
 
 // nearestLabelText walks backwards among siblings (and up one level) for

@@ -91,8 +91,8 @@ func (r *recorder) WriteString(s string) (int, error) {
 // Read serves the response body.
 func (r *recorder) Read(p []byte) (int, error) { return r.reader.Read(p) }
 
-// Close returns the recorder to the pool. Idempotent against the
-// double-close an http.Client error path can produce.
+// Close returns the recorder to the pool. It is idempotent, so a caller
+// that closes a body twice cannot hand one recorder out twice.
 func (r *recorder) Close() error {
 	if !r.released {
 		r.released = true
@@ -184,9 +184,10 @@ func (t *ProxyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		t.debt += slept - t.Latency
 		t.mu.Unlock()
 	}
-	// The request is browser-owned: Client.do builds a fresh one per fetch
-	// and nothing else holds a reference, so the header can be stamped in
-	// place instead of cloning the map (and its value slices) per page.
+	// The request is browser-owned: the Client builds a fresh one per
+	// request hop and nothing else holds a reference, so the header can be
+	// stamped in place instead of cloning the map (and its value slices)
+	// per page.
 	req.Header.Set("X-Forwarded-For", ip.String())
 	return t.Base.RoundTrip(req)
 }

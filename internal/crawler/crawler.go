@@ -139,7 +139,25 @@ type Crawler struct {
 	// Metrics, when non-nil, receives one observation per finished attempt.
 	// Recording is atomic-only and never alters attempt outcomes.
 	Metrics *Metrics
+
+	links linkMemo
 }
+
+// linkMemo memoizes scoreLink by (anchor text, URL path). A link's score is
+// a pure function of those two strings and the crawler's Packs, which never
+// change, so a hit returns exactly what scoring would; sites share their
+// navigation links, so a crawl scores each distinct link once. The memo
+// belongs to one crawler because crawlers with different Packs score the
+// same link differently. The two-level map keeps hits allocation-free.
+type linkMemo struct {
+	sync.RWMutex
+	m map[string]map[string]float64
+	n int
+}
+
+// linkMemoMax bounds the memo; on overflow it starts over, like the
+// classify memo.
+const linkMemoMax = 1 << 13
 
 // Env carries the per-attempt dependencies that would otherwise be shared
 // crawler state. The parallel crawl engine derives every member from
@@ -412,10 +430,40 @@ func (c *Crawler) searchForForm(env *Env, b *browser.Client, res *Result) (*brow
 }
 
 // scoreLink combines the base English rules with any configured language
-// packs. Link text and path are lowered once, here, for every rule set.
+// packs, through the crawler's link memo.
 func (c *Crawler) scoreLink(l browser.Link) float64 {
-	text := strings.ToLower(l.Text)
-	path := strings.ToLower(l.URL.Path)
+	text, path := l.Text, l.URL.Path
+	c.links.RLock()
+	s, ok := c.links.m[text][path]
+	c.links.RUnlock()
+	if ok {
+		return s
+	}
+	s = c.scoreLinkUncached(text, path)
+	c.links.Lock()
+	if c.links.m == nil || c.links.n >= linkMemoMax {
+		c.links.m = make(map[string]map[string]float64)
+		c.links.n = 0
+	}
+	inner := c.links.m[text]
+	if inner == nil {
+		inner = make(map[string]float64)
+		c.links.m[text] = inner
+	}
+	if _, dup := inner[path]; !dup {
+		// The path may alias the page's markup; a copy keeps the memo from
+		// holding the whole page.
+		inner[strings.Clone(path)] = s
+		c.links.n++
+	}
+	c.links.Unlock()
+	return s
+}
+
+// scoreLinkUncached scores a link's text and path. Both are lowered once,
+// here, for every rule set.
+func (c *Crawler) scoreLinkUncached(text, path string) float64 {
+	text, path = strings.ToLower(text), strings.ToLower(path)
 	s := scoreRegistrationLinkLower(text, path)
 	for _, p := range c.cfg.Packs {
 		s += score(p.linkText, text) + score(p.linkHref, path)

@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"net/url"
 	"strings"
 	"testing"
 
@@ -142,5 +143,36 @@ func TestPacksDoNotBreakEnglishSites(t *testing.T) {
 	res := New(cfg, nil).Register(b, "http://"+site.Domain+"/", identity.NewGenerator("bigmail.test", 18).New(identity.Hard))
 	if res.Code != CodeOKSubmission {
 		t.Fatalf("fully extended crawler regressed on a clean English site: %v (%s)", res.Code, res.Detail)
+	}
+}
+
+// The link memo belongs to one crawler: an English-only crawler and one
+// with language packs score the same Chinese registration link
+// differently, whichever scores it first and however often.
+func TestLinkMemoPerCrawlerPacks(t *testing.T) {
+	u, err := url.Parse("http://zh.test/zhuce")
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := browser.Link{URL: u, Text: "注册"}
+	english := DefaultConfig()
+	withPacks := DefaultConfig()
+	withPacks.Packs = BuiltinPacks()
+	for _, packsFirst := range []bool{false, true} {
+		crawlers := []*Crawler{New(english, nil), New(withPacks, nil)}
+		if packsFirst {
+			crawlers[0], crawlers[1] = crawlers[1], crawlers[0]
+		}
+		for pass := 0; pass < 2; pass++ {
+			for _, c := range crawlers {
+				got := c.scoreLink(link)
+				if want := c.scoreLinkUncached(link.Text, u.Path); got != want {
+					t.Fatalf("packs=%d pass %d: memoized score %v, scoring gives %v", len(c.cfg.Packs), pass, got, want)
+				}
+				if found := got >= c.cfg.MinLinkScore; found != (len(c.cfg.Packs) > 0) {
+					t.Fatalf("packs=%d pass %d: score %v", len(c.cfg.Packs), pass, got)
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package emailprovider
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -26,6 +28,9 @@ type loginRing struct {
 	// invalidate the marked index, and mid-segment content is not yet
 	// deterministically ordered.
 	inSegment bool
+	// order and sorted are seal's sort buffers, kept between segments.
+	order  []*LoginEvent
+	sorted []LoginEvent
 }
 
 // at returns the i-th oldest stored event. Callers hold mu and guarantee
@@ -162,19 +167,30 @@ func (r *loginRing) seal() {
 	if r.n-m < 2 {
 		return
 	}
-	blk := make([]LoginEvent, r.n-m)
+	// Sort pointers to the block's events, then copy the events out in
+	// that order and back: a swap moves a pointer, not an event.
+	order := r.order[:0]
 	for i := m; i < r.n; i++ {
-		blk[i-m] = *r.at(i)
+		order = append(order, r.at(i))
 	}
-	sort.SliceStable(blk, func(a, b int) bool {
-		if !blk[a].Time.Equal(blk[b].Time) {
-			return blk[a].Time.Before(blk[b].Time)
+	slices.SortStableFunc(order, func(a, b *LoginEvent) int {
+		if c := a.Time.Compare(b.Time); c != 0 {
+			return c
 		}
-		return blk[a].Account < blk[b].Account
+		return strings.Compare(a.Account, b.Account)
 	})
+	blk := r.sorted[:0]
+	for _, ev := range order {
+		blk = append(blk, *ev)
+	}
 	for i := range blk {
 		*r.at(m + i) = blk[i]
 	}
+	// Keep both buffers for the next segment, but not the buffer and
+	// strings they point at.
+	clear(order)
+	clear(blk)
+	r.order, r.sorted = order[:0], blk[:0]
 }
 
 // takeSpill detaches and returns the oldest prefix when the ring holds

@@ -22,15 +22,23 @@ type SubmitRequest struct {
 	// Seed overrides the preset's master seed.
 	Seed *int64 `json:"seed,omitempty"`
 	// Workers overrides the study's concurrency (crawl waves and timeline
-	// epochs); zero keeps the preset's value. Results are bit-identical for
-	// a given seed regardless.
+	// epochs); zero keeps the preset's value, and more than maxWorkers is
+	// refused. Results are bit-identical for a given seed regardless.
 	Workers int `json:"workers,omitempty"`
 	// Label is a free-form caller tag echoed in status output.
 	Label string `json:"label,omitempty"`
 }
 
+// maxWorkers caps SubmitRequest.Workers. A study starts Workers-1 timeline
+// helper goroutines, so the cap keeps one submission from asking for
+// millions of them.
+const maxWorkers = 256
+
 // buildConfig resolves the request to a concrete study configuration.
 func (r *SubmitRequest) buildConfig() (tripwire.Config, error) {
+	if r.Workers > maxWorkers {
+		return tripwire.Config{}, fmt.Errorf("workers = %d, at most %d", r.Workers, maxWorkers)
+	}
 	var cfg tripwire.Config
 	if r.Scale == "demo" {
 		cfg = DemoConfig()

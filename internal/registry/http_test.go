@@ -310,3 +310,47 @@ func TestHTTPSubmitBodyLimit(t *testing.T) {
 		t.Fatalf("submit under the cap = %d (%v), want 400 for the unknown scale", resp.StatusCode, m)
 	}
 }
+
+// TestHTTPSubmitWorkerCeiling: a submission asking for more than
+// maxWorkers workers is refused with a 400 that names the ceiling, and no
+// study starts.
+func TestHTTPSubmitWorkerCeiling(t *testing.T) {
+	reg, srv := newTestServer(t)
+	resp, m := postJSON(t, srv.URL+"/studies", `{"scale":"demo","workers":1048576}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("workers=1048576 = %d (%v), want 400", resp.StatusCode, m)
+	}
+	if !strings.Contains(string(m["error"]), fmt.Sprint(maxWorkers)) {
+		t.Fatalf("error %s does not name the ceiling %d", m["error"], maxWorkers)
+	}
+	if n := len(reg.List()); n != 0 {
+		t.Fatalf("refused submission registered %d studies", n)
+	}
+	r, err := http.Get(srv.URL + "/studies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []Info
+	if err := json.NewDecoder(r.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if len(list) != 0 {
+		t.Fatalf("GET /studies = %+v, want empty", list)
+	}
+}
+
+// TestBuildConfigWorkerCeiling: buildConfig accepts maxWorkers and
+// refuses one more, without starting anything.
+func TestBuildConfigWorkerCeiling(t *testing.T) {
+	if maxWorkers != 256 {
+		t.Fatalf("maxWorkers = %d, want 256", maxWorkers)
+	}
+	cfg, err := (&SubmitRequest{Scale: "demo", Workers: 256}).buildConfig()
+	if err != nil || cfg.Workers != 256 {
+		t.Fatalf("workers=256: cfg.Workers=%d err=%v", cfg.Workers, err)
+	}
+	if _, err := (&SubmitRequest{Scale: "demo", Workers: 257}).buildConfig(); err == nil || !strings.Contains(err.Error(), "256") {
+		t.Fatalf("workers=257: err = %v, want one naming the ceiling 256", err)
+	}
+}

@@ -32,7 +32,9 @@ const (
 // benchmark emulates a 1ms RTT per page load (Config.NetLatency). The
 // speedup from extra workers is therefore latency overlap — which scales
 // with worker count on any machine, including single-core CI boxes where a
-// purely CPU-bound benchmark could never show one.
+// purely CPU-bound benchmark could never show one. So pages/s mostly
+// measures overlapped sleep, and cpu-s/page (process user+system CPU per
+// page load, timed region only) reports the CPU work apart from it.
 //
 // warm pre-materializes and pre-renders the whole universe, so the timed
 // region is the crawl engine alone (both are deterministic site functions).
@@ -48,6 +50,7 @@ func benchCrawlGrid(b *testing.B, numSites, waveSites int, warm, withMetrics boo
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			var pages, materialized int64
+			var cpu float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				cfg := SmallConfig()
@@ -70,9 +73,11 @@ func benchCrawlGrid(b *testing.B, numSites, waveSites int, warm, withMetrics boo
 				for r := 0; r < waveSites; r++ {
 					ranks[r] = rankAt{rank: r*stride + 1, at: cfg.Start}
 				}
+				cpu0 := cpuSeconds()
 				b.StartTimer()
 				p.runWave(ranks, false, "bench")
 				b.StopTimer()
+				cpu += cpuSeconds() - cpu0
 				for _, a := range p.Attempts {
 					pages += int64(a.PageLoad)
 				}
@@ -81,6 +86,9 @@ func benchCrawlGrid(b *testing.B, numSites, waveSites int, warm, withMetrics boo
 			}
 			b.ReportMetric(float64(waveSites)*float64(b.N)/b.Elapsed().Seconds(), "sites/s")
 			b.ReportMetric(float64(pages)/b.Elapsed().Seconds(), "pages/s")
+			if pages > 0 {
+				b.ReportMetric(cpu/float64(pages), "cpu-s/page")
+			}
 			if !warm {
 				// Lazy-materialization evidence: how much of the universe the
 				// wave actually derived, and the live heap it retains.

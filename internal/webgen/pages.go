@@ -160,48 +160,13 @@ func renderHome(s *Site) string {
 	return pageShell(s, l.home, b.String())
 }
 
-// Dynamic-value slots. Templates are rendered once per (site, path) with
-// these sentinels in place of values that conceptually belong to the serve,
-// not the page: the CSRF token and the CAPTCHA challenge. spliceDynamic
-// fills them in per request. The NUL framing cannot collide with rendered
-// content: no lexicon, field spec, or escape output contains a NUL byte.
-const (
-	slotCSRF          = "\x00csrf\x00"
-	slotCaptchaID     = "\x00captcha-id\x00"
-	slotCaptchaPrompt = "\x00captcha-prompt\x00"
-)
-
-// spliceDynamic replaces dynamic-value slots in a rendered template with
-// this serve's values. Both the CSRF token (a stateless HMAC of the
-// domain) and the challenge (derived from a fresh per-render RNG seeded
-// only by the site) are pure functions of the site, so a spliced cached
-// template is byte-identical to an uncached render — which is what keeps
-// the parallel crawl engine's output independent of worker schedule.
-func spliceDynamic(tpl string, s *Site, issuer *captcha.Issuer) string {
-	if !strings.Contains(tpl, "\x00") {
-		return tpl
-	}
-	out := strings.ReplaceAll(tpl, slotCSRF, csrfToken(s.Domain))
-	if issuer != nil && strings.Contains(out, slotCaptchaID) {
-		rng := xrand.New(s.seed ^ 0x9a6e5)
-		ch := issuer.Issue(s.Captcha, rng)
-		out = strings.ReplaceAll(out, slotCaptchaID, escape(ch.ID))
-		out = strings.ReplaceAll(out, slotCaptchaPrompt, escape(ch.Prompt))
-	}
-	return out
-}
-
 // renderRegistration renders the site's registration form page. For
 // multi-stage sites this is page one (credentials only); for SSO-only sites
-// it renders buttons with no form.
+// it renders buttons with no form. The page carries the site's CSRF token
+// and CAPTCHA challenge inline: the token is an HMAC of the domain and the
+// challenge comes from an RNG seeded only by the site, so the page is a
+// pure function of the site and the Universe caches it whole.
 func renderRegistration(s *Site, spec *FormSpec, issuer *captcha.Issuer) string {
-	return spliceDynamic(renderRegistrationTemplate(s, spec), s, issuer)
-}
-
-// renderRegistrationTemplate renders the registration page with dynamic
-// slots left as sentinels. The result depends only on the site and its
-// form spec, so the Universe caches it per site.
-func renderRegistrationTemplate(s *Site, spec *FormSpec) string {
 	l := s.lex()
 	if s.ExternalAuthOnly {
 		body := fmt.Sprintf("<h2>%s</h2>\n<p><a href=\"/sso/start\" class=\"btn\">Continue with BigAuth</a></p>\n<p><a href=\"/sso/other\" class=\"btn\">Continue with FaceSpace</a></p>\n", escape(l.register))
@@ -219,7 +184,7 @@ func renderRegistrationTemplate(s *Site, spec *FormSpec) string {
 	}
 	action := s.RegPath
 	fmt.Fprintf(&b, "<form id=\"regform\" action=\"%s\" method=\"post\">\n", action)
-	renderFields(&b, s, spec, true)
+	renderFields(&b, s, spec, issuer)
 	fmt.Fprintf(&b, "<input type=\"submit\" value=\"%s\">\n</form>\n", escape(l.submit))
 	if s.MultiStage {
 		b.WriteString("<p class=\"steps\">Step 1 of 2</p>\n")
@@ -235,9 +200,9 @@ func renderStep2(s *Site, spec *FormSpec, continuation string) string {
 	fmt.Fprintf(&b, "<h2>%s</h2>\n<p class=\"steps\">Step 2 of 2</p>\n", escape(l.register))
 	fmt.Fprintf(&b, "<form id=\"regform2\" action=\"%s/complete\" method=\"post\">\n", s.RegPath)
 	fmt.Fprintf(&b, "<input type=\"hidden\" name=\"continuation\" value=\"%s\">\n", escape(continuation))
-	renderFields(&b, s, spec, false)
+	renderFields(&b, s, spec, nil)
 	fmt.Fprintf(&b, "<input type=\"submit\" value=\"%s\">\n</form>\n", escape(l.submit))
-	return spliceDynamic(pageShell(s, l.register, b.String()), s, nil)
+	return pageShell(s, l.register, b.String())
 }
 
 // formLayout is how a site arranges label/control pairs. Real sites vary;
@@ -266,9 +231,10 @@ func fieldRow(b *strings.Builder, layout formLayout, label, control string) {
 	}
 }
 
-// renderFields renders the form controls with dynamic slots as sentinels;
-// withCaptcha gates the CAPTCHA block (step-two forms never carry one).
-func renderFields(b *strings.Builder, s *Site, spec *FormSpec, withCaptcha bool) {
+// renderFields renders the form controls. A nil issuer leaves out the
+// CAPTCHA block (step-two forms never carry one); otherwise the site's
+// challenge is drawn from an RNG seeded by the site alone.
+func renderFields(b *strings.Builder, s *Site, spec *FormSpec, issuer *captcha.Issuer) {
 	layout := s.layout()
 	if layout == layoutTable {
 		b.WriteString("<table class=\"formgrid\">\n")
@@ -277,20 +243,21 @@ func renderFields(b *strings.Builder, s *Site, spec *FormSpec, withCaptcha bool)
 	for _, f := range spec.Fields {
 		switch {
 		case f.Kind == FieldCSRF:
-			fmt.Fprintf(b, "<input type=\"hidden\" name=\"%s\" value=\"%s\">\n", f.Name, slotCSRF)
-		case f.Kind == FieldCaptcha && withCaptcha:
-			fmt.Fprintf(b, "<input type=\"hidden\" name=\"captcha_id\" value=\"%s\">\n", slotCaptchaID)
+			fmt.Fprintf(b, "<input type=\"hidden\" name=\"%s\" value=\"%s\">\n", f.Name, csrfToken(s.Domain))
+		case f.Kind == FieldCaptcha && issuer != nil:
+			ch := issuer.Issue(s.Captcha, xrand.New(s.seed^0x9a6e5))
+			fmt.Fprintf(b, "<input type=\"hidden\" name=\"captcha_id\" value=\"%s\">\n", escape(ch.ID))
 			switch s.Captcha {
 			case captcha.Image:
 				fieldRow(b, layout,
 					fmt.Sprintf("<label>%s</label>", escape(f.Label)),
-					fmt.Sprintf("<img src=\"/captcha/%s.png\" alt=\"captcha\"><input type=\"text\" name=\"%s\">", slotCaptchaID, f.Name))
+					fmt.Sprintf("<img src=\"/captcha/%s.png\" alt=\"captcha\"><input type=\"text\" name=\"%s\">", escape(ch.ID), f.Name))
 			case captcha.Knowledge:
 				fieldRow(b, layout,
-					fmt.Sprintf("<label>%s</label>", slotCaptchaPrompt),
+					fmt.Sprintf("<label>%s</label>", escape(ch.Prompt)),
 					fmt.Sprintf("<input type=\"text\" name=\"%s\">", f.Name))
 			case captcha.Interactive:
-				fmt.Fprintf(b, "<div class=\"g-recaptcha\" data-sitekey=\"%s\"></div><input type=\"hidden\" name=\"captcha_token\" value=\"\">\n", slotCSRF)
+				fmt.Fprintf(b, "<div class=\"g-recaptcha\" data-sitekey=\"%s\"></div><input type=\"hidden\" name=\"captcha_token\" value=\"\">\n", csrfToken(s.Domain))
 			}
 		case f.Type == "checkbox":
 			req := ""

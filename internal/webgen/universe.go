@@ -47,9 +47,9 @@ type stateShard struct {
 	loginFails map[string]int        // "domain|user" -> consecutive failures
 
 	// renderMu guards rendered, the per-(site, page-kind) body cache.
-	// Every cached body is a pure function of the generated site — dynamic
-	// values live in slots spliced at serve time — so entries never need
-	// invalidation: a site's pages cannot change after generation. A racing
+	// Every cached body is a pure function of the generated site — the
+	// registration page's CSRF token and CAPTCHA challenge are too — so
+	// entries never need invalidation: a site's pages cannot change after generation. A racing
 	// double-compute stores identical bytes and is harmless.
 	renderMu sync.RWMutex
 	rendered map[string]string
@@ -310,7 +310,7 @@ func (u *Universe) WarmRender() {
 		})
 		if s.HasRegistration {
 			u.cachedBody(s, "registration", func() string {
-				return renderRegistrationTemplate(s, u.FormSpec(s))
+				return renderRegistration(s, u.FormSpec(s), u.Issuer(s))
 			})
 			u.cachedBody(s, "welcome", func() string { return renderOutcome(s, true, "") })
 		}
@@ -325,18 +325,6 @@ func (u *Universe) servePage(w http.ResponseWriter, site *Site, kind string, ren
 		return
 	}
 	io.WriteString(w, u.cachedBody(site, kind, render))
-}
-
-// registrationPage produces the GET registration page: the static template
-// from the cache with this serve's dynamic values spliced in.
-func (u *Universe) registrationPage(site *Site) string {
-	if u.disableRenderCache {
-		return renderRegistration(site, u.FormSpec(site), u.Issuer(site))
-	}
-	tpl := u.cachedBody(site, "registration", func() string {
-		return renderRegistrationTemplate(site, u.FormSpec(site))
-	})
-	return spliceDynamic(tpl, site, u.Issuer(site))
 }
 
 func stripPort(host string) string {
@@ -380,7 +368,9 @@ func (u *Universe) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "image/png")
 		io.WriteString(w, u.Issuer(site).RenderImage(ch))
 	case site.HasRegistration && path == site.RegPath && r.Method == http.MethodGet:
-		io.WriteString(w, u.registrationPage(site))
+		u.servePage(w, site, "registration", func() string {
+			return renderRegistration(site, u.FormSpec(site), u.Issuer(site))
+		})
 	case site.HasRegistration && path == site.RegPath && r.Method == http.MethodPost:
 		u.handleRegister(w, r, site)
 	case site.HasRegistration && site.MultiStage && path == site.RegPath+"/complete" && r.Method == http.MethodPost:
