@@ -14,8 +14,9 @@
 #                    epochs (under -race), the inline-session conn
 #                    contract and IMAP/POP3 transcript tests under a 60 s
 #                    timeout (a read that blocks fails the run, under
-#                    -race), the browser's concurrent
-#                    session-recycling test (-race -count=10), the 1M-account
+#                    -race), the browser's concurrent storage-borrowing
+#                    test and the crawler's concurrent attempts on one
+#                    Crawler against a serial run (-race -count=10), the 1M-account
 #                    lazy-store smoke (-short, under -race), the serve
 #                    smoke (boot tripwire-serve, pause/resume a study over
 #                    HTTP, require an SSE detection + a signed webhook
@@ -85,7 +86,7 @@ ci: build metrics-doc-check
 	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume|TestSpillFailureFailsCheckpoint|TestStreamedDigestsMatchImages' ./internal/sim/ .
 	$(GO) test -race -run 'TestTimelineWorkerInvariance/workers=16' ./internal/sim/
 	$(GO) test -race -timeout 60s ./internal/memconn/ ./internal/imap/ ./internal/pop3/
-	$(GO) test -race -count=10 -run 'TestConcurrentSessionsRecycleStorage' ./internal/browser/
+	$(GO) test -race -count=10 -run 'TestConcurrentSessionsRecycleStorage|TestConcurrentAttemptsMatchSerial' ./internal/browser/ ./internal/crawler/
 	$(GO) test -race -short -run 'TestLazyMillionAccountSmoke|TestCheckpointDigestAttestation' ./internal/sim/
 	$(GO) test -race -run 'TestServeSmoke' ./cmd/tripwire-serve/
 	$(GO) test -race -run 'TestDistSweepByteIdentical|TestDistSweepWorkerLossByteIdentical' ./internal/distsweep/

@@ -136,13 +136,10 @@ func main() {
 	}
 
 	results := make([]crawler.Result, n)
-	// Every rank's session parses into storage recycled from earlier ranks.
-	var arenas browser.Pool
 	crawlRank := func(i int) {
 		rank := *from + i
 		site, _ := universe.SiteByRank(rank)
-		b := arenas.New(browser.WithTransport(&browser.HandlerTransport{Handler: universe}))
-		defer b.Release()
+		b := browser.New(browser.WithTransport(&browser.HandlerTransport{Handler: universe}))
 		env := &crawler.Env{
 			Rng:    xrand.New(xrand.Mix(*seed, int64(rank), 1)),
 			Solver: solver.Derive(xrand.Mix(*seed, int64(rank), 2)),

@@ -61,16 +61,14 @@ func main() {
 	c := crawler.New(ccfg, solver)
 	counts := make(map[crawler.Code]int)
 	eligible := 0
-	var arenas browser.Pool // one site's parse storage, recycled for the next
 	for rank := 1; rank <= 400 && rank <= *numSites; rank++ {
 		site, _ := universe.SiteByRank(rank)
 		if !site.Eligible() {
 			continue
 		}
 		eligible++
-		b := arenas.New(browser.WithTransport(&browser.HandlerTransport{Handler: universe}))
+		b := browser.New(browser.WithTransport(&browser.HandlerTransport{Handler: universe}))
 		res := c.Register(b, "http://"+site.Domain+"/", gen.New(identity.Hard))
-		b.Release()
 		counts[res.Code]++
 	}
 	for _, code := range []crawler.Code{

@@ -4,16 +4,20 @@
 // WebKit engine the paper's crawler scripted (paper §4.3.1), providing the
 // same capability surface the registration heuristics require.
 //
-// A Client parses every page of its session into one htmldom.Arena, so the
-// nodes it hands out — Page.DOM, Form.Node, Field.Node, Link.Node — live
-// until the client's Release, not until the garbage collector finds them
-// unreachable. The owner of a session calls Release once it is done with
-// every page the session loaded; strings already copied out of a page
-// (Raw, Text, field values, URLs) stay valid after it. Release resets the
-// arena for the client's next page, or, for a client opened by a Pool,
-// hands it back so the pool's next session reuses it: a crawl wave
-// recycles DOM storage across its sessions, and the storage goes to the
-// garbage collector with the wave's Pool.
+// A Client parses pages into an htmldom.Arena, so the nodes it hands out —
+// Page.DOM, Form.Node, Field.Node, Link.Node — live until their storage is
+// reset, not until the garbage collector finds them unreachable. Strings
+// already copied out of a page (Raw, Text, field values, URLs) are not
+// arena memory and stay valid after a reset. The storage has one of two
+// owners:
+//
+//   - The client's own, taken on its first page. It keeps every page the
+//     client loads until the client's Release resets it, so a long-lived
+//     client calls Release once it is done with a page.
+//   - A Pool's, lent for one call by Client.Borrow. Pages loaded during the
+//     borrow are parsed into the lent storage, which the give-back resets
+//     and returns to the pool for the next borrower. The crawler lends
+//     this way for each registration attempt.
 package browser
 
 import (
@@ -68,12 +72,9 @@ type Client struct {
 	// uaValue is the cached one-element header value for UserAgent, shared
 	// read-only across this session's requests.
 	uaValue []string
-	// arena holds every DOM parsed since the last Release; nil until the
-	// first page.
+	// arena is the storage the next page is parsed into: the client's own,
+	// nil until its first page, or one a Pool lent it.
 	arena *htmldom.Arena
-	// pool lends arena to the session and takes it back on Release; nil
-	// when the client owns its arena.
-	pool *Pool
 }
 
 // Option configures a Client.
@@ -107,47 +108,45 @@ func New(opts ...Option) *Client {
 // PageLoads returns the number of HTTP fetches performed so far.
 func (c *Client) PageLoads() int { return c.pageLoads }
 
-// Release recycles the client's parse storage: it resets it for the
-// client's next page, or returns it to the client's Pool. It invalidates
-// every Page.DOM, Form.Node, Field.Node and Link.Node the client has handed
-// out: reading one afterwards reads a later document. Strings already
-// taken from those pages, the cookie jar and the client itself stay valid.
-// Release is idempotent.
+// Release resets the storage the client parses into, for its next page.
+// It invalidates every Page.DOM, Form.Node, Field.Node and Link.Node the
+// client has parsed into that storage: reading one afterwards reads a
+// later document. Strings already taken from those pages, the cookie jar
+// and the client itself stay valid. Release is idempotent.
 func (c *Client) Release() {
-	if c.arena == nil {
-		return
-	}
-	c.arena.Reset()
-	if c.pool != nil {
-		c.pool.put(c.arena)
-		c.arena = nil
+	if c.arena != nil {
+		c.arena.Reset()
 	}
 }
 
-// A Pool recycles parse storage among the sessions it opens: a client from
-// Pool.New takes an arena from the pool for its first page and hands it
-// back on Release. The arenas belong to the pool and go to the garbage
-// collector with it, so an owner scopes a Pool to the sessions that share
-// storage, such as one crawl wave. The zero value is ready to use; a Pool
-// is safe for concurrent use.
+// Borrow lends the client parse storage from p until giveBack is called:
+// the pages the client loads in between are parsed into it. giveBack
+// resets that storage, which invalidates those pages' nodes, returns it to
+// p and restores the storage the client had before, so pages loaded before
+// Borrow stay valid and the client stays usable. Borrows nest. Call
+// giveBack once: a second call would lend the storage to two borrowers.
+func (c *Client) Borrow(p *Pool) (giveBack func()) {
+	own, lent := c.arena, p.get()
+	c.arena = lent
+	return func() {
+		lent.Reset()
+		p.put(lent)
+		c.arena = own
+	}
+}
+
+// A Pool lends parse storage to clients, one call at a time (Borrow), and
+// keeps what they give back for the next borrower. The storage belongs to
+// the pool and goes to the garbage collector with it, so an owner scopes a
+// Pool to the calls that share storage: the crawler holds one per Crawler.
+// The zero value is ready to use; a Pool is safe for concurrent use.
 type Pool struct {
 	mu   sync.Mutex
 	free []*htmldom.Arena
 }
 
-// New returns a session like the package-level New whose parse storage
-// comes from p. A nil Pool's sessions own their storage.
-func (p *Pool) New(opts ...Option) *Client {
-	c := New(opts...)
-	c.pool = p
-	return c
-}
-
-// get takes a released arena, or a new one when none is free.
+// get takes a given-back arena, or a new one when none is free.
 func (p *Pool) get() *htmldom.Arena {
-	if p == nil {
-		return new(htmldom.Arena)
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := len(p.free)
@@ -167,18 +166,47 @@ func (p *Pool) put(a *htmldom.Arena) {
 
 // Get fetches and parses the page at rawURL.
 func (c *Client) Get(rawURL string) (*Page, error) {
-	req, err := http.NewRequest(http.MethodGet, rawURL, nil)
+	u, err := url.Parse(rawURL)
 	if err != nil {
 		return nil, fmt.Errorf("browser: building request for %q: %w", rawURL, err)
 	}
-	return c.do(req)
+	return c.GetURL(u)
 }
 
 // GetURL fetches a pre-resolved URL (e.g. from Page.Links), skipping the
 // serialize-then-reparse round trip Get(u.String()) would pay per page.
 func (c *Client) GetURL(u *url.URL) (*Page, error) {
+	return c.do(newRequest(http.MethodGet, u, nil))
+}
+
+// Post submits an application/x-www-form-urlencoded POST.
+func (c *Client) Post(rawURL string, form url.Values) (*Page, error) {
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return nil, fmt.Errorf("browser: building POST for %q: %w", rawURL, err)
+	}
+	return c.postURL(u, form)
+}
+
+// postURL is Post to a parsed URL.
+func (c *Client) postURL(u *url.URL, form url.Values) (*Page, error) {
+	req := newRequest(http.MethodPost, u, strings.NewReader(form.Encode()))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	return c.do(req)
+}
+
+// newRequest builds the request http.NewRequest(method, u.String(), body)
+// builds, without serializing u and parsing it back: u itself is the
+// request's URL, unless it has an empty port, which the request drops from
+// a copy. A non-nil body gets a length and a GetBody that replays it.
+func newRequest(method string, u *url.URL, body *strings.Reader) *http.Request {
+	if strings.HasSuffix(u.Host, ":") {
+		cp := *u
+		cp.Host = strings.TrimSuffix(u.Host, ":")
+		u = &cp
+	}
 	req := &http.Request{
-		Method:     http.MethodGet,
+		Method:     method,
 		URL:        u,
 		Proto:      "HTTP/1.1",
 		ProtoMajor: 1,
@@ -186,17 +214,22 @@ func (c *Client) GetURL(u *url.URL) (*Page, error) {
 		Header:     make(http.Header),
 		Host:       u.Host,
 	}
-	return c.do(req)
-}
-
-// Post submits an application/x-www-form-urlencoded POST.
-func (c *Client) Post(rawURL string, form url.Values) (*Page, error) {
-	req, err := http.NewRequest(http.MethodPost, rawURL, strings.NewReader(form.Encode()))
-	if err != nil {
-		return nil, fmt.Errorf("browser: building POST for %q: %w", rawURL, err)
+	if body == nil {
+		return req
 	}
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	return c.do(req)
+	req.ContentLength = int64(body.Len())
+	if req.ContentLength == 0 {
+		req.Body = http.NoBody
+		req.GetBody = func() (io.ReadCloser, error) { return http.NoBody, nil }
+		return req
+	}
+	req.Body = io.NopCloser(body)
+	snapshot := *body
+	req.GetBody = func() (io.ReadCloser, error) {
+		r := snapshot
+		return io.NopCloser(&r), nil
+	}
+	return req
 }
 
 func (c *Client) do(req *http.Request) (*Page, error) {
@@ -217,7 +250,7 @@ func (c *Client) do(req *http.Request) (*Page, error) {
 		return nil, fmt.Errorf("browser: reading %s: %w", req.URL, err)
 	}
 	if c.arena == nil {
-		c.arena = c.pool.get()
+		c.arena = new(htmldom.Arena)
 	}
 	return &Page{
 		URL:        final,

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/netip"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -138,5 +139,85 @@ func TestJarCreatedByFirstCookie(t *testing.T) {
 	}
 	if c.jar == nil || !strings.Contains(h.lines[2], `cookie="sid=s1"`) {
 		t.Fatalf("cookie not sent after the first Set-Cookie: %s", h.lines[2])
+	}
+}
+
+// seenRequest is what a handler can observe of a request.
+type seenRequest struct {
+	Method        string
+	URL           url.URL
+	Host          string
+	Header        http.Header
+	ContentLength int64
+	Body          string
+}
+
+type capturingHandler struct{ last seenRequest }
+
+func (h *capturingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	body, _ := io.ReadAll(r.Body)
+	h.last = seenRequest{r.Method, *r.URL, r.Host, r.Header.Clone(), r.ContentLength, string(body)}
+	fmt.Fprint(w, `<form action="/next"><input name="q"></form>`)
+}
+
+// Submit builds its request from the form's resolved action, and a handler
+// sees exactly the request http.NewRequest builds from that URL's string:
+// method, URL, Host, headers, length and body, for GET and POST forms.
+func TestSubmitRequestMatchesNewRequest(t *testing.T) {
+	const inputs = `<input name="email" value="a@b.test"><input name="pw" value="x y">`
+	cases := []struct{ name, action, inputs string }{
+		{"plain path", "/signup", inputs},
+		{"relative with dot segments", "../a/./b/../join", inputs},
+		{"query", "/join?ref=home&x=1", inputs},
+		{"fragment", "/join#top", inputs},
+		{"escapes", "/sign%20up/%7Euser/a%2Fb", inputs},
+		{"empty port", "http://x.test:/a", inputs},
+		{"empty action", "", inputs},
+		{"no fields", "/join", ""},
+	}
+	for _, tc := range cases {
+		for _, method := range []string{"GET", "POST"} {
+			t.Run(tc.name+"/"+method, func(t *testing.T) {
+				page := fmt.Sprintf(`<form action="%s" method="%s">%s</form>`, tc.action, method, tc.inputs)
+				h := &capturingHandler{}
+				c := New(WithTransport(&HandlerTransport{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == "/dir/page" && r.Method == "GET" && r.URL.RawQuery == "" {
+						fmt.Fprint(w, page)
+						return
+					}
+					h.ServeHTTP(w, r)
+				})}))
+				p, err := c.Get("http://x.test/dir/page")
+				if err != nil {
+					t.Fatal(err)
+				}
+				sub := p.Forms()[0].Fill()
+				if _, err := c.Submit(sub); err != nil {
+					t.Fatal(err)
+				}
+				got := h.last
+
+				u := *p.Forms()[0].Action
+				var body io.Reader
+				if method == "POST" {
+					body = strings.NewReader(sub.Values().Encode())
+				} else {
+					u.RawQuery = sub.Values().Encode()
+				}
+				ref, err := http.NewRequest(method, u.String(), body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if method == "POST" {
+					ref.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+				}
+				if _, err := c.do(ref); err != nil {
+					t.Fatal(err)
+				}
+				if want := h.last; !reflect.DeepEqual(got, want) {
+					t.Errorf("Submit sent\n%+v\nhttp.NewRequest(%q) sends\n%+v", got, u.String(), want)
+				}
+			})
+		}
 	}
 }

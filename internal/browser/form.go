@@ -254,9 +254,9 @@ func (c *Client) Submit(s *Submission) (*Page, error) {
 		return nil, fmt.Errorf("browser: form has no resolvable action")
 	}
 	if s.form.Method == "POST" {
-		return c.Post(s.form.Action.String(), s.Values())
+		return c.postURL(s.form.Action, s.Values())
 	}
 	u := *s.form.Action
 	u.RawQuery = s.Values().Encode()
-	return c.Get(u.String())
+	return c.GetURL(&u)
 }

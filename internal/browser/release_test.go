@@ -27,13 +27,20 @@ func sizedHandler() http.Handler {
 	})
 }
 
-// Strings copied out of a released session's pages stay unchanged while a
-// second session from the same Pool parses another document into the
-// storage it returned.
+// Storage given back by one borrower is what the next borrower from the
+// same Pool parses into, while strings copied out of the first borrower's
+// pages stay unchanged, a page the first client loaded before it borrowed
+// survives the give-back, and the first client stays usable on its own
+// storage.
 func TestReleasedStorageReusedByNextSession(t *testing.T) {
 	h := sizedHandler()
 	var pool Pool
-	first := pool.New(WithTransport(&HandlerTransport{Handler: h}))
+	first := New(WithTransport(&HandlerTransport{Handler: h}))
+	before, err := first.Get("http://x.test/5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	giveBack := first.Borrow(&pool)
 	p, err := first.Get("http://x.test/40")
 	if err != nil {
 		t.Fatal(err)
@@ -45,25 +52,28 @@ func TestReleasedStorageReusedByNextSession(t *testing.T) {
 	name, value, label, ctx := field.Name, field.Value, field.Label, field.Context()
 	link := p.Links()[0]
 	linkURL, linkText := link.URL.String(), link.Text
-	first.Release()
+	giveBack()
 
-	second := pool.New(WithTransport(&HandlerTransport{Handler: h}))
-	defer second.Release()
+	second := New(WithTransport(&HandlerTransport{Handler: h}))
+	defer second.Borrow(&pool)()
 	q, err := second.Get("http://x.test/60")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.DOM != oldDOM {
-		t.Fatal("the next session did not reuse the released storage")
+		t.Fatal("the next borrower did not reuse the storage given back")
 	}
-	// The released client stays usable: its next page and release use
-	// other storage and leave the second session's document alone.
+	if got, want := htmldom.Render(before.DOM), htmldom.Render(htmldom.Parse(before.Raw)); got != want {
+		t.Fatal("a page loaded before Borrow did not survive the give-back")
+	}
+	// The first client stays usable: its next page and release use its own
+	// storage and leave the second borrower's document alone.
 	if _, err := first.Get("http://x.test/7"); err != nil {
 		t.Fatal(err)
 	}
 	first.Release()
 	if got, want := htmldom.Render(q.DOM), htmldom.Render(htmldom.Parse(q.Raw)); got != want {
-		t.Fatal("the second session's document differs from a fresh parse")
+		t.Fatal("the second borrower's document differs from a fresh parse")
 	}
 	fresh := htmldom.Parse(raw)
 	if title != "Page 40" || text != fresh.Text() {
@@ -74,6 +84,42 @@ func TestReleasedStorageReusedByNextSession(t *testing.T) {
 	}
 	if linkURL != "http://x.test/41" || linkText != "next" {
 		t.Fatalf("link strings changed: %q %q", linkURL, linkText)
+	}
+}
+
+// A borrow inside a borrow gives back only its own storage and restores
+// the outer borrow's, whose page survives the inner give-back; the outer
+// give-back restores the client's own storage.
+func TestBorrowNests(t *testing.T) {
+	var pool Pool
+	c := New(WithTransport(&HandlerTransport{Handler: sizedHandler()}))
+	if _, err := c.Get("http://x.test/3"); err != nil {
+		t.Fatal(err)
+	}
+	own := c.arena
+	outer := c.Borrow(&pool)
+	lent := c.arena
+	p, err := c.Get("http://x.test/30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := c.Borrow(&pool)
+	if c.arena == lent || c.arena == own {
+		t.Fatal("the inner borrow lent storage already in use")
+	}
+	if _, err := c.Get("http://x.test/31"); err != nil {
+		t.Fatal(err)
+	}
+	inner()
+	if c.arena != lent {
+		t.Fatal("the inner give-back did not restore the outer borrow's storage")
+	}
+	if got, want := htmldom.Render(p.DOM), htmldom.Render(htmldom.Parse(p.Raw)); got != want {
+		t.Fatal("the outer borrow's page did not survive the inner give-back")
+	}
+	outer()
+	if c.arena != own {
+		t.Fatal("the outer give-back did not restore the client's own storage")
 	}
 }
 
@@ -108,10 +154,11 @@ func TestGetReleaseSteadyState(t *testing.T) {
 	}
 }
 
-// Concurrent sessions from one Pool recycle each other's storage without
-// sharing a live document: every page a session parses renders exactly as
-// a fresh parse of its bytes. Run under -race, this is the browser's
-// pool-safety check.
+// Concurrent borrowers from one Pool recycle each other's storage without
+// sharing a live document: every page a borrower parses renders exactly as
+// a fresh parse of its bytes, both right after the load and just before
+// the give-back, after other borrowers have parsed in between. Run under
+// -race, this is the browser's pool-safety check.
 func TestConcurrentSessionsRecycleStorage(t *testing.T) {
 	const goroutines, sessions = 8, 200
 	h := sizedHandler()
@@ -122,17 +169,24 @@ func TestConcurrentSessionsRecycleStorage(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for s := 0; s < sessions; s++ {
-				c := pool.New(WithTransport(&HandlerTransport{Handler: h}))
+				c := New(WithTransport(&HandlerTransport{Handler: h}))
+				giveBack := c.Borrow(&pool)
 				p, err := c.Get("http://x.test/" + strconv.Itoa((g*sessions+s)%37))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if got, want := htmldom.Render(p.DOM), htmldom.Render(htmldom.Parse(p.Raw)); got != want {
+				want := htmldom.Render(htmldom.Parse(p.Raw))
+				if htmldom.Render(p.DOM) != want {
 					t.Errorf("goroutine %d session %d: recycled parse differs from a fresh one", g, s)
 					return
 				}
-				c.Release()
+				runtime.Gosched()
+				if htmldom.Render(p.DOM) != want {
+					t.Errorf("goroutine %d session %d: another borrower overwrote a live document", g, s)
+					return
+				}
+				giveBack()
 			}
 		}(g)
 	}

@@ -65,7 +65,9 @@ func (c Code) String() string {
 	}
 }
 
-// Result is the outcome of one registration attempt.
+// Result is the outcome of one registration attempt. Its text is strings,
+// never a node or URL of the attempt's pages, so it outlives the parse
+// storage the attempt gives back.
 type Result struct {
 	Code   Code
 	Site   string // host of the attempted site
@@ -123,10 +125,12 @@ func DefaultConfig() Config {
 
 // Crawler performs registration attempts. Each attempt uses a caller-
 // provided browser session so that "individual instances of the crawler
-// have only the identity assigned to one site" (paper §4.4). A Crawler is
+// have only the identity assigned to one site" (paper §4.4), and lends that
+// session parse storage from the crawler's own pool for exactly the length
+// of the attempt: no page an attempt loads is needed after it. A Crawler is
 // safe for concurrent use: attempts that supply an Env share no mutable
-// state at all, and attempts without one serialize their draws from the
-// crawler's default fault RNG.
+// state but the pool and the memos, and attempts without one serialize
+// their draws from the crawler's default fault RNG.
 type Crawler struct {
 	cfg    Config
 	solver *captcha.Service
@@ -141,6 +145,9 @@ type Crawler struct {
 	Metrics *Metrics
 
 	links linkMemo
+	// arenas is the parse storage lent to attempts; it holds at most one
+	// arena per attempt that ran at once, and dies with the crawler.
+	arenas browser.Pool
 }
 
 // linkMemo memoizes scoreLink by (anchor text, URL path). A link's score is
@@ -220,8 +227,13 @@ func (c *Crawler) Register(b *browser.Client, siteURL string, id *identity.Ident
 
 // RegisterWith runs one registration attempt with per-attempt dependencies
 // taken from env (any nil member falls back to the crawler's shared one).
+// The pages b loads during the attempt are parsed into storage the crawler
+// lends it and takes back when the attempt returns, so their nodes are
+// invalid afterwards; pages b loaded before stay valid.
 func (c *Crawler) RegisterWith(env *Env, b *browser.Client, siteURL string, id *identity.Identity) Result {
+	giveBack := b.Borrow(&c.arenas)
 	res := c.registerWith(env, b, siteURL, id)
+	giveBack()
 	c.Metrics.observe(&res)
 	return res
 }

@@ -463,10 +463,11 @@ func (p *Provider) login(email, password string, remote netip.Addr, method strin
 			// nothing (its failure counters are already zero), so it
 			// succeeds without materializing a row.
 			sh.mu.Unlock()
-			p.log.append(LoginEvent{Account: local + "@" + p.domain, Time: now, IP: remote, Method: method})
+			account := local + "@" + p.domain
+			p.log.append(LoginEvent{Account: account, Time: now, IP: remote, Method: method})
 			p.maybeSpill()
 			p.Metrics.loginOK(method)
-			return local + "@" + p.domain, nil
+			return account, nil
 		}
 		// Wrong password: the brute-force counters are about to move, so
 		// the account becomes real.
@@ -503,10 +504,11 @@ func (p *Provider) login(email, password string, remote netip.Addr, method strin
 		return "", imap.ErrAuthFailed
 	}
 	sh.failedCount[slot] = 0
-	p.log.append(LoginEvent{Account: local + "@" + p.domain, Time: now, IP: remote, Method: method})
+	account := local + "@" + p.domain
+	p.log.append(LoginEvent{Account: account, Time: now, IP: remote, Method: method})
 	p.maybeSpill()
 	p.Metrics.loginOK(method)
-	return local + "@" + p.domain, nil
+	return account, nil
 }
 
 // Login implements imap.Backend.

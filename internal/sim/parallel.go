@@ -88,11 +88,10 @@ func (p *Pilot) taskSeed(t *crawlTask, stream int64) int64 {
 }
 
 // taskBrowser returns the task's private browser session, routed through
-// institution proxy exits drawn from the task's own RNG stream, parsing
-// into storage from arenas.
-func (p *Pilot) taskBrowser(t *crawlTask, arenas *browser.Pool) *browser.Client {
+// institution proxy exits drawn from the task's own RNG stream.
+func (p *Pilot) taskBrowser(t *crawlTask) *browser.Client {
 	rng := xrand.New(p.taskSeed(t, streamProxy))
-	return arenas.New(browser.WithTransport(&browser.ProxyTransport{
+	return browser.New(browser.WithTransport(&browser.ProxyTransport{
 		Base:    &browser.HandlerTransport{Handler: p.Universe},
 		Latency: p.Cfg.NetLatency,
 		NextIP: func(host string) netip.Addr {
@@ -103,11 +102,11 @@ func (p *Pilot) taskBrowser(t *crawlTask, arenas *browser.Pool) *browser.Client 
 
 // crawlTask runs the crawl part of one task — everything that may execute
 // concurrently with other tasks. Ledger writes and attempt accounting are
-// deferred to mergeTask. The task's session parses into storage from
-// arenas and returns it there when the task ends.
-func (p *Pilot) crawlTask(t *crawlTask, arenas *browser.Pool) {
+// deferred to mergeTask. The crawler lends the task's session its parse
+// storage for the attempt.
+func (p *Pilot) crawlTask(t *crawlTask) {
 	if t.manual {
-		p.crawlManual(t, arenas)
+		p.crawlManual(t)
 		return
 	}
 	var slept time.Duration
@@ -116,8 +115,7 @@ func (p *Pilot) crawlTask(t *crawlTask, arenas *browser.Pool) {
 		Solver: p.Solver.Derive(p.taskSeed(t, streamSolver)),
 		Sleep:  func(d time.Duration) { slept += d },
 	}
-	b := p.taskBrowser(t, arenas)
-	defer b.Release()
+	b := p.taskBrowser(t)
 	t.res = p.Crawler.RegisterWith(env, b, "http://"+t.site.Domain+"/", t.id)
 	t.done = t.at.Add(slept)
 }
@@ -188,8 +186,8 @@ func (p *Pilot) alreadyRegistered(domain string) bool {
 // runPhase executes one phase of a wave: serial identity allocation (the
 // FIFO pool order must not depend on crawl completion order), the parallel
 // crawl, a serial rank-order merge, and one mail drain after every burn in
-// the phase has landed in the ledger. Its sessions share the arenas.
-func (p *Pilot) runPhase(tasks []*crawlTask, arenas *browser.Pool) {
+// the phase has landed in the ledger.
+func (p *Pilot) runPhase(tasks []*crawlTask) {
 	if len(tasks) == 0 {
 		return
 	}
@@ -199,7 +197,7 @@ func (p *Pilot) runPhase(tasks []*crawlTask, arenas *browser.Pool) {
 	workers := p.workers()
 	if p.metrics == nil {
 		par.For(workers, len(tasks), func(i int) {
-			p.crawlTask(tasks[i], arenas)
+			p.crawlTask(tasks[i])
 		})
 	} else {
 		// Metered variant: per-task wall time feeds the duration histogram
@@ -210,7 +208,7 @@ func (p *Pilot) runPhase(tasks []*crawlTask, arenas *browser.Pool) {
 		phaseStart := time.Now()
 		par.For(workers, len(tasks), func(i int) {
 			start := time.Now()
-			p.crawlTask(tasks[i], arenas)
+			p.crawlTask(tasks[i])
 			d := time.Since(start)
 			busy.Add(int64(d))
 			p.metrics.taskDur.ObserveDuration(d)
@@ -227,15 +225,11 @@ func (p *Pilot) runPhase(tasks []*crawlTask, arenas *browser.Pool) {
 // an easy-password follow-up phase at sites whose hard attempt appeared to
 // succeed (paper §4.1.2). A site's easy eligibility depends only on its own
 // hard result, so the phase split preserves per-site semantics.
-//
-// The wave's sessions recycle one Pool of parse storage, which dies with the
-// wave: no DOM storage outlives it.
 func (p *Pilot) runWave(ranks []rankAt, manual bool, batch string) {
 	timer := p.metrics.waveStart()
 	before := len(p.Attempts)
 	tasks := p.collectTasks(ranks, manual)
-	arenas := new(browser.Pool)
-	p.runPhase(tasks, arenas)
+	p.runPhase(tasks)
 	if !manual {
 		var easy []*crawlTask
 		for _, t := range tasks {
@@ -243,7 +237,7 @@ func (p *Pilot) runWave(ranks []rankAt, manual bool, batch string) {
 				easy = append(easy, p.newTask(t.site, identity.Easy, false, t.done))
 			}
 		}
-		p.runPhase(easy, arenas)
+		p.runPhase(easy)
 	}
 	p.metrics.waveDone(timer)
 	// Wave events are exclusive scheduler events (they mutate p.Attempts),
@@ -267,9 +261,9 @@ func (p *Pilot) runWave(ranks []rankAt, manual bool, batch string) {
 // English-language top sites: a human reads the form perfectly, solves any
 // CAPTCHA, and completes multi-stage flows. Only the crawler's heuristics
 // are bypassed — the same HTTP endpoints are exercised.
-func (p *Pilot) crawlManual(t *crawlTask, arenas *browser.Pool) {
+func (p *Pilot) crawlManual(t *crawlTask) {
 	site, id := t.site, t.id
-	b := p.taskBrowser(t, arenas)
+	b := p.taskBrowser(t)
 	defer b.Release()
 	spec := p.Universe.FormSpec(site)
 	vals := manualFormValues(spec, id)

@@ -232,7 +232,7 @@ func (p *Pilot) scheduleBatches() {
 func (p *Pilot) crawlOnce(site *webgen.Site, class identity.PasswordClass) crawler.Result {
 	t := p.newTask(site, class, false, p.Clock.Now())
 	t.id = p.takeIdentity(class)
-	p.crawlTask(t, nil) // a nil Pool: the one session owns its storage
+	p.crawlTask(t)
 	p.mergeTask(t)
 	p.drainMail()
 	return t.res

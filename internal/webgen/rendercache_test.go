@@ -24,10 +24,10 @@ func getPage(t *testing.T, u *Universe, host, path string) string {
 }
 
 // TestRenderCacheByteIdentical proves the render cache is invisible:
-// every cacheable page — including registration pages whose CSRF tokens
-// and CAPTCHA challenges are spliced in at serve time — must be
-// byte-identical to a from-scratch render, whether served once or
-// repeatedly, by one worker or eight concurrently.
+// every cacheable page — including registration pages, cached finished
+// with their CSRF tokens and CAPTCHA challenges — must be byte-identical
+// to a from-scratch render, whether served once or repeatedly, by one
+// worker or eight concurrently.
 func TestRenderCacheByteIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumSites = 150
@@ -87,9 +87,9 @@ func TestRenderCacheByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRenderCacheRegistrationTokens spot-checks that the spliced dynamic
-// values are real: a cached registration page still carries the site's
-// valid CSRF token, not a leftover slot sentinel.
+// TestRenderCacheRegistrationTokens spot-checks that a cached
+// registration page carries real values: the site's valid CSRF token, and
+// no NUL byte, which no rendered page contains.
 func TestRenderCacheRegistrationTokens(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumSites = 150
@@ -103,7 +103,7 @@ func TestRenderCacheRegistrationTokens(t *testing.T) {
 		for pass := 0; pass < 2; pass++ { // miss then hit
 			body := getPage(t, u, s.Domain, s.RegPath)
 			if idx := strings.IndexByte(body, 0); idx >= 0 {
-				t.Fatalf("%s%s: unspliced slot sentinel at byte %d", s.Domain, s.RegPath, idx)
+				t.Fatalf("%s%s: NUL byte at byte %d", s.Domain, s.RegPath, idx)
 			}
 			if !strings.Contains(body, CSRFToken(s.Domain)) {
 				t.Fatalf("%s%s: cached page lacks the site CSRF token", s.Domain, s.RegPath)
