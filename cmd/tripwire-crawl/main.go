@@ -13,13 +13,9 @@
 //	               [-cpuprofile FILE] [-memprofile FILE]
 //	               [-mutexprofile FILE] [-blockprofile FILE]
 //	               [-metrics-addr HOST:PORT] [-metrics-out FILE]
-//	               [-checkpoint-dir DIR] [-resume FILE]
 //
-// Checkpoint/resume: with -checkpoint-dir the crawl runs in rank chunks
-// and rewrites DIR/crawl-checkpoint.twsnap after each completed chunk.
-// -resume FILE skips the checkpointed prefix outright — per-rank results
-// are pure functions of (seed, rank), so no replay is needed — and crawls
-// only the remaining ranks; the flags must match the checkpointed run.
+// The range runs from -from to -to, clipped to the last site; a range
+// that is empty or starts past the last site is refused with exit code 2.
 //
 // The profile flags capture the crawl hot path for pprof: -cpuprofile
 // records the whole crawl, -memprofile writes a post-crawl heap profile,
@@ -33,10 +29,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -47,37 +44,53 @@ import (
 	"tripwire/internal/identity"
 	"tripwire/internal/obs"
 	"tripwire/internal/par"
-	"tripwire/internal/snapshot"
 	"tripwire/internal/webgen"
 	"tripwire/internal/xrand"
 )
 
-func main() {
-	numSites := flag.Int("sites", 2000, "number of sites in the generated web")
-	from := flag.Int("from", 1, "first rank to crawl")
-	to := flag.Int("to", 200, "last rank to crawl")
-	seed := flag.Int64("seed", 1, "generation seed")
-	workers := flag.Int("workers", 0, "concurrent crawl workers (0 = GOMAXPROCS)")
-	verbose := flag.Bool("v", false, "print one line per site")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the crawl to this file")
-	memprofile := flag.String("memprofile", "", "write a post-crawl heap profile to this file")
-	mutexprofile := flag.String("mutexprofile", "", "write a post-crawl mutex-contention profile to this file")
-	blockprofile := flag.String("blockprofile", "", "write a post-crawl goroutine-blocking profile to this file")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /healthz on this address while crawling")
-	metricsOut := flag.String("metrics-out", "", "dump the metrics registry here at exit (\"-\" = stdout, *.prom = Prometheus text, else JSON)")
-	checkpointDir := flag.String("checkpoint-dir", "", "write crawl-checkpoint.twsnap here after every completed chunk of ranks")
-	resume := flag.String("resume", "", "resume a crawl from this checkpoint; -sites/-from/-to/-seed must match the checkpointed run")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *from < 1 || *to < *from {
-		fmt.Fprintln(os.Stderr, "tripwire-crawl: invalid rank range")
-		os.Exit(2)
+// run is the command's body, returning its exit code so that deferred
+// cleanups, the profiles' included, run before the process exits.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("tripwire-crawl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	numSites := fs.Int("sites", 2000, "number of sites in the generated web")
+	from := fs.Int("from", 1, "first rank to crawl")
+	to := fs.Int("to", 200, "last rank to crawl")
+	seed := fs.Int64("seed", 1, "generation seed")
+	workers := fs.Int("workers", 0, "concurrent crawl workers (0 = GOMAXPROCS)")
+	verbose := fs.Bool("v", false, "print one line per site")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the crawl to this file")
+	memprofile := fs.String("memprofile", "", "write a post-crawl heap profile to this file")
+	mutexprofile := fs.String("mutexprofile", "", "write a post-crawl mutex-contention profile to this file")
+	blockprofile := fs.String("blockprofile", "", "write a post-crawl goroutine-blocking profile to this file")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /metrics.json and /healthz on this address while crawling")
+	metricsOut := fs.String("metrics-out", "", "dump the metrics registry here at exit (\"-\" = stdout, *.prom = Prometheus text, else JSON)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	if *from < 1 || *to < *from || *from > *numSites {
+		fmt.Fprintln(stderr, "tripwire-crawl: invalid rank range")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "tripwire-crawl:", err)
+		return 1
 	}
 	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tripwire-crawl:", err)
-		os.Exit(1)
+		return fail(err)
 	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			code = fail(err)
+		}
+	}()
 	if *mutexprofile != "" {
 		runtime.SetMutexProfileFraction(1)
 	}
@@ -112,21 +125,14 @@ func main() {
 	if *metricsAddr != "" {
 		bound, shutdown, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tripwire-crawl:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer func() { _ = shutdown() }()
-		fmt.Fprintf(os.Stderr, "tripwire-crawl: metrics on http://%s/metrics\n", bound)
+		fmt.Fprintf(stderr, "tripwire-crawl: metrics on http://%s/metrics\n", bound)
 	}
 
-	last := *to
-	if last > *numSites {
-		last = *numSites
-	}
+	last := min(*to, *numSites)
 	n := last - *from + 1
-	if n < 0 {
-		n = 0
-	}
 
 	// Identities are drawn from one sequential generator stream, so mint
 	// them before fanning out: slot i always gets the same identity.
@@ -135,8 +141,11 @@ func main() {
 		ids[i] = gen.New(identity.Hard)
 	}
 
+	// Each slot is a pure function of (seed, rank), so the worker count is
+	// not observable in the results.
 	results := make([]crawler.Result, n)
-	crawlRank := func(i int) {
+	start := time.Now()
+	par.For(nw, n, func(i int) {
 		rank := *from + i
 		site, _ := universe.SiteByRank(rank)
 		b := browser.New(browser.WithTransport(&browser.HandlerTransport{Handler: universe}))
@@ -146,62 +155,7 @@ func main() {
 			Sleep:  func(time.Duration) {},
 		}
 		results[i] = c.RegisterWith(env, b, "http://"+site.Domain+"/", ids[i])
-	}
-	// runRange crawls slots [lo, hi). Each slot is a pure function of
-	// (seed, rank), so neither worker count nor chunking is observable.
-	runRange := func(lo, hi int) {
-		par.For(nw, hi-lo, func(i int) { crawlRank(lo + i) })
-	}
-
-	// Checkpoint/resume. Results are pure per rank, so resume skips the
-	// checkpointed prefix outright instead of replaying it; the params
-	// section refuses a resume under different flags.
-	params := crawlParams{Sites: *numSites, From: *from, To: last, Seed: *seed}
-	done := 0
-	if *resume != "" {
-		p, prev, err := readCrawlCheckpoint(*resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tripwire-crawl:", err)
-			os.Exit(1)
-		}
-		if p != params {
-			fmt.Fprintf(os.Stderr, "tripwire-crawl: checkpoint was taken with -sites %d -from %d -to %d -seed %d; refusing to mix\n",
-				p.Sites, p.From, p.To, p.Seed)
-			os.Exit(2)
-		}
-		done = copy(results, prev)
-		fmt.Fprintf(os.Stderr, "tripwire-crawl: resumed %d of %d ranks from %s\n", done, n, *resume)
-	}
-
-	start := time.Now()
-	if *checkpointDir != "" || *resume != "" {
-		// Chunked execution: a checkpoint lands after every completed chunk,
-		// holding the results of the finished prefix.
-		const chunk = 256
-		ckptPath := ""
-		if *checkpointDir != "" {
-			if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, "tripwire-crawl:", err)
-				os.Exit(1)
-			}
-			ckptPath = filepath.Join(*checkpointDir, "crawl-checkpoint.twsnap")
-		}
-		for lo := done; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			runRange(lo, hi)
-			if ckptPath != "" {
-				if err := snapshot.WriteFile(ckptPath, encodeCrawlCheckpoint(params, results[:hi])); err != nil {
-					fmt.Fprintln(os.Stderr, "tripwire-crawl: checkpoint:", err)
-					os.Exit(1)
-				}
-			}
-		}
-	} else {
-		runRange(0, n)
-	}
+	})
 	elapsed := time.Since(start)
 
 	counts := make(map[crawler.Code]int)
@@ -214,56 +168,52 @@ func main() {
 		}
 		if *verbose {
 			site, _ := universe.SiteByRank(rank)
-			fmt.Printf("%-16s rank=%-6d lang=%-3s %-30s %s\n",
+			fmt.Fprintf(stdout, "%-16s rank=%-6d lang=%-3s %-30s %s\n",
 				site.Domain, rank, site.Language, res.Code, res.Detail)
 		}
 	}
 
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	fmt.Printf("\nCrawled %d sites (ranks %d..%d) with %d workers in %v; %d identities exposed\n",
-		total, *from, last, nw, elapsed.Round(time.Millisecond), exposed)
+	fmt.Fprintf(stdout, "\nCrawled %d sites (ranks %d..%d) with %d workers in %v; %d identities exposed\n",
+		n, *from, last, nw, elapsed.Round(time.Millisecond), exposed)
 	for _, code := range []crawler.Code{
 		crawler.CodeNoRegistration, crawler.CodeFieldsMissing,
 		crawler.CodeSubmissionFailed, crawler.CodeOKSubmission,
 		crawler.CodeSystemError,
 	} {
-		fmt.Printf("  %-30s %6d  %5.1f%%\n", code, counts[code], 100*float64(counts[code])/float64(total))
+		fmt.Fprintf(stdout, "  %-30s %6d  %5.1f%%\n", code, counts[code], 100*float64(counts[code])/float64(n))
 	}
 
 	if *metricsOut != "" {
 		if err := obs.WriteFile(*metricsOut, reg); err != nil {
-			fmt.Fprintln(os.Stderr, "tripwire-crawl: writing metrics:", err)
-			os.Exit(1)
+			return fail(fmt.Errorf("writing metrics: %w", err))
 		}
 		if *metricsOut != "-" {
-			fmt.Fprintf(os.Stderr, "tripwire-crawl: metrics written to %s\n", *metricsOut)
+			fmt.Fprintf(stderr, "tripwire-crawl: metrics written to %s\n", *metricsOut)
 		}
 	}
 
-	if err := stopProfiles(); err != nil {
-		fmt.Fprintln(os.Stderr, "tripwire-crawl:", err)
-		os.Exit(1)
+	if err := writeProfile(*mutexprofile, "mutex"); err != nil {
+		return fail(err)
 	}
-	writeProfile(*mutexprofile, "mutex")
-	writeProfile(*blockprofile, "block")
+	if err := writeProfile(*blockprofile, "block"); err != nil {
+		return fail(err)
+	}
+	return 0
 }
 
-// writeProfile dumps a named runtime profile ("mutex", "block") at exit.
-func writeProfile(path, name string) {
+// writeProfile dumps a named runtime profile ("mutex", "block") to path,
+// if path is set.
+func writeProfile(path, name string) error {
 	if path == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tripwire-crawl:", err)
-		os.Exit(1)
+		return err
 	}
-	defer f.Close()
 	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintln(os.Stderr, "tripwire-crawl:", err)
-		os.Exit(1)
+		f.Close()
+		return err
 	}
+	return f.Close()
 }

@@ -6,7 +6,6 @@
 // flags):
 //
 //	TRIPWIRE_SERVE_ADDR        listen address       (default 127.0.0.1:8080)
-//	TRIPWIRE_SERVE_DATA_DIR    study state root     (default <tmp>/tripwire-serve)
 //	TRIPWIRE_SERVE_MAX_ACTIVE  concurrent studies   (default 2)
 //	TRIPWIRE_SERVE_RATE        per-IP requests/sec  (default 20; 0 disables)
 //	TRIPWIRE_SERVE_BURST       per-IP burst         (default ⌈2×RATE⌉)
@@ -21,7 +20,9 @@
 // /studies/{id}/pause|resume|cancel drives the lifecycle, GET
 // /studies/{id}/events streams SSE with Last-Event-ID replay, GET /hooks
 // shows delivery stats, and /metrics, /metrics.json, /healthz serve
-// observability. See DESIGN.md "Control plane".
+// observability. A paused study resumes by replaying its configuration
+// from the start, so the daemon writes nothing to disk. See DESIGN.md
+// "Control plane".
 package main
 
 import (
@@ -44,7 +45,6 @@ import (
 // config is everything the environment decides.
 type config struct {
 	addr      string
-	dataDir   string
 	maxActive int
 	rate      float64
 	burst     int // 0 means ⌈2×rate⌉
@@ -68,9 +68,6 @@ func parseConfig(environ []string) (config, error) {
 	}
 	if v, ok := get("TRIPWIRE_SERVE_ADDR"); ok {
 		cfg.addr = v
-	}
-	if v, ok := get("TRIPWIRE_SERVE_DATA_DIR"); ok {
-		cfg.dataDir = v
 	}
 	if v, ok := get("TRIPWIRE_SERVE_MAX_ACTIVE"); ok {
 		n, err := strconv.Atoi(v)
@@ -122,16 +119,11 @@ func newServer(cfg config) (*server, error) {
 	hooks := hook.NewDispatcher(cfg.rules, hook.Options{
 		Observe: func(outcome string) { outcomes.With(outcome).Inc() },
 	})
-	reg, err := registry.New(registry.Options{
-		DataDir:   cfg.dataDir,
+	reg := registry.New(registry.Options{
 		MaxActive: cfg.maxActive,
 		Metrics:   metrics,
 		Hooks:     hooks,
 	})
-	if err != nil {
-		hooks.Close()
-		return nil, err
-	}
 	handler := registry.Handler(reg, httpx.NewRateLimiter(cfg.rate, cfg.burst))
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {

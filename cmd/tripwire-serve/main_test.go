@@ -66,7 +66,6 @@ func TestServeSmoke(t *testing.T) {
 
 	cfg, err := parseConfig([]string{
 		"TRIPWIRE_SERVE_ADDR=127.0.0.1:0",
-		"TRIPWIRE_SERVE_DATA_DIR=" + t.TempDir(),
 		"TRIPWIRE_SERVE_RATE=0", // the test hammers the API; no throttling
 		"TRIPWIRE_HOOK_SMOKE_URL=" + sink.URL,
 		"TRIPWIRE_HOOK_SMOKE_SECRET=" + secret,
@@ -242,7 +241,6 @@ stream:
 func TestServeRateLimit(t *testing.T) {
 	cfg, err := parseConfig([]string{
 		"TRIPWIRE_SERVE_ADDR=127.0.0.1:0",
-		"TRIPWIRE_SERVE_DATA_DIR=" + t.TempDir(),
 		"TRIPWIRE_SERVE_RATE=1",
 		"TRIPWIRE_SERVE_BURST=2",
 	})
@@ -294,7 +292,6 @@ func TestServeRateLimit(t *testing.T) {
 func TestServerTimeouts(t *testing.T) {
 	cfg, err := parseConfig([]string{
 		"TRIPWIRE_SERVE_ADDR=127.0.0.1:0",
-		"TRIPWIRE_SERVE_DATA_DIR=" + t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

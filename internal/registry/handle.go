@@ -3,8 +3,6 @@ package registry
 import (
 	"context"
 	"fmt"
-	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -24,8 +22,8 @@ const (
 	// Running: the simulation is executing (or re-acquiring its slot after
 	// a resume).
 	Running
-	// Paused: stopped at an epoch boundary with a checkpoint on disk;
-	// Resume continues it.
+	// Paused: stopped at an epoch boundary; Resume continues it by
+	// replaying the study from its start.
 	Paused
 	// Done: ran to the configured end date.
 	Done
@@ -94,23 +92,20 @@ const intentNone = Pending
 
 // Handle is one study under registry management: the lifecycle state
 // machine, the current simulation incarnation, and the study's
-// sequence-numbered event stream. Pause cancels the run context; the
-// study then stops at the next epoch boundary and writes one checkpoint
-// there into the handle's checkpoint directory. Resume rebuilds a fresh
-// incarnation from the newest checkpoint (or, if none was written, from
-// scratch: determinism makes the rerun equivalent).
-// Because the simulation is bit-identical for its seed, the resumed
-// incarnation replays the same event prefix the old one published; the
-// handle skips the already-published prefix so the study's stream stays
-// gapless and duplicate-free across any number of pauses.
+// sequence-numbered event stream. Pause cancels the run context, and the
+// study stops at the next epoch boundary. Resume builds a fresh
+// incarnation from the handle's own configuration and runs it from the
+// start; a checkpoint would save no work, since resuming from one replays
+// from time zero too. Because the simulation is bit-identical for its
+// seed, the new incarnation replays the same event prefix the old one
+// published; the handle skips the already-published prefix so the study's
+// stream stays gapless and duplicate-free across any number of pauses.
 type Handle struct {
 	id    string
 	label string
 	scale string
 	cfg   tripwire.Config
 	reg   *Registry
-
-	checkpointDir string
 
 	bus   *evbus.Hub[Event]
 	pubMu sync.Mutex // serializes Seq assignment with Append
@@ -201,10 +196,8 @@ func (h *Handle) Wait(ctx context.Context) (State, error) {
 }
 
 // Pause stops a Running study at the next epoch boundary and parks it
-// Paused. It blocks until the stop lands, so a successful return means
-// the checkpoint to resume from is on disk — unless the pause landed
-// while a resumed incarnation was still replaying its prefix, in which
-// case the checkpoint it resumed from stays the newest. If the study
+// Paused. It only cancels: nothing is written, because Resume replays the
+// study from its start. It blocks until the stop lands. If the study
 // reaches a terminal state before the pause takes effect, a
 // TransitionError naming that state is returned.
 func (h *Handle) Pause() error {
@@ -224,20 +217,18 @@ func (h *Handle) Pause() error {
 	return nil
 }
 
-// Resume continues a Paused study from its newest checkpoint. The new
-// incarnation deterministically replays the completed prefix (attested
-// byte-for-byte against the snapshot) and then runs on; its final results
-// are byte-identical to a never-paused run.
+// Resume continues a Paused study. The new incarnation is built from the
+// handle's configuration, deterministically replays the completed prefix
+// and runs on; its final results are byte-identical to a never-paused
+// run's.
 func (h *Handle) Resume() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.state != Paused {
 		return &TransitionError{Study: h.id, From: h.state, To: Running}
 	}
-	study, err := h.rebuild()
-	if err != nil {
-		return fmt.Errorf("registry: %s: resume: %w", h.id, err)
-	}
+	// Submit validated h.cfg, so the new incarnation has no error.
+	study := tripwire.New(tripwire.WithConfig(h.cfg))
 	h.study = study
 	h.gen++
 	h.state = Running
@@ -247,30 +238,6 @@ func (h *Handle) Resume() error {
 	h.done = make(chan struct{})
 	go h.run(study, h.gen, ctx, h.done, h.simSeen.Load())
 	return nil
-}
-
-// rebuild constructs the incarnation Resume will run: the newest
-// checkpoint when one exists, otherwise a fresh study over the original
-// configuration. Called with h.mu held.
-func (h *Handle) rebuild() (*tripwire.Study, error) {
-	files, err := filepath.Glob(filepath.Join(h.checkpointDir, "checkpoint-*.twsnap"))
-	if err != nil {
-		return nil, err
-	}
-	if len(files) > 0 {
-		sort.Strings(files)
-		return tripwire.Resume(files[len(files)-1], tripwire.WithCheckpoint(h.checkpointDir, 0))
-	}
-	study := h.newIncarnation()
-	if err := study.Err(); err != nil {
-		return nil, err
-	}
-	return study, nil
-}
-
-// newIncarnation builds a from-scratch study over the handle's config.
-func (h *Handle) newIncarnation() *tripwire.Study {
-	return tripwire.New(tripwire.WithConfig(h.cfg), tripwire.WithCheckpoint(h.checkpointDir, 0))
 }
 
 // Cancel stops the study for good: a queued or running study is cancelled

@@ -22,7 +22,7 @@ const maxSubmitBody = 64 << 10
 //	GET  /studies               list → []Info
 //	GET  /studies/{id}          status → Info (Status served verbatim)
 //	POST /studies/{id}/pause    park at the next epoch boundary → Info
-//	POST /studies/{id}/resume   continue from the newest checkpoint → Info
+//	POST /studies/{id}/resume   continue by replaying from the start → Info
 //	POST /studies/{id}/cancel   stop for good → Info
 //	GET  /studies/{id}/events   SSE stream with Last-Event-ID replay
 //	GET  /hooks                 webhook delivery stats per endpoint
@@ -78,13 +78,9 @@ func Handler(reg *Registry, limiter *httpx.RateLimiter) http.Handler {
 				httpx.WriteError(w, http.StatusNotFound, "no such study")
 				return
 			}
+			// Pause, Resume and Cancel fail only with a TransitionError.
 			if err := op(h); err != nil {
-				var te *TransitionError
-				if errors.As(err, &te) {
-					httpx.WriteError(w, http.StatusConflict, err.Error())
-				} else {
-					httpx.WriteError(w, http.StatusInternalServerError, err.Error())
-				}
+				httpx.WriteError(w, http.StatusConflict, err.Error())
 				return
 			}
 			httpx.WriteJSON(w, http.StatusOK, h.Info())

@@ -230,8 +230,8 @@ func TestHTTPErrors(t *testing.T) {
 	if resp, _ := postJSON(t, srv.URL+"/studies", `{"scale":"demo"}{"scale":"paper"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("data after the object = %d", resp.StatusCode)
 	}
-	// Every study checkpoints once when it stops; the old cadence field is
-	// refused rather than silently ignored.
+	// The retired checkpoint cadence field is refused rather than
+	// silently ignored.
 	if resp, _ := postJSON(t, srv.URL+"/studies", `{"scale":"demo","checkpoint_every":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("checkpoint_every = %d", resp.StatusCode)
 	}

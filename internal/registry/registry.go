@@ -1,10 +1,11 @@
 // Package registry is the study service's control plane: a daemon-side
 // registry hosting many concurrent studies, each wrapped in a Handle
 // whose lifecycle state machine (Pending → Running ⇄ Paused →
-// Done/Cancelled/Failed) is built on the simulation's wave-boundary
-// cancellation and checkpoint/resume machinery. The HTTP API over it
-// lives in http.go; outbound webhooks ride the same per-study event
-// streams through internal/hook.
+// Done/Cancelled/Failed) is built on the simulation's epoch-boundary
+// cancellation and its determinism: a paused study resumes by replaying
+// its own configuration from the start, so the registry keeps no state
+// on disk. The HTTP API over it lives in http.go; outbound webhooks ride
+// the same per-study event streams through internal/hook.
 package registry
 
 import (
@@ -12,10 +13,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
+	"tripwire"
 	"tripwire/internal/evbus"
 	"tripwire/internal/hook"
 	"tripwire/internal/obs"
@@ -23,10 +23,6 @@ import (
 
 // Options configures a Registry.
 type Options struct {
-	// DataDir roots per-study state (checkpoints live in
-	// <DataDir>/<id>/checkpoints). Empty uses a directory under the
-	// system temp dir.
-	DataDir string
 	// MaxActive bounds concurrently executing simulations; further
 	// submissions queue in Pending. Default 2.
 	MaxActive int
@@ -55,14 +51,8 @@ type Registry struct {
 	mEvents    *obs.Counter
 }
 
-// New builds a registry, creating DataDir if needed.
-func New(opts Options) (*Registry, error) {
-	if opts.DataDir == "" {
-		opts.DataDir = filepath.Join(os.TempDir(), "tripwire-serve")
-	}
-	if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
-		return nil, fmt.Errorf("registry: data dir: %w", err)
-	}
+// New builds a registry.
+func New(opts Options) *Registry {
 	if opts.MaxActive <= 0 {
 		opts.MaxActive = 2
 	}
@@ -72,7 +62,7 @@ func New(opts Options) (*Registry, error) {
 		studies:    make(map[string]*Handle),
 		mSubmitted: opts.Metrics.Counter("tripwire_serve_studies_submitted", "studies accepted by POST /studies"),
 		mEvents:    opts.Metrics.Counter("tripwire_serve_events_published", "events published on study streams"),
-	}, nil
+	}
 }
 
 // ErrClosed rejects submissions to a shut-down registry.
@@ -96,23 +86,19 @@ func (r *Registry) Submit(req SubmitRequest) (*Handle, error) {
 	r.mu.Unlock()
 
 	h := &Handle{
-		id:            id,
-		label:         req.Label,
-		scale:         req.Scale,
-		cfg:           cfg,
-		reg:           r,
-		checkpointDir: filepath.Join(r.opts.DataDir, id, "checkpoints"),
-		bus:           evbus.New[Event](),
-		state:         Pending,
+		id:    id,
+		label: req.Label,
+		scale: req.Scale,
+		cfg:   cfg,
+		reg:   r,
+		bus:   evbus.New[Event](),
+		state: Pending,
 	}
 	if h.scale == "" {
 		h.scale = "small"
 	}
-	if err := os.MkdirAll(h.checkpointDir, 0o755); err != nil {
-		return nil, fmt.Errorf("registry: %s: checkpoint dir: %w", id, err)
-	}
 
-	study := h.newIncarnation()
+	study := tripwire.New(tripwire.WithConfig(cfg))
 	if err := study.Err(); err != nil {
 		return nil, fmt.Errorf("registry: invalid study configuration: %w", err)
 	}
@@ -166,8 +152,8 @@ func (r *Registry) HookStats() map[string]hook.EndpointStats {
 }
 
 // Close stops accepting submissions, cancels every study that has not
-// reached a terminal state, and waits for their goroutines to settle.
-// Checkpoints stay on disk under DataDir.
+// reached a terminal state, paused ones included, and waits for their
+// goroutines to settle. Nothing of a study outlives its registry.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	r.closed = true

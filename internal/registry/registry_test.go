@@ -4,21 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"path/filepath"
+	"os"
 	"testing"
 	"time"
 )
 
-// newTestRegistry returns a registry rooted in a temp dir.
+// newTestRegistry returns a registry that is closed when the test ends.
 func newTestRegistry(t *testing.T, opts Options) *Registry {
 	t.Helper()
-	if opts.DataDir == "" {
-		opts.DataDir = t.TempDir()
-	}
-	reg, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := New(opts)
 	t.Cleanup(reg.Close)
 	return reg
 }
@@ -40,6 +34,32 @@ func waitKind(t *testing.T, h *Handle, seq uint64, kind string) Event {
 	}
 	t.Fatalf("stream ended without a %q event (state %s)", kind, h.State())
 	return Event{}
+}
+
+// pause parks h, skipping the test if the study completed before the
+// pause landed.
+func pause(t *testing.T, h *Handle) {
+	t.Helper()
+	err := h.Pause()
+	var te *TransitionError
+	if errors.As(err, &te) && te.From == Done {
+		t.Skip("study completed before the pause landed")
+	}
+	if err != nil {
+		t.Fatalf("Pause: %v", err)
+	}
+}
+
+// requireEmpty fails the test if anything was written under dir.
+func requireEmpty(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("%s written under TMPDIR, want nothing", e.Name())
+	}
 }
 
 // TestTransitionTable pins the full lifecycle machine: every State×State
@@ -141,14 +161,15 @@ func simEvents(events []Event) []Event {
 	return out
 }
 
-// TestPauseResume: pause after the first wave, check the one checkpoint
-// the pause wrote and the parked state, resume, and require (a) the final
-// Status byte-identical to an uninterrupted run's, (b) the simulation
-// event stream duplicate-free and identical to the uninterrupted stream,
-// and (c) no checkpoint beyond the pause's.
+// TestPauseResume: pause after the first wave, check the parked state and
+// that the pause wrote nothing, resume, and require (a) the final Status
+// byte-identical to an uninterrupted run's, (b) the simulation event
+// stream duplicate-free and identical to the uninterrupted stream, and
+// (c) still nothing written under TMPDIR.
 func TestPauseResume(t *testing.T) {
-	dir := t.TempDir()
-	reg := newTestRegistry(t, Options{DataDir: dir})
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	reg := newTestRegistry(t, Options{})
 
 	ref, err := reg.Submit(demoRequest())
 	if err != nil {
@@ -174,10 +195,7 @@ func TestPauseResume(t *testing.T) {
 	if err := h.Pause(); err == nil {
 		t.Fatal("second Pause succeeded")
 	}
-	snapGlob := filepath.Join(dir, h.ID(), "checkpoints", "checkpoint-*.twsnap")
-	if snaps, _ := filepath.Glob(snapGlob); len(snaps) != 1 {
-		t.Fatalf("%d checkpoints on disk after one pause, want 1", len(snaps))
-	}
+	requireEmpty(t, tmp)
 	if last := h.Info(); last.State != "paused" {
 		t.Fatalf("info.State = %s", last.State)
 	}
@@ -188,9 +206,7 @@ func TestPauseResume(t *testing.T) {
 	if st, err := h.Wait(ctx); st != Done || err != nil {
 		t.Fatalf("Wait after resume = %s, %v", st, err)
 	}
-	if snaps, _ := filepath.Glob(snapGlob); len(snaps) != 1 {
-		t.Fatalf("%d checkpoints on disk after a paused study finished, want the pause's 1", len(snaps))
-	}
+	requireEmpty(t, tmp)
 	if err := h.Resume(); err == nil {
 		t.Fatal("Resume of a done study succeeded")
 	}
@@ -231,11 +247,11 @@ func TestPauseResume(t *testing.T) {
 	}
 }
 
-// TestPauseBeforeFirstCheckpoint: pausing a study as soon as it starts,
-// possibly before its first wave, still leaves a resume point: the stop
-// checkpoint at whatever epoch boundary the pause landed on. Resume
-// replays from it and converges to the uninterrupted result.
-func TestPauseBeforeFirstCheckpoint(t *testing.T) {
+// TestPauseAtStart: a study paused as soon as it starts, possibly before
+// its first wave, parks at whatever epoch boundary the pause landed on.
+// Resume replays it from the start and converges to the uninterrupted
+// result.
+func TestPauseAtStart(t *testing.T) {
 	reg := newTestRegistry(t, Options{})
 	ref, err := reg.Submit(demoRequest())
 	if err != nil {
@@ -252,16 +268,7 @@ func TestPauseBeforeFirstCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitKind(t, h, 0, KindRunning)
-	if err := h.Pause(); err != nil {
-		// The study may have finished its first wave and parked cleanly, or
-		// even raced to completion; only the latter is a test-environment
-		// fluke worth skipping on.
-		var te *TransitionError
-		if errors.As(err, &te) && te.From == Done {
-			t.Skip("study completed before the pause landed")
-		}
-		t.Fatalf("Pause: %v", err)
-	}
+	pause(t, h)
 	if err := h.Resume(); err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -273,6 +280,66 @@ func TestPauseBeforeFirstCheckpoint(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("status differs:\n got %s\nwant %s", got, want)
 	}
+}
+
+// TestResumeAfterRestart: a registry started after another one closed
+// numbers its studies from study-0001 again, and a study paused there must
+// resume as itself. Registry A pauses a seed-1 study after its third wave
+// and closes; registry B pauses its own study-0001, seeded 2, as soon as it
+// runs, resumes it, and must finish with the status of an uninterrupted
+// seed-2 study, having written nothing under TMPDIR.
+func TestResumeAfterRestart(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	seeded := func(seed int64) SubmitRequest { return SubmitRequest{Scale: "demo", Seed: &seed} }
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	// Both registries are built by New with default options, as the
+	// daemon builds its one.
+	a := New(Options{})
+	t.Cleanup(a.Close)
+	old, err := a.Submit(seeded(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq uint64
+	for i := 0; i < 3; i++ {
+		seq = waitKind(t, old, seq, KindWave).Seq
+	}
+	pause(t, old)
+	a.Close()
+
+	b := New(Options{})
+	t.Cleanup(b.Close)
+	h, err := b.Submit(seeded(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.ID() != old.ID() {
+		t.Fatalf("the second registry's first study is %s, want %s", h.ID(), old.ID())
+	}
+	waitKind(t, h, 0, KindRunning)
+	pause(t, h)
+	ref, err := b.Submit(seeded(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := ref.Wait(ctx); st != Done || err != nil {
+		t.Fatalf("reference study ended %s, %v", st, err)
+	}
+	if err := h.Resume(); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if st, err := h.Wait(ctx); st != Done || err != nil {
+		t.Fatalf("resumed study ended %s, %v", st, err)
+	}
+	got, _ := json.Marshal(h.Info().Status)
+	want, _ := json.Marshal(ref.Info().Status)
+	if string(got) != string(want) {
+		t.Fatalf("resumed study's status differs from an uninterrupted seed-2 run's:\n got %s\nwant %s", got, want)
+	}
+	requireEmpty(t, tmp)
 }
 
 // TestCancelRunning: cancel lands at an epoch boundary, the stream ends

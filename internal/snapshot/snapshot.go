@@ -1,10 +1,10 @@
 // Package snapshot is the compact, versioned binary container every piece
-// of durable Tripwire state travels in: study checkpoints written at wave
-// boundaries, the cold login-log segments the email provider spills to
-// disk, and the crawl-resume files of cmd/tripwire-crawl. A study
-// checkpoint stores verbatim only what resume reads back (its config and
-// progress); every other subsystem section is attested by its length and
-// SHA-256, so a checkpoint stays about a kilobyte at any study size.
+// of durable Tripwire state travels in: the study checkpoints a run writes
+// at an epoch boundary, and the cold login-log segments the email provider
+// spills to disk. A study checkpoint stores verbatim only what resume
+// reads back (its config and progress); every other subsystem section is
+// attested by its length and SHA-256, so a checkpoint stays about a
+// kilobyte at any study size.
 //
 // A snapshot file is a magic tag, a format version, and a sequence of
 // named, length-prefixed sections, each protected by its own CRC-32. The
@@ -19,8 +19,8 @@
 // read. A file written by a newer format version fails with
 // ErrVersionSkew rather than being misread. An older file decodes, and the
 // consumer whose section layout changed since refuses it by version (sim
-// checkpoints must match Version exactly; login-log spill segments and
-// crawl checkpoints have kept their layout).
+// checkpoints must match Version exactly; login-log spill segments have
+// kept their layout).
 //
 // Every decode path is hardened against hostile input: all length fields
 // are sanity-capped against the bytes actually remaining before any

@@ -53,9 +53,10 @@ func BenchmarkServePage(b *testing.B) {
 	})
 }
 
-// BenchmarkServePageCaptcha serves a registration page that must mint a
-// fresh CAPTCHA challenge per request — the dynamic-splice path of the
-// render cache.
+// BenchmarkServePageCaptcha serves the registration page of an
+// image-CAPTCHA site. Its challenge is drawn from an RNG seeded by the site,
+// so the page comes finished from the render cache, like any other
+// registration page.
 func BenchmarkServePageCaptcha(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.NumSites = 400

@@ -41,10 +41,10 @@ func (p phase) String() string {
 // control plane (GET /studies/{id}) serves it verbatim.
 //
 // Every field is deterministic for a given configuration: no wall-clock
-// timestamps appear here, so a run paused at a wave boundary and resumed
-// from its checkpoint reports byte-identical final status to an
-// uninterrupted run (a test pins this through the HTTP API at 1/2/4/8
-// workers).
+// timestamps appear here, so a run stopped at an epoch boundary and then
+// resumed, from its checkpoint or by a rerun, reports byte-identical final
+// status to an uninterrupted run (a test pins this for a study paused and
+// resumed through the HTTP API at 1/2/4/8 workers).
 type StudyStatus struct {
 	// Phase is the lifecycle position: pending (built, not started),
 	// running, done, failed (validation or run error), or interrupted
