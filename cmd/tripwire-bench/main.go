@@ -8,12 +8,12 @@
 // benchmark map is embedded under "baseline" so before/after live in one
 // document.
 //
-// With -assert-overhead PCT it also gates the observability tax: every
-// BenchmarkParallelCrawlMetrics/workers=N in the input is compared to its
-// metrics-free twin BenchmarkParallelCrawl/workers=N *from the same run*
-// (same machine, same load — the only comparison that is sound), and the
-// command exits non-zero if pages/s regressed by more than PCT percent or
-// the instrumented benchmark allocates more per op.
+// With -assert-overhead PCT it also gates the observability tax, read
+// from BenchmarkMetricsOverhead, which crawls the same CPU-bound batches
+// with metrics off and on in alternation within one run (same machine,
+// same load — the only comparison that is sound): the command exits
+// non-zero if the median metered batch used more than PCT percent more
+// CPU than its unmetered twin, or if the metered waves allocate more.
 //
 // With -assert-allocs PCT (requires -baseline) it gates allocation
 // regressions: every benchmark on stdin that also appears in the baseline
@@ -35,7 +35,7 @@
 // Usage:
 //
 //	go test -run xxx -bench . -benchmem ./... | tripwire-bench -out BENCH_crawl.json -baseline BENCH_baseline.json
-//	go test -run xxx -bench ParallelCrawl -benchmem ./internal/sim/ | tripwire-bench -assert-overhead 3
+//	go test -run xxx -bench MetricsOverhead -benchtime 20x ./internal/sim/ | tripwire-bench -assert-overhead 3
 //	go test -run xxx -bench . -benchmem ./... | tripwire-bench -baseline BENCH_baseline.json -assert-allocs 5 -out /dev/null
 package main
 
@@ -110,46 +110,34 @@ func parseLine(line string) (name string, r Result, ok bool) {
 	return name, r, true
 }
 
-// assertOverhead compares each metrics-on benchmark to its metrics-off
-// twin from the same run. The pages/s budget is applied to the mean drop
-// across worker counts (a single worker count at low iteration counts is
-// dominated by scheduler noise, not the instruments); allocs/op — which is
-// deterministic up to goroutine bookkeeping — gets a 0.1% tolerance.
-func assertOverhead(benchmarks map[string]Result, maxPct float64) (checked int, breaches []string) {
-	const base = "BenchmarkParallelCrawl/"
-	const metered = "BenchmarkParallelCrawlMetrics/"
-	var dropSum float64
-	for name, m := range benchmarks {
-		if !strings.HasPrefix(name, metered) {
-			continue
-		}
-		variant := strings.TrimPrefix(name, metered)
-		b, ok := benchmarks[base+variant]
-		if !ok {
-			breaches = append(breaches, fmt.Sprintf("%s: no metrics-free twin %s in this run", name, base+variant))
-			continue
-		}
-		basePages, meteredPages := b.Metrics["pages/s"], m.Metrics["pages/s"]
-		if basePages <= 0 || meteredPages <= 0 {
-			breaches = append(breaches, fmt.Sprintf("%s: missing pages/s metric (base %v, metrics %v)", variant, basePages, meteredPages))
-			continue
-		}
-		checked++
-		drop := 100 * (basePages - meteredPages) / basePages
-		dropSum += drop
-		fmt.Fprintf(os.Stderr, "tripwire-bench: %-12s pages/s %.0f -> %.0f (%+.2f%%)\n", variant, basePages, meteredPages, -drop)
-		if b.AllocsPerOp != nil && m.AllocsPerOp != nil && *m.AllocsPerOp > *b.AllocsPerOp*1.001 {
-			breaches = append(breaches, fmt.Sprintf("%s: allocs/op grew with metrics on (%.0f -> %.0f)",
-				variant, *b.AllocsPerOp, *m.AllocsPerOp))
-		}
+// overheadBench is the benchmark -assert-overhead reads.
+const overheadBench = "BenchmarkMetricsOverhead"
+
+// assertOverhead gates overheadBench's figures: metrics-cpu-% (the median
+// over back-to-back batch pairs of the metered batch's CPU over its
+// unmetered twin's, less one, in percent) against maxPct, and
+// metered-allocs/wave against allocs/wave with a 0.1% tolerance for
+// goroutine bookkeeping. found is false when the input has no such
+// benchmark.
+func assertOverhead(benchmarks map[string]Result, maxPct float64) (found bool, breaches []string) {
+	r, ok := benchmarks[overheadBench]
+	if !ok {
+		return false, nil
 	}
-	if checked > 0 {
-		if mean := dropSum / float64(checked); mean > maxPct {
-			breaches = append(breaches, fmt.Sprintf("mean pages/s drop with metrics on is %.2f%% across %d worker counts, budget %.1f%%",
-				mean, checked, maxPct))
-		}
+	tax, okTax := r.Metrics["metrics-cpu-%"]
+	base, okBase := r.Metrics["allocs/wave"]
+	metered, okMetered := r.Metrics["metered-allocs/wave"]
+	if !okTax || !okBase || !okMetered {
+		return true, []string{overheadBench + ": missing metrics-cpu-%, allocs/wave or metered-allocs/wave"}
 	}
-	return checked, breaches
+	fmt.Fprintf(os.Stderr, "tripwire-bench: crawl CPU with metrics on %+.2f%% (median batch pair), allocs/wave %.0f -> %.0f\n", tax, base, metered)
+	if tax > maxPct {
+		breaches = append(breaches, fmt.Sprintf("crawl CPU with metrics on is %.2f%% above metrics off, budget %.1f%%", tax, maxPct))
+	}
+	if metered > base*1.001 {
+		breaches = append(breaches, fmt.Sprintf("allocs/wave grew with metrics on (%.0f -> %.0f)", base, metered))
+	}
+	return true, breaches
 }
 
 // assertAllocs compares every current benchmark against its baseline
@@ -231,7 +219,7 @@ func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	baseline := flag.String("baseline", "", "existing BENCH JSON whose benchmarks become this document's baseline")
 	note := flag.String("note", "", "free-form note recorded in the document")
-	assertPct := flag.Float64("assert-overhead", 0, "fail if the metrics-on crawl benchmark is more than this % slower (pages/s) than its metrics-free twin, or allocates more")
+	assertPct := flag.Float64("assert-overhead", 0, "fail if BenchmarkMetricsOverhead's metered crawl uses more than this % more CPU than its metrics-free twin, or allocates more")
 	assertAllocsPct := flag.Float64("assert-allocs", 0, "fail if any benchmark's allocs/op exceeds its -baseline entry by more than this % (new benchmarks without a baseline entry are skipped)")
 	assertHeapPct := flag.Float64("assert-heap", 0, "fail if any benchmark's heap-MB, ckpt-full-KB, or allocs/event metric exceeds its -baseline entry by more than this % (benchmarks without the figure on both sides are skipped)")
 	flag.Parse()
@@ -278,18 +266,18 @@ func main() {
 	}
 
 	if *assertPct > 0 {
-		checked, breaches := assertOverhead(doc.Benchmarks, *assertPct)
+		found, breaches := assertOverhead(doc.Benchmarks, *assertPct)
 		for _, b := range breaches {
 			fmt.Fprintln(os.Stderr, "tripwire-bench: OVERHEAD:", b)
 		}
 		if len(breaches) > 0 {
 			os.Exit(1)
 		}
-		if checked == 0 {
-			fmt.Fprintln(os.Stderr, "tripwire-bench: -assert-overhead found no ParallelCrawlMetrics benchmarks on stdin")
+		if !found {
+			fmt.Fprintln(os.Stderr, "tripwire-bench: -assert-overhead found no "+overheadBench+" on stdin")
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "tripwire-bench: metrics overhead within %.1f%% budget across %d worker counts\n", *assertPct, checked)
+		fmt.Fprintf(os.Stderr, "tripwire-bench: metrics overhead within %.1f%% budget\n", *assertPct)
 	}
 
 	if *assertAllocsPct > 0 {

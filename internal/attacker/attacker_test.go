@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"tripwire/internal/chunklog"
 	"tripwire/internal/emailprovider"
 	"tripwire/internal/geo"
 	"tripwire/internal/identity"
@@ -176,6 +177,34 @@ func TestStufferLoginRecordsProviderEvent(t *testing.T) {
 	recs := st.Records()
 	if len(recs) != 1 || !recs[0].Success {
 		t.Fatalf("records = %+v", recs)
+	}
+}
+
+// TestStufferEndSegmentAcrossChunks seals a segment that starts in one
+// chunk of the record log and ends in the next; the records must end up
+// exactly as a stable sort by account of a flat copy.
+func TestStufferEndSegmentAcrossChunks(t *testing.T) {
+	st := NewStuffer(nil, nil, func() time.Time { return t0 })
+	var flat []LoginRecord
+	rec := func(email string, i int) {
+		ip := netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)})
+		st.record(email, ip, i%3 != 0)
+		flat = append(flat, LoginRecord{Email: email, Time: t0, IP: ip, Success: i%3 != 0})
+	}
+	before := chunklog.ChunkSize - 6
+	for i := 0; i < before; i++ {
+		rec(fmt.Sprintf("pre%04d@bigmail.test", i), i)
+	}
+	st.BeginSegment()
+	// Accounts repeat, so stability decides the order among equals; the IP
+	// records the append order.
+	for i := 0; i < 40; i++ {
+		rec(fmt.Sprintf("v%d@bigmail.test", (i*7)%9), before+i)
+	}
+	st.EndSegment()
+	slices.SortStableFunc(flat[before:], func(a, b LoginRecord) int { return strings.Compare(a.Email, b.Email) })
+	if got := st.Records(); !slices.Equal(got, flat) {
+		t.Fatal("sealed records differ from a stable sort of a flat copy")
 	}
 }
 

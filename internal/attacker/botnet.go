@@ -2,11 +2,11 @@ package attacker
 
 import (
 	"net/netip"
-	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"tripwire/internal/chunklog"
 	"tripwire/internal/geo"
 	"tripwire/internal/imap"
 	"tripwire/internal/memconn"
@@ -106,7 +106,7 @@ type Stuffer struct {
 	Latency time.Duration
 
 	mu      sync.Mutex
-	records []LoginRecord
+	records chunklog.Log[LoginRecord]
 	marked  int               // records index saved by BeginSegment
 	draws   map[string]uint64 // per-account deterministic draw counters
 	pop     *pop3.Server
@@ -164,19 +164,20 @@ func (s *Stuffer) LeaseIP(email string) netip.Addr {
 }
 
 // BeginSegment / EndSegment implement simclock.Sequencer for the
-// attacker-side record log, mirroring the provider's login ring: records
+// attacker-side record log, mirroring the provider's login log: records
 // appended during one parallel segment all share a timestamp, so a stable
 // per-segment sort by account erases goroutine interleaving.
 func (s *Stuffer) BeginSegment() {
 	s.mu.Lock()
-	s.marked = len(s.records)
+	s.marked = s.records.Len()
 	s.mu.Unlock()
 }
 
-// EndSegment closes the segment opened by BeginSegment.
+// EndSegment closes the segment opened by BeginSegment, re-sequencing it
+// across chunk boundaries when it spans one.
 func (s *Stuffer) EndSegment() {
 	s.mu.Lock()
-	slices.SortStableFunc(s.records[s.marked:], func(a, b LoginRecord) int {
+	s.records.SortStableFrom(s.marked, func(a, b *LoginRecord) int {
 		return strings.Compare(a.Email, b.Email)
 	})
 	s.mu.Unlock()
@@ -204,7 +205,7 @@ func (s *Stuffer) TryLoginFrom(ip netip.Addr, cred Credential, siphon bool) bool
 
 func (s *Stuffer) record(email string, ip netip.Addr, ok bool) {
 	s.mu.Lock()
-	s.records = append(s.records, LoginRecord{Email: email, Time: s.Now(), IP: ip, Success: ok})
+	s.records.Append(LoginRecord{Email: email, Time: s.Now(), IP: ip, Success: ok})
 	s.mu.Unlock()
 	s.Metrics.attempt(ok)
 }
@@ -285,7 +286,6 @@ func (b *bot) collectPOP(cred Credential, siphon bool) bool {
 func (s *Stuffer) Records() []LoginRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]LoginRecord, len(s.records))
-	copy(out, s.records)
-	return out
+	n := s.records.Len()
+	return s.records.AppendTo(make([]LoginRecord, 0, n), 0, n)
 }

@@ -65,9 +65,8 @@ func (s *Stuffer) ExportState() StufferState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := StufferState{}
-	if len(s.records) > 0 {
-		st.Records = make([]LoginRecord, len(s.records))
-		copy(st.Records, s.records)
+	if n := s.records.Len(); n > 0 {
+		st.Records = s.records.AppendTo(nil, 0, n)
 		for i := range st.Records {
 			st.Records[i].Time = snapshot.CanonTime(st.Records[i].Time)
 		}

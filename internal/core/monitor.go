@@ -12,12 +12,6 @@ import (
 	"tripwire/internal/identity"
 )
 
-// AttributedLogin is one provider login event attributed to a registration.
-type AttributedLogin struct {
-	Event        emailprovider.LoginEvent
-	Registration *Registration
-}
-
 // IntegrityAlarm is raised when a login trips an account that was never
 // registered anywhere. Under the paper's threat analysis (§4.4) this would
 // indicate compromise of the email provider or of Tripwire's own database —
@@ -47,9 +41,8 @@ type Monitor struct {
 	mu     sync.Mutex
 	ledger *Ledger
 
-	lastDump   time.Time
-	attributed []AttributedLogin
-	alarms     []IntegrityAlarm
+	lastDump time.Time
+	alarms   []IntegrityAlarm
 
 	expectedControls map[string]bool // account -> expected
 	seenControls     map[string]int  // account -> observed logins
@@ -70,7 +63,8 @@ type Detection struct {
 	Category  string
 	FirstSeen time.Time
 	LastSeen  time.Time
-	// Logins per account email.
+	// Logins per account email: every login the monitor attributed to the
+	// site, each held here and nowhere else in the monitor.
 	Logins map[string][]emailprovider.LoginEvent
 	// HardAccessed is true once any hard-password account at the site is
 	// accessed, indicating plaintext or reversible password storage.
@@ -134,7 +128,6 @@ func (m *Monitor) Ingest(events []emailprovider.LoginEvent) []string {
 			}
 			continue
 		}
-		m.attributed = append(m.attributed, AttributedLogin{Event: ev, Registration: reg})
 		if m.Metrics != nil {
 			m.Metrics.attributedLogins.Inc()
 		}
@@ -210,15 +203,6 @@ func (m *Monitor) AlarmCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.alarms)
-}
-
-// AttributedLogins returns every site-attributed login.
-func (m *Monitor) AttributedLogins() []AttributedLogin {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]AttributedLogin, len(m.attributed))
-	copy(out, m.attributed)
-	return out
 }
 
 // ControlLoginsSeen returns the number of control-account logins the

@@ -244,21 +244,14 @@ type AccountLogins struct {
 	Events  []emailprovider.LoginEvent
 }
 
-// AttributedState is one attributed login flattened to its registration
-// domain (the pointer identity is re-derivable from the ledger).
-type AttributedState struct {
-	Event  emailprovider.LoginEvent
-	Domain string
-}
-
 // MonitorState is the monitor's durable view: the dump cursor, control
-// bookkeeping, the full attributed-login history, alarm count, and every
-// detection in first-detection order.
+// bookkeeping, alarm count, and every detection in first-detection order.
+// The detections' per-account logins are the full attributed-login
+// history.
 type MonitorState struct {
 	LastDump         time.Time
 	ExpectedControls []string // sorted
 	SeenControls     []ControlSeen
-	Attributed       []AttributedState
 	Alarms           int
 	Detections       []DetectionState // first-detection order
 }
@@ -276,11 +269,6 @@ func (m *Monitor) ExportState() *MonitorState {
 		st.SeenControls = append(st.SeenControls, ControlSeen{Account: acct, Count: n})
 	}
 	sort.Slice(st.SeenControls, func(i, j int) bool { return st.SeenControls[i].Account < st.SeenControls[j].Account })
-	for _, al := range m.attributed {
-		ev := al.Event
-		ev.Time = snapshot.CanonTime(ev.Time)
-		st.Attributed = append(st.Attributed, AttributedState{Event: ev, Domain: al.Registration.Domain})
-	}
 	for _, domain := range m.order {
 		det := m.detections[domain]
 		ds := DetectionState{
@@ -318,11 +306,6 @@ func EncodeMonitorState(e *snapshot.Encoder, st *MonitorState) {
 	for _, cs := range st.SeenControls {
 		e.String(cs.Account)
 		e.Int(int64(cs.Count))
-	}
-	e.Uint(uint64(len(st.Attributed)))
-	for _, at := range st.Attributed {
-		emailprovider.AppendLoginEvent(e, at.Event)
-		e.String(at.Domain)
 	}
 	e.Int(int64(st.Alarms))
 	e.Uint(uint64(len(st.Detections)))

@@ -146,14 +146,6 @@ func DecodeMonitorState(data []byte) (*MonitorState, error) {
 	for i := 0; i < n; i++ {
 		st.SeenControls = append(st.SeenControls, ControlSeen{Account: d.String(), Count: int(d.Int())})
 	}
-	n = d.Count(5)
-	for i := 0; i < n; i++ {
-		ev, err := emailprovider.DecodeLoginEvent(d)
-		if err != nil {
-			return nil, err
-		}
-		st.Attributed = append(st.Attributed, AttributedState{Event: ev, Domain: d.String()})
-	}
 	st.Alarms = int(d.Int())
 	n = d.Count(10)
 	for i := 0; i < n; i++ {

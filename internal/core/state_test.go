@@ -142,9 +142,6 @@ func randMonitorState(rng *rand.Rand) *MonitorState {
 		}
 		return emailprovider.LoginEvent{Account: randString(rng, 16), Time: randTime(rng), IP: ip, Method: "IMAP"}
 	}
-	for i := 0; i < rng.Intn(4); i++ {
-		st.Attributed = append(st.Attributed, AttributedState{Event: ev(), Domain: randString(rng, 14)})
-	}
 	for i := 0; i < rng.Intn(3); i++ {
 		det := DetectionState{
 			Domain:             fmt.Sprintf("site%05d.test", i),

@@ -25,8 +25,8 @@ func pilot(t *testing.T) *sim.Pilot {
 func TestBuildCoversEveryAttributedLogin(t *testing.T) {
 	p := pilot(t)
 	records := Build(p)
-	if len(records) != len(p.Monitor.AttributedLogins()) {
-		t.Fatalf("%d records for %d attributed logins", len(records), len(p.Monitor.AttributedLogins()))
+	if want := attributedLogins(p); len(records) != want {
+		t.Fatalf("%d records for %d attributed logins", len(records), want)
 	}
 	if err := Audit(records, p); err != nil {
 		t.Fatal(err)

@@ -11,11 +11,11 @@ import (
 // misunderstanding of the retention limits at the email provider, login
 // activity was lost from March 20, 2015, through June 1, 2015").
 //
-// The log is a time-ordered ring (see loginRing) plus optional cold
+// The log is a time-ordered chunked log (see loginLog) plus optional cold
 // segments spilled to disk (see spill.go); both tiers are time-sorted, so
 // the window is located by binary search in each rather than a scan over
 // the whole retained history. Cold segments are strictly older than every
-// resident event, so concatenating segment results before ring results
+// resident event, so concatenating segment results before resident results
 // preserves global order.
 func (p *Provider) DumpSince(since time.Time) []LoginEvent {
 	now := p.Now()
@@ -41,7 +41,7 @@ func (p *Provider) AllLogins() []LoginEvent {
 
 // PurgeExpired discards events beyond the retention window, modelling the
 // provider's storage policy actually deleting data. Cold segments wholly
-// behind the window are unlinked; the resident ring advances its head.
+// behind the window are unlinked; the resident log drops its expired prefix.
 func (p *Provider) PurgeExpired() int {
 	cutoff := p.Now().Add(-p.Retention)
 	return p.purgeSpilled(cutoff) + p.log.purgeExpired(cutoff)
@@ -51,12 +51,12 @@ func (p *Provider) PurgeExpired() int {
 // timeline engine brackets every parallel segment with them so the login
 // log's append order — the one piece of provider state that is sensitive to
 // goroutine interleaving — is re-sequenced deterministically (see
-// loginRing.seal). All other provider state is per-account and per-account
+// loginLog.seal). All other provider state is per-account and per-account
 // events never run concurrently.
 func (p *Provider) BeginSegment() { p.log.mark() }
 
 // EndSegment closes the segment opened by BeginSegment, then gives the
-// cold tier a chance to spill: post-seal the ring's order is
+// cold tier a chance to spill: post-seal the log's order is
 // deterministic, so segment boundaries are too.
 func (p *Provider) EndSegment() {
 	p.log.seal()

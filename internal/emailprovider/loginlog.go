@@ -1,98 +1,72 @@
 package emailprovider
 
 import (
-	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"tripwire/internal/chunklog"
 )
 
-// loginRing stores successful-login events in a time-ordered ring buffer.
-// The simulation's virtual clock only moves forward, so appends arrive in
-// nondecreasing time order and every dump reduces to two binary searches
-// over a contiguous window — O(log n + matches) instead of the full-log
-// scan the slice-backed log needed. Retention purges drop whole prefixes by
-// advancing the head, so expiry is O(log n) and frees no per-event work.
-// If a caller ever appends out of order the ring flips to a linear-scan
-// fallback rather than returning wrong windows.
-type loginRing struct {
+// loginLog stores successful-login events in time order in a chunked log
+// (chunklog.Log), so an event never moves once appended and growth copies
+// nothing. The simulation's virtual clock only moves forward, so appends
+// arrive in nondecreasing time order and every dump reduces to two binary
+// searches over a contiguous window — O(log n + matches) instead of a scan
+// of the whole log. Retention purges and spills drop whole prefixes, and
+// the chunks they empty are released. If a caller ever appends out of
+// order the log flips to a linear-scan fallback rather than returning
+// wrong windows.
+type loginLog struct {
 	mu       sync.Mutex
-	buf      []LoginEvent
-	head     int // index of the oldest event in buf
-	n        int // events currently stored
+	evs      chunklog.Log[LoginEvent]
 	unsorted bool
-	marked   int // logical index saved by mark() for seal()
+	marked   int // index saved by mark() for seal()
 	// inSegment is true between mark and seal. While set, takeSpill
-	// refuses to detach a prefix: spilling would move the head and
-	// invalidate the marked index, and mid-segment content is not yet
+	// refuses to detach a prefix: spilling would shift the indexes and
+	// invalidate the marked one, and mid-segment content is not yet
 	// deterministically ordered.
 	inSegment bool
-	// order and sorted are seal's sort buffers, kept between segments.
-	order  []*LoginEvent
-	sorted []LoginEvent
 }
 
-// at returns the i-th oldest stored event. Callers hold mu and guarantee
-// 0 <= i < n (so buf is non-empty).
-func (r *loginRing) at(i int) *LoginEvent {
-	return &r.buf[(r.head+i)%len(r.buf)]
-}
-
-// grow linearizes the ring into a buffer of at least double the capacity.
-func (r *loginRing) grow() {
-	next := make([]LoginEvent, max(64, 2*len(r.buf)))
-	for i := 0; i < r.n; i++ {
-		next[i] = *r.at(i)
-	}
-	r.buf = next
-	r.head = 0
-}
-
-func (r *loginRing) append(ev LoginEvent) {
+func (r *loginLog) append(ev LoginEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	if r.n > 0 && ev.Time.Before(r.at(r.n-1).Time) {
+	if n := r.evs.Len(); n > 0 && ev.Time.Before(r.evs.At(n-1).Time) {
 		r.unsorted = true
 	}
-	*r.at(r.n) = ev
-	r.n++
+	r.evs.Append(ev)
 }
 
 // dumpSince returns the events with Time in (since, now] that are not older
 // than cutoff, oldest first.
-func (r *loginRing) dumpSince(since, cutoff, now time.Time) []LoginEvent {
+func (r *loginLog) dumpSince(since, cutoff, now time.Time) []LoginEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	n := r.evs.Len()
 	if r.unsorted {
 		var out []LoginEvent
-		for i := 0; i < r.n; i++ {
-			if ev := *r.at(i); inWindow(ev.Time, since, cutoff, now) {
-				out = append(out, ev)
+		for i := 0; i < n; i++ {
+			if ev := r.evs.At(i); inWindow(ev.Time, since, cutoff, now) {
+				out = append(out, *ev)
 			}
 		}
 		return out
 	}
 	// Both bounds are monotone in event time, so the matching events form
 	// one contiguous run: [lo, hi).
-	lo := sort.Search(r.n, func(i int) bool {
-		t := r.at(i).Time
+	lo := sort.Search(n, func(i int) bool {
+		t := r.evs.At(i).Time
 		return t.After(since) && !t.Before(cutoff)
 	})
-	hi := lo + sort.Search(r.n-lo, func(i int) bool {
-		return r.at(lo + i).Time.After(now)
+	hi := lo + sort.Search(n-lo, func(i int) bool {
+		return r.evs.At(lo + i).Time.After(now)
 	})
 	if lo >= hi {
 		return nil
 	}
-	out := make([]LoginEvent, hi-lo)
-	for i := lo; i < hi; i++ {
-		out[i-lo] = *r.at(i)
-	}
-	return out
+	return r.evs.AppendTo(nil, lo, hi)
 }
 
 func inWindow(t, since, cutoff, now time.Time) bool {
@@ -100,148 +74,100 @@ func inWindow(t, since, cutoff, now time.Time) bool {
 }
 
 // purgeExpired discards events older than cutoff and reports how many were
-// dropped. In the sorted fast path this only advances the head.
-func (r *loginRing) purgeExpired(cutoff time.Time) int {
+// dropped. In the sorted fast path this drops a prefix.
+func (r *loginLog) purgeExpired(cutoff time.Time) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.n == 0 {
-		return 0
-	}
+	n := r.evs.Len()
 	if !r.unsorted {
-		drop := sort.Search(r.n, func(i int) bool {
-			return !r.at(i).Time.Before(cutoff)
+		drop := sort.Search(n, func(i int) bool {
+			return !r.evs.At(i).Time.Before(cutoff)
 		})
-		r.head = (r.head + drop) % len(r.buf)
-		r.n -= drop
-		if r.n == 0 {
-			r.head = 0
-		}
+		r.evs.DropFront(drop)
 		return drop
 	}
-	// Out-of-order log: compact in place and recheck orderedness, so a ring
-	// that drained its disordered tail regains the binary-search path.
-	kept := make([]LoginEvent, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		if ev := *r.at(i); !ev.Time.Before(cutoff) {
-			kept = append(kept, ev)
-		}
-	}
-	purged := r.n - len(kept)
-	r.buf = kept
-	r.head = 0
-	r.n = len(kept)
+	// Out-of-order log: rebuild it from the kept events and recheck
+	// orderedness, so a log that drained its disordered tail regains the
+	// binary-search path.
+	var kept chunklog.Log[LoginEvent]
 	r.unsorted = false
-	for i := 1; i < len(kept); i++ {
-		if kept[i].Time.Before(kept[i-1].Time) {
-			r.unsorted = true
-			break
+	for i := 0; i < n; i++ {
+		ev := r.evs.At(i)
+		if ev.Time.Before(cutoff) {
+			continue
 		}
+		if k := kept.Len(); k > 0 && ev.Time.Before(kept.At(k-1).Time) {
+			r.unsorted = true
+		}
+		kept.Append(*ev)
 	}
-	return purged
+	r.evs = kept
+	return n - kept.Len()
 }
 
-// mark remembers the current logical length; seal later re-sequences
-// everything appended after it. The pair brackets one parallel timeline
-// segment (simclock.Sequencer): within a segment the clock is frozen, so
-// every appended event carries the same timestamp and cross-account append
-// order is an accident of goroutine interleaving. seal erases that accident.
-// No purge can run between mark and seal (dumps are exclusive events), so
-// the logical index stays valid.
-func (r *loginRing) mark() {
+// mark remembers the current length; seal later re-sequences everything
+// appended after it. The pair brackets one parallel timeline segment
+// (simclock.Sequencer): within a segment the clock is frozen, so every
+// appended event carries the same timestamp and cross-account append order
+// is an accident of goroutine interleaving. seal erases that accident. No
+// purge can run between mark and seal (dumps are exclusive events), so the
+// index stays valid.
+func (r *loginLog) mark() {
 	r.mu.Lock()
-	r.marked = r.n
+	r.marked = r.evs.Len()
 	r.inSegment = true
 	r.mu.Unlock()
 }
 
-// seal stably sorts the block appended since mark by (Time, Account). Two
-// same-epoch logins to the same account come from the same conflict
-// partition and are therefore already in deterministic order, which the
-// stable sort preserves — making the whole log independent of how the
-// segment's partitions interleaved.
-func (r *loginRing) seal() {
+// seal stably sorts the block appended since mark by (Time, Account),
+// across chunk boundaries when the block spans one. Two same-epoch logins
+// to the same account come from the same conflict partition and are
+// therefore already in deterministic order, which the stable sort
+// preserves — making the whole log independent of how the segment's
+// partitions interleaved.
+func (r *loginLog) seal() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.inSegment = false
-	m := r.marked
-	if r.n-m < 2 {
-		return
-	}
-	// Sort pointers to the block's events, then copy the events out in
-	// that order and back: a swap moves a pointer, not an event.
-	order := r.order[:0]
-	for i := m; i < r.n; i++ {
-		order = append(order, r.at(i))
-	}
-	slices.SortStableFunc(order, func(a, b *LoginEvent) int {
+	r.evs.SortStableFrom(r.marked, func(a, b *LoginEvent) int {
 		if c := a.Time.Compare(b.Time); c != 0 {
 			return c
 		}
 		return strings.Compare(a.Account, b.Account)
 	})
-	blk := r.sorted[:0]
-	for _, ev := range order {
-		blk = append(blk, *ev)
-	}
-	for i := range blk {
-		*r.at(m + i) = blk[i]
-	}
-	// Keep both buffers for the next segment, but not the buffer and
-	// strings they point at.
-	clear(order)
-	clear(blk)
-	r.order, r.sorted = order[:0], blk[:0]
 }
 
-// takeSpill detaches and returns the oldest prefix when the ring holds
+// takeSpill detaches and returns the oldest prefix when the log holds
 // more than budget events, leaving budget/2 resident (so spills happen in
 // batches rather than on every append). It refuses mid-segment (the
 // marked index must stay valid and segment content is not yet sealed into
 // deterministic order) and on the unsorted fallback path (a disordered
-// prefix cannot be binary-searched once cold). After detaching it shrinks
-// the buffer, releasing the spilled prefix's heap.
-func (r *loginRing) takeSpill(budget int) []LoginEvent {
+// prefix cannot be binary-searched once cold). Dropping the prefix
+// releases the chunks it emptied.
+func (r *loginLog) takeSpill(budget int) []LoginEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if budget <= 0 || r.inSegment || r.unsorted || r.n <= budget {
+	n := r.evs.Len()
+	if budget <= 0 || r.inSegment || r.unsorted || n <= budget {
 		return nil
 	}
-	keep := budget / 2
-	k := r.n - keep
-	out := make([]LoginEvent, k)
-	for i := 0; i < k; i++ {
-		out[i] = *r.at(i)
-	}
-	r.head = (r.head + k) % len(r.buf)
-	r.n = keep
-	if r.n == 0 {
-		r.head = 0
-	}
-	if want := max(64, 2*r.n); len(r.buf) > 2*want {
-		next := make([]LoginEvent, want)
-		for i := 0; i < r.n; i++ {
-			next[i] = *r.at(i)
-		}
-		r.buf = next
-		r.head = 0
-	}
+	k := n - budget/2
+	out := r.evs.AppendTo(nil, 0, k)
+	r.evs.DropFront(k)
 	return out
 }
 
 // all returns every stored event, oldest first.
-func (r *loginRing) all() []LoginEvent {
+func (r *loginLog) all() []LoginEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]LoginEvent, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = *r.at(i)
-	}
-	return out
+	n := r.evs.Len()
+	return r.evs.AppendTo(make([]LoginEvent, 0, n), 0, n)
 }
 
 // size returns the number of stored events.
-func (r *loginRing) size() int {
+func (r *loginLog) size() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return r.evs.Len()
 }

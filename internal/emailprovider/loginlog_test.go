@@ -3,8 +3,12 @@ package emailprovider
 import (
 	"fmt"
 	"net/netip"
+	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"tripwire/internal/chunklog"
 )
 
 var ringEpoch = time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -42,7 +46,7 @@ func sameEvents(t *testing.T, label string, got, want []LoginEvent) {
 }
 
 func TestLoginRingDumpMatchesNaiveScan(t *testing.T) {
-	var r loginRing
+	var r loginLog
 	var all []LoginEvent
 	for i := 0; i < 500; i++ {
 		ev := ringEvent(i)
@@ -68,11 +72,14 @@ func TestLoginRingDumpMatchesNaiveScan(t *testing.T) {
 	sameEvents(t, "now-bounded", r.dumpSince(ringEpoch, ringEpoch, mid), naiveDump(all, ringEpoch, ringEpoch, mid))
 }
 
-// TestLoginRingWraparound drives the ring through purge-then-append cycles
-// so live events straddle the buffer seam, then checks every read path.
-func TestLoginRingWraparound(t *testing.T) {
-	var r loginRing
-	var all []LoginEvent
+// TestLoginLogChunkBoundaries drives the log through purges, spills and
+// dumps whose cut points fall inside chunks and exactly on their
+// boundaries, and checks every read path against a naive scan of the
+// events that should remain.
+func TestLoginLogChunkBoundaries(t *testing.T) {
+	const c = chunklog.ChunkSize
+	var r loginLog
+	var all []LoginEvent // the events that should be resident, oldest first
 	next := 0
 	appendN := func(n int) {
 		for ; n > 0; n-- {
@@ -82,50 +89,108 @@ func TestLoginRingWraparound(t *testing.T) {
 			all = append(all, ev)
 		}
 	}
-	purgeBefore := func(cutoff time.Time) {
+	minute := func(i int) time.Time { return ringEpoch.Add(time.Duration(i) * time.Minute) }
+	purgeBefore := func(i int) {
+		t.Helper()
+		cutoff := minute(i)
 		want := 0
-		kept := all[:0]
-		for _, ev := range all {
-			if ev.Time.Before(cutoff) {
-				want++
-			} else {
-				kept = append(kept, ev)
+		for want < len(all) && all[want].Time.Before(cutoff) {
+			want++
+		}
+		all = all[want:]
+		if got := r.purgeExpired(cutoff); got != want {
+			t.Fatalf("purgeExpired(minute %d) dropped %d, want %d", i, got, want)
+		}
+	}
+	check := func(label string) {
+		t.Helper()
+		sameEvents(t, label+"/all", r.all(), all)
+		if r.size() != len(all) {
+			t.Fatalf("%s: size = %d, want %d", label, r.size(), len(all))
+		}
+		now := minute(next)
+		// Windows whose edges sit just before, on and just after chunk
+		// boundaries of the event numbering, plus the whole log.
+		edges := []int{-60, c - 1, c, c + 1, 2*c - 1, 2 * c, 3*c + 7, next - 1, next}
+		for _, since := range edges {
+			for _, cut := range edges {
+				got := r.dumpSince(minute(since), minute(cut), now)
+				sameEvents(t, fmt.Sprintf("%s/dump(since %d, cutoff %d)", label, since, cut), got, naiveDump(all, minute(since), minute(cut), now))
 			}
 		}
-		all = kept
-		if got := r.purgeExpired(cutoff); got != want {
-			t.Fatalf("purgeExpired dropped %d, want %d", got, want)
-		}
 	}
 
-	appendN(100) // fills past the initial 64 capacity
-	purgeBefore(ringEpoch.Add(90 * time.Minute))
-	appendN(110) // wraps: head is mid-buffer and the log spans the seam
-	if len(r.buf) != 128 || r.head == 0 {
-		t.Fatalf("scenario no longer exercises wraparound: cap=%d head=%d", len(r.buf), r.head)
+	appendN(3*c + 10) // four chunks, the last partly filled
+	check("filled")
+	purgeBefore(c - 3) // inside the first chunk
+	check("purge-inside-chunk")
+	purgeBefore(c + 2) // across the first boundary
+	check("purge-across-boundary")
+	purgeBefore(2 * c) // exactly onto a boundary
+	check("purge-onto-boundary")
+
+	// A spill detaches all but budget/2 events: with c+10 resident and a
+	// budget of c-2, the cut falls inside a chunk.
+	budget := c - 2
+	spilled := r.takeSpill(budget)
+	sameEvents(t, "spilled-prefix", spilled, all[:len(all)-budget/2])
+	all = all[len(all)-budget/2:]
+	check("after-spill")
+	appendN(c + 1) // the tail crosses two more boundaries
+	check("refilled")
+	if got := r.takeSpill(len(all)); got != nil {
+		t.Fatalf("takeSpill at exactly the budget detached %d events", len(got))
 	}
 
-	sameEvents(t, "all", r.all(), all)
-	now := ringEpoch.Add(time.Duration(next) * time.Minute)
-	since := ringEpoch.Add(150 * time.Minute)
-	sameEvents(t, "dump", r.dumpSince(since, ringEpoch, now), naiveDump(all, since, ringEpoch, now))
-	if r.size() != len(all) {
-		t.Fatalf("size = %d, want %d", r.size(), len(all))
-	}
-
-	purgeBefore(now.Add(time.Hour)) // drop everything
-	if r.size() != 0 || r.head != 0 {
-		t.Fatalf("empty ring: size=%d head=%d", r.size(), r.head)
+	purgeBefore(next + 60) // drop everything
+	if r.size() != 0 {
+		t.Fatalf("drained log holds %d events", r.size())
 	}
 	appendN(5)
-	sameEvents(t, "post-drain", r.all(), all)
+	check("post-drain")
+}
+
+// TestLoginLogSealAcrossChunks seals a segment that starts in one chunk
+// and ends in the next; the log must end up exactly as a stable sort of a
+// flat copy of the segment by (Time, Account).
+func TestLoginLogSealAcrossChunks(t *testing.T) {
+	const c = chunklog.ChunkSize
+	var r loginLog
+	var flat []LoginEvent
+	for i := 0; i < c-5; i++ {
+		ev := ringEvent(i)
+		r.append(ev)
+		flat = append(flat, ev)
+	}
+	r.mark()
+	frozen := ringEpoch.Add(c * time.Minute)
+	for i := 0; i < 40; i++ {
+		// Accounts repeat, so stability decides the order among equals;
+		// the IP records the append order.
+		ev := LoginEvent{
+			Account: fmt.Sprintf("acct%02d@honey.test", (i*11)%9),
+			Time:    frozen,
+			IP:      netip.AddrFrom4([4]byte{10, 9, 0, byte(i)}),
+			Method:  "IMAP",
+		}
+		r.append(ev)
+		flat = append(flat, ev)
+	}
+	r.seal()
+	slices.SortStableFunc(flat[c-5:], func(a, b LoginEvent) int {
+		if d := a.Time.Compare(b.Time); d != 0 {
+			return d
+		}
+		return strings.Compare(a.Account, b.Account)
+	})
+	sameEvents(t, "sealed", r.all(), flat)
 }
 
 // TestLoginRingUnsortedFallback feeds out-of-order events and checks the
-// ring degrades to correct linear scans, then recovers the sorted fast path
+// log degrades to correct linear scans, then recovers the sorted fast path
 // once a purge compacts the disorder away.
 func TestLoginRingUnsortedFallback(t *testing.T) {
-	var r loginRing
+	var r loginLog
 	events := []LoginEvent{ringEvent(5), ringEvent(1), ringEvent(9), ringEvent(3)}
 	for _, ev := range events {
 		r.append(ev)
@@ -186,12 +251,12 @@ func TestProviderDumpUsesRing(t *testing.T) {
 
 // BenchmarkDumpSince measures an incremental dump of the most recent slice
 // of a large retained log — the provider's steady-state query shape. The
-// ring's binary search makes this O(log n + matches); the old linear scan
-// walked all N events per dump.
+// log's binary search makes this O(log n + matches); a linear scan would
+// walk all N events per dump.
 func BenchmarkDumpSince(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
 		b.Run(fmt.Sprintf("log=%d", n), func(b *testing.B) {
-			var r loginRing
+			var r loginLog
 			for i := 0; i < n; i++ {
 				r.append(ringEvent(i))
 			}

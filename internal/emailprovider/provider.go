@@ -147,7 +147,7 @@ type Provider struct {
 	// shards stripes the account table by address hash; log is the
 	// time-indexed successful-login record dumps read from.
 	shards [accountShards]accountShard
-	log    loginRing
+	log    loginLog
 	// deriver, when set, makes covered accounts implicit (see
 	// AccountDeriver); explicit counts accounts created outside its
 	// coverage, so NumAccounts is a lock-free sum.

@@ -11,13 +11,14 @@ import (
 	"tripwire/internal/snapshot"
 )
 
-// The login log's retention tiers. The resident tier is the loginRing;
+// The login log's retention tiers. The resident tier is the loginLog;
 // when it exceeds LogResidentBudget events, the oldest prefix is written
 // to a cold segment file in LogSpillDir using the snapshot container
-// (one "logins" section, CRC-protected) and dropped from the ring.
-// Cold segments are immutable, strictly older than every resident event,
-// and internally time-sorted — so DumpSince binary-searches each
-// overlapping segment exactly the way it searches the ring, and retention
+// (one "logins" section, CRC-protected) and dropped from the resident
+// log, releasing the chunks it emptied. Cold segments are immutable,
+// strictly older than every resident event, and internally time-sorted —
+// so DumpSince binary-searches each overlapping segment exactly the way
+// it searches the resident log, and retention
 // expiry unlinks whole segment files without touching their contents.
 
 // segmentSection names the single section inside a cold segment file.
@@ -31,7 +32,7 @@ type coldSegment struct {
 }
 
 // spillState is the provider's cold-tier bookkeeping, separate from the
-// ring's lock: segment reads do file IO and must not block appends.
+// resident log's lock: segment reads do file IO and must not block appends.
 type spillState struct {
 	mu       sync.Mutex
 	segments []coldSegment // oldest first
@@ -40,7 +41,7 @@ type spillState struct {
 	// purgedBefore is the high-water retention cutoff. A purge drops whole
 	// segments; a segment straddling the cutoff stays on disk, so its
 	// expired prefix must be masked at read time — exactly as the resident
-	// ring, which physically drops those events, would have.
+	// log, which physically drops those events, would have.
 	purgedBefore time.Time
 }
 
@@ -74,7 +75,7 @@ func (p *Provider) SpillErr() error {
 }
 
 // maybeSpill moves the oldest resident events to a new cold segment when
-// the ring exceeds its budget. Called after appends (outside parallel
+// the resident log exceeds its budget. Called after appends (outside parallel
 // segments) and at EndSegment, so spill timing is deterministic whenever
 // append order is.
 func (p *Provider) maybeSpill() {
@@ -130,7 +131,7 @@ func (p *Provider) readSegment(seg coldSegment) ([]LoginEvent, error) {
 // spilledSince collects the events from cold segments with Time in
 // (since, now] and not before cutoff, oldest first. Each overlapping
 // segment is loaded and binary-searched with the same predicates the
-// resident ring uses; non-overlapping segments are skipped on their index
+// resident log uses; non-overlapping segments are skipped on their index
 // entry alone, without touching the file.
 func (p *Provider) spilledSince(since, cutoff, now time.Time) []LoginEvent {
 	p.spill.mu.Lock()

@@ -126,19 +126,17 @@ func canonLogins(evs []LoginEvent) []LoginEvent {
 	return evs
 }
 
-// AppendLoginEvent encodes one login event. The format is shared by the
-// provider snapshot section, the monitor's attributed-login export, and
-// the on-disk cold log segments.
-func AppendLoginEvent(e *snapshot.Encoder, ev LoginEvent) {
+// appendLoginEvent encodes one login event.
+func appendLoginEvent(e *snapshot.Encoder, ev LoginEvent) {
 	e.String(ev.Account)
 	e.Time(ev.Time)
 	e.Blob(ev.IP.AsSlice())
 	e.String(ev.Method)
 }
 
-// DecodeLoginEvent reads one login event. Decode errors surface through
+// decodeLoginEvent reads one login event. Decode errors surface through
 // the decoder's sticky error; a malformed IP is reported directly.
-func DecodeLoginEvent(d *snapshot.Decoder) (LoginEvent, error) {
+func decodeLoginEvent(d *snapshot.Decoder) (LoginEvent, error) {
 	var ev LoginEvent
 	ev.Account = d.String()
 	ev.Time = d.Time()
@@ -163,11 +161,12 @@ func DecodeLoginEvent(d *snapshot.Decoder) (LoginEvent, error) {
 const loginEventMinBytes = 4
 
 // EncodeLoginEvents encodes a count-prefixed run of login events — the
-// payload format of both the provider section's log and cold segments.
+// payload format of the provider section's log, the monitor's
+// per-detection login lists and the on-disk cold log segments.
 func EncodeLoginEvents(e *snapshot.Encoder, evs []LoginEvent) {
 	e.Uint(uint64(len(evs)))
 	for _, ev := range evs {
-		AppendLoginEvent(e, ev)
+		appendLoginEvent(e, ev)
 	}
 }
 
@@ -182,7 +181,7 @@ func DecodeLoginEvents(d *snapshot.Decoder) ([]LoginEvent, error) {
 		evs = make([]LoginEvent, 0, n)
 	}
 	for i := 0; i < n; i++ {
-		ev, err := DecodeLoginEvent(d)
+		ev, err := decodeLoginEvent(d)
 		if err != nil {
 			return nil, err
 		}

@@ -215,9 +215,9 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 }
 
 // TestAllocBudget pins the hot-path contract: recording into any
-// instrument allocates nothing. A regression here would show up as new
-// allocs/op in BenchmarkParallelCrawlMetrics too, but this test names the
-// culprit directly.
+// instrument allocates nothing. A regression here would show up as more
+// metered-allocs/wave in BenchmarkMetricsOverhead too, but this test names
+// the culprit directly.
 func TestAllocBudget(t *testing.T) {
 	r := New()
 	c := r.Counter("tw_alloc_total", "")

@@ -113,10 +113,14 @@ type Handle struct {
 	// a new incarnation's pump starts after this prefix.
 	simSeen atomic.Uint64
 
-	mu     sync.Mutex
-	state  State
-	study  *tripwire.Study // current incarnation; never nil
-	gen    int             // incarnation counter, guards stale goroutines
+	mu    sync.Mutex
+	state State
+	// study is the current incarnation until it settles; then final keeps
+	// its last status and study is nil, so a settled handle does not pin
+	// the incarnation's pilot. Resume builds a new study from cfg.
+	study  *tripwire.Study
+	final  tripwire.StudyStatus
+	gen    int // incarnation counter, guards stale goroutines
 	cancel context.CancelFunc
 	done   chan struct{} // closed when the current run goroutine finishes
 	intent State         // Paused or Cancelled while a stop is in flight
@@ -155,15 +159,18 @@ type Info struct {
 // Info snapshots the handle for the HTTP API.
 func (h *Handle) Info() Info {
 	h.mu.Lock()
-	st, study, err := h.state, h.study, h.err
+	st, study, status, err := h.state, h.study, h.final, h.err
 	h.mu.Unlock()
+	if study != nil {
+		status = study.Status()
+	}
 	info := Info{
 		ID:     h.id,
 		Label:  h.label,
 		Scale:  h.scale,
 		State:  st.String(),
 		Events: h.bus.Len(),
-		Status: study.Status(),
+		Status: status,
 	}
 	if err != nil {
 		info.Error = err.Error()
@@ -249,9 +256,9 @@ func (h *Handle) Cancel() error {
 	switch h.state {
 	case Paused:
 		h.state = Cancelled
-		study := h.study
+		at := h.final.VirtualNow
 		h.mu.Unlock()
-		h.publish(Event{Kind: KindCancelled, At: study.Status().VirtualNow, State: Cancelled.String()})
+		h.publish(Event{Kind: KindCancelled, At: at, State: Cancelled.String()})
 		h.bus.Close()
 		return nil
 	case Pending, Running:
@@ -333,6 +340,7 @@ func (h *Handle) markRunning(gen int, study *tripwire.Study) {
 // has drained, so the lifecycle event is ordered after every simulation
 // event of the incarnation.
 func (h *Handle) settle(study *tripwire.Study, gen int, ran bool) {
+	final := study.Status()
 	h.mu.Lock()
 	if h.gen != gen {
 		h.mu.Unlock()
@@ -357,9 +365,10 @@ func (h *Handle) settle(study *tripwire.Study, gen int, ran bool) {
 	}
 	h.state = to
 	h.intent = intentNone
+	h.final, h.study = final, nil
 	h.mu.Unlock()
 
-	ev := Event{Kind: lifecycleKind(to), At: study.Status().VirtualNow, State: to.String()}
+	ev := Event{Kind: lifecycleKind(to), At: final.VirtualNow, State: to.String()}
 	if err != nil && to == Failed {
 		ev.Error = err.Error()
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -481,5 +482,67 @@ func TestListOrder(t *testing.T) {
 	}
 	if _, ok := reg.Get("study-9999"); ok {
 		t.Fatal("Get of unknown id succeeded")
+	}
+}
+
+// liveHeap is the live heap after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestFinishedStudiesReleaseTheirPilots runs small studies to done and
+// requires that the registry keeps each one's final status but not its
+// pilot, so a long-running daemon does not grow with every study it has
+// served. A finished small study's pilot holds about 4 MB of live heap.
+func TestFinishedStudiesReleaseTheirPilots(t *testing.T) {
+	const (
+		studies   = 4
+		perStudy  = 0.5e6 // bytes of live heap a finished study may keep
+		waitLimit = 5 * time.Minute
+	)
+	reg := newTestRegistry(t, Options{})
+	before := liveHeap()
+	handles := make([]*Handle, studies)
+	detections := make([]int, studies)
+	for i := range handles {
+		seed := int64(i + 1)
+		h, err := reg.Submit(SubmitRequest{Scale: "small", Seed: &seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), waitLimit)
+		st, err := h.Wait(ctx)
+		cancel()
+		if st != Done || err != nil {
+			t.Fatalf("study %d: Wait = %s, %v", i, st, err)
+		}
+		for ev := range h.EventsSince(context.Background(), 0) {
+			if ev.Kind == KindDetection {
+				detections[i]++
+			}
+		}
+		handles[i] = h
+	}
+	after := liveHeap()
+	if grown := float64(after) - float64(before); grown > studies*perStudy {
+		t.Errorf("live heap grew %.2f MB over %d finished studies, want at most %.2f MB",
+			grown/1e6, studies, studies*perStudy/1e6)
+	}
+	for i, h := range handles {
+		info := h.Info()
+		s := info.Status
+		if info.State != "done" || s.Phase != "done" || s.Seed != int64(i+1) {
+			t.Errorf("study %d: state %q, phase %q, seed %d", i, info.State, s.Phase, s.Seed)
+		}
+		if s.WavesTotal == 0 || s.WavesDone != s.WavesTotal || s.EpochsRun == 0 || !s.VirtualNow.Equal(s.End) {
+			t.Errorf("study %d: progress %d/%d waves, %d epochs, at %s of %s",
+				i, s.WavesDone, s.WavesTotal, s.EpochsRun, s.VirtualNow, s.End)
+		}
+		if s.Detections == 0 || s.Detections != detections[i] {
+			t.Errorf("study %d: status reports %d detections, its stream carried %d", i, s.Detections, detections[i])
+		}
 	}
 }

@@ -317,21 +317,24 @@ func Sec64(p *sim.Pilot) AttackerStats {
 	ipResidential := make(map[string]bool)
 	perAccount := make(map[string][]time.Time)
 	imap := 0
-	for _, al := range p.Monitor.AttributedLogins() {
-		ev := al.Event
-		st.TotalLogins++
-		key := ev.IP.String()
-		ipUses[key]++
-		if _, seen := ipCountry[key]; !seen {
-			if c, ok := p.Space.Lookup(ev.IP); ok {
-				ipCountry[key] = c.Code
+	for _, det := range p.Monitor.Detections() {
+		for _, evs := range det.Logins {
+			for _, ev := range evs {
+				st.TotalLogins++
+				key := ev.IP.String()
+				ipUses[key]++
+				if _, seen := ipCountry[key]; !seen {
+					if c, ok := p.Space.Lookup(ev.IP); ok {
+						ipCountry[key] = c.Code
+					}
+					ipResidential[key] = !p.Space.IsDatacenter(ev.IP)
+				}
+				if ev.Method == "IMAP" {
+					imap++
+				}
+				perAccount[ev.Account] = append(perAccount[ev.Account], ev.Time)
 			}
-			ipResidential[key] = !p.Space.IsDatacenter(ev.IP)
 		}
-		if ev.Method == "IMAP" {
-			imap++
-		}
-		perAccount[ev.Account] = append(perAccount[ev.Account], ev.Time)
 	}
 	st.DistinctIPs = len(ipUses)
 	st.AccountsTripped = len(perAccount)

@@ -199,8 +199,14 @@ func TestFig3Bounds(t *testing.T) {
 func TestSec64Stats(t *testing.T) {
 	p := pilot(t)
 	st := Sec64(p)
-	if st.TotalLogins != len(p.Monitor.AttributedLogins()) {
-		t.Fatalf("TotalLogins %d != attributed %d", st.TotalLogins, len(p.Monitor.AttributedLogins()))
+	attributed := 0
+	for _, det := range p.Monitor.Detections() {
+		for _, evs := range det.Logins {
+			attributed += len(evs)
+		}
+	}
+	if st.TotalLogins != attributed {
+		t.Fatalf("TotalLogins %d != attributed %d", st.TotalLogins, attributed)
 	}
 	if st.DistinctIPs > st.TotalLogins {
 		t.Fatal("more IPs than logins")

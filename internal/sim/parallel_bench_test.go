@@ -8,6 +8,7 @@ import (
 
 	"tripwire/internal/identity"
 	"tripwire/internal/obs"
+	"tripwire/internal/stats"
 )
 
 // benchWaveSites is how many sites one benchmark iteration crawls.
@@ -22,11 +23,48 @@ const (
 	bench10kWave     = 1024
 )
 
+// newBenchWave builds a fresh pilot for one benchmark wave (a site can
+// only be first-registered once) over a numSites universe, and returns it
+// with waveSites ranks spread across the universe. warm pre-materializes
+// and pre-renders the whole universe, so the wave is the crawl engine
+// alone (both are deterministic site functions); reg, when non-nil, is
+// the pilot's live metrics registry.
+func newBenchWave(numSites, waveSites, workers int, latency time.Duration, warm bool, reg *obs.Registry) (*Pilot, []rankAt) {
+	cfg := SmallConfig()
+	cfg.Web.NumSites = numSites
+	cfg.Workers = workers
+	cfg.NetLatency = latency
+	cfg.Metrics = reg
+	p := NewPilot(cfg)
+	// Pre-provision so on-demand provisioning (identical work at every
+	// worker count) stays out of the hot loop.
+	p.provisionIdentities(waveSites+50, identity.Hard)
+	p.provisionIdentities(waveSites/2, identity.Easy)
+	if warm {
+		p.Universe.WarmRender()
+	}
+	stride := numSites / waveSites
+	ranks := make([]rankAt, waveSites)
+	for r := 0; r < waveSites; r++ {
+		ranks[r] = rankAt{rank: r*stride + 1, at: cfg.Start}
+	}
+	return p, ranks
+}
+
+// pageLoads counts the page loads of every attempt p has recorded.
+func pageLoads(p *Pilot) int64 {
+	var pages int64
+	for _, a := range p.Attempts {
+		pages += int64(a.PageLoad)
+	}
+	return pages
+}
+
 // benchCrawlGrid measures crawl throughput of one registration wave at
-// several worker counts. Each iteration gets a fresh pilot (a site can
-// only be first-registered once) built outside the timer; the timed region
-// is exactly what a wave event executes: serial identity allocation, the
-// sharded crawl, the rank-order merge, and the mail drain.
+// several worker counts. Each iteration gets a fresh pilot built outside
+// the timer; the timed region is exactly what a wave event executes:
+// serial identity allocation, the sharded crawl, the rank-order merge,
+// and the mail drain.
 //
 // Real crawling is dominated by network round trips, not CPU, so the
 // benchmark emulates a 1ms RTT per page load (Config.NetLatency). The
@@ -36,16 +74,11 @@ const (
 // measures overlapped sleep, and cpu-s/page (process user+system CPU per
 // page load, timed region only) reports the CPU work apart from it.
 //
-// warm pre-materializes and pre-renders the whole universe, so the timed
-// region is the crawl engine alone (both are deterministic site functions).
-// The 10k variant leaves warm off: lazy materialization under crawl load is
-// exactly what it exists to demonstrate, so it reports materialized-sites
-// and post-wave live heap alongside throughput.
-//
-// withMetrics attaches a live obs.Registry, so comparing the two 2.3k
-// benchmarks in one run (cmd/tripwire-bench -assert-overhead) bounds the
-// observability layer's hot-path cost.
-func benchCrawlGrid(b *testing.B, numSites, waveSites int, warm, withMetrics bool) {
+// The 2.3k benchmark warms its universe; the 10k variant leaves warm off:
+// lazy materialization under crawl load is exactly what it exists to
+// demonstrate, so it reports materialized-sites and post-wave live heap
+// alongside throughput.
+func benchCrawlGrid(b *testing.B, numSites, waveSites int, warm bool) {
 	for _, workers := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -53,34 +86,13 @@ func benchCrawlGrid(b *testing.B, numSites, waveSites int, warm, withMetrics boo
 			var cpu float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cfg := SmallConfig()
-				cfg.Web.NumSites = numSites
-				cfg.Workers = workers
-				cfg.NetLatency = time.Millisecond
-				if withMetrics {
-					cfg.Metrics = obs.New()
-				}
-				p := NewPilot(cfg)
-				// Pre-provision so on-demand provisioning (identical work at
-				// every worker count) stays out of the hot loop.
-				p.provisionIdentities(waveSites+50, identity.Hard)
-				p.provisionIdentities(waveSites/2, identity.Easy)
-				if warm {
-					p.Universe.WarmRender()
-				}
-				stride := numSites / waveSites
-				ranks := make([]rankAt, waveSites)
-				for r := 0; r < waveSites; r++ {
-					ranks[r] = rankAt{rank: r*stride + 1, at: cfg.Start}
-				}
+				p, ranks := newBenchWave(numSites, waveSites, workers, time.Millisecond, warm, nil)
 				cpu0 := cpuSeconds()
 				b.StartTimer()
 				p.runWave(ranks, false, "bench")
 				b.StopTimer()
 				cpu += cpuSeconds() - cpu0
-				for _, a := range p.Attempts {
-					pages += int64(a.PageLoad)
-				}
+				pages += pageLoads(p)
 				materialized = int64(p.Universe.MaterializedSites())
 				b.StartTimer()
 			}
@@ -106,19 +118,61 @@ func benchCrawlGrid(b *testing.B, numSites, waveSites int, warm, withMetrics boo
 
 // BenchmarkParallelCrawl is the baseline: full 2.3k universe, no registry.
 func BenchmarkParallelCrawl(b *testing.B) {
-	benchCrawlGrid(b, benchWaveSites, benchWaveSites, true, false)
-}
-
-// BenchmarkParallelCrawlMetrics is the same wave with live telemetry; the
-// pages/s gap against BenchmarkParallelCrawl is the observability tax,
-// asserted < 3% by `make bench-overhead`.
-func BenchmarkParallelCrawlMetrics(b *testing.B) {
-	benchCrawlGrid(b, benchWaveSites, benchWaveSites, true, true)
+	benchCrawlGrid(b, benchWaveSites, benchWaveSites, true)
 }
 
 // BenchmarkParallelCrawl10k crawls a ~10% wave of a 10k-site universe with
 // lazy materialization live, demonstrating that per-wave cost is O(sites
 // crawled), not O(universe).
 func BenchmarkParallelCrawl10k(b *testing.B) {
-	benchCrawlGrid(b, bench10kUniverse, bench10kWave, false, false)
+	benchCrawlGrid(b, bench10kUniverse, bench10kWave, false)
+}
+
+// overheadBatch is how many sites BenchmarkMetricsOverhead crawls on one
+// pilot before it switches to the other.
+const overheadBatch = 50
+
+// BenchmarkMetricsOverhead measures the observability layer's CPU tax on
+// the crawl. Each iteration builds two pilots over the warmed 2.3k-site
+// universe, one with a live obs.Registry, and crawls the same ranks on
+// both at one worker with no emulated latency, so the work is CPU-bound.
+// The pilots take turns batch by batch, alternating which goes first, and
+// each batch's process CPU is timed. Host noise on a shared VM drifts
+// over tens of milliseconds, so only batches crawled back to back are
+// compared: metrics-cpu-% is the median over all batches of the metered
+// batch's CPU over its unmetered twin's, less one, and the median also
+// discards the batches a garbage collection landed in. allocs/wave and
+// metered-allocs/wave are each side's mean allocations per iteration.
+// `make bench-overhead` gates both through cmd/tripwire-bench
+// -assert-overhead.
+func BenchmarkMetricsOverhead(b *testing.B) {
+	var ratios []float64
+	var mallocs [2]uint64 // [0] metrics off, [1] metrics on
+	var ms runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var pilots [2]*Pilot
+		var ranks []rankAt
+		pilots[0], ranks = newBenchWave(benchWaveSites, benchWaveSites, 1, 0, true, nil)
+		pilots[1], _ = newBenchWave(benchWaveSites, benchWaveSites, 1, 0, true, obs.New())
+		b.StartTimer()
+		for k := 0; k*overheadBatch < len(ranks); k++ {
+			part := ranks[k*overheadBatch : min((k+1)*overheadBatch, len(ranks))]
+			var cpu [2]float64
+			for j := 0; j < 2; j++ {
+				side := (i + k + j) % 2
+				runtime.ReadMemStats(&ms)
+				m0 := ms.Mallocs
+				cpu0 := cpuSeconds()
+				pilots[side].runWave(part, false, "bench")
+				cpu[side] = cpuSeconds() - cpu0
+				runtime.ReadMemStats(&ms)
+				mallocs[side] += ms.Mallocs - m0
+			}
+			ratios = append(ratios, cpu[1]/cpu[0])
+		}
+	}
+	b.ReportMetric(100*(stats.Median(ratios)-1), "metrics-cpu-%")
+	b.ReportMetric(float64(mallocs[0])/float64(b.N), "allocs/wave")
+	b.ReportMetric(float64(mallocs[1])/float64(b.N), "metered-allocs/wave")
 }

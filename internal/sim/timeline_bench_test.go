@@ -83,10 +83,12 @@ func buildTimelineBench(workers int) (*simclock.Epochs, time.Time) {
 }
 
 // BenchmarkTimeline measures timeline engine throughput (events/s) at
-// several worker counts over the attacker-heavy fixture, plus the two
-// quality metrics the bench harness gates: allocs/event (allocations per
-// fired event, timed region only) and scaling-eff (events/s per worker
-// relative to the workers=1 run of the same bench invocation). events/s
+// several worker counts over the attacker-heavy fixture, plus the quality
+// metrics the bench harness gates: allocs/event (allocations per fired
+// event, timed region only), heap-MB (the post-GC live heap after the
+// last iteration's run, with its provider and stuffer still reachable)
+// and scaling-eff (events/s per worker relative to the workers=1 run of
+// the same bench invocation). events/s
 // mostly measures how well workers overlap the emulated latency, so
 // cpu-s/event (process user+system CPU per fired event, timed region
 // only) reports the CPU work apart from it. The fixture is rebuilt
@@ -99,7 +101,7 @@ func BenchmarkTimeline(b *testing.B) {
 			b.ReportAllocs()
 			var events int64
 			var mallocs uint64
-			var cpu float64
+			var cpu, heap float64
 			var ms runtime.MemStats
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -113,6 +115,14 @@ func BenchmarkTimeline(b *testing.B) {
 				cpu += cpuSeconds() - cpu0
 				runtime.ReadMemStats(&ms)
 				mallocs += ms.Mallocs - m0
+				// The live heap while ep still reaches the provider and the
+				// stuffer, so it covers the login logs the run filled. The
+				// second collection empties sync.Pool victim caches, whose
+				// size follows the worker count's scheduling.
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				heap = float64(ms.HeapAlloc) / 1e6
 				ep.Close()
 				b.StartTimer()
 			}
@@ -123,6 +133,7 @@ func BenchmarkTimeline(b *testing.B) {
 				b.ReportMetric(float64(mallocs)/float64(events), "allocs/event")
 				b.ReportMetric(cpu/float64(events), "cpu-s/event")
 			}
+			b.ReportMetric(heap, "heap-MB")
 			if workers == 1 {
 				baseEventsPerSec = evs
 			} else if baseEventsPerSec > 0 {

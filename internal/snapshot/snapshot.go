@@ -50,7 +50,9 @@ const Magic = "TWSN"
 // bytes; the config section dropped its eager-accounts flag.
 // v5: the ledger image keeps a returned identity as its index, extending
 // the pool's last span when adjacent, instead of as a whole identity.
-const Version = 5
+// v6: the monitor image drops its flat attributed-login list; each
+// attributed login is stored once, in its detection's per-account logins.
+const Version = 6
 
 // Sanity bounds on container metadata. Section payloads are bounded by the
 // file size itself (lengths are checked against remaining bytes), so only
