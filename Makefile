@@ -4,8 +4,10 @@
 #   make test        the seed tier-1 gate (build + tests)
 #   make race        full suite under the race detector
 #   make ci          what a PR must pass: build, gofmt (no file may need
-#                    formatting), vet, race tests, snapshot/browser-resolve/
-#                    crawler/epoch-equivalence fuzz corpora as seed tests,
+#                    formatting), vet, race tests, an arm64 cross-build (the
+#                    strong hash's portable path), snapshot/browser-resolve/
+#                    crawler/epoch-equivalence/strong-digest fuzz corpora as
+#                    seed tests,
 #                    resume byte-identity smoke (workers grid incl. 8, the
 #                    stop checkpoint, a spill read failure failing the
 #                    checkpoint and the resume, and streamed section
@@ -83,7 +85,8 @@ ci: build metrics-doc-check
 	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/ ./internal/browser/
+	GOARCH=arm64 $(GO) build ./...
+	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/ ./internal/browser/ ./internal/webgen/
 	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume|TestSpillFailureFailsCheckpoint|TestStreamedDigestsMatchImages' ./internal/sim/ .
 	$(GO) test -race -run 'TestTimelineWorkerInvariance/workers=16' ./internal/sim/
 	$(GO) test -race -timeout 60s ./internal/memconn/ ./internal/imap/ ./internal/pop3/

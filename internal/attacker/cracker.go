@@ -8,6 +8,7 @@
 package attacker
 
 import (
+	"crypto/md5"
 	"crypto/sha256"
 	"encoding/hex"
 	"runtime"
@@ -77,8 +78,13 @@ func crackOne(e webgen.DumpEntry, cands []string) (string, bool) {
 	case webgen.StoreReversible:
 		return webgen.DecodeReversible(e.Stored)
 	case webgen.StoreWeakHash:
+		raw, err := hex.DecodeString(e.Stored)
+		if err != nil || len(raw) != md5.Size {
+			return "", false
+		}
+		want := [md5.Size]byte(raw)
 		for _, cand := range cands {
-			if webgen.EncodePassword(e.Policy, cand, e.Salt) == e.Stored {
+			if md5.Sum([]byte(cand)) == want {
 				return cand, true
 			}
 		}
@@ -89,10 +95,20 @@ func crackOne(e webgen.DumpEntry, cands []string) (string, bool) {
 			return "", false
 		}
 		want := [sha256.Size]byte(raw)
-		for _, cand := range cands {
-			if webgen.StrongDigest(cand, e.Salt) == want {
-				return cand, true
+		// Candidates hash two at a time; lane 0 is checked first, so the
+		// first match in dictionary order wins as in a one-by-one scan.
+		i := 0
+		for ; i+1 < len(cands); i += 2 {
+			d0, d1 := webgen.StrongDigest2(cands[i], cands[i+1], e.Salt)
+			if d0 == want {
+				return cands[i], true
 			}
+			if d1 == want {
+				return cands[i+1], true
+			}
+		}
+		if i < len(cands) && webgen.StrongDigest(cands[i], e.Salt) == want {
+			return cands[i], true
 		}
 		return "", false
 	default:

@@ -1,6 +1,8 @@
 package attacker
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"strings"
@@ -65,5 +67,75 @@ func TestProviderFirstCrackMatchesFullCrack(t *testing.T) {
 				t.Fatalf("oracle recovered only %d provider credentials: %+v", len(want), want)
 			}
 		})
+	}
+}
+
+// genericStrongHex is the stored StoreStrongHash form computed with
+// sha256.Sum256 alone, independent of webgen's SHA-NI routine.
+func genericStrongHex(pw, salt string) string {
+	sum := sha256.Sum256([]byte(salt + pw))
+	for i := 1; i < webgen.StrongHashRounds; i++ {
+		sum = sha256.Sum256(sum[:])
+	}
+	return hex.EncodeToString(sum[:])
+}
+
+// TestCrackOneMatchesGenericScan checks crackOne's paired strong-hash scan
+// against a one-candidate-at-a-time sha256.Sum256 scan: the password at an
+// even candidate index, at an odd one, at the last, at the unpaired end of
+// an odd-length list, and absent.
+func TestCrackOneMatchesGenericScan(t *testing.T) {
+	cands := (&Cracker{Words: identity.DictionaryWords()}).candidates()
+	odd := cands[:101]
+	hard := identity.NewGenerator("bigmail.test", 7).New(identity.Hard).Password
+	const salt = "salt-site00042.test-00000007"
+	for _, c := range []struct {
+		name, pw string
+		cands    []string
+	}{
+		{"even-index", cands[10], cands},
+		{"odd-index", cands[11], cands},
+		{"last-index", cands[len(cands)-1], cands},
+		{"odd-length", odd[len(odd)-1], odd},
+		{"absent", hard, cands},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stored := genericStrongHex(c.pw, salt)
+			wantPW, wantOK := "", false
+			for _, cand := range c.cands {
+				if genericStrongHex(cand, salt) == stored {
+					wantPW, wantOK = cand, true
+					break
+				}
+			}
+			if wantOK != (c.name != "absent") || wantOK && wantPW != c.pw {
+				t.Fatalf("generic scan found (%q, %v) for %q", wantPW, wantOK, c.pw)
+			}
+			e := webgen.DumpEntry{Stored: stored, Salt: salt, Policy: webgen.StoreStrongHash}
+			if pw, ok := crackOne(e, c.cands); pw != wantPW || ok != wantOK {
+				t.Fatalf("crackOne = (%q, %v), want (%q, %v)", pw, ok, wantPW, wantOK)
+			}
+		})
+	}
+}
+
+// TestCrackOneAllocatesNothingPerCandidate holds an uncrackable weak-hash
+// row and strong-hash row, each scanning the whole dictionary, to the one
+// hex decode of the stored digest.
+func TestCrackOneAllocatesNothingPerCandidate(t *testing.T) {
+	cands := (&Cracker{Words: identity.DictionaryWords()}).candidates()
+	hard := identity.NewGenerator("bigmail.test", 7).New(identity.Hard).Password
+	for _, policy := range []webgen.StoragePolicy{webgen.StoreWeakHash, webgen.StoreStrongHash} {
+		salt := ""
+		if policy == webgen.StoreStrongHash {
+			salt = "salt-site00042.test-00000007"
+		}
+		e := webgen.DumpEntry{Stored: webgen.EncodePassword(policy, hard, salt), Salt: salt, Policy: policy}
+		if _, ok := crackOne(e, cands); ok {
+			t.Fatalf("%v: hard password %q cracked", policy, hard)
+		}
+		if got := testing.AllocsPerRun(3, func() { crackOne(e, cands) }); got > 1 {
+			t.Errorf("%v: crackOne over %d candidates: %v allocs/op, want at most 1", policy, len(cands), got)
+		}
 	}
 }

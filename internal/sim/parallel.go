@@ -3,7 +3,6 @@ package sim
 import (
 	"net/netip"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"tripwire/internal/browser"
@@ -69,8 +68,9 @@ type crawlTask struct {
 	id     *identity.Identity
 
 	res  crawler.Result
-	done time.Time // at + accumulated rate-limit delays
-	skip bool      // manual attempt aborted before exposure
+	done time.Time     // at + accumulated rate-limit delays
+	skip bool          // manual attempt aborted before exposure
+	busy time.Duration // wall time of the crawl, recorded only when metered
 }
 
 // newTask mints a task. Must be called serially: the sequence number keys
@@ -202,18 +202,23 @@ func (p *Pilot) runPhase(tasks []*crawlTask) {
 	} else {
 		// Metered variant: per-task wall time feeds the duration histogram
 		// and a busy total that phaseDone turns into worker utilization.
-		// The extra cost is two time.Now calls and three atomic adds per
-		// task — nothing the crawl itself can observe.
-		var busy atomic.Int64
+		// Each task keeps its own duration and the total is summed after
+		// the join, so the closure captures nothing the unmetered one does
+		// not. The extra cost is two time.Now calls and the histogram's
+		// atomic adds per task — nothing the crawl itself can observe.
 		phaseStart := time.Now()
 		par.For(workers, len(tasks), func(i int) {
+			t := tasks[i]
 			start := time.Now()
-			p.crawlTask(tasks[i])
-			d := time.Since(start)
-			busy.Add(int64(d))
-			p.metrics.taskDur.ObserveDuration(d)
+			p.crawlTask(t)
+			t.busy = time.Since(start)
+			p.metrics.taskDur.ObserveDuration(t.busy)
 		})
-		p.metrics.phaseDone(len(tasks), time.Duration(busy.Load()), time.Since(phaseStart), min(workers, len(tasks)))
+		var busy time.Duration
+		for _, t := range tasks {
+			busy += t.busy
+		}
+		p.metrics.phaseDone(len(tasks), busy, time.Since(phaseStart), min(workers, len(tasks)))
 	}
 	for _, t := range tasks {
 		p.mergeTask(t)

@@ -2,7 +2,6 @@ package webgen
 
 import (
 	"crypto/md5"
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"slices"
@@ -83,24 +82,6 @@ func xorKey(b []byte, key string) []byte {
 		out[i] = b[i] ^ key[i%len(key)]
 	}
 	return out
-}
-
-// StrongHashRounds is the iteration count of the salted hash. Small enough
-// to keep simulations fast, large enough that the dictionary bench shows
-// the expected plaintext-vs-hashed cost asymmetry.
-const StrongHashRounds = 128
-
-// StrongDigest is the raw StoreStrongHash digest of pw under salt:
-// SHA-256 over salt+pw, iterated StrongHashRounds times. It does not
-// allocate for inputs up to 128 bytes, so a dictionary attack can compare
-// digests without building a hex string per candidate.
-func StrongDigest(pw, salt string) [sha256.Size]byte {
-	var buf [128]byte
-	sum := sha256.Sum256(append(append(buf[:0], salt...), pw...))
-	for i := 1; i < StrongHashRounds; i++ {
-		sum = sha256.Sum256(sum[:])
-	}
-	return sum
 }
 
 // Create adds an account. It fails if the username is taken.

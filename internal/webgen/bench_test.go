@@ -78,3 +78,29 @@ func BenchmarkServePageCaptcha(b *testing.B) {
 		serve(b, u, site.Domain, site.RegPath)
 	}
 }
+
+var digestSink [32]byte
+
+// BenchmarkStrongDigest times the strong hash per digest: the
+// sha256.Sum256 loop every CPU runs, a lone StrongDigest and a
+// StrongDigest2 pair, which with SHA-NI advance in registers.
+func BenchmarkStrongDigest(b *testing.B) {
+	const salt = "salt-site00042.test-00000001"
+	for _, c := range []struct {
+		name    string
+		digests int
+		fn      func()
+	}{
+		{"generic", 1, func() { digestSink = strongDigestGeneric("Website1", salt) }},
+		{"lone", 1, func() { digestSink = StrongDigest("Website1", salt) }},
+		{"pair", 2, func() { digestSink, _ = StrongDigest2("Website1", "Website2", salt) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.fn()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.digests), "ns/digest")
+		})
+	}
+}
