@@ -10,8 +10,11 @@
 #                    seed tests,
 #                    resume byte-identity smoke (workers grid incl. 8, the
 #                    stop checkpoint, a spill read failure failing the
-#                    checkpoint and the resume, and streamed section
-#                    digests equal to their images, under -race), the 16-worker
+#                    checkpoint and the resume, streamed section digests
+#                    equal to their images, the pinned per-section
+#                    checkpoint golden, and every subsystem's section
+#                    image moving under single mutations and only then,
+#                    under -race), the 16-worker
 #                    invariance smoke over crawl waves and timeline
 #                    epochs (under -race), the inline-session conn
 #                    contract and IMAP/POP3 transcript tests under a 60 s
@@ -87,7 +90,7 @@ ci: build metrics-doc-check
 	$(GO) test -race ./...
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/ ./internal/browser/ ./internal/webgen/
-	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume|TestSpillFailureFailsCheckpoint|TestStreamedDigestsMatchImages' ./internal/sim/ .
+	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume|TestSpillFailureFailsCheckpoint|TestStreamedDigestsMatchImages|TestCheckpointSectionGolden|SectionTracksMutations|TestUniverseExportTracksMaterialization' ./internal/sim/ . ./internal/core/ ./internal/emailprovider/ ./internal/attacker/ ./internal/webgen/
 	$(GO) test -race -run 'TestTimelineWorkerInvariance/workers=16' ./internal/sim/
 	$(GO) test -race -timeout 60s ./internal/memconn/ ./internal/imap/ ./internal/pop3/
 	$(GO) test -race -count=10 -run 'TestConcurrentSessionsRecycleStorage|TestConcurrentAttemptsMatchSerial' ./internal/browser/ ./internal/crawler/

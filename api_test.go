@@ -51,6 +51,17 @@ func TestRunSurfacesValidationError(t *testing.T) {
 	for range s.Events() {
 		t.Fatal("events emitted for a run that never started")
 	}
+	// No monitor ran, so there is nothing to report and nothing to vouch
+	// for, and asking does not panic.
+	if dets := s.Detections(); dets != nil {
+		t.Fatalf("Detections = %v for a study that never ran", dets)
+	}
+	if c := s.Classify(&tripwire.Detection{Domain: "x.test"}); c != tripwire.BreachIndeterminate {
+		t.Fatalf("Classify = %v for a study that never ran", c)
+	}
+	if s.IntegrityOK() {
+		t.Fatal("IntegrityOK vouches for a study that never ran")
+	}
 }
 
 func TestRunContextIdempotentError(t *testing.T) {

@@ -1,108 +1,51 @@
 package attacker
 
 import (
-	"sort"
-	"time"
+	"slices"
 
 	"tripwire/internal/snapshot"
 )
 
-// BreachState is one ground-truth exfil record.
-type BreachState struct {
-	Domain string
-	At     time.Time
-}
-
-// DrawState is one account's deterministic draw counter.
-type DrawState struct {
-	Email string
-	N     uint64
-}
-
-// CampaignState is the campaign's durable ground truth: breach times,
-// abandoned accounts, and resold dumps, all sorted for deterministic
-// export.
-type CampaignState struct {
-	Breaches []BreachState // sorted by domain
-	Dead     []string      // sorted
-	Resales  []string      // sorted
-}
-
-// StufferState is the botnet's durable state: the attacker-side attempt
-// log in append order and the per-account draw counters that make every
-// future probabilistic choice reproducible.
-type StufferState struct {
-	Records []LoginRecord
-	Draws   []DrawState // sorted by email
-}
-
-// AttackerState bundles campaign and stuffer for one snapshot section.
-type AttackerState struct {
-	Campaign CampaignState
-	Stuffer  StufferState
-}
-
-// ExportState captures the campaign's ground truth.
-func (c *Campaign) ExportState() CampaignState {
+// EncodeSection writes the attacker's checkpoint-section image to e,
+// straight from live state: the campaign's ground truth (breach times by
+// domain, abandoned accounts and resold dumps, each sorted), then its
+// stuffer's attempt log in append order and the per-account draw counters,
+// sorted by account, that make every future probabilistic choice
+// reproducible.
+func (c *Campaign) EncodeSection(e *snapshot.Encoder) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := CampaignState{}
-	for domain, at := range c.breaches {
-		st.Breaches = append(st.Breaches, BreachState{Domain: domain, At: snapshot.CanonTime(at)})
+	e.Uint(uint64(len(c.breaches)))
+	for _, domain := range snapshot.SortedKeys(c.breaches) {
+		e.String(domain)
+		e.Time(c.breaches[domain])
 	}
-	sort.Slice(st.Breaches, func(i, j int) bool { return st.Breaches[i].Domain < st.Breaches[j].Domain })
-	for email := range c.dead {
-		st.Dead = append(st.Dead, email)
-	}
-	sort.Strings(st.Dead)
-	st.Resales = append(st.Resales, c.resales...)
-	sort.Strings(st.Resales)
-	return st
-}
-
-// ExportState captures the stuffer's log and draw counters.
-func (s *Stuffer) ExportState() StufferState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := StufferState{}
-	if n := s.records.Len(); n > 0 {
-		st.Records = s.records.AppendTo(nil, 0, n)
-		for i := range st.Records {
-			st.Records[i].Time = snapshot.CanonTime(st.Records[i].Time)
-		}
-	}
-	for email, n := range s.draws {
-		st.Draws = append(st.Draws, DrawState{Email: email, N: n})
-	}
-	sort.Slice(st.Draws, func(i, j int) bool { return st.Draws[i].Email < st.Draws[j].Email })
-	return st
-}
-
-// EncodeAttackerState writes the export's snapshot-section image to e.
-func EncodeAttackerState(e *snapshot.Encoder, st *AttackerState) {
-	e.Uint(uint64(len(st.Campaign.Breaches)))
-	for _, b := range st.Campaign.Breaches {
-		e.String(b.Domain)
-		e.Time(b.At)
-	}
-	e.Uint(uint64(len(st.Campaign.Dead)))
-	for _, email := range st.Campaign.Dead {
+	e.Uint(uint64(len(c.dead)))
+	for _, email := range snapshot.SortedKeys(c.dead) {
 		e.String(email)
 	}
-	e.Uint(uint64(len(st.Campaign.Resales)))
-	for _, domain := range st.Campaign.Resales {
+	e.Uint(uint64(len(c.resales)))
+	resales := slices.Clone(c.resales)
+	slices.Sort(resales)
+	for _, domain := range resales {
 		e.String(domain)
 	}
-	e.Uint(uint64(len(st.Stuffer.Records)))
-	for _, r := range st.Stuffer.Records {
+	c.mu.Unlock()
+
+	s := c.stuffer
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.records.Len()
+	e.Uint(uint64(n))
+	for i := 0; i < n; i++ {
+		r := s.records.At(i)
 		e.String(r.Email)
 		e.Time(r.Time)
 		e.Blob(r.IP.AsSlice())
 		e.Bool(r.Success)
 	}
-	e.Uint(uint64(len(st.Stuffer.Draws)))
-	for _, dr := range st.Stuffer.Draws {
-		e.String(dr.Email)
-		e.Uint(dr.N)
+	e.Uint(uint64(len(s.draws)))
+	for _, email := range snapshot.SortedKeys(s.draws) {
+		e.String(email)
+		e.Uint(s.draws[email])
 	}
 }

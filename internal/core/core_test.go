@@ -65,9 +65,9 @@ func TestReturnKeepsRanks(t *testing.T) {
 	for _, i := range order {
 		l.Return(taken[i])
 	}
-	want := []PoolSegmentState{{From: from, To: from + 3}, {From: from + 5, To: from + 7}, {From: from + 3, To: from + 4}}
-	if got := l.ExportState().PoolHard; !reflect.DeepEqual(got, want) {
-		t.Fatalf("pool segments = %+v, want %+v", got, want)
+	want := []poolSegment{{from: from, to: from + 3}, {from: from + 5, to: from + 7}, {from: from + 3, to: from + 4}}
+	if p := &l.pools[identity.Hard]; !reflect.DeepEqual(p.segs[p.head:], want) {
+		t.Fatalf("pool segments = %+v, want %+v", p.segs[p.head:], want)
 	}
 	for _, i := range order {
 		if got := l.Take(identity.Hard); !reflect.DeepEqual(got, taken[i]) {

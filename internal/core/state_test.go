@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"net/netip"
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -13,204 +11,327 @@ import (
 	"tripwire/internal/crawler"
 	"tripwire/internal/emailprovider"
 	"tripwire/internal/identity"
+	"tripwire/internal/snapshot"
 )
 
-func randTime(rng *rand.Rand) time.Time {
-	if rng.Intn(8) == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, rng.Int63n(1<<50)).UTC()
+// image is the byte image one EncodeSection writes.
+func image(encode func(*snapshot.Encoder)) []byte {
+	e := snapshot.NewEncoder()
+	encode(e)
+	return e.Bytes()
 }
 
-func randString(rng *rand.Rand, max int) string {
-	b := make([]byte, rng.Intn(max+1))
-	for i := range b {
-		b[i] = byte('a' + rng.Intn(26))
-	}
-	return string(b)
+// ledgerFixture is a ledger holding every kind of state its section
+// records: span-backed pools of both classes, an explicit identity,
+// control accounts, burned registrations from a span (so burned ranks
+// too), and an identity taken but not yet burned.
+type ledgerFixture struct {
+	l      *Ledger
+	gen    *identity.Generator
+	burned *identity.Identity // registered at site2.test
+	held   *identity.Identity // taken, not burned
 }
 
-func randIdentity(rng *rand.Rand, i int) identity.Identity {
-	return identity.Identity{
-		ID:        i,
-		FirstName: randString(rng, 8),
-		LastName:  randString(rng, 8),
-		Username:  randString(rng, 14),
-		LocalPart: randString(rng, 18),
-		Email:     fmt.Sprintf("id%04d@hmail.test", i),
-		Password:  randString(rng, 10),
-		Class:     identity.PasswordClass(rng.Intn(2)),
-		Street:    randString(rng, 20),
-		City:      randString(rng, 10),
-		State:     randString(rng, 2),
-		Zip:       randString(rng, 5),
-		Phone:     randString(rng, 12),
-		Birthday:  randTime(rng),
-		Employer:  randString(rng, 12),
+func newLedgerFixture() *ledgerFixture {
+	g := newGen()
+	l := NewLedger()
+	l.SetDeriver(g.At)
+	l.SetRankFn(g.RankOf)
+	l.ExtendPool(identity.Hard, g.Reserve(identity.Hard, 8), 8)
+	l.ExtendPool(identity.Easy, g.Reserve(identity.Easy, 8), 8)
+	l.AddIdentity(g.New(identity.Easy))
+	for i := 0; i < 3; i++ {
+		l.AddControl(g.New(identity.Hard))
 	}
+	f := &ledgerFixture{l: l, gen: g}
+	for i := 0; i < 3; i++ {
+		f.burned = l.Take(identity.Hard)
+		l.Burn(f.burned, fmt.Sprintf("site%d.test", i), i+1, "news", t0, crawler.CodeOKSubmission, false)
+	}
+	f.held = l.Take(identity.Easy)
+	return f
 }
 
-func randLedgerState(rng *rand.Rand) *LedgerState {
-	st := &LedgerState{}
-	id := 0
-	randSegs := func() []PoolSegmentState {
-		var segs []PoolSegmentState
-		for i := 0; i < rng.Intn(4); i++ {
-			if rng.Intn(2) == 0 {
-				segs = append(segs, PoolSegmentState{IsItem: true, Item: randIdentity(rng, id)})
-				id++
-			} else {
-				from := rng.Int63n(1 << 30)
-				segs = append(segs, PoolSegmentState{From: from, To: from + 1 + rng.Int63n(1000)})
-			}
+// TestLedgerSectionTracksMutations: an untouched ledger re-encodes byte
+// for byte, and so does an independently built equal one whatever its
+// maps' iteration order; each single mutation through the ledger's API
+// changes the image.
+func TestLedgerSectionTracksMutations(t *testing.T) {
+	base := image(newLedgerFixture().l.EncodeSection)
+	f := newLedgerFixture()
+	for i := 0; i < 3; i++ {
+		if !bytes.Equal(image(f.l.EncodeSection), base) {
+			t.Fatalf("encode %d of an untouched ledger differs from an equal ledger's image", i)
 		}
-		return segs
 	}
-	st.PoolHard = randSegs()
-	st.PoolEasy = randSegs()
-	randSpans := func() []SpanState {
-		var spans []SpanState
-		for i := 0; i < rng.Intn(3); i++ {
-			from := rng.Int63n(1 << 30)
-			spans = append(spans, SpanState{From: from, To: from + 1 + rng.Int63n(1<<20)})
+	for _, tc := range []struct {
+		name   string
+		mutate func(f *ledgerFixture)
+	}{
+		{"Burn", func(f *ledgerFixture) {
+			f.l.Burn(f.l.Take(identity.Hard), "site9.test", 9, "news", t0, crawler.CodeOKSubmission, false)
+		}},
+		{"Burn manual", func(f *ledgerFixture) {
+			f.l.Burn(f.held, "site9.test", 9, "news", t0, crawler.CodeOKSubmission, true)
+		}},
+		{"NoteEmail", func(f *ledgerFixture) { f.l.NoteEmail(f.burned.Email, true) }},
+		{"Return", func(f *ledgerFixture) { f.l.Return(f.held) }},
+		{"Take", func(f *ledgerFixture) { f.l.Take(identity.Hard) }},
+		{"AddIdentity", func(f *ledgerFixture) { f.l.AddIdentity(f.gen.New(identity.Hard)) }},
+		{"AddControl", func(f *ledgerFixture) { f.l.AddControl(f.gen.New(identity.Easy)) }},
+		{"ExtendPool", func(f *ledgerFixture) { f.l.ExtendPool(identity.Easy, f.gen.Reserve(identity.Easy, 2), 2) }},
+	} {
+		f := newLedgerFixture()
+		tc.mutate(f)
+		if bytes.Equal(image(f.l.EncodeSection), base) {
+			t.Errorf("%s left the ledger image unchanged", tc.name)
 		}
-		return spans
 	}
-	st.SpansHard = randSpans()
-	st.SpansEasy = randSpans()
-	for i := 0; i < rng.Intn(5); i++ {
-		st.Burned = append(st.Burned, rng.Int63n(1<<40))
-	}
-	for i := 0; i < rng.Intn(4); i++ {
-		st.Registrations = append(st.Registrations, RegistrationState{
-			Identity: randIdentity(rng, id),
-			Domain:   fmt.Sprintf("site%05d.test", rng.Intn(99999)),
-			Rank:     rng.Intn(100000),
-			Category: randString(rng, 10),
-			When:     randTime(rng),
-			Code:     crawler.Code(rng.Intn(5)),
-			Status:   AccountStatus(rng.Intn(5)),
-			Manual:   rng.Intn(2) == 0,
-		})
-		id++
-	}
-	for i := 0; i < rng.Intn(3); i++ {
-		st.Controls = append(st.Controls, randIdentity(rng, id))
-		id++
-	}
-	for i := 0; i < rng.Intn(5); i++ {
-		st.Unused = append(st.Unused, fmt.Sprintf("unused%d@hmail.test", i))
-	}
-	return st
 }
 
+// ledgerRun is a ledger fixture under a generated script, with the
+// identities the script holds (taken, not yet burned or returned) and
+// those it burned, starting with the fixture's.
+type ledgerRun struct {
+	*ledgerFixture
+	held   []*identity.Identity
+	burned []string
+}
+
+func newLedgerRun() *ledgerRun {
+	f := newLedgerFixture()
+	return &ledgerRun{ledgerFixture: f, held: []*identity.Identity{f.held}, burned: []string{f.burned.Email}}
+}
+
+// ledgerStep is one generated operation on a ledger.
+type ledgerStep struct {
+	op    int // 0 Take, 1 Burn, 2 NoteEmail, 3 Return, 4 AddIdentity, 5 AddControl, 6 ExtendPool
+	class identity.PasswordClass
+	pick  int  // which held or burned identity
+	flag  bool // Burn: manual; NoteEmail: a verification mail
+	code  crawler.Code
+	n     int // ExtendPool width
+}
+
+// apply performs the step, the i-th of its script, and reports whether it
+// must have changed the ledger's state.
+func (st ledgerStep) apply(r *ledgerRun, i int) bool {
+	l := r.l
+	switch st.op {
+	case 0:
+		id := l.Take(st.class)
+		if id == nil {
+			return false
+		}
+		r.held = append(r.held, id)
+	case 1, 3:
+		if len(r.held) == 0 {
+			return false
+		}
+		k := st.pick % len(r.held)
+		id := r.held[k]
+		r.held = append(r.held[:k], r.held[k+1:]...)
+		if st.op == 3 {
+			l.Return(id)
+			return true
+		}
+		l.Burn(id, fmt.Sprintf("step%d.test", i), 100+i, "news", t0, st.code, st.flag)
+		r.burned = append(r.burned, id.Email)
+	case 2:
+		email := r.burned[st.pick%len(r.burned)]
+		reg, _ := l.Lookup(email)
+		was := reg.Status
+		return l.NoteEmail(email, st.flag).Status != was
+	case 4:
+		l.AddIdentity(r.gen.New(st.class))
+	case 5:
+		l.AddControl(r.gen.New(st.class))
+	case 6:
+		l.ExtendPool(st.class, r.gen.Reserve(st.class, st.n), int64(st.n))
+	}
+	return true
+}
+
+// TestLedgerStateRoundTrip: the ledger's state round-trips through
+// replay, which is how a resumed study rebuilds it before attesting its
+// image. Over generated scripts of takes, burns with every
+// status-deciding code and manual flag, status mail,
+// returns, added identities and controls and pool extensions, each step
+// changes the image exactly when it changes the ledger, and a ledger
+// rebuilt by replaying any prefix of the script encodes that prefix's
+// image byte for byte.
 func TestLedgerStateRoundTrip(t *testing.T) {
+	codes := []crawler.Code{crawler.CodeOKSubmission, crawler.CodeSubmissionFailed, crawler.CodeFieldsMissing}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		st := randLedgerState(rng)
-		data := ledgerImage(st)
-		got, err := DecodeLedgerState(data)
-		if err != nil {
-			t.Logf("decode: %v", err)
-			return false
-		}
-		if !reflect.DeepEqual(got, st) {
-			t.Logf("mismatch:\n got %+v\nwant %+v", got, st)
-			return false
-		}
-		return bytes.Equal(ledgerImage(got), data)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func randMonitorState(rng *rand.Rand) *MonitorState {
-	st := &MonitorState{LastDump: randTime(rng), Alarms: rng.Intn(3)}
-	for i := 0; i < rng.Intn(3); i++ {
-		st.ExpectedControls = append(st.ExpectedControls, fmt.Sprintf("ctl%d@hmail.test", i))
-	}
-	for i := 0; i < rng.Intn(3); i++ {
-		st.SeenControls = append(st.SeenControls, ControlSeen{Account: fmt.Sprintf("ctl%d@hmail.test", i), Count: rng.Intn(9)})
-	}
-	ev := func() emailprovider.LoginEvent {
-		var ip netip.Addr
-		if rng.Intn(2) == 0 {
-			var b [4]byte
-			rng.Read(b[:])
-			ip = netip.AddrFrom4(b)
-		}
-		return emailprovider.LoginEvent{Account: randString(rng, 16), Time: randTime(rng), IP: ip, Method: "IMAP"}
-	}
-	for i := 0; i < rng.Intn(3); i++ {
-		det := DetectionState{
-			Domain:             fmt.Sprintf("site%05d.test", i),
-			Rank:               rng.Intn(100000),
-			Category:           randString(rng, 8),
-			FirstSeen:          randTime(rng),
-			LastSeen:           randTime(rng),
-			HardAccessed:       rng.Intn(2) == 0,
-			AccountsRegistered: rng.Intn(5),
-			AccountsAccessed:   rng.Intn(5),
-		}
-		for j := 0; j < rng.Intn(3); j++ {
-			var evs []emailprovider.LoginEvent
-			for k := 0; k < 1+rng.Intn(3); k++ {
-				evs = append(evs, ev())
+		script := make([]ledgerStep, 1+rng.Intn(40))
+		for i := range script {
+			script[i] = ledgerStep{
+				op:    rng.Intn(7),
+				class: identity.PasswordClass(rng.Intn(2)),
+				pick:  rng.Intn(8),
+				flag:  rng.Intn(2) == 0,
+				code:  codes[rng.Intn(len(codes))],
+				n:     1 + rng.Intn(3),
 			}
-			det.Logins = append(det.Logins, AccountLogins{Account: fmt.Sprintf("a%d@hmail.test", j), Events: evs})
 		}
-		st.Detections = append(st.Detections, det)
-	}
-	return st
-}
-
-func TestMonitorStateRoundTrip(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		st := randMonitorState(rng)
-		data := monitorImage(st)
-		got, err := DecodeMonitorState(data)
-		if err != nil {
-			t.Logf("decode: %v", err)
+		r := newLedgerRun()
+		images := [][]byte{image(r.l.EncodeSection)}
+		for i, st := range script {
+			changed := st.apply(r, i)
+			img := image(r.l.EncodeSection)
+			if moved := !bytes.Equal(img, images[i]); moved != changed {
+				t.Logf("seed %d: step %d (op %d) changed the ledger: %v, the image: %v", seed, i, st.op, changed, moved)
+				return false
+			}
+			images = append(images, img)
+		}
+		k := rng.Intn(len(script) + 1)
+		q := newLedgerRun()
+		for i, st := range script[:k] {
+			st.apply(q, i)
+		}
+		if !bytes.Equal(image(q.l.EncodeSection), images[k]) {
+			t.Logf("seed %d: replaying %d of %d steps encoded a different image", seed, k, len(script))
 			return false
 		}
-		if !reflect.DeepEqual(got, st) {
-			t.Logf("mismatch:\n got %+v\nwant %+v", got, st)
-			return false
-		}
-		return bytes.Equal(monitorImage(got), data)
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestLedgerExportRoundTrip exercises a live ledger end to end.
+// TestLedgerExportRoundTrip exercises a live ledger end to end: its image
+// carries a burned registration whole, at the status mail lifted it to,
+// and the control account, and re-encodes byte for byte; and a ledger
+// still records a span or identity its pool has handed out.
 func TestLedgerExportRoundTrip(t *testing.T) {
 	gen := identity.NewGenerator("hmail.test", 42)
 	l := NewLedger()
 	for i := 0; i < 6; i++ {
 		l.AddIdentity(gen.New(identity.PasswordClass(i % 2)))
 	}
-	l.AddControl(gen.New(identity.Hard))
+	control := gen.New(identity.Hard)
+	l.AddControl(control)
 	when := time.Date(2014, 8, 1, 0, 0, 0, 0, time.UTC)
 	id := l.Take(identity.Hard)
 	l.Burn(id, "site00001.test", 1, "news", when, crawler.CodeOKSubmission, false)
+	registration := func(status AccountStatus) []byte {
+		e := snapshot.NewEncoder()
+		appendIdentity(e, id)
+		e.String("site00001.test")
+		e.Int(1)
+		e.String("news")
+		e.Time(when)
+		e.Uint(uint64(crawler.CodeOKSubmission))
+		e.Uint(uint64(status))
+		e.Bool(false)
+		return e.Bytes()
+	}
+	if !bytes.Contains(image(l.EncodeSection), registration(StatusOKSubmission)) {
+		t.Fatal("image lacks the registration as burned")
+	}
 	l.NoteEmail(id.Email, true)
+	img := image(l.EncodeSection)
+	if !bytes.Contains(img, registration(StatusEmailVerified)) || bytes.Contains(img, registration(StatusOKSubmission)) {
+		t.Fatal("image does not carry the registration at the verified status")
+	}
+	if !bytes.Contains(img, image(func(e *snapshot.Encoder) { appendIdentity(e, control) })) {
+		t.Fatal("image lacks the control account")
+	}
+	if !bytes.Equal(image(l.EncodeSection), img) {
+		t.Fatal("re-encoding changed bytes")
+	}
 
-	st := l.ExportState()
-	got, err := DecodeLedgerState(ledgerImage(st))
-	if err != nil {
-		t.Fatal(err)
+	// What the pool hands out and nothing burns stays in the unused
+	// universe: a span or an explicit identity, once taken, is gone from
+	// the pool's segments, so only the spans or the unused set can keep
+	// the image from going back to what it was before the pool had it.
+	spent := NewLedger()
+	spent.SetDeriver(gen.At)
+	prev := image(spent.EncodeSection)
+	for _, tc := range []struct {
+		name string
+		add  func()
+	}{
+		{"span", func() { spent.ExtendPool(identity.Easy, gen.Reserve(identity.Easy, 1), 1) }},
+		{"explicit identity", func() { spent.AddIdentity(gen.New(identity.Easy)) }},
+	} {
+		tc.add()
+		if spent.Take(identity.Easy) == nil || spent.PoolSize() != 0 {
+			t.Fatalf("the pool did not hand out the %s", tc.name)
+		}
+		img := image(spent.EncodeSection)
+		if bytes.Equal(img, prev) {
+			t.Fatalf("a taken %s left the image unchanged", tc.name)
+		}
+		prev = img
 	}
-	if !reflect.DeepEqual(got, st) {
-		t.Fatal("live ledger export did not survive a codec round trip")
+}
+
+// monitorFixture is a monitor with a detection at one of two registered
+// sites, an expected and a seen control login, and its dump cursor an
+// hour past t0, so events at t0 leave the cursor where it is.
+type monitorFixture struct {
+	m          *Monitor
+	hitA, hitB *identity.Identity // registered at a.test; hitA logged in
+	missing    *identity.Identity // registered at b.test, never logged in
+	control    *identity.Identity
+	unused     *identity.Identity
+}
+
+func newMonitorFixture() *monitorFixture {
+	g := newGen()
+	l := NewLedger()
+	f := &monitorFixture{hitA: g.New(identity.Easy), hitB: g.New(identity.Hard), missing: g.New(identity.Hard),
+		control: g.New(identity.Hard), unused: g.New(identity.Easy)}
+	for _, id := range []*identity.Identity{f.hitA, f.hitB, f.missing, f.unused} {
+		l.AddIdentity(id)
 	}
-	if len(got.Registrations) != 1 || got.Registrations[0].Status != StatusEmailVerified {
-		t.Fatalf("registrations exported wrong: %+v", got.Registrations)
+	l.Burn(f.hitA, "a.test", 1, "news", t0, crawler.CodeOKSubmission, false)
+	l.Burn(f.hitB, "a.test", 1, "news", t0, crawler.CodeOKSubmission, false)
+	l.Burn(f.missing, "b.test", 2, "shop", t0, crawler.CodeOKSubmission, false)
+	l.AddControl(f.control)
+	f.m = NewMonitor(l, t0)
+	f.m.ExpectControlLogin(f.control.Email)
+	f.m.Ingest([]emailprovider.LoginEvent{
+		ev(f.hitA.Email, t0.Add(time.Hour)),
+		{Account: f.control.Email, Time: t0, IP: someIP, Method: "WEB"},
+	})
+	return f
+}
+
+// TestMonitorSectionTracksMutations: an untouched monitor re-encodes byte
+// for byte, and each single Ingest changes the image through the state it
+// touches — the events predate the dump cursor, so the cursor cannot be
+// what changed it.
+func TestMonitorSectionTracksMutations(t *testing.T) {
+	base := image(newMonitorFixture().m.EncodeSection)
+	f := newMonitorFixture()
+	for i := 0; i < 3; i++ {
+		if !bytes.Equal(image(f.m.EncodeSection), base) {
+			t.Fatalf("encode %d of an untouched monitor differs from an equal monitor's image", i)
+		}
 	}
-	if !bytes.Equal(ledgerImage(l.ExportState()), ledgerImage(st)) {
-		t.Fatal("re-export changed bytes")
+	for _, tc := range []struct {
+		name   string
+		mutate func(f *monitorFixture)
+	}{
+		{"Ingest a login at a detected site", func(f *monitorFixture) { f.m.Ingest([]emailprovider.LoginEvent{ev(f.hitA.Email, t0)}) }},
+		{"Ingest a second account's login", func(f *monitorFixture) { f.m.Ingest([]emailprovider.LoginEvent{ev(f.hitB.Email, t0)}) }},
+		{"Ingest a new site's login", func(f *monitorFixture) { f.m.Ingest([]emailprovider.LoginEvent{ev(f.missing.Email, t0)}) }},
+		{"Ingest a control login", func(f *monitorFixture) {
+			f.m.Ingest([]emailprovider.LoginEvent{{Account: f.control.Email, Time: t0, IP: someIP, Method: "WEB"}})
+		}},
+		{"Ingest an unused account's login", func(f *monitorFixture) { f.m.Ingest([]emailprovider.LoginEvent{ev(f.unused.Email, t0)}) }},
+		{"Ingest a later login", func(f *monitorFixture) { f.m.Ingest([]emailprovider.LoginEvent{ev(f.hitA.Email, t0.Add(2*time.Hour))}) }},
+		{"ExpectControlLogin", func(f *monitorFixture) { f.m.ExpectControlLogin(f.unused.Email) }},
+	} {
+		f := newMonitorFixture()
+		tc.mutate(f)
+		if bytes.Equal(image(f.m.EncodeSection), base) {
+			t.Errorf("%s left the monitor image unchanged", tc.name)
+		}
 	}
 }

@@ -29,7 +29,7 @@ func (p *Provider) DumpSince(since time.Time) []LoginEvent {
 }
 
 // AllLogins returns every retained login event, cold and resident tiers
-// merged oldest-first (ground truth for tests and state export).
+// merged oldest-first (ground truth for tests and reports).
 func (p *Provider) AllLogins() []LoginEvent {
 	spilled := p.allSpilled()
 	resident := p.log.all()

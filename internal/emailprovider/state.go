@@ -3,64 +3,81 @@ package emailprovider
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
-	"tripwire/internal/imap"
 	"tripwire/internal/snapshot"
 )
 
-// AccountState is one provider account in canonical (exported) form:
-// plain values, times reduced to CanonTime, ready for codec round trips
-// and deep-equality comparison.
-type AccountState struct {
-	Email        string
-	Name         string
-	Password     string
-	State        State
-	ForwardTo    string
-	Inbox        []imap.Message
-	FailedSince  time.Time
-	FailedCount  int
-	ThrottledTil time.Time
-}
-
-// ProviderState is the provider's full durable state: every deviating
-// account plus the complete retained login log (resident and spilled tiers
-// alike). Accounts are sorted by address so the export is independent of
-// shard layout and map iteration order.
+// EncodeSection writes the provider's checkpoint-section image to e,
+// straight from the account columns and the login log: the domain, how
+// many covered accounts are still pristine, every other account sorted by
+// address, then the retained login log, cold and resident tiers alike, as
+// AllLogins returns it.
 //
 // Accounts the deriver covers that are still pristine — untouched since
-// (implicit) provisioning — are represented only by the Implicit count:
-// their content is a pure function of the address, so listing them would
-// record derivable bytes. This is also what makes lazy and eager
-// provisioning export byte-identically: an eagerly created, still-pristine
-// account elides to the same count.
-type ProviderState struct {
-	Domain   string
-	Implicit int64
-	Accounts []AccountState
-	Logins   []LoginEvent
+// (implicit) provisioning — are represented only by that count: their
+// content is a pure function of the address, so listing them would record
+// derivable bytes. This is also what makes lazy and eager provisioning
+// encode byte-identically: an eagerly created, still-pristine account
+// elides to the same count. Sorting makes the image independent of shard
+// layout and map iteration order, so two providers that processed the
+// same events encode the same bytes whatever their interleaving history.
+func (p *Provider) EncodeSection(e *snapshot.Encoder) {
+	type row struct {
+		email string
+		sh    *accountShard
+		slot  int32
+	}
+	var rows []row
+	coveredDeviating := int64(0)
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		for slot := int32(0); slot < int32(len(sh.locals)); slot++ {
+			if d, covered := p.derive(sh.locals[slot]); covered {
+				if sh.pristineLocked(slot, d) {
+					continue
+				}
+				coveredDeviating++
+			}
+			rows = append(rows, row{sh.locals[slot] + "@" + p.domain, sh, slot})
+		}
+		sh.mu.Unlock()
+	}
+	implicit := int64(0)
+	if p.deriver != nil {
+		implicit = p.deriver.DerivedCount() - coveredDeviating
+	}
+	slices.SortFunc(rows, func(a, b row) int { return strings.Compare(a.email, b.email) })
+	e.String(p.domain)
+	e.Uint(uint64(implicit))
+	e.Uint(uint64(len(rows)))
+	for _, r := range rows {
+		r.sh.encodeRow(e, r.slot, r.email)
+	}
+	p.log.encodeAfter(e, p.allSpilled())
 }
 
-// exportLocked builds the canonical form of one row. Caller holds sh.mu.
-func (sh *accountShard) exportLocked(slot int32, domain string) AccountState {
-	var inbox []imap.Message
-	if n := len(sh.inboxes[slot]); n > 0 {
-		inbox = make([]imap.Message, n)
-		copy(inbox, sh.inboxes[slot])
+// encodeRow writes one account of the provider section.
+func (sh *accountShard) encodeRow(e *snapshot.Encoder, slot int32, email string) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e.String(email)
+	e.String(sh.names[slot])
+	e.String(sh.passwords[slot])
+	e.Uint(uint64(sh.states[slot]))
+	e.String(sh.forwards[slot])
+	e.Uint(uint64(len(sh.inboxes[slot])))
+	for _, m := range sh.inboxes[slot] {
+		e.String(m.From)
+		e.String(m.Subject)
+		e.String(m.Body)
 	}
-	return AccountState{
-		Email:        sh.locals[slot] + "@" + domain,
-		Name:         sh.names[slot],
-		Password:     sh.passwords[slot],
-		State:        State(sh.states[slot]),
-		ForwardTo:    sh.forwards[slot],
-		Inbox:        inbox,
-		FailedSince:  nanoTime(sh.failedSince[slot]),
-		FailedCount:  int(sh.failedCount[slot]),
-		ThrottledTil: nanoTime(sh.throttledTil[slot]),
-	}
+	e.Time(nanoTime(sh.failedSince[slot]))
+	e.Int(int64(sh.failedCount[slot]))
+	e.Time(nanoTime(sh.throttledTil[slot]))
 }
 
 // pristineLocked reports whether a row still equals its derived pristine
@@ -77,7 +94,7 @@ func (sh *accountShard) pristineLocked(slot int32, d DerivedAccount) bool {
 		sh.forwards[slot] == d.ForwardTo
 }
 
-// nanoTime converts the packed UnixNano back to CanonTime form (0 = zero).
+// nanoTime converts a packed UnixNano back to a time (0 = zero).
 func nanoTime(n int64) time.Time {
 	if n == 0 {
 		return time.Time{}
@@ -85,49 +102,24 @@ func nanoTime(n int64) time.Time {
 	return time.Unix(0, n).UTC()
 }
 
-// ExportState captures the provider's durable state. The export is
-// deterministic: two providers that processed the same events export
-// byte-identical state regardless of interleaving history — and
-// regardless of whether accounts were provisioned eagerly or derived
-// lazily, because pristine covered accounts elide to the Implicit count
-// either way.
-func (p *Provider) ExportState() *ProviderState {
-	st := &ProviderState{Domain: p.domain}
-	coveredDeviating := int64(0)
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for slot := int32(0); slot < int32(len(sh.locals)); slot++ {
-			if d, covered := p.derive(sh.locals[slot]); covered {
-				if sh.pristineLocked(slot, d) {
-					continue
-				}
-				coveredDeviating++
-			}
-			st.Accounts = append(st.Accounts, sh.exportLocked(slot, p.domain))
-		}
-		sh.mu.Unlock()
+// encodeAfter writes cold followed by the resident log as one
+// count-prefixed run, the bytes EncodeLoginEvents would write for their
+// concatenation, without copying the resident events out.
+func (r *loginLog) encodeAfter(e *snapshot.Encoder, cold []LoginEvent) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := r.evs.Len()
+	e.Uint(uint64(len(cold) + n))
+	for i := range cold {
+		appendLoginEvent(e, &cold[i])
 	}
-	if p.deriver != nil {
-		st.Implicit = p.deriver.DerivedCount() - coveredDeviating
+	for i := 0; i < n; i++ {
+		appendLoginEvent(e, r.evs.At(i))
 	}
-	sort.Slice(st.Accounts, func(i, j int) bool { return st.Accounts[i].Email < st.Accounts[j].Email })
-	if evs := canonLogins(p.AllLogins()); len(evs) > 0 {
-		st.Logins = evs
-	}
-	return st
-}
-
-// canonLogins canonicalizes event times for deep-equal comparison.
-func canonLogins(evs []LoginEvent) []LoginEvent {
-	for i := range evs {
-		evs[i].Time = snapshot.CanonTime(evs[i].Time)
-	}
-	return evs
 }
 
 // appendLoginEvent encodes one login event.
-func appendLoginEvent(e *snapshot.Encoder, ev LoginEvent) {
+func appendLoginEvent(e *snapshot.Encoder, ev *LoginEvent) {
 	e.String(ev.Account)
 	e.Time(ev.Time)
 	e.Blob(ev.IP.AsSlice())
@@ -165,8 +157,8 @@ const loginEventMinBytes = 4
 // per-detection login lists and the on-disk cold log segments.
 func EncodeLoginEvents(e *snapshot.Encoder, evs []LoginEvent) {
 	e.Uint(uint64(len(evs)))
-	for _, ev := range evs {
-		appendLoginEvent(e, ev)
+	for i := range evs {
+		appendLoginEvent(e, &evs[i])
 	}
 }
 
@@ -188,29 +180,4 @@ func DecodeLoginEvents(d *snapshot.Decoder) ([]LoginEvent, error) {
 		evs = append(evs, ev)
 	}
 	return evs, nil
-}
-
-// EncodeProviderState writes the export's snapshot-section image to e.
-func EncodeProviderState(e *snapshot.Encoder, st *ProviderState) {
-	e.String(st.Domain)
-	e.Uint(uint64(st.Implicit))
-	e.Uint(uint64(len(st.Accounts)))
-	for i := range st.Accounts {
-		a := &st.Accounts[i]
-		e.String(a.Email)
-		e.String(a.Name)
-		e.String(a.Password)
-		e.Uint(uint64(a.State))
-		e.String(a.ForwardTo)
-		e.Uint(uint64(len(a.Inbox)))
-		for _, m := range a.Inbox {
-			e.String(m.From)
-			e.String(m.Subject)
-			e.String(m.Body)
-		}
-		e.Time(a.FailedSince)
-		e.Int(int64(a.FailedCount))
-		e.Time(a.ThrottledTil)
-	}
-	EncodeLoginEvents(e, st.Logins)
 }

@@ -5,21 +5,164 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"os"
 	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
-	"tripwire/internal/imap"
+	"tripwire/internal/simclock"
+	"tripwire/internal/snapshot"
 )
 
-// randTime returns a canonical time, sometimes zero, so round-trip state
-// compares deep-equal.
-func randTime(rng *rand.Rand) time.Time {
-	if rng.Intn(8) == 0 {
-		return time.Time{}
+// implicitAccounts covers imp0..imp3@bigmail.test, so a provider using it
+// holds pristine accounts that exist only through the deriver.
+type implicitAccounts struct{}
+
+func (implicitAccounts) DeriveAccount(email string) (DerivedAccount, bool) {
+	for i := 0; i < 4; i++ {
+		if email == fmt.Sprintf("imp%d@bigmail.test", i) {
+			return DerivedAccount{Name: fmt.Sprintf("Imp %d", i), Password: "Implicit1", ForwardTo: "relay@tripwire.test"}, true
+		}
 	}
-	return time.Unix(0, rng.Int63n(1<<50)).UTC()
+	return DerivedAccount{}, false
+}
+
+func (implicitAccounts) DerivedCount() int64 { return 4 }
+
+// providerFixture is a provider with implicit and explicit accounts,
+// forwarding, an inbox and logins on both, on a virtual clock.
+func providerFixture(t *testing.T) (*Provider, *simclock.Clock) {
+	t.Helper()
+	p, clock := newTestProvider()
+	p.SetDeriver(implicitAccounts{})
+	for i := 0; i < 5; i++ {
+		email := fmt.Sprintf("user%d@bigmail.test", i)
+		if err := p.CreateAccount(email, "User Name", "Password1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SetForwarding(email, "sink@collector.test"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		clock.AdvanceTo(clock.Now().Add(time.Hour))
+		if err := p.WebLogin(fmt.Sprintf("user%d@bigmail.test", i%5), "Password1", testIP); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.WebLogin("imp0@bigmail.test", "Implicit1", testIP); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Deliver("noreply@site1.test", "user0@bigmail.test", "welcome", "hello"); err != nil {
+		t.Fatal(err)
+	}
+	return p, clock
+}
+
+// TestProviderSectionTracksMutations: an untouched provider re-encodes
+// byte for byte, and so does an independently built equal one whatever its
+// shard and map order; each single mutation through the provider's API
+// changes the image — a pristine implicit account by its login alone, or
+// by being materialized.
+func TestProviderSectionTracksMutations(t *testing.T) {
+	p, _ := providerFixture(t)
+	base := image(p.EncodeSection)
+	q, _ := providerFixture(t)
+	for i := 0; i < 3; i++ {
+		if !bytes.Equal(image(q.EncodeSection), base) {
+			t.Fatalf("encode %d of an untouched provider differs from an equal provider's image", i)
+		}
+	}
+	other := netip.MustParseAddr("198.51.100.20")
+	for _, tc := range []struct {
+		name   string
+		mutate func(p *Provider) error
+	}{
+		{"WebLogin", func(p *Provider) error { return p.WebLogin("user1@bigmail.test", "Password1", other) }},
+		{"WebLogin to an implicit account", func(p *Provider) error { return p.WebLogin("imp1@bigmail.test", "Implicit1", other) }},
+		{"failed WebLogin", func(p *Provider) error {
+			if err := p.WebLogin("user2@bigmail.test", "wrong", other); err == nil {
+				return fmt.Errorf("a wrong password logged in")
+			}
+			return nil
+		}},
+		{"Freeze", func(p *Provider) error {
+			if !p.Freeze("user3@bigmail.test") {
+				return fmt.Errorf("no account to freeze")
+			}
+			return nil
+		}},
+		{"Freeze an implicit account", func(p *Provider) error {
+			if !p.Freeze("imp2@bigmail.test") {
+				return fmt.Errorf("no account to freeze")
+			}
+			return nil
+		}},
+		{"Deliver", func(p *Provider) error {
+			return p.Deliver("noreply@site2.test", "user4@bigmail.test", "verify", "click")
+		}},
+		{"Deliver to an implicit account", func(p *Provider) error {
+			return p.Deliver("noreply@site2.test", "imp3@bigmail.test", "verify", "click")
+		}},
+		{"SetForwarding", func(p *Provider) error { return p.SetForwarding("user1@bigmail.test", "elsewhere@collector.test") }},
+		{"CreateAccount", func(p *Provider) error { return p.CreateAccount("newcomer@bigmail.test", "New Comer", "Password2") }},
+	} {
+		p, clock := providerFixture(t)
+		clock.AdvanceTo(clock.Now().Add(time.Hour))
+		if err := tc.mutate(p); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if bytes.Equal(image(p.EncodeSection), base) {
+			t.Errorf("%s left the provider image unchanged", tc.name)
+		}
+	}
+}
+
+// image is the byte image one EncodeSection writes.
+func image(encode func(*snapshot.Encoder)) []byte {
+	e := snapshot.NewEncoder()
+	encode(e)
+	return e.Bytes()
+}
+
+// TestLoginEventsCodecRoundTrip: the login-event codec the cold tier
+// reads back is lossless over v4, v6 and zero addresses and zero times,
+// re-encodes byte for byte, and rejects every truncation.
+func TestLoginEventsCodecRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 200; round++ {
+		var evs []LoginEvent
+		for i := rng.Intn(8); i > 0; i-- {
+			ev := LoginEvent{Account: fmt.Sprintf("acct%d@bigmail.test", rng.Intn(100)), Method: []string{"IMAP", "POP3", "WEB"}[rng.Intn(3)]}
+			if rng.Intn(8) > 0 {
+				ev.Time = time.Unix(0, rng.Int63n(1<<50)).UTC()
+			}
+			ev.IP = randAddr(rng)
+			evs = append(evs, ev)
+		}
+		e := snapshot.NewEncoder()
+		EncodeLoginEvents(e, evs)
+		data := e.Bytes()
+		got, err := DecodeLoginEvents(snapshot.NewDecoder(data))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !reflect.DeepEqual(got, evs) {
+			t.Fatalf("round %d: decoded %+v, want %+v", round, got, evs)
+		}
+		re := snapshot.NewEncoder()
+		EncodeLoginEvents(re, got)
+		if !bytes.Equal(re.Bytes(), data) {
+			t.Fatalf("round %d: re-encoding is not byte-stable", round)
+		}
+		for n := 0; n < len(data); n++ {
+			d := snapshot.NewDecoder(data[:n])
+			if _, err := DecodeLoginEvents(d); err == nil && d.Err() == nil {
+				t.Fatalf("round %d: truncation to %d of %d bytes decoded silently", round, n, len(data))
+			}
+		}
+	}
 }
 
 // randAddr returns a v4, v6, or zero address.
@@ -38,130 +181,131 @@ func randAddr(rng *rand.Rand) netip.Addr {
 	}
 }
 
-func randString(rng *rand.Rand, max int) string {
-	b := make([]byte, rng.Intn(max+1))
-	for i := range b {
-		b[i] = byte('a' + rng.Intn(26))
-	}
-	return string(b)
-}
-
-func randLogins(rng *rand.Rand, n int) []LoginEvent {
-	var evs []LoginEvent
-	for i := 0; i < n; i++ {
-		evs = append(evs, LoginEvent{
-			Account: randString(rng, 20),
-			Time:    randTime(rng),
-			IP:      randAddr(rng),
-			Method:  []string{"IMAP", "POP3", "WEB"}[rng.Intn(3)],
-		})
-	}
-	return evs
-}
-
-func randProviderState(rng *rand.Rand) *ProviderState {
-	st := &ProviderState{Domain: randString(rng, 12)}
-	for i := 0; i < rng.Intn(6); i++ {
-		var inbox []imap.Message
-		for j := 0; j < rng.Intn(3); j++ {
-			inbox = append(inbox, imap.Message{From: randString(rng, 10), Subject: randString(rng, 10), Body: randString(rng, 40)})
-		}
-		st.Accounts = append(st.Accounts, AccountState{
-			Email:        fmt.Sprintf("acct%d@%s", i, st.Domain),
-			Name:         randString(rng, 16),
-			Password:     randString(rng, 10),
-			State:        State(rng.Intn(4)),
-			ForwardTo:    randString(rng, 16),
-			Inbox:        inbox,
-			FailedSince:  randTime(rng),
-			FailedCount:  rng.Intn(20),
-			ThrottledTil: randTime(rng),
-		})
-	}
-	st.Logins = randLogins(rng, rng.Intn(8))
-	return st
-}
-
-// TestProviderStateRoundTrip: encode→decode is deep-equal and
-// decode→encode is byte-stable, over generated states.
+// TestProviderStateRoundTrip: the provider's state round-trips through
+// its cold tier. Over generated histories — accounts, IMAP, POP3 and web
+// logins from v4, v6 and zero addresses, failed logins, mail, bursts of
+// equal timestamps — a provider that spills its login log to segment files
+// at a random budget, and so reads them back to encode, writes the section
+// image byte for byte as one that keeps everything resident, returns the
+// same logins, and re-encodes byte for byte.
 func TestProviderStateRoundTrip(t *testing.T) {
+	logins := []func(p *Provider, email, password string, ip netip.Addr) error{
+		(*Provider).WebLogin,
+		(*Provider).POPLogin,
+		func(p *Provider, email, password string, ip netip.Addr) error {
+			_, err := p.Login(email, password, ip)
+			return err
+		},
+	}
+	spilled := 0
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		st := randProviderState(rng)
-		data := providerImage(st)
-		got, err := DecodeProviderState(data)
-		if err != nil {
-			t.Logf("decode: %v", err)
+		clock := simclock.New(time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC))
+		ref, sp := New("bigmail.test"), New("bigmail.test")
+		ref.Now, sp.Now = clock.Now, clock.Now
+		sp.SpillLoginLog(t.TempDir(), 1+rng.Intn(12))
+		accounts := 1 + rng.Intn(6)
+		for i := 0; i < accounts; i++ {
+			email := fmt.Sprintf("acct%d@bigmail.test", i)
+			for _, p := range []*Provider{ref, sp} {
+				if err := p.CreateAccount(email, "Acct Holder", "Password1"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := rng.Intn(60); i > 0; i-- {
+			if rng.Intn(3) == 0 {
+				clock.AdvanceTo(clock.Now().Add(time.Duration(1+rng.Intn(90)) * time.Minute))
+			}
+			email := fmt.Sprintf("acct%d@bigmail.test", rng.Intn(accounts))
+			password := "Password1"
+			if rng.Intn(6) == 0 {
+				password = "wrong"
+			}
+			login, ip := logins[rng.Intn(len(logins))], randAddr(rng)
+			if errRef, errSp := login(ref, email, password, ip), login(sp, email, password, ip); (errRef == nil) != (errSp == nil) {
+				t.Logf("seed %d: login outcomes differ: %v vs %v", seed, errRef, errSp)
+				return false
+			}
+			if rng.Intn(10) == 0 {
+				for _, p := range []*Provider{ref, sp} {
+					if err := p.Deliver("noreply@site1.test", email, "welcome", "hello"); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if sp.SpilledSegments() > 0 {
+			spilled++
+		}
+		want := image(ref.EncodeSection)
+		got := image(sp.EncodeSection)
+		if err := sp.SpillErr(); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		if !reflect.DeepEqual(got, st) {
-			t.Logf("state mismatch:\n got %+v\nwant %+v", got, st)
+		if !bytes.Equal(got, want) {
+			t.Logf("seed %d: spilled provider's image differs from the all-resident one", seed)
 			return false
 		}
-		return bytes.Equal(providerImage(got), data)
+		if !bytes.Equal(image(sp.EncodeSection), got) {
+			t.Logf("seed %d: re-encoding is not byte-stable", seed)
+			return false
+		}
+		if !reflect.DeepEqual(sp.AllLogins(), ref.AllLogins()) {
+			t.Logf("seed %d: spilled provider's logins differ from the all-resident ones", seed)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+	if spilled < 100 {
+		t.Fatalf("only %d of 200 histories spilled, so the cold tier was barely read", spilled)
+	}
 }
 
-// TestProviderStateDecodeRejectsTruncation: every strict prefix of a
-// non-trivial encoding errors rather than decoding silently.
+// TestProviderStateDecodeRejectsTruncation: the state a provider decodes
+// back is its cold login tier, which every section image re-reads. A
+// spilled segment file cut to any strict prefix surfaces as SpillErr when
+// the image is next encoded, rather than decoding silently into a shorter
+// log.
 func TestProviderStateDecodeRejectsTruncation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var st *ProviderState
-	for st = randProviderState(rng); len(st.Accounts) == 0 || len(st.Logins) == 0; {
-		st = randProviderState(rng)
-	}
-	data := providerImage(st)
-	for n := 0; n < len(data); n++ {
-		if _, err := DecodeProviderState(data[:n]); err == nil {
-			t.Fatalf("truncation to %d/%d bytes decoded without error", n, len(data))
-		}
-	}
-}
-
-// TestExportStateRoundTrip drives a real provider and round-trips its
-// export, pinning that live state (not just generated structs) survives.
-func TestExportStateRoundTrip(t *testing.T) {
-	p := New("hmail.test")
-	now := time.Date(2015, 3, 1, 0, 0, 0, 0, time.UTC)
-	p.Now = func() time.Time { return now }
-	for i := 0; i < 5; i++ {
-		email := fmt.Sprintf("user%d@hmail.test", i)
-		if err := p.CreateAccount(email, "User Name", "Password1"); err != nil {
+	build := func() *Provider {
+		p, clock := newTestProvider()
+		p.SpillLoginLog(t.TempDir(), 4)
+		if err := p.CreateAccount("user1@bigmail.test", "User Name", "Password1"); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.SetForwarding(email, "sink@collector.test"); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 5; i++ {
+			clock.AdvanceTo(clock.Now().Add(time.Hour))
+			if err := p.WebLogin("user1@bigmail.test", "Password1", testIP); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	ip := netip.MustParseAddr("203.0.113.9")
-	for i := 0; i < 20; i++ {
-		now = now.Add(time.Hour)
-		if err := p.WebLogin(fmt.Sprintf("user%d@hmail.test", i%5), "Password1", ip); err != nil {
-			t.Fatal(err)
+		if n := p.SpilledSegments(); n != 1 {
+			t.Fatalf("%d spilled segments, want 1", n)
 		}
+		return p
 	}
-	p.Freeze("user3@hmail.test")
-	if err := p.Deliver("noreply@site1.test", "user0@hmail.test", "welcome", "hello"); err != nil {
-		t.Fatal(err)
+	p := build()
+	image(p.EncodeSection)
+	if err := p.SpillErr(); err != nil {
+		t.Fatalf("intact segment: %v", err)
 	}
-
-	st := p.ExportState()
-	if len(st.Accounts) != 5 || len(st.Logins) != 20 {
-		t.Fatalf("export: %d accounts, %d logins", len(st.Accounts), len(st.Logins))
-	}
-	got, err := DecodeProviderState(providerImage(st))
+	data, err := os.ReadFile(p.spill.segments[0].path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, st) {
-		t.Fatal("live provider export did not survive a codec round trip")
-	}
-	// A second export is byte-identical: exporting is read-only and
-	// deterministic.
-	if !bytes.Equal(providerImage(p.ExportState()), providerImage(st)) {
-		t.Fatal("re-export changed bytes")
+	for n := 0; n < len(data); n++ {
+		q := build()
+		if err := os.WriteFile(q.spill.segments[0].path, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		image(q.EncodeSection)
+		if q.SpillErr() == nil {
+			t.Fatalf("segment truncated to %d of %d bytes encoded without error", n, len(data))
+		}
 	}
 }

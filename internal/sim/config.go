@@ -85,8 +85,12 @@ type Config struct {
 	// Workers is how many goroutines run the pilot's parallel work: the
 	// crawl tasks of one registration wave, and the conflict partitions of
 	// one timeline epoch (internal/simclock's epoch executor). Zero means
-	// runtime.GOMAXPROCS(0); 1 runs everything serially. Results are
-	// bit-identical for a given seed regardless of the value: each site's
+	// runtime.GOMAXPROCS(0); 1 runs waves and epochs serially. It does not
+	// bound the dictionary cracker: attacker.Cracker.Crack always fans out
+	// on runtime.GOMAXPROCS(0) goroutines inside its timeline partition, a
+	// deliberate nesting (crack events usually run alone in their epoch),
+	// so a pilot at Workers 1 still uses every CPU while it cracks. Results
+	// are bit-identical for a given seed regardless of the value: each site's
 	// outcome derives only from (seed, rank, attempt) and waves merge in
 	// rank order (see parallel.go), same-key timeline events are
 	// serialized, scheduling from parallel handlers is flushed in frontier

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"testing"
@@ -13,9 +14,9 @@ import (
 // provider accounts exist only implicitly through the (seed, rank)
 // deriver must finish in exactly the state of a run that materializes
 // every provisioned account up front (the pilot's test-only eagerAccounts
-// path) — byte-identical across every attested section (provider export
-// with AllLogins, ledger, outputs with detection times) — at several
-// worker counts.
+// path) — byte-identical across every attested section (the provider
+// image with its login log, ledger, outputs with detection times) — at
+// several worker counts.
 func TestLazyEagerAccountEquivalence(t *testing.T) {
 	want := fingerprint(NewPilot(resumeTestConfig()).Run())
 
@@ -36,7 +37,11 @@ func TestLazyEagerAccountEquivalence(t *testing.T) {
 	}
 
 	// The eager path really does materialize what the lazy path leaves
-	// implicit — the equivalence above is not vacuous.
+	// implicit, so the equivalence above is not vacuous. Both providers
+	// encode the same image; without the deriver to elide pristine
+	// accounts, the eager one lists every account it created and its image
+	// outgrows the lazy one's by at least the shortest row (nine bytes of
+	// lengths and flags) per account still unused.
 	lazy := NewPilot(resumeTestConfig()).Run()
 	eager := NewPilot(resumeTestConfig())
 	eager.eagerAccounts = true
@@ -44,13 +49,15 @@ func TestLazyEagerAccountEquivalence(t *testing.T) {
 	if got, want := eager.Provider.NumAccounts(), lazy.Provider.NumAccounts(); got != want {
 		t.Fatalf("NumAccounts: eager %d, lazy %d", got, want)
 	}
-	lazySt, eagerSt := lazy.Provider.ExportState(), eager.Provider.ExportState()
-	if lazySt.Implicit == 0 {
-		t.Fatal("lazy run has no implicit accounts; the provisioning path went eager")
+	if !bytes.Equal(sectionImage(eager, sectionProvider), sectionImage(lazy, sectionProvider)) {
+		t.Fatal("eager and lazy providers encode different images")
 	}
-	if lazySt.Implicit != eagerSt.Implicit || len(lazySt.Accounts) != len(eagerSt.Accounts) {
-		t.Fatalf("export shape differs: lazy %d implicit/%d explicit, eager %d implicit/%d explicit",
-			lazySt.Implicit, len(lazySt.Accounts), eagerSt.Implicit, len(eagerSt.Accounts))
+	lazy.Provider.SetDeriver(nil)
+	eager.Provider.SetDeriver(nil)
+	lazyRows, eagerRows := len(sectionImage(lazy, sectionProvider)), len(sectionImage(eager, sectionProvider))
+	if unused := lazy.Ledger.UnusedCount(); eagerRows-lazyRows < 9*unused {
+		t.Fatalf("without the deriver the eager image is %d bytes and the lazy one %d, want at least %d more for %d unused accounts",
+			eagerRows, lazyRows, 9*unused, unused)
 	}
 }
 
@@ -86,18 +93,15 @@ func TestLazyMillionAccountSmoke(t *testing.T) {
 		}
 	}
 
-	// Export stays O(deviating): logging in does not deviate a pristine
-	// account, so the million-account population exports as a counter plus
-	// the login events, not a million rows.
-	st := p.Provider.ExportState()
-	if st.Implicit < 2*perClass {
-		t.Fatalf("Implicit = %d, want >= %d", st.Implicit, 2*perClass)
+	// The provider image stays O(deviating): logging in does not deviate a
+	// pristine account, so the million-account population encodes as a
+	// count plus the four spot-check logins, not a million rows of at
+	// least nine bytes each.
+	if n := len(p.Provider.AllLogins()); n != 4 {
+		t.Fatalf("provider holds %d logins, want the 4 spot checks", n)
 	}
-	if len(st.Accounts) != 0 {
-		t.Fatalf("%d accounts materialized by read-only spot checks", len(st.Accounts))
-	}
-	if len(st.Logins) != 4 {
-		t.Fatalf("expected the 4 spot-check logins in the export, got %d", len(st.Logins))
+	if n := len(sectionImage(p, sectionProvider)); n > 1024 {
+		t.Fatalf("provider image is %d bytes after read-only spot checks, want at most 1,024", n)
 	}
 
 	// Taking an identity from the FIFO pool materializes exactly that

@@ -335,7 +335,7 @@ func (a *accountDeriver) DerivedCount() int64 {
 // ledger pool with their index span. That is all: the identities' provider
 // accounts exist implicitly through the deriver until something deviates
 // them. With eagerAccounts (tests only) the accounts are additionally
-// materialized up front; both modes export byte-identical state.
+// materialized up front; both modes encode byte-identical sections.
 func (p *Pilot) provisionIdentities(n int, class identity.PasswordClass) {
 	from := p.gen.Reserve(class, n)
 	p.Ledger.ExtendPool(class, from, int64(n))

@@ -6,14 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
-	"tripwire/internal/attacker"
-	"tripwire/internal/core"
-	"tripwire/internal/emailprovider"
 	"tripwire/internal/snapshot"
-	"tripwire/internal/webgen"
 )
 
 // A checkpoint is one snapshot.File with these sections. "config" and
@@ -199,11 +195,11 @@ func (p *Pilot) progress() progressState {
 	return progressState{
 		Epochs:     p.epochsRun,
 		WavesDone:  p.wavesDone,
-		Now:        snapshot.CanonTime(p.Clock.Now()),
+		Now:        p.Clock.Now(),
 		SchedSeq:   p.Sched.Seq(),
 		TaskSeq:    p.taskSeq,
 		MailCursor: p.mailCursor,
-		LastDump:   snapshot.CanonTime(p.lastDump),
+		LastDump:   p.lastDump,
 		OrganicSeq: p.organicSeq,
 	}
 }
@@ -240,41 +236,13 @@ func decodeProgress(data []byte) (progressState, error) {
 	return st, nil
 }
 
-// domainTime is one DetectionTimes entry, sorted by domain for export.
-type domainTime struct {
-	Domain string
-	At     time.Time
-}
-
-// outputsState is the pilot's result record: the attempt log, detection
-// times, and missed breaches — everything resume must reproduce
-// byte-identically for the completed prefix.
-type outputsState struct {
-	Attempts       []Attempt    // the pilot's own log, not a copy
-	DetectionTimes []domainTime // sorted by domain
-	Missed         []string
-}
-
-func (p *Pilot) outputs() outputsState {
-	st := outputsState{Attempts: p.Attempts}
-	for domain, at := range p.DetectionTimes {
-		st.DetectionTimes = append(st.DetectionTimes, domainTime{Domain: domain, At: snapshot.CanonTime(at)})
-	}
-	sort.Slice(st.DetectionTimes, func(i, j int) bool {
-		return st.DetectionTimes[i].Domain < st.DetectionTimes[j].Domain
-	})
-	// MissedBreaches is appended in campaign-map order (recordMisses runs
-	// once, at the very end of a run, after the last possible checkpoint);
-	// sort the export so the section is a deterministic function of state.
-	st.Missed = append(st.Missed, p.MissedBreaches...)
-	sort.Strings(st.Missed)
-	return st
-}
-
-func encodeOutputs(e *snapshot.Encoder, st outputsState) {
-	e.Uint(uint64(len(st.Attempts)))
-	for i := range st.Attempts {
-		a := &st.Attempts[i]
+// encodeOutputs writes the pilot's result record: the attempt log,
+// detection times sorted by domain, and missed breaches — everything resume
+// must reproduce byte-identically for the completed prefix.
+func (p *Pilot) encodeOutputs(e *snapshot.Encoder) {
+	e.Uint(uint64(len(p.Attempts)))
+	for i := range p.Attempts {
+		a := &p.Attempts[i]
 		e.String(a.Domain)
 		e.Int(int64(a.Rank))
 		e.Int(int64(a.Class))
@@ -285,13 +253,18 @@ func encodeOutputs(e *snapshot.Encoder, st outputsState) {
 		e.String(a.Email)
 		e.Int(int64(a.PageLoad))
 	}
-	e.Uint(uint64(len(st.DetectionTimes)))
-	for _, dt := range st.DetectionTimes {
-		e.String(dt.Domain)
-		e.Time(dt.At)
+	e.Uint(uint64(len(p.DetectionTimes)))
+	for _, domain := range snapshot.SortedKeys(p.DetectionTimes) {
+		e.String(domain)
+		e.Time(p.DetectionTimes[domain])
 	}
-	e.Uint(uint64(len(st.Missed)))
-	for _, m := range st.Missed {
+	// MissedBreaches is appended in campaign-map order (recordMisses runs
+	// once, at the very end of a run, after the last possible checkpoint);
+	// sort it so the section is a deterministic function of state.
+	missed := slices.Clone(p.MissedBreaches)
+	slices.Sort(missed)
+	e.Uint(uint64(len(missed)))
+	for _, m := range missed {
 		e.String(m)
 	}
 }
@@ -303,21 +276,17 @@ func (p *Pilot) exportSection(e *snapshot.Encoder, name string) {
 	case sectionProgress:
 		encodeProgress(e, p.progress())
 	case sectionOutputs:
-		encodeOutputs(e, p.outputs())
+		p.encodeOutputs(e)
 	case sectionProvider:
-		emailprovider.EncodeProviderState(e, p.Provider.ExportState())
+		p.Provider.EncodeSection(e)
 	case sectionLedger:
-		core.EncodeLedgerState(e, p.Ledger.ExportState())
+		p.Ledger.EncodeSection(e)
 	case sectionMonitor:
-		core.EncodeMonitorState(e, p.Monitor.ExportState())
+		p.Monitor.EncodeSection(e)
 	case sectionAttacker:
-		st := attacker.AttackerState{
-			Campaign: p.Campaign.ExportState(),
-			Stuffer:  p.Stuffer.ExportState(),
-		}
-		attacker.EncodeAttackerState(e, &st)
+		p.Campaign.EncodeSection(e)
 	case sectionWebgen:
-		webgen.EncodeUniverseState(e, p.Universe.ExportState())
+		p.Universe.EncodeSection(e)
 	default:
 		panic("sim: unknown snapshot section " + name)
 	}

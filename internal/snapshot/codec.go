@@ -1,11 +1,13 @@
 package snapshot
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -317,13 +319,13 @@ func (d *Decoder) Count(elemMin int) int {
 	return int(n)
 }
 
-// CanonTime canonicalizes a time for state export: the zero value stays
-// zero, every other value is reduced to UnixNano in UTC — exactly what a
-// codec round trip produces — so exported state and decoded state compare
-// deep-equal.
-func CanonTime(t time.Time) time.Time {
-	if t.IsZero() {
-		return time.Time{}
+// SortedKeys returns m's keys in ascending order. Section encoders walk
+// maps in this order, so equal state encodes to equal bytes.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return time.Unix(0, t.UnixNano()).UTC()
+	slices.Sort(keys)
+	return keys
 }

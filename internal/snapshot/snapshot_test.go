@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -301,21 +300,6 @@ func TestDigestEncoderMatchesBytes(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCanonTime(t *testing.T) {
-	if !CanonTime(time.Time{}).IsZero() {
-		t.Fatal("CanonTime(zero) is not zero")
-	}
-	loc := time.FixedZone("X", 3600)
-	in := time.Date(2016, 9, 7, 12, 30, 0, 42, loc)
-	c := CanonTime(in)
-	if !c.Equal(in) {
-		t.Fatal("CanonTime changed the instant")
-	}
-	if !reflect.DeepEqual(c, CanonTime(c)) {
-		t.Fatal("CanonTime is not idempotent under DeepEqual")
 	}
 }
 

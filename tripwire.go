@@ -244,8 +244,8 @@ func New(opts ...Option) *Study {
 // re-executes the completed prefix — exactly the epoch count the
 // checkpoint recorded — verifies the rebuilt state against the snapshot,
 // and then continues. The checkpoint holds the length and SHA-256 of each
-// subsystem's exported state rather than the state itself, so
-// verification re-exports every subsystem and compares digests; an error
+// subsystem's encoded state rather than the state itself, so
+// verification re-encodes every subsystem and compares digests; an error
 // names the first diverging section. The finished run's results
 // (attempts, detections, login logs, events) are byte-identical to an
 // uninterrupted run at any worker count. Events replays the full sequence
@@ -334,16 +334,30 @@ func (s *Study) Interrupted() bool { return s.pilot != nil && s.pilot.Interrupte
 // failed validation (see Err).
 func (s *Study) Pilot() *sim.Pilot { return s.pilot }
 
-// Detections returns detected site compromises in first-login order.
-func (s *Study) Detections() []*Detection { return s.pilot.Monitor.Detections() }
+// Detections returns detected site compromises in first-login order. It
+// is nil for a study whose configuration failed validation: no monitor
+// ran.
+func (s *Study) Detections() []*Detection {
+	if s.pilot == nil {
+		return nil
+	}
+	return s.pilot.Monitor.Detections()
+}
 
 // Classify returns what the detection implies about the site's password
-// storage (plaintext-equivalent vs hashed).
-func (s *Study) Classify(d *Detection) BreachClass { return s.pilot.Monitor.Classify(d) }
+// storage (plaintext-equivalent vs hashed). It is BreachIndeterminate for
+// a study whose configuration failed validation.
+func (s *Study) Classify(d *Detection) BreachClass {
+	if s.pilot == nil {
+		return BreachIndeterminate
+	}
+	return s.pilot.Monitor.Classify(d)
+}
 
 // IntegrityOK reports whether the monitor saw zero integrity alarms: no
-// unused honeypot account was ever accessed.
-func (s *Study) IntegrityOK() bool { return len(s.pilot.Monitor.Alarms()) == 0 }
+// unused honeypot account was ever accessed. It is false for a study whose
+// configuration failed validation, where no monitor ran to vouch for it.
+func (s *Study) IntegrityOK() bool { return s.pilot != nil && len(s.pilot.Monitor.Alarms()) == 0 }
 
 // Summary renders the study status header (a formatter over Status — see
 // FormatStatus) followed by every table and figure of the paper. Callers
