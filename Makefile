@@ -6,15 +6,16 @@
 #   make ci          what a PR must pass: build, gofmt (no file may need
 #                    formatting), vet, race tests, an arm64 cross-build (the
 #                    strong hash's portable path), snapshot/browser-resolve/
-#                    crawler/epoch-equivalence/strong-digest fuzz corpora as
-#                    seed tests,
+#                    crawler/epoch-equivalence/strong-digest/login-record
+#                    fuzz corpora as seed tests,
 #                    resume byte-identity smoke (workers grid incl. 8, the
 #                    stop checkpoint, a spill read failure failing the
 #                    checkpoint and the resume, streamed section digests
 #                    equal to their images, the pinned per-section
-#                    checkpoint golden, and every subsystem's section
+#                    checkpoint golden, every subsystem's section
 #                    image moving under single mutations and only then,
-#                    under -race), the 16-worker
+#                    and login logs that seal alike whatever order they
+#                    met their accounts in, under -race), the 16-worker
 #                    invariance smoke over crawl waves and timeline
 #                    epochs (under -race), the inline-session conn
 #                    contract and IMAP/POP3 transcript tests under a 60 s
@@ -89,8 +90,8 @@ ci: build metrics-doc-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	GOARCH=arm64 $(GO) build ./...
-	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/ ./internal/browser/ ./internal/webgen/
-	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume|TestSpillFailureFailsCheckpoint|TestStreamedDigestsMatchImages|TestCheckpointSectionGolden|SectionTracksMutations|TestUniverseExportTracksMaterialization' ./internal/sim/ . ./internal/core/ ./internal/emailprovider/ ./internal/attacker/ ./internal/webgen/
+	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/ ./internal/browser/ ./internal/webgen/ ./internal/emailprovider/
+	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume|TestSpillFailureFailsCheckpoint|TestStreamedDigestsMatchImages|TestCheckpointSectionGolden|SectionTracksMutations|TestUniverseExportTracksMaterialization|TestSealIgnoresInternOrder' ./internal/sim/ . ./internal/core/ ./internal/emailprovider/ ./internal/attacker/ ./internal/webgen/
 	$(GO) test -race -run 'TestTimelineWorkerInvariance/workers=16' ./internal/sim/
 	$(GO) test -race -timeout 60s ./internal/memconn/ ./internal/imap/ ./internal/pop3/
 	$(GO) test -race -count=10 -run 'TestConcurrentSessionsRecycleStorage|TestConcurrentAttemptsMatchSerial' ./internal/browser/ ./internal/crawler/

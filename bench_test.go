@@ -269,7 +269,7 @@ func BenchmarkAblationPasswordPairing(b *testing.B) {
 			logins = append(logins, id.Email)
 		}
 		m := core.NewMonitor(ledger, t0)
-		m.Ingest(loginEventsFor(logins, t0))
+		m.Ingest(emailprovider.DumpOf(loginEventsFor(logins, t0)))
 		det, _ := m.Detection("v.test")
 		return m.Classify(det)
 	}

@@ -96,7 +96,7 @@ func runScenario(policy webgen.StoragePolicy) (core.BreachClass, string) {
 		return core.BreachIndeterminate, "(none — breach undetected)"
 	}
 	var names []string
-	for email := range det.Logins {
+	for _, email := range det.Accounts() {
 		reg, _ := ledger.Lookup(email)
 		names = append(names, reg.Identity.Class.String())
 	}

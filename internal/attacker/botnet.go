@@ -9,6 +9,7 @@ import (
 	"tripwire/internal/chunklog"
 	"tripwire/internal/geo"
 	"tripwire/internal/imap"
+	"tripwire/internal/loginrec"
 	"tripwire/internal/memconn"
 	"tripwire/internal/pop3"
 	"tripwire/internal/xrand"
@@ -73,7 +74,8 @@ func (p *ProxyPool) Lease(key string, n uint64) netip.Addr {
 	return p.space.SampleProxyIP(rng)
 }
 
-// LoginRecord is the attacker-side log of one attempt against the provider.
+// LoginRecord is the attacker-side log of one attempt against the provider,
+// as Records decodes it.
 type LoginRecord struct {
 	Email   string
 	Time    time.Time
@@ -105,18 +107,46 @@ type Stuffer struct {
 	// workers overlap the waits.
 	Latency time.Duration
 
-	mu      sync.Mutex
-	records chunklog.Log[LoginRecord]
-	marked  int               // records index saved by BeginSegment
-	draws   map[string]uint64 // per-account deterministic draw counters
+	mu sync.Mutex
+	// records is the attempt log: 24-byte records with no pointers, each
+	// tagged 1 for a success and naming its account by an index into
+	// accounts, its exit address inline or by an index into addrs.
+	records chunklog.Log[loginrec.Record]
+	marked  int // records index saved by BeginSegment
+	// accounts holds each account the stuffer has touched once, at the id
+	// ids gives it, with its deterministic draw counter. Ids follow first
+	// use, which inside a parallel segment is goroutine order, so nothing
+	// orders or encodes by id.
+	ids      map[string]uint32
+	accounts []stuffedAccount
+	addrs    loginrec.Addrs
+
 	pop     *pop3.Server
 	popFrac float64
 	popSeed int64
 }
 
+// stuffedAccount is one account in the stuffer's table.
+type stuffedAccount struct {
+	email string
+	draws uint64 // draws so far; 0 until the account's first draw
+}
+
 // NewStuffer returns a stuffing engine against server.
 func NewStuffer(server *imap.Server, pool *ProxyPool, now func() time.Time) *Stuffer {
-	return &Stuffer{Server: server, Pool: pool, Now: now, draws: make(map[string]uint64)}
+	return &Stuffer{Server: server, Pool: pool, Now: now, ids: make(map[string]uint32)}
+}
+
+// idLocked returns email's id, adding it to the account table at its
+// first use. Caller holds mu.
+func (s *Stuffer) idLocked(email string) uint32 {
+	id, ok := s.ids[email]
+	if !ok {
+		id = uint32(len(s.accounts))
+		s.accounts = append(s.accounts, stuffedAccount{email: email})
+		s.ids[email] = id
+	}
+	return id
 }
 
 // UsePOP routes frac of future logins through the given POP3 server, the
@@ -135,8 +165,9 @@ func (s *Stuffer) UsePOP(server *pop3.Server, frac float64, seed int64) {
 // function of (seed, email, how many draws came before).
 func (s *Stuffer) nextDraw(email string) uint64 {
 	s.mu.Lock()
-	n := s.draws[email]
-	s.draws[email] = n + 1
+	a := &s.accounts[s.idLocked(email)]
+	n := a.draws
+	a.draws++
 	s.mu.Unlock()
 	return n
 }
@@ -166,7 +197,8 @@ func (s *Stuffer) LeaseIP(email string) netip.Addr {
 // BeginSegment / EndSegment implement simclock.Sequencer for the
 // attacker-side record log, mirroring the provider's login log: records
 // appended during one parallel segment all share a timestamp, so a stable
-// per-segment sort by account erases goroutine interleaving.
+// per-segment sort by account address, never by id, erases goroutine
+// interleaving.
 func (s *Stuffer) BeginSegment() {
 	s.mu.Lock()
 	s.marked = s.records.Len()
@@ -177,8 +209,8 @@ func (s *Stuffer) BeginSegment() {
 // across chunk boundaries when it spans one.
 func (s *Stuffer) EndSegment() {
 	s.mu.Lock()
-	s.records.SortStableFrom(s.marked, func(a, b *LoginRecord) int {
-		return strings.Compare(a.Email, b.Email)
+	s.records.SortStableFrom(s.marked, func(a, b *loginrec.Record) int {
+		return strings.Compare(s.accounts[a.Account].email, s.accounts[b.Account].email)
 	})
 	s.mu.Unlock()
 }
@@ -204,8 +236,13 @@ func (s *Stuffer) TryLoginFrom(ip netip.Addr, cred Credential, siphon bool) bool
 }
 
 func (s *Stuffer) record(email string, ip netip.Addr, ok bool) {
+	var success uint8
+	if ok {
+		success = 1
+	}
 	s.mu.Lock()
-	s.records.Append(LoginRecord{Email: email, Time: s.Now(), IP: ip, Success: ok})
+	id := s.idLocked(email)
+	s.records.Append(loginrec.Record{Login: s.addrs.Pack(s.Now(), ip, success), Account: id})
 	s.mu.Unlock()
 	s.Metrics.attempt(ok)
 }
@@ -287,5 +324,14 @@ func (s *Stuffer) Records() []LoginRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.records.Len()
-	return s.records.AppendTo(make([]LoginRecord, 0, n), 0, n)
+	out := make([]LoginRecord, n)
+	for i := range out {
+		out[i] = s.recordLocked(s.records.At(i))
+	}
+	return out
+}
+
+// recordLocked decodes one attempt. Caller holds mu.
+func (s *Stuffer) recordLocked(r *loginrec.Record) LoginRecord {
+	return LoginRecord{Email: s.accounts[r.Account].email, Time: r.Time(), IP: r.IP(s.addrs.List()), Success: r.Tag != 0}
 }

@@ -2,6 +2,7 @@ package attacker
 
 import (
 	"slices"
+	"strings"
 
 	"tripwire/internal/snapshot"
 )
@@ -37,15 +38,22 @@ func (c *Campaign) EncodeSection(e *snapshot.Encoder) {
 	n := s.records.Len()
 	e.Uint(uint64(n))
 	for i := 0; i < n; i++ {
-		r := s.records.At(i)
+		r := s.recordLocked(s.records.At(i))
 		e.String(r.Email)
 		e.Time(r.Time)
 		e.Blob(r.IP.AsSlice())
 		e.Bool(r.Success)
 	}
-	e.Uint(uint64(len(s.draws)))
-	for _, email := range snapshot.SortedKeys(s.draws) {
-		e.String(email)
-		e.Uint(s.draws[email])
+	var drawn []stuffedAccount
+	for _, a := range s.accounts {
+		if a.draws > 0 {
+			drawn = append(drawn, a)
+		}
+	}
+	slices.SortFunc(drawn, func(a, b stuffedAccount) int { return strings.Compare(a.email, b.email) })
+	e.Uint(uint64(len(drawn)))
+	for _, a := range drawn {
+		e.String(a.email)
+		e.Uint(a.draws)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -249,4 +251,81 @@ func image(encode func(*snapshot.Encoder)) []byte {
 	e := snapshot.NewEncoder()
 	encode(e)
 	return e.Bytes()
+}
+
+// TestStufferDrawsOmitRecordOnlyAccounts: the stuffer's account table
+// holds every account it recorded an attempt for, but only those that
+// drew reach the draw counters, as when the counters were a map of their
+// own.
+func TestStufferDrawsOmitRecordOnlyAccounts(t *testing.T) {
+	ip := netip.MustParseAddr("100.64.3.4")
+	s := NewStuffer(nil, nil, func() time.Time { return t0 })
+	s.record("c@hmail.test", ip, true)
+	s.nextDraw("a@hmail.test")
+	want := snapshot.NewEncoder()
+	want.Uint(0) // breaches
+	want.Uint(0) // abandoned accounts
+	want.Uint(0) // resold dumps
+	want.Uint(1) // attempt log
+	want.String("c@hmail.test")
+	want.Time(t0)
+	want.Blob(ip.AsSlice())
+	want.Bool(true)
+	want.Uint(1) // draw counters
+	want.String("a@hmail.test")
+	want.Uint(1)
+	c := NewCampaign(DefaultCampaignConfig(t0), nil, s, nil)
+	if got := image(c.EncodeSection); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("image %x, want %x", got, want.Bytes())
+	}
+}
+
+// TestSealIgnoresInternOrder: the stuffer hands out account ids in first
+// use order, which a parallel segment makes goroutine order. Two stuffers
+// that meet the same accounts in opposite orders, then record and draw for
+// one segment from concurrent goroutines, must seal to the same attempt
+// log and encode the same section.
+func TestSealIgnoresInternOrder(t *testing.T) {
+	const accounts = 12
+	email := func(i int) string { return fmt.Sprintf("v%02d@bigmail.test", i) }
+	build := func(reverse bool) *Stuffer {
+		clock := simclock.New(t0)
+		st := NewStuffer(nil, NewProxyPool(geo.NewSpace(), 3, 0.1), clock.Now)
+		order := make([]int, accounts)
+		for i := range order {
+			order[i] = i
+			if reverse {
+				order[i] = accounts - 1 - i
+			}
+		}
+		st.BeginSegment()
+		for _, i := range order {
+			st.record(email(i), netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}), false)
+		}
+		st.EndSegment()
+		clock.AdvanceTo(t0.Add(time.Hour))
+		st.BeginSegment()
+		var wg sync.WaitGroup
+		for _, i := range order {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				st.record(email(i), st.LeaseIP(email(i)), i%2 == 0)
+				st.record(email(i), st.LeaseIP(email(i)), true)
+			}(i)
+		}
+		wg.Wait()
+		st.EndSegment()
+		return st
+	}
+	a, b := build(false), build(true)
+	if !slices.Equal(a.Records(), b.Records()) {
+		t.Fatal("stuffers that interned accounts in opposite orders sealed different attempt logs")
+	}
+	section := func(s *Stuffer) []byte {
+		return image(NewCampaign(DefaultCampaignConfig(t0), nil, s, nil).EncodeSection)
+	}
+	if !bytes.Equal(section(a), section(b)) {
+		t.Fatal("stuffers that interned accounts in opposite orders encode different sections")
+	}
 }

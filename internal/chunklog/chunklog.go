@@ -90,21 +90,69 @@ func (l *Log[T]) DropFront(k int) {
 	clear(l.chunks[0][start:l.head])
 }
 
-// AppendTo appends elements [lo, hi) to dst, oldest first, and returns
-// the extended slice. It panics unless 0 <= lo <= hi <= Len().
-func (l *Log[T]) AppendTo(dst []T, lo, hi int) []T {
+// View is a read-only window of a Log taken by Window. It refers to the
+// log's chunks, not its spine, so Appends to the log, which write only past
+// the window, leave it unchanged, and it copies none of the elements it
+// covers. A DropFront that drops part of the window may zero that part,
+// and a SortStableFrom that reaches into it rewrites it.
+type View[T any] struct {
+	head []T             // the window's part of its first chunk
+	mid  []*[ChunkSize]T // chunks wholly inside the window after the first
+	tail []T             // the window's part of its last chunk, if not the first
+}
+
+// Window returns a view of elements [lo, hi). A window within one or two
+// chunks allocates nothing; a longer one copies its inner chunk pointers.
+// It panics unless 0 <= lo <= hi <= Len().
+func (l *Log[T]) Window(lo, hi int) View[T] {
 	if lo < 0 || lo > hi || hi > l.n {
 		panic("chunklog: range out of bounds")
 	}
-	dst = slices.Grow(dst, hi-lo)
-	for i, end := lo+l.head, hi+l.head; i < end; {
-		c := l.chunks[i>>chunkShift]
-		off := i & (ChunkSize - 1)
-		m := min(ChunkSize-off, end-i)
-		dst = append(dst, c[off:off+m]...)
-		i += m
+	if lo == hi {
+		return View[T]{}
 	}
-	return dst
+	lo, hi = lo+l.head, hi+l.head
+	first, last := lo>>chunkShift, (hi-1)>>chunkShift
+	if first == last {
+		return View[T]{head: l.chunks[first][lo&(ChunkSize-1) : (hi-1)&(ChunkSize-1)+1]}
+	}
+	v := View[T]{
+		head: l.chunks[first][lo&(ChunkSize-1):],
+		tail: l.chunks[last][:(hi-1)&(ChunkSize-1)+1],
+	}
+	if last-first > 1 {
+		v.mid = slices.Clone(l.chunks[first+1 : last])
+	}
+	return v
+}
+
+// Len returns the number of elements in the window.
+func (v View[T]) Len() int { return len(v.head) + len(v.mid)*ChunkSize + len(v.tail) }
+
+// Parts returns how many contiguous parts the window is stored in: one per
+// chunk it touches.
+func (v View[T]) Parts() int {
+	n := len(v.mid)
+	if len(v.head) > 0 {
+		n++
+	}
+	if len(v.tail) > 0 {
+		n++
+	}
+	return n
+}
+
+// Part returns part k of the window, 0 <= k < Parts(), oldest first. The
+// slice aliases the log's storage: callers read it and keep nothing.
+func (v View[T]) Part(k int) []T {
+	switch {
+	case k == 0:
+		return v.head
+	case k <= len(v.mid):
+		return v.mid[k-1][:]
+	default:
+		return v.tail
+	}
 }
 
 // SortStableFrom stably sorts elements [from, Len()) by cmp. It sorts

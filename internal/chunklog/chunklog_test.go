@@ -114,7 +114,22 @@ func TestDropFrontReleasesChunks(t *testing.T) {
 	}
 }
 
-func TestAppendToCopiesRanges(t *testing.T) {
+// contents reads a window's elements, part by part.
+func contents[T any](v View[T]) []T {
+	var out []T
+	for k := 0; k < v.Parts(); k++ {
+		out = append(out, v.Part(k)...)
+	}
+	return out
+}
+
+// TestWindowCoversRanges takes windows inside one chunk, straddling a
+// boundary and spanning whole chunks, of a log whose element 0 sits
+// mid-chunk: each must read exactly its range, alias the log's storage
+// rather than copy it and stay unchanged while the log appends; one of at
+// most ChunkSize elements, which touches at most two chunks, allocates
+// nothing.
+func TestWindowCoversRanges(t *testing.T) {
 	l := filled(3*ChunkSize + 5)
 	l.DropFront(ChunkSize/2 + 1) // element 0 sits mid-chunk
 	n := l.Len()
@@ -122,30 +137,45 @@ func TestAppendToCopiesRanges(t *testing.T) {
 	for i := range want {
 		want[i] = ChunkSize/2 + 1 + i
 	}
-	for _, r := range [][2]int{
+	ranges := [][2]int{
 		{0, n}, {0, 0}, {n, n}, {3, 4},
-		{ChunkSize/2 - 2, ChunkSize/2 + 2}, // straddles the first boundary
-		{10, 2*ChunkSize + 30},             // spans whole chunks
+		{ChunkSize/2 - 2, ChunkSize/2 + 2},             // straddles the first boundary
+		{10, 2*ChunkSize + 30},                         // spans whole chunks
+		{ChunkSize/2 - 1, ChunkSize/2 - 1 + ChunkSize}, // exactly one chunk
 		{n - 1, n},
-	} {
+	}
+	var views []View[int]
+	for _, r := range ranges {
 		lo, hi := r[0], r[1]
-		got := l.AppendTo([]int{-1}, lo, hi)
-		if !slices.Equal(got, append([]int{-1}, want[lo:hi]...)) {
-			t.Fatalf("AppendTo(%d, %d) = %v...", lo, hi, got[:min(len(got), 5)])
+		v := l.Window(lo, hi)
+		if got := contents(v); v.Len() != hi-lo || !slices.Equal(got, want[lo:hi]) {
+			t.Fatalf("Window(%d, %d) reads %d elements %v..., want %d", lo, hi, v.Len(), got[:min(len(got), 5)], hi-lo)
 		}
-		got[len(got)-1] = -7
-		if hi > lo && *l.At(hi - 1) == -7 {
-			t.Fatal("AppendTo returned the log's storage, not a copy")
+		if hi > lo && &v.Part(v.Parts() - 1)[len(v.Part(v.Parts()-1))-1] != l.At(hi-1) {
+			t.Fatalf("Window(%d, %d) copied the log's storage", lo, hi)
+		}
+		allocs := testing.AllocsPerRun(10, func() { l.Window(lo, hi) })
+		if hi-lo <= ChunkSize && allocs != 0 {
+			t.Errorf("Window(%d, %d) allocates %.0f objects", lo, hi, allocs)
+		}
+		views = append(views, v)
+	}
+	for i := 0; i < 2*ChunkSize; i++ {
+		l.Append(-i)
+	}
+	for i, v := range views {
+		if lo, hi := ranges[i][0], ranges[i][1]; !slices.Equal(contents(v), want[lo:hi]) {
+			t.Fatalf("Window(%d, %d) changed when the log appended", lo, hi)
 		}
 	}
-	for _, r := range [][2]int{{-1, 2}, {3, 2}, {0, n + 1}} {
+	for _, r := range [][2]int{{-1, 2}, {3, 2}, {0, l.Len() + 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("AppendTo(%d, %d) did not panic", r[0], r[1])
+					t.Errorf("Window(%d, %d) did not panic", r[0], r[1])
 				}
 			}()
-			l.AppendTo(nil, r[0], r[1])
+			l.Window(r[0], r[1])
 		}()
 	}
 }
@@ -175,7 +205,7 @@ func TestSortStableFromAcrossChunks(t *testing.T) {
 			for round := 0; round < 2; round++ { // the second reuses the kept buffers
 				l.SortStableFrom(tc.before, byKey)
 				slices.SortStableFunc(flat[tc.before:], func(a, b keyed) int { return byKey(&a, &b) })
-				if got := l.AppendTo(nil, 0, l.Len()); !slices.Equal(got, flat) {
+				if got := contents(l.Window(0, l.Len())); !slices.Equal(got, flat) {
 					t.Fatalf("round %d: log order differs from a stable sort of a flat copy", round)
 				}
 				l.Append(keyed{key: -round, seq: -1})

@@ -180,9 +180,9 @@ func TestControlsNeverTripProperty(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m.Ingest(events[:half])
+			m.Ingest(emailprovider.DumpOf(events[:half]))
 		}()
-		m.Ingest(events[half:])
+		m.Ingest(emailprovider.DumpOf(events[half:]))
 		wg.Wait()
 
 		isControl := func(email string) bool {
@@ -199,7 +199,7 @@ func TestControlsNeverTripProperty(t *testing.T) {
 			}
 		}
 		for _, d := range m.Detections() {
-			for account := range d.Logins {
+			for _, account := range d.Accounts() {
 				if isControl(account) {
 					return false // control login attributed as a compromise
 				}

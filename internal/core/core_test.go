@@ -3,6 +3,7 @@ package core
 import (
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -196,7 +197,7 @@ func TestMonitorDetection(t *testing.T) {
 	l.Burn(easy, "victim.test", 42, "Gaming", t0, crawler.CodeOKSubmission, false)
 
 	m := NewMonitor(l, t0)
-	newly := m.Ingest([]emailprovider.LoginEvent{ev(easy.Email, t0.Add(100*24*time.Hour))})
+	newly := m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(easy.Email, t0.Add(100*24*time.Hour))}))
 	if len(newly) != 1 || newly[0] != "victim.test" {
 		t.Fatalf("newly = %v", newly)
 	}
@@ -215,7 +216,7 @@ func TestMonitorDetection(t *testing.T) {
 	}
 
 	// Hard account access upgrades the classification.
-	newly = m.Ingest([]emailprovider.LoginEvent{ev(hard.Email, t0.Add(120*24*time.Hour))})
+	newly = m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(hard.Email, t0.Add(120*24*time.Hour))}))
 	if len(newly) != 0 {
 		t.Fatalf("same site re-reported as new: %v", newly)
 	}
@@ -234,7 +235,7 @@ func TestMonitorIndeterminateClass(t *testing.T) {
 	l.AddIdentity(easy)
 	l.Burn(easy, "p.test", 400, "Adult", t0, crawler.CodeOKSubmission, false)
 	m := NewMonitor(l, t0)
-	m.Ingest([]emailprovider.LoginEvent{ev(easy.Email, t0.Add(time.Hour))})
+	m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(easy.Email, t0.Add(time.Hour))}))
 	det, _ := m.Detection("p.test")
 	if m.Classify(det) != BreachIndeterminate {
 		t.Fatalf("classify = %v (no hard account registered: site P case)", m.Classify(det))
@@ -246,7 +247,7 @@ func TestMonitorIntegrityAlarms(t *testing.T) {
 	unused := newGen().New(identity.Hard)
 	l.AddIdentity(unused) // provisioned but never burned
 	m := NewMonitor(l, t0)
-	m.Ingest([]emailprovider.LoginEvent{ev(unused.Email, t0.Add(time.Hour))})
+	m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(unused.Email, t0.Add(time.Hour))}))
 	alarms := m.Alarms()
 	if len(alarms) != 1 {
 		t.Fatalf("alarms = %v", alarms)
@@ -265,7 +266,7 @@ func TestMonitorControlLogins(t *testing.T) {
 	l.AddControl(ctrl)
 	m := NewMonitor(l, t0)
 	m.ExpectControlLogin(ctrl.Email)
-	m.Ingest([]emailprovider.LoginEvent{{Account: ctrl.Email, Time: t0.Add(time.Hour), IP: someIP, Method: "WEB"}})
+	m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{{Account: ctrl.Email, Time: t0.Add(time.Hour), IP: someIP, Method: "WEB"}}))
 	if len(m.Alarms()) != 0 {
 		t.Fatal("control login raised an alarm")
 	}
@@ -286,11 +287,11 @@ func TestDetectionsOrderedByFirstSeen(t *testing.T) {
 	}
 	m := NewMonitor(l, t0)
 	// Ingest out of order: site c first by time but last in the slice.
-	m.Ingest([]emailprovider.LoginEvent{
+	m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{
 		ev(emails[1], t0.Add(48*time.Hour)),
 		ev(emails[0], t0.Add(72*time.Hour)),
 		ev(emails[2], t0.Add(24*time.Hour)),
-	})
+	}))
 	dets := m.Detections()
 	if len(dets) != 3 {
 		t.Fatalf("detections = %d", len(dets))
@@ -311,5 +312,57 @@ func TestStatusStrings(t *testing.T) {
 		if st.String() != want {
 			t.Errorf("%d.String() = %q", int(st), st.String())
 		}
+	}
+}
+
+// TestDetectionLoginsMatchIngested: a detection keeps each attributed
+// login as a packed record, and Logins must give back exactly the logins
+// ingested — every address form and access method, in ingest order — on
+// the detection and on a clone that later ingests leave unchanged.
+func TestDetectionLoginsMatchIngested(t *testing.T) {
+	l := NewLedger()
+	g := newGen()
+	a, b := g.New(identity.Easy), g.New(identity.Hard)
+	for _, id := range []*identity.Identity{a, b} {
+		l.AddIdentity(id)
+		l.Burn(id, "v.test", 1, "X", t0, crawler.CodeOKSubmission, false)
+	}
+	at := func(h int) time.Time { return t0.Add(time.Duration(h) * time.Hour) }
+	want := map[string][]emailprovider.LoginEvent{
+		a.Email: {
+			{Account: a.Email, Time: at(1), IP: netip.MustParseAddr("203.0.113.9"), Method: "IMAP"},
+			{Account: a.Email, Time: at(2), IP: netip.MustParseAddr("::ffff:203.0.113.9"), Method: "POP3"},
+			{Account: a.Email, Time: at(2), IP: netip.MustParseAddr("fe80::1%eth0"), Method: "WEB"},
+		},
+		b.Email: {
+			{Account: b.Email, Time: at(3), IP: netip.MustParseAddr("2001:db8::1"), Method: "SMTP"},
+			{Account: b.Email, Time: at(4), IP: netip.Addr{}, Method: "IMAP"},
+			{Account: b.Email, Time: at(5), IP: netip.MustParseAddr("2001:db8::1"), Method: "POP3"},
+		},
+	}
+	m := NewMonitor(l, t0)
+	m.Ingest(emailprovider.DumpOf(append(slices.Clone(want[a.Email][:2]), want[b.Email][0])))
+	m.Ingest(emailprovider.DumpOf(append(slices.Clone(want[b.Email][1:]), want[a.Email][2])))
+	det, _ := m.Detection("v.test")
+	clone := det.Clone()
+	m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{
+		{Account: a.Email, Time: at(6), IP: netip.MustParseAddr("2001:db8::9"), Method: "FTP"},
+	}))
+	for name, d := range map[string]*Detection{"detection": det, "clone": clone} {
+		if got := d.Accounts(); !slices.Equal(got, []string{a.Email, b.Email}) && !slices.Equal(got, []string{b.Email, a.Email}) {
+			t.Fatalf("%s accounts %v", name, got)
+		}
+		for account, evs := range want {
+			got := d.Logins(account)
+			if name == "detection" && account == a.Email {
+				got = got[:len(got)-1] // the login ingested after the clone
+			}
+			if !slices.Equal(got, evs) {
+				t.Errorf("%s logins of %s:\n got %v\nwant %v", name, account, got, evs)
+			}
+		}
+	}
+	if det.LoginCount() != 7 || clone.LoginCount() != 6 {
+		t.Fatalf("login counts %d and %d, want 7 and 6", det.LoginCount(), clone.LoginCount())
 	}
 }

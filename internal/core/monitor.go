@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -10,6 +12,8 @@ import (
 
 	"tripwire/internal/emailprovider"
 	"tripwire/internal/identity"
+	"tripwire/internal/loginrec"
+	"tripwire/internal/snapshot"
 )
 
 // IntegrityAlarm is raised when a login trips an account that was never
@@ -63,9 +67,14 @@ type Detection struct {
 	Category  string
 	FirstSeen time.Time
 	LastSeen  time.Time
-	// Logins per account email: every login the monitor attributed to the
-	// site, each held here and nowhere else in the monitor.
-	Logins map[string][]emailprovider.LoginEvent
+	// logins holds, per lowercase account email, every login the monitor
+	// attributed to the site, each held here and nowhere else in the
+	// monitor, as a 16-byte record with no pointers: the account is the
+	// key, the tag indexes methods, and an address that is not plain IPv4
+	// is kept in addrs. Logins decodes them.
+	logins  map[string][]loginrec.Login
+	methods []string
+	addrs   loginrec.Addrs
 	// HardAccessed is true once any hard-password account at the site is
 	// accessed, indicating plaintext or reversible password storage.
 	HardAccessed bool
@@ -96,15 +105,15 @@ func (m *Monitor) ExpectControlLogin(account string) {
 // Ingest processes a provider dump: every event is attributed, alarmed, or
 // recognized as a control login. It returns the site domains whose
 // compromise was *newly* detected by this dump.
-func (m *Monitor) Ingest(events []emailprovider.LoginEvent) []string {
+func (m *Monitor) Ingest(dump emailprovider.Dump) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.Metrics != nil {
 		m.Metrics.dumpsIngested.Inc()
-		m.Metrics.eventsIngested.Add(uint64(len(events)))
+		m.Metrics.eventsIngested.Add(uint64(dump.Len()))
 	}
 	var newly []string
-	for _, ev := range events {
+	dump.Each(func(ev emailprovider.LoginEvent) {
 		if ev.Time.After(m.lastDump) {
 			m.lastDump = ev.Time
 		}
@@ -114,7 +123,7 @@ func (m *Monitor) Ingest(events []emailprovider.LoginEvent) []string {
 			if m.Metrics != nil {
 				m.Metrics.controlLogins.Inc()
 			}
-			continue
+			return
 		}
 		reg, ok := m.ledger.Lookup(account)
 		if !ok {
@@ -126,7 +135,7 @@ func (m *Monitor) Ingest(events []emailprovider.LoginEvent) []string {
 			if m.Metrics != nil {
 				m.Metrics.integrityAlarms.Inc()
 			}
-			continue
+			return
 		}
 		if m.Metrics != nil {
 			m.Metrics.attributedLogins.Inc()
@@ -139,7 +148,7 @@ func (m *Monitor) Ingest(events []emailprovider.LoginEvent) []string {
 				Category:  reg.Category,
 				FirstSeen: ev.Time,
 				LastSeen:  ev.Time,
-				Logins:    make(map[string][]emailprovider.LoginEvent),
+				logins:    make(map[string][]loginrec.Login),
 			}
 			m.detections[reg.Domain] = det
 			m.order = append(m.order, reg.Domain)
@@ -154,17 +163,70 @@ func (m *Monitor) Ingest(events []emailprovider.LoginEvent) []string {
 		if ev.Time.After(det.LastSeen) {
 			det.LastSeen = ev.Time
 		}
-		det.Logins[account] = append(det.Logins[account], ev)
+		det.add(account, &ev)
 		if reg.Identity.Class == identity.Hard {
 			det.HardAccessed = true
 		}
-	}
+	})
 	// Refresh the n-of-m counters for every touched site.
 	for _, det := range m.detections {
 		det.AccountsRegistered = len(m.ledger.SiteRegistrations(det.Domain))
-		det.AccountsAccessed = len(det.Logins)
+		det.AccountsAccessed = len(det.logins)
 	}
 	return newly
+}
+
+// add files a login to account.
+func (d *Detection) add(account string, ev *emailprovider.LoginEvent) {
+	tag := slices.Index(d.methods, ev.Method)
+	if tag < 0 {
+		if len(d.methods) > math.MaxUint8 {
+			panic("core: more than 256 access methods at " + d.Domain)
+		}
+		tag = len(d.methods)
+		d.methods = append(d.methods, ev.Method)
+	}
+	d.logins[account] = append(d.logins[account], d.addrs.Pack(ev.Time, ev.IP, uint8(tag)))
+}
+
+// Accounts returns the accounts with attributed logins, sorted.
+func (d *Detection) Accounts() []string { return snapshot.SortedKeys(d.logins) }
+
+// Logins returns the logins attributed to account, in the order they were
+// ingested.
+func (d *Detection) Logins(account string) []emailprovider.LoginEvent {
+	return d.appendLogins(nil, account)
+}
+
+// appendLogins appends account's attributed logins to dst.
+func (d *Detection) appendLogins(dst []emailprovider.LoginEvent, account string) []emailprovider.LoginEvent {
+	addrs := d.addrs.List()
+	for i := range d.logins[account] {
+		l := &d.logins[account][i]
+		dst = append(dst, emailprovider.LoginEvent{Account: account, Time: l.Time(), IP: l.IP(addrs), Method: d.methods[l.Tag]})
+	}
+	return dst
+}
+
+// LoginCount returns how many logins were attributed to the site.
+func (d *Detection) LoginCount() int {
+	n := 0
+	for _, ls := range d.logins {
+		n += len(ls)
+	}
+	return n
+}
+
+// Clone returns a deep copy of d that later ingests do not change.
+func (d *Detection) Clone() *Detection {
+	cp := *d
+	cp.logins = make(map[string][]loginrec.Login, len(d.logins))
+	for account, ls := range d.logins {
+		cp.logins[account] = slices.Clone(ls)
+	}
+	cp.methods = slices.Clip(d.methods)
+	cp.addrs = d.addrs.Clone()
+	return &cp
 }
 
 // Detections returns all detections in first-seen order.

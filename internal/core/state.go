@@ -140,6 +140,7 @@ func (m *Monitor) EncodeSection(e *snapshot.Encoder) {
 	}
 	e.Int(int64(len(m.alarms)))
 	e.Uint(uint64(len(m.order)))
+	var buf []emailprovider.LoginEvent
 	for _, domain := range m.order {
 		det := m.detections[domain]
 		e.String(det.Domain)
@@ -150,10 +151,11 @@ func (m *Monitor) EncodeSection(e *snapshot.Encoder) {
 		e.Bool(det.HardAccessed)
 		e.Int(int64(det.AccountsRegistered))
 		e.Int(int64(det.AccountsAccessed))
-		e.Uint(uint64(len(det.Logins)))
-		for _, acct := range snapshot.SortedKeys(det.Logins) {
+		e.Uint(uint64(len(det.logins)))
+		for _, acct := range det.Accounts() {
 			e.String(acct)
-			emailprovider.EncodeLoginEvents(e, det.Logins[acct])
+			buf = det.appendLogins(buf[:0], acct)
+			emailprovider.EncodeLoginEvents(e, buf)
 		}
 	}
 }

@@ -295,10 +295,10 @@ func newMonitorFixture() *monitorFixture {
 	l.AddControl(f.control)
 	f.m = NewMonitor(l, t0)
 	f.m.ExpectControlLogin(f.control.Email)
-	f.m.Ingest([]emailprovider.LoginEvent{
+	f.m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{
 		ev(f.hitA.Email, t0.Add(time.Hour)),
 		{Account: f.control.Email, Time: t0, IP: someIP, Method: "WEB"},
-	})
+	}))
 	return f
 }
 
@@ -318,14 +318,24 @@ func TestMonitorSectionTracksMutations(t *testing.T) {
 		name   string
 		mutate func(f *monitorFixture)
 	}{
-		{"Ingest a login at a detected site", func(f *monitorFixture) { f.m.Ingest([]emailprovider.LoginEvent{ev(f.hitA.Email, t0)}) }},
-		{"Ingest a second account's login", func(f *monitorFixture) { f.m.Ingest([]emailprovider.LoginEvent{ev(f.hitB.Email, t0)}) }},
-		{"Ingest a new site's login", func(f *monitorFixture) { f.m.Ingest([]emailprovider.LoginEvent{ev(f.missing.Email, t0)}) }},
-		{"Ingest a control login", func(f *monitorFixture) {
-			f.m.Ingest([]emailprovider.LoginEvent{{Account: f.control.Email, Time: t0, IP: someIP, Method: "WEB"}})
+		{"Ingest a login at a detected site", func(f *monitorFixture) {
+			f.m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(f.hitA.Email, t0)}))
 		}},
-		{"Ingest an unused account's login", func(f *monitorFixture) { f.m.Ingest([]emailprovider.LoginEvent{ev(f.unused.Email, t0)}) }},
-		{"Ingest a later login", func(f *monitorFixture) { f.m.Ingest([]emailprovider.LoginEvent{ev(f.hitA.Email, t0.Add(2*time.Hour))}) }},
+		{"Ingest a second account's login", func(f *monitorFixture) {
+			f.m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(f.hitB.Email, t0)}))
+		}},
+		{"Ingest a new site's login", func(f *monitorFixture) {
+			f.m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(f.missing.Email, t0)}))
+		}},
+		{"Ingest a control login", func(f *monitorFixture) {
+			f.m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{{Account: f.control.Email, Time: t0, IP: someIP, Method: "WEB"}}))
+		}},
+		{"Ingest an unused account's login", func(f *monitorFixture) {
+			f.m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(f.unused.Email, t0)}))
+		}},
+		{"Ingest a later login", func(f *monitorFixture) {
+			f.m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(f.hitA.Email, t0.Add(2*time.Hour))}))
+		}},
 		{"ExpectControlLogin", func(f *monitorFixture) { f.m.ExpectControlLogin(f.unused.Email) }},
 	} {
 		f := newMonitorFixture()

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"tripwire/internal/emailprovider"
 	"tripwire/internal/geo"
 	"tripwire/internal/sim"
 )
@@ -32,13 +33,14 @@ type Record struct {
 func Build(p *sim.Pilot) []Record {
 	var out []Record
 	for i, det := range p.Monitor.Detections() {
-		accounts := make([]string, 0, len(det.Logins))
-		for email := range det.Logins {
-			accounts = append(accounts, email)
+		accounts := det.Accounts()
+		logins := make(map[string][]emailprovider.LoginEvent, len(accounts))
+		for _, email := range accounts {
+			logins[email] = det.Logins(email)
 		}
 		sort.Slice(accounts, func(a, b int) bool {
-			ta := det.Logins[accounts[a]][0].Time
-			tb := det.Logins[accounts[b]][0].Time
+			ta := logins[accounts[a]][0].Time
+			tb := logins[accounts[b]][0].Time
 			if !ta.Equal(tb) {
 				return ta.Before(tb)
 			}
@@ -46,7 +48,7 @@ func Build(p *sim.Pilot) []Record {
 		})
 		for j, email := range accounts {
 			alias := fmt.Sprintf("%s%d", strings.ToLower(siteLetter(i)), j+1)
-			for _, ev := range det.Logins[email] {
+			for _, ev := range logins[email] {
 				out = append(out, Record{
 					Alias:    alias,
 					Day:      ev.Time.UTC().Truncate(24 * time.Hour),
@@ -152,9 +154,7 @@ func Audit(records []Record, p *sim.Pilot) error {
 func attributedLogins(p *sim.Pilot) int {
 	n := 0
 	for _, det := range p.Monitor.Detections() {
-		for _, evs := range det.Logins {
-			n += len(evs)
-		}
+		n += det.LoginCount()
 	}
 	return n
 }

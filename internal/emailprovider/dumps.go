@@ -1,8 +1,65 @@
 package emailprovider
 
 import (
+	"net/netip"
 	"time"
+
+	"tripwire/internal/chunklog"
+	"tripwire/internal/loginrec"
+	"tripwire/internal/snapshot"
 )
+
+// Dump is a provider dump: the successful logins of one window of the
+// login log, oldest first. A Dump reads the resident part of its window in
+// place: taking it copies at most the pointers of the window's chunks,
+// never its events, and logins appended after it was taken do not change
+// it. A purge or spill that drops logins of the window invalidates it, so
+// a dump is read before the next PurgeExpired. Logins from the cold tier
+// are decoded when the dump is taken.
+type Dump struct {
+	evs   []LoginEvent                   // decoded logins, older than recs
+	recs  chunklog.View[loginrec.Record] // the resident window
+	names []string                       // the log's account addresses, by id
+	addrs []netip.Addr                   // the log's address side table
+}
+
+// DumpOf returns a dump of events already decoded, oldest first.
+func DumpOf(evs []LoginEvent) Dump { return Dump{evs: evs} }
+
+// Len returns the number of logins in the dump.
+func (d Dump) Len() int { return len(d.evs) + d.recs.Len() }
+
+// Each calls fn with every login in the dump, oldest first, walking the
+// resident window chunk by chunk.
+func (d Dump) Each(fn func(LoginEvent)) {
+	for _, ev := range d.evs {
+		fn(ev)
+	}
+	for k := 0; k < d.recs.Parts(); k++ {
+		part := d.recs.Part(k)
+		for i := range part {
+			fn(d.event(&part[i]))
+		}
+	}
+}
+
+// Events returns the dump's logins as one slice, oldest first.
+func (d Dump) Events() []LoginEvent {
+	out := make([]LoginEvent, 0, d.Len())
+	d.Each(func(ev LoginEvent) { out = append(out, ev) })
+	return out
+}
+
+// event decodes one resident record.
+func (d *Dump) event(r *loginrec.Record) LoginEvent {
+	return LoginEvent{Account: d.names[r.Account], Time: r.Time(), IP: r.IP(d.addrs), Method: methodNames[r.Tag]}
+}
+
+// encode writes the dump as EncodeLoginEvents writes its Events.
+func (d Dump) encode(e *snapshot.Encoder) {
+	e.Uint(uint64(d.Len()))
+	d.Each(func(ev LoginEvent) { appendLoginEvent(e, &ev) })
+}
 
 // DumpSince returns the successful-login events with Time in (since, now],
 // subject to the provider's retention window: events older than Retention
@@ -15,28 +72,28 @@ import (
 // segments spilled to disk (see spill.go); both tiers are time-sorted, so
 // the window is located by binary search in each rather than a scan over
 // the whole retained history. Cold segments are strictly older than every
-// resident event, so concatenating segment results before resident results
-// preserves global order.
-func (p *Provider) DumpSince(since time.Time) []LoginEvent {
+// resident event, so their events come first.
+func (p *Provider) DumpSince(since time.Time) Dump {
 	now := p.Now()
 	cutoff := now.Add(-p.Retention)
-	out := p.spilledSince(since, cutoff, now)
-	resident := p.log.dumpSince(since, cutoff, now)
-	if out == nil {
-		return resident
+	cold := p.spilledSince(since, cutoff, now)
+	d := p.log.dumpSince(since, cutoff, now)
+	if cold != nil {
+		d.evs = append(cold, d.evs...)
 	}
-	return append(out, resident...)
+	return d
 }
 
 // AllLogins returns every retained login event, cold and resident tiers
 // merged oldest-first (ground truth for tests and reports).
-func (p *Provider) AllLogins() []LoginEvent {
-	spilled := p.allSpilled()
-	resident := p.log.all()
-	if spilled == nil {
-		return resident
-	}
-	return append(spilled, resident...)
+func (p *Provider) AllLogins() []LoginEvent { return p.allLogins().Events() }
+
+// allLogins returns a dump of every retained login.
+func (p *Provider) allLogins() Dump {
+	cold := p.allSpilled()
+	d := p.log.all()
+	d.evs = cold
+	return d
 }
 
 // PurgeExpired discards events beyond the retention window, modelling the

@@ -1,26 +1,40 @@
 package emailprovider
 
 import (
+	"net/netip"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"tripwire/internal/chunklog"
+	"tripwire/internal/loginrec"
+	"tripwire/internal/snapshot"
 )
 
-// loginLog stores successful-login events in time order in a chunked log
-// (chunklog.Log), so an event never moves once appended and growth copies
-// nothing. The simulation's virtual clock only moves forward, so appends
-// arrive in nondecreasing time order and every dump reduces to two binary
-// searches over a contiguous window — O(log n + matches) instead of a scan
-// of the whole log. Retention purges and spills drop whole prefixes, and
-// the chunks they empty are released. If a caller ever appends out of
-// order the log flips to a linear-scan fallback rather than returning
-// wrong windows.
+// loginLog stores successful logins in time order in a chunked log
+// (chunklog.Log) of 24-byte records with no pointers (loginrec.Record), so
+// a login never moves once appended, growth copies nothing and the garbage
+// collector never scans the log. A record's account id indexes names,
+// which holds each account's address once, built at its first login; its
+// method tag indexes methodNames. The simulation's virtual clock only
+// moves forward, so appends arrive in nondecreasing time order and every
+// dump reduces to two binary searches over a contiguous window — O(log n)
+// — that the dump then reads in place. Retention purges and spills drop
+// whole prefixes, and the chunks they empty are released. If a caller ever
+// appends out of order the log flips to a linear-scan fallback rather than
+// returning wrong windows.
 type loginLog struct {
-	mu       sync.Mutex
-	evs      chunklog.Log[LoginEvent]
+	mu     sync.Mutex
+	domain string
+	evs    chunklog.Log[loginrec.Record]
+	// names[id] is the address of account id; ids maps its local part to
+	// id. Ids follow first-login order, which inside a parallel segment is
+	// goroutine order, so nothing orders or encodes by id.
+	names []string
+	ids   map[string]uint32
+	addrs loginrec.Addrs
+	// unsorted is set once an append went back in time.
 	unsorted bool
 	marked   int // index saved by mark() for seal()
 	// inSegment is true between mark and seal. While set, takeSpill
@@ -30,43 +44,60 @@ type loginLog struct {
 	inSegment bool
 }
 
-func (r *loginLog) append(ev LoginEvent) {
+// append records a successful login to local@domain at t from ip by
+// method, and returns the account's address.
+func (r *loginLog) append(local string, t time.Time, ip netip.Addr, method uint8) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n := r.evs.Len(); n > 0 && ev.Time.Before(r.evs.At(n-1).Time) {
+	id, ok := r.ids[local]
+	if !ok {
+		if r.ids == nil {
+			r.ids = make(map[string]uint32)
+		}
+		account := local + "@" + r.domain
+		id = uint32(len(r.names))
+		r.names = append(r.names, account)
+		r.ids[account[:len(local)]] = id
+	}
+	if n := r.evs.Len(); n > 0 && t.Before(r.evs.At(n-1).Time()) {
 		r.unsorted = true
 	}
-	r.evs.Append(ev)
+	r.evs.Append(loginrec.Record{Login: r.addrs.Pack(t, ip, method), Account: id})
+	return r.names[id]
 }
 
-// dumpSince returns the events with Time in (since, now] that are not older
-// than cutoff, oldest first.
-func (r *loginLog) dumpSince(since, cutoff, now time.Time) []LoginEvent {
+// windowLocked returns a dump reading records [lo, hi) in place. Caller
+// holds mu.
+func (r *loginLog) windowLocked(lo, hi int) Dump {
+	return Dump{recs: r.evs.Window(lo, hi), names: r.names, addrs: r.addrs.List()}
+}
+
+// dumpSince returns the logins with Time in (since, now] that are not
+// older than cutoff, oldest first.
+func (r *loginLog) dumpSince(since, cutoff, now time.Time) Dump {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := r.evs.Len()
 	if r.unsorted {
 		var out []LoginEvent
-		for i := 0; i < n; i++ {
-			if ev := r.evs.At(i); inWindow(ev.Time, since, cutoff, now) {
-				out = append(out, *ev)
+		all := r.windowLocked(0, n)
+		all.Each(func(ev LoginEvent) {
+			if inWindow(ev.Time, since, cutoff, now) {
+				out = append(out, ev)
 			}
-		}
-		return out
+		})
+		return Dump{evs: out}
 	}
 	// Both bounds are monotone in event time, so the matching events form
 	// one contiguous run: [lo, hi).
 	lo := sort.Search(n, func(i int) bool {
-		t := r.evs.At(i).Time
+		t := r.evs.At(i).Time()
 		return t.After(since) && !t.Before(cutoff)
 	})
 	hi := lo + sort.Search(n-lo, func(i int) bool {
-		return r.evs.At(lo + i).Time.After(now)
+		return r.evs.At(lo + i).Time().After(now)
 	})
-	if lo >= hi {
-		return nil
-	}
-	return r.evs.AppendTo(nil, lo, hi)
+	return r.windowLocked(lo, hi)
 }
 
 func inWindow(t, since, cutoff, now time.Time) bool {
@@ -81,7 +112,7 @@ func (r *loginLog) purgeExpired(cutoff time.Time) int {
 	n := r.evs.Len()
 	if !r.unsorted {
 		drop := sort.Search(n, func(i int) bool {
-			return !r.evs.At(i).Time.Before(cutoff)
+			return !r.evs.At(i).Time().Before(cutoff)
 		})
 		r.evs.DropFront(drop)
 		return drop
@@ -89,17 +120,18 @@ func (r *loginLog) purgeExpired(cutoff time.Time) int {
 	// Out-of-order log: rebuild it from the kept events and recheck
 	// orderedness, so a log that drained its disordered tail regains the
 	// binary-search path.
-	var kept chunklog.Log[LoginEvent]
+	var kept chunklog.Log[loginrec.Record]
 	r.unsorted = false
 	for i := 0; i < n; i++ {
-		ev := r.evs.At(i)
-		if ev.Time.Before(cutoff) {
+		rec := r.evs.At(i)
+		t := rec.Time()
+		if t.Before(cutoff) {
 			continue
 		}
-		if k := kept.Len(); k > 0 && ev.Time.Before(kept.At(k-1).Time) {
+		if k := kept.Len(); k > 0 && t.Before(kept.At(k-1).Time()) {
 			r.unsorted = true
 		}
-		kept.Append(*ev)
+		kept.Append(*rec)
 	}
 	r.evs = kept
 	return n - kept.Len()
@@ -120,49 +152,54 @@ func (r *loginLog) mark() {
 }
 
 // seal stably sorts the block appended since mark by (Time, Account),
-// across chunk boundaries when the block spans one. Two same-epoch logins
-// to the same account come from the same conflict partition and are
-// therefore already in deterministic order, which the stable sort
-// preserves — making the whole log independent of how the segment's
-// partitions interleaved.
+// across chunk boundaries when the block spans one. It compares account
+// addresses, never ids, which the segment handed out in goroutine order.
+// Two same-epoch logins to the same account come from the same conflict
+// partition and are therefore already in deterministic order, which the
+// stable sort preserves — making the whole log independent of how the
+// segment's partitions interleaved.
 func (r *loginLog) seal() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.inSegment = false
-	r.evs.SortStableFrom(r.marked, func(a, b *LoginEvent) int {
-		if c := a.Time.Compare(b.Time); c != 0 {
+	r.evs.SortStableFrom(r.marked, func(a, b *loginrec.Record) int {
+		if c := a.Time().Compare(b.Time()); c != 0 {
 			return c
 		}
-		return strings.Compare(a.Account, b.Account)
+		return strings.Compare(r.names[a.Account], r.names[b.Account])
 	})
 }
 
-// takeSpill detaches and returns the oldest prefix when the log holds
-// more than budget events, leaving budget/2 resident (so spills happen in
-// batches rather than on every append). It refuses mid-segment (the
-// marked index must stay valid and segment content is not yet sealed into
-// deterministic order) and on the unsorted fallback path (a disordered
-// prefix cannot be binary-searched once cold). Dropping the prefix
-// releases the chunks it emptied.
-func (r *loginLog) takeSpill(budget int) []LoginEvent {
+// takeSpill detaches the oldest prefix when the log holds more than
+// budget events, leaving budget/2 resident (so spills happen in batches
+// rather than on every append), and returns it encoded as a cold
+// segment's payload, with the segment's span and count; count is 0 when
+// nothing was detached. It refuses mid-segment (the marked index must
+// stay valid and segment content is not yet sealed into deterministic
+// order) and on the unsorted fallback path (a disordered prefix cannot be
+// binary-searched once cold). The prefix is encoded before it is dropped,
+// since dropping may zero its records; dropping releases the chunks it
+// emptied.
+func (r *loginLog) takeSpill(budget int) (payload []byte, seg coldSegment) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := r.evs.Len()
 	if budget <= 0 || r.inSegment || r.unsorted || n <= budget {
-		return nil
+		return nil, coldSegment{}
 	}
 	k := n - budget/2
-	out := r.evs.AppendTo(nil, 0, k)
+	e := snapshot.NewEncoder()
+	r.windowLocked(0, k).encode(e)
+	seg = coldSegment{min: r.evs.At(0).Time(), max: r.evs.At(k - 1).Time(), count: k}
 	r.evs.DropFront(k)
-	return out
+	return e.Bytes(), seg
 }
 
-// all returns every stored event, oldest first.
-func (r *loginLog) all() []LoginEvent {
+// all returns a dump of every resident event, oldest first.
+func (r *loginLog) all() Dump {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.evs.Len()
-	return r.evs.AppendTo(make([]LoginEvent, 0, n), 0, n)
+	return r.windowLocked(0, r.evs.Len())
 }
 
 // size returns the number of stored events.

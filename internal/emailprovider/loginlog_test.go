@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tripwire/internal/chunklog"
+	"tripwire/internal/snapshot"
 )
 
 var ringEpoch = time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -33,6 +34,28 @@ func naiveDump(events []LoginEvent, since, cutoff, now time.Time) []LoginEvent {
 	return out
 }
 
+// appendEvent appends ev to r as the provider records a login.
+func appendEvent(t testing.TB, r *loginLog, ev LoginEvent) {
+	t.Helper()
+	local, domain, _ := strings.Cut(ev.Account, "@")
+	if domain != r.domain {
+		t.Fatalf("event for %s appended to the log of %s", ev.Account, r.domain)
+	}
+	r.append(local, ev.Time, ev.IP, methodCode(t, ev.Method))
+}
+
+// methodCode returns the tag of the access method LoginEvent.Method names.
+func methodCode(t testing.TB, name string) uint8 {
+	t.Helper()
+	for code, n := range methodNames {
+		if n == name {
+			return uint8(code)
+		}
+	}
+	t.Fatalf("no access method %q", name)
+	return 0
+}
+
 func sameEvents(t *testing.T, label string, got, want []LoginEvent) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -46,11 +69,11 @@ func sameEvents(t *testing.T, label string, got, want []LoginEvent) {
 }
 
 func TestLoginRingDumpMatchesNaiveScan(t *testing.T) {
-	var r loginLog
+	r := loginLog{domain: "honey.test"}
 	var all []LoginEvent
 	for i := 0; i < 500; i++ {
 		ev := ringEvent(i)
-		r.append(ev)
+		appendEvent(t, &r, ev)
 		all = append(all, ev)
 	}
 	now := ringEpoch.Add(600 * time.Minute)
@@ -65,11 +88,11 @@ func TestLoginRingDumpMatchesNaiveScan(t *testing.T) {
 		{"since-after-all", ringEpoch.Add(9999 * time.Minute), ringEpoch},
 		{"boundary-exclusive", ringEpoch.Add(250 * time.Minute), ringEpoch},
 	} {
-		sameEvents(t, tc.name, r.dumpSince(tc.since, tc.cutoff, now), naiveDump(all, tc.since, tc.cutoff, now))
+		sameEvents(t, tc.name, r.dumpSince(tc.since, tc.cutoff, now).Events(), naiveDump(all, tc.since, tc.cutoff, now))
 	}
 	// now in the middle of the log bounds the upper end.
 	mid := ringEpoch.Add(300 * time.Minute)
-	sameEvents(t, "now-bounded", r.dumpSince(ringEpoch, ringEpoch, mid), naiveDump(all, ringEpoch, ringEpoch, mid))
+	sameEvents(t, "now-bounded", r.dumpSince(ringEpoch, ringEpoch, mid).Events(), naiveDump(all, ringEpoch, ringEpoch, mid))
 }
 
 // TestLoginLogChunkBoundaries drives the log through purges, spills and
@@ -78,14 +101,14 @@ func TestLoginRingDumpMatchesNaiveScan(t *testing.T) {
 // events that should remain.
 func TestLoginLogChunkBoundaries(t *testing.T) {
 	const c = chunklog.ChunkSize
-	var r loginLog
+	r := loginLog{domain: "honey.test"}
 	var all []LoginEvent // the events that should be resident, oldest first
 	next := 0
 	appendN := func(n int) {
 		for ; n > 0; n-- {
 			ev := ringEvent(next)
 			next++
-			r.append(ev)
+			appendEvent(t, &r, ev)
 			all = append(all, ev)
 		}
 	}
@@ -104,7 +127,7 @@ func TestLoginLogChunkBoundaries(t *testing.T) {
 	}
 	check := func(label string) {
 		t.Helper()
-		sameEvents(t, label+"/all", r.all(), all)
+		sameEvents(t, label+"/all", r.all().Events(), all)
 		if r.size() != len(all) {
 			t.Fatalf("%s: size = %d, want %d", label, r.size(), len(all))
 		}
@@ -114,7 +137,7 @@ func TestLoginLogChunkBoundaries(t *testing.T) {
 		edges := []int{-60, c - 1, c, c + 1, 2*c - 1, 2 * c, 3*c + 7, next - 1, next}
 		for _, since := range edges {
 			for _, cut := range edges {
-				got := r.dumpSince(minute(since), minute(cut), now)
+				got := r.dumpSince(minute(since), minute(cut), now).Events()
 				sameEvents(t, fmt.Sprintf("%s/dump(since %d, cutoff %d)", label, since, cut), got, naiveDump(all, minute(since), minute(cut), now))
 			}
 		}
@@ -132,14 +155,21 @@ func TestLoginLogChunkBoundaries(t *testing.T) {
 	// A spill detaches all but budget/2 events: with c+10 resident and a
 	// budget of c-2, the cut falls inside a chunk.
 	budget := c - 2
-	spilled := r.takeSpill(budget)
+	payload, seg := r.takeSpill(budget)
+	spilled, err := DecodeLoginEvents(snapshot.NewDecoder(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sameEvents(t, "spilled-prefix", spilled, all[:len(all)-budget/2])
+	if seg.count != len(spilled) || seg.min != spilled[0].Time || seg.max != spilled[len(spilled)-1].Time {
+		t.Fatalf("spilled segment spans %v..%v with %d events", seg.min, seg.max, seg.count)
+	}
 	all = all[len(all)-budget/2:]
 	check("after-spill")
 	appendN(c + 1) // the tail crosses two more boundaries
 	check("refilled")
-	if got := r.takeSpill(len(all)); got != nil {
-		t.Fatalf("takeSpill at exactly the budget detached %d events", len(got))
+	if _, seg := r.takeSpill(len(all)); seg.count != 0 {
+		t.Fatalf("takeSpill at exactly the budget detached %d events", seg.count)
 	}
 
 	purgeBefore(next + 60) // drop everything
@@ -155,11 +185,11 @@ func TestLoginLogChunkBoundaries(t *testing.T) {
 // flat copy of the segment by (Time, Account).
 func TestLoginLogSealAcrossChunks(t *testing.T) {
 	const c = chunklog.ChunkSize
-	var r loginLog
+	r := loginLog{domain: "honey.test"}
 	var flat []LoginEvent
 	for i := 0; i < c-5; i++ {
 		ev := ringEvent(i)
-		r.append(ev)
+		appendEvent(t, &r, ev)
 		flat = append(flat, ev)
 	}
 	r.mark()
@@ -173,7 +203,7 @@ func TestLoginLogSealAcrossChunks(t *testing.T) {
 			IP:      netip.AddrFrom4([4]byte{10, 9, 0, byte(i)}),
 			Method:  "IMAP",
 		}
-		r.append(ev)
+		appendEvent(t, &r, ev)
 		flat = append(flat, ev)
 	}
 	r.seal()
@@ -183,23 +213,23 @@ func TestLoginLogSealAcrossChunks(t *testing.T) {
 		}
 		return strings.Compare(a.Account, b.Account)
 	})
-	sameEvents(t, "sealed", r.all(), flat)
+	sameEvents(t, "sealed", r.all().Events(), flat)
 }
 
 // TestLoginRingUnsortedFallback feeds out-of-order events and checks the
 // log degrades to correct linear scans, then recovers the sorted fast path
 // once a purge compacts the disorder away.
 func TestLoginRingUnsortedFallback(t *testing.T) {
-	var r loginLog
+	r := loginLog{domain: "honey.test"}
 	events := []LoginEvent{ringEvent(5), ringEvent(1), ringEvent(9), ringEvent(3)}
 	for _, ev := range events {
-		r.append(ev)
+		appendEvent(t, &r, ev)
 	}
 	if !r.unsorted {
 		t.Fatal("out-of-order appends did not flip the unsorted flag")
 	}
 	now := ringEpoch.Add(time.Hour)
-	sameEvents(t, "unsorted-dump", r.dumpSince(ringEpoch, ringEpoch, now), naiveDump(events, ringEpoch, ringEpoch, now))
+	sameEvents(t, "unsorted-dump", r.dumpSince(ringEpoch, ringEpoch, now).Events(), naiveDump(events, ringEpoch, ringEpoch, now))
 
 	// Purging everything before minute 4 leaves {5, 9}: sorted again.
 	if got := r.purgeExpired(ringEpoch.Add(4 * time.Minute)); got != 2 {
@@ -208,7 +238,7 @@ func TestLoginRingUnsortedFallback(t *testing.T) {
 	if r.unsorted {
 		t.Fatal("purge did not restore the sorted fast path")
 	}
-	sameEvents(t, "recovered", r.all(), []LoginEvent{ringEvent(5), ringEvent(9)})
+	sameEvents(t, "recovered", r.all().Events(), []LoginEvent{ringEvent(5), ringEvent(9)})
 }
 
 func TestProviderDumpUsesRing(t *testing.T) {
@@ -230,7 +260,7 @@ func TestProviderDumpUsesRing(t *testing.T) {
 	// Retention hides everything older than 24h from dumps: logins landed
 	// at hours 1..40, the cutoff sits at hour 16 (inclusive), so hours
 	// 16..40 — 25 events — remain visible.
-	got := p.DumpSince(time.Time{})
+	got := p.DumpSince(time.Time{}).Events()
 	if len(got) != 25 {
 		t.Fatalf("DumpSince returned %d events, want 25 inside retention", len(got))
 	}
@@ -243,7 +273,7 @@ func TestProviderDumpUsesRing(t *testing.T) {
 	// Incremental dump from the midpoint of the retained window; since is
 	// exclusive, so the tail starts at the next event.
 	mid := got[11].Time
-	tail := p.DumpSince(mid)
+	tail := p.DumpSince(mid).Events()
 	if len(tail) != 13 || tail[0].Time != got[12].Time {
 		t.Fatalf("incremental dump wrong: %d events", len(tail))
 	}
@@ -256,9 +286,9 @@ func TestProviderDumpUsesRing(t *testing.T) {
 func BenchmarkDumpSince(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
 		b.Run(fmt.Sprintf("log=%d", n), func(b *testing.B) {
-			var r loginLog
+			r := loginLog{domain: "honey.test"}
 			for i := 0; i < n; i++ {
-				r.append(ringEvent(i))
+				appendEvent(b, &r, ringEvent(i))
 			}
 			now := ringEpoch.Add(time.Duration(n) * time.Minute)
 			since := ringEpoch.Add(time.Duration(n-64) * time.Minute)
@@ -266,8 +296,8 @@ func BenchmarkDumpSince(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if out := r.dumpSince(since, cutoff, now); len(out) != 63 {
-					b.Fatalf("got %d events, want 63", len(out))
+				if out := r.dumpSince(since, cutoff, now); out.Len() != 63 {
+					b.Fatalf("got %d events, want 63", out.Len())
 				}
 			}
 		})

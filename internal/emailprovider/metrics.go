@@ -8,7 +8,7 @@ import (
 // field can stay unset on providers running without observability.
 type Metrics struct {
 	// logins is indexed by access method; resolved at wiring time.
-	logins       map[string]*obs.Counter
+	logins       [len(methodNames)]*obs.Counter
 	authFailures *obs.Counter
 	throttled    *obs.Counter
 	lockedOut    *obs.Counter
@@ -25,10 +25,10 @@ func (p *Provider) NewMetrics(r *obs.Registry) *Metrics {
 	}
 	vec := r.CounterVec("tripwire_provider_logins_total", "Successful account logins by access method.", "method", "imap", "pop3", "web")
 	m := &Metrics{
-		logins: map[string]*obs.Counter{
-			"IMAP": vec.With("imap"),
-			"POP3": vec.With("pop3"),
-			"WEB":  vec.With("web"),
+		logins: [...]*obs.Counter{
+			methodIMAP: vec.With("imap"),
+			methodPOP3: vec.With("pop3"),
+			methodWeb:  vec.With("web"),
 		},
 		authFailures: r.Counter("tripwire_provider_auth_failures_total", "Rejected logins (bad password, unknown account, or forced reset)."),
 		throttled:    r.Counter("tripwire_provider_throttled_logins_total", "Logins rejected while an account was brute-force throttled."),
@@ -44,7 +44,7 @@ func (p *Provider) NewMetrics(r *obs.Registry) *Metrics {
 	return m
 }
 
-func (m *Metrics) loginOK(method string) {
+func (m *Metrics) loginOK(method uint8) {
 	if m == nil {
 		return
 	}

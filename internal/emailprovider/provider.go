@@ -69,6 +69,16 @@ type LoginEvent struct {
 	Method  string // "IMAP", "POP3", "WEB"
 }
 
+// Access methods, as the login log's records tag them.
+const (
+	methodIMAP uint8 = iota
+	methodPOP3
+	methodWeb
+)
+
+// methodNames names each access method as LoginEvent.Method reports it.
+var methodNames = [...]string{methodIMAP: "IMAP", methodPOP3: "POP3", methodWeb: "WEB"}
+
 // Forwarder receives mail forwarded off honey accounts toward Tripwire's
 // own mail server.
 type Forwarder func(from, to, subject, body string) error
@@ -197,6 +207,7 @@ func New(domain string) *Provider {
 	for i := range p.shards {
 		p.shards[i].index = make(map[string]int32)
 	}
+	p.log.domain = domain
 	return p
 }
 
@@ -442,8 +453,9 @@ func (p *Provider) Inbox(email string) []imap.Message {
 	return out
 }
 
-// login is the shared auth path; method labels the access channel.
-func (p *Provider) login(email, password string, remote netip.Addr, method string) (string, error) {
+// login is the shared auth path; method labels the access channel. It
+// returns the account's address as the login log holds it.
+func (p *Provider) login(email, password string, remote netip.Addr, method uint8) (string, error) {
 	now := p.Now()
 	local, slot, sh := p.lookup(email)
 	if slot < 0 {
@@ -463,8 +475,7 @@ func (p *Provider) login(email, password string, remote netip.Addr, method strin
 			// nothing (its failure counters are already zero), so it
 			// succeeds without materializing a row.
 			sh.mu.Unlock()
-			account := local + "@" + p.domain
-			p.log.append(LoginEvent{Account: account, Time: now, IP: remote, Method: method})
+			account := p.log.append(local, now, remote, method)
 			p.maybeSpill()
 			p.Metrics.loginOK(method)
 			return account, nil
@@ -504,8 +515,7 @@ func (p *Provider) login(email, password string, remote netip.Addr, method strin
 		return "", imap.ErrAuthFailed
 	}
 	sh.failedCount[slot] = 0
-	account := local + "@" + p.domain
-	p.log.append(LoginEvent{Account: account, Time: now, IP: remote, Method: method})
+	account := p.log.append(local, now, remote, method)
 	p.maybeSpill()
 	p.Metrics.loginOK(method)
 	return account, nil
@@ -513,7 +523,7 @@ func (p *Provider) login(email, password string, remote netip.Addr, method strin
 
 // Login implements imap.Backend.
 func (p *Provider) Login(user, pass string, remote netip.Addr) (imap.Session, error) {
-	email, err := p.login(user, pass, remote, "IMAP")
+	email, err := p.login(user, pass, remote, methodIMAP)
 	if err != nil {
 		return nil, err
 	}
@@ -524,7 +534,7 @@ func (p *Provider) Login(user, pass string, remote netip.Addr) (imap.Session, er
 // different access method in the login log (e.g. POP3 front ends).
 type methodBackend struct {
 	p      *Provider
-	method string
+	method uint8
 }
 
 // Login implements imap.Backend with the wrapped method label.
@@ -538,18 +548,18 @@ func (b methodBackend) Login(user, pass string, remote netip.Addr) (imap.Session
 
 // POPBackend returns a mailbox backend whose successful logins are logged
 // with method "POP3"; the POP3 server front end uses it.
-func (p *Provider) POPBackend() imap.Backend { return methodBackend{p: p, method: "POP3"} }
+func (p *Provider) POPBackend() imap.Backend { return methodBackend{p: p, method: methodPOP3} }
 
 // WebLogin authenticates through the provider's web interface; Tripwire's
 // own control-account logins use this method.
 func (p *Provider) WebLogin(email, password string, remote netip.Addr) error {
-	_, err := p.login(email, password, remote, "WEB")
+	_, err := p.login(email, password, remote, methodWeb)
 	return err
 }
 
 // POPLogin authenticates via POP3 (some attacker tooling uses it).
 func (p *Provider) POPLogin(email, password string, remote netip.Addr) error {
-	_, err := p.login(email, password, remote, "POP3")
+	_, err := p.login(email, password, remote, methodPOP3)
 	return err
 }
 

@@ -220,13 +220,13 @@ func TestDumpSinceAndRetention(t *testing.T) {
 	// beyond retention and invisible even to a since-the-beginning dump —
 	// the paper's Spring 2015 gap mechanism.
 	evs := p.DumpSince(time.Date(2014, 12, 1, 0, 0, 0, 0, time.UTC))
-	if len(evs) != 2 {
-		t.Fatalf("dump saw %d events, want 2 (one lost to retention)", len(evs))
+	if evs.Len() != 2 {
+		t.Fatalf("dump saw %d events, want 2 (one lost to retention)", evs.Len())
 	}
 	// A dump since Mar 15 sees only the May event.
 	evs = p.DumpSince(time.Date(2015, 3, 15, 0, 0, 0, 0, time.UTC))
-	if len(evs) != 1 {
-		t.Fatalf("dump since mid-March saw %d events", len(evs))
+	if evs.Len() != 1 {
+		t.Fatalf("dump since mid-March saw %d events", evs.Len())
 	}
 	if purged := p.PurgeExpired(); purged != 1 {
 		t.Fatalf("PurgeExpired = %d, want 1", purged)

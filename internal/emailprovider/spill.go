@@ -82,14 +82,12 @@ func (p *Provider) maybeSpill() {
 	if p.spillDir == "" || p.logResidentBudget <= 0 {
 		return
 	}
-	evs := p.log.takeSpill(p.logResidentBudget)
-	if len(evs) == 0 {
+	payload, seg := p.log.takeSpill(p.logResidentBudget)
+	if seg.count == 0 {
 		return
 	}
-	e := snapshot.NewEncoder()
-	EncodeLoginEvents(e, evs)
 	f := snapshot.New()
-	f.Add(segmentSection, e.Bytes())
+	f.Add(segmentSection, payload)
 
 	p.spill.mu.Lock()
 	defer p.spill.mu.Unlock()
@@ -103,12 +101,8 @@ func (p *Provider) maybeSpill() {
 		return
 	}
 	p.spill.next++
-	p.spill.segments = append(p.spill.segments, coldSegment{
-		path:  path,
-		min:   evs[0].Time,
-		max:   evs[len(evs)-1].Time,
-		count: len(evs),
-	})
+	seg.path = path
+	p.spill.segments = append(p.spill.segments, seg)
 }
 
 // readSegment loads and decodes one cold segment.

@@ -96,8 +96,8 @@ func TestDumpSinceSpillContract(t *testing.T) {
 				anchors = append(anchors, tm, tm.Add(-time.Nanosecond), tm.Add(time.Nanosecond))
 			}
 			for _, since := range anchors {
-				got := sp.DumpSince(since)
-				want := ref.DumpSince(since)
+				got := sp.DumpSince(since).Events()
+				want := ref.DumpSince(since).Events()
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("DumpSince(%v): %d events, want %d", since, len(got), len(want))
 				}
@@ -127,7 +127,7 @@ func TestSpillPurgeDropsWholeSegments(t *testing.T) {
 	if spPurged > refPurged {
 		t.Fatalf("spilled purge dropped %d > reference %d", spPurged, refPurged)
 	}
-	if !reflect.DeepEqual(sp.DumpSince(time.Time{}), ref.DumpSince(time.Time{})) {
+	if !reflect.DeepEqual(sp.DumpSince(time.Time{}).Events(), ref.DumpSince(time.Time{}).Events()) {
 		t.Fatal("post-purge DumpSince differs from reference")
 	}
 	// A straddling segment keeps its file, but AllLogins must mask the

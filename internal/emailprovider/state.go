@@ -57,7 +57,7 @@ func (p *Provider) EncodeSection(e *snapshot.Encoder) {
 	for _, r := range rows {
 		r.sh.encodeRow(e, r.slot, r.email)
 	}
-	p.log.encodeAfter(e, p.allSpilled())
+	p.allLogins().encode(e)
 }
 
 // encodeRow writes one account of the provider section.
@@ -100,22 +100,6 @@ func nanoTime(n int64) time.Time {
 		return time.Time{}
 	}
 	return time.Unix(0, n).UTC()
-}
-
-// encodeAfter writes cold followed by the resident log as one
-// count-prefixed run, the bytes EncodeLoginEvents would write for their
-// concatenation, without copying the resident events out.
-func (r *loginLog) encodeAfter(e *snapshot.Encoder, cold []LoginEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.evs.Len()
-	e.Uint(uint64(len(cold) + n))
-	for i := range cold {
-		appendLoginEvent(e, &cold[i])
-	}
-	for i := 0; i < n; i++ {
-		appendLoginEvent(e, r.evs.At(i))
-	}
 }
 
 // appendLoginEvent encodes one login event.

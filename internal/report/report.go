@@ -14,6 +14,7 @@ import (
 
 	"tripwire/internal/core"
 	"tripwire/internal/crawler"
+	"tripwire/internal/emailprovider"
 	"tripwire/internal/identity"
 	"tripwire/internal/sim"
 )
@@ -181,17 +182,17 @@ func Table3(p *sim.Pilot) []Table3Row {
 	var rows []Table3Row
 	end := p.Cfg.End
 	for i, d := range p.Monitor.Detections() {
-		accounts := make([]string, 0, len(d.Logins))
-		for email := range d.Logins {
-			accounts = append(accounts, email)
+		accounts := d.Accounts()
+		logins := make(map[string][]emailprovider.LoginEvent, len(accounts))
+		for _, email := range accounts {
+			logins[email] = d.Logins(email)
 		}
-		sort.Strings(accounts)
 		// Order accounts by first access within the site.
 		sort.Slice(accounts, func(a, b int) bool {
-			return d.Logins[accounts[a]][0].Time.Before(d.Logins[accounts[b]][0].Time)
+			return logins[accounts[a]][0].Time.Before(logins[accounts[b]][0].Time)
 		})
 		for j, email := range accounts {
-			evs := d.Logins[email]
+			evs := logins[email]
 			reg, ok := p.Ledger.Lookup(email)
 			if !ok {
 				continue

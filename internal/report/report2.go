@@ -243,8 +243,8 @@ func Fig2(p *sim.Pilot) string {
 			}
 		}
 		total := 0
-		for _, evs := range d.Logins {
-			for _, ev := range evs {
+		for _, account := range d.Accounts() {
+			for _, ev := range d.Logins(account) {
 				total++
 				if idx := monthIndex(start, ev.Time); idx >= 0 && idx < months {
 					if row[idx] == 'R' {
@@ -318,8 +318,8 @@ func Sec64(p *sim.Pilot) AttackerStats {
 	perAccount := make(map[string][]time.Time)
 	imap := 0
 	for _, det := range p.Monitor.Detections() {
-		for _, evs := range det.Logins {
-			for _, ev := range evs {
+		for _, account := range det.Accounts() {
+			for _, ev := range det.Logins(account) {
 				st.TotalLogins++
 				key := ev.IP.String()
 				ipUses[key]++

@@ -201,9 +201,7 @@ func TestSec64Stats(t *testing.T) {
 	st := Sec64(p)
 	attributed := 0
 	for _, det := range p.Monitor.Detections() {
-		for _, evs := range det.Logins {
-			attributed += len(evs)
-		}
+		attributed += det.LoginCount()
 	}
 	if st.TotalLogins != attributed {
 		t.Fatalf("TotalLogins %d != attributed %d", st.TotalLogins, attributed)

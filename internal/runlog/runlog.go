@@ -150,16 +150,12 @@ func Write(dir string, p *sim.Pilot, summary string) (Manifest, error) {
 	// Detections.
 	dets := make([]DetectionRecord, 0)
 	for _, d := range p.Monitor.Detections() {
-		total := 0
-		for _, evs := range d.Logins {
-			total += len(evs)
-		}
 		dets = append(dets, DetectionRecord{
 			Domain: d.Domain, Rank: d.Rank, Category: d.Category,
 			FirstSeen: d.FirstSeen, LastSeen: d.LastSeen,
 			AccountsRegistered: d.AccountsRegistered, AccountsAccessed: d.AccountsAccessed,
 			HardAccessed: d.HardAccessed, BreachClass: p.Monitor.Classify(d).String(),
-			TotalLogins: total,
+			TotalLogins: d.LoginCount(),
 		})
 	}
 	if err := writeJSON(filepath.Join(dir, "detections.json"), dets); err != nil {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"tripwire/internal/core"
-	"tripwire/internal/emailprovider"
 )
 
 // EventKind discriminates pilot progress events.
@@ -50,18 +49,6 @@ type Event struct {
 	// snapshot taken when the event fired, safe to retain and read from
 	// any goroutine — later dumps mutate the monitor's copy, not this one.
 	Detection *core.Detection
-}
-
-// snapshotDetection deep-copies det on the scheduler goroutine, before
-// any later dump can touch it, so event consumers running concurrently
-// with the simulation never alias live monitor state.
-func snapshotDetection(det *core.Detection) *core.Detection {
-	cp := *det
-	cp.Logins = make(map[string][]emailprovider.LoginEvent, len(det.Logins))
-	for account, logins := range det.Logins {
-		cp.Logins[account] = append([]emailprovider.LoginEvent(nil), logins...)
-	}
-	return &cp
 }
 
 // emit delivers ev to the OnEvent hook, if any.

@@ -100,6 +100,14 @@ type Pilot struct {
 	// account up front instead of leaving it to the deriver. Only the
 	// lazy/eager equivalence test sets it, as its reference path.
 	eagerAccounts bool
+	// liveSites caches liveAccountAt: -1 for a registered site found with
+	// a live Tripwire account, else how many registrations it had when
+	// last found without one.
+	liveSites map[string]int
+	// onLivePick, when set, sees the sorted candidates of every breach
+	// pick among registered sites. Only the test that checks liveSites
+	// against a rescan sets it.
+	onLivePick func(breached map[string]bool, cands []string)
 
 	// prog mirrors the driver-owned progress counters behind atomics so
 	// Status/HTTP readers never race the run (see progress.go).
@@ -133,6 +141,7 @@ func NewPilot(cfg Config) *Pilot {
 		controlCreds:   make(map[string]string),
 		DetectionTimes: make(map[string]time.Time),
 		lastDump:       cfg.Start,
+		liveSites:      make(map[string]int),
 	}
 
 	// Synthetic web.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,5 +158,42 @@ func TestManualOnlyOnEligibleTopSites(t *testing.T) {
 		if site.Language != webgen.LangEnglish {
 			t.Errorf("manual registration at non-English site %s", a.Domain)
 		}
+	}
+}
+
+// TestBreachPicksMatchRescan runs the small pilot and checks every breach
+// pick among registered sites: the candidates the liveSites cache gives
+// must be exactly the ones a rescan of every registered site finds, and
+// the run must still breach and detect.
+func TestBreachPicksMatchRescan(t *testing.T) {
+	p := NewPilot(SmallConfig())
+	picks := 0
+	p.onLivePick = func(breached map[string]bool, cands []string) {
+		picks++
+		var want []string
+		for _, domain := range p.Ledger.Sites() {
+			if !breached[domain] && p.tripwireAccountExists(domain) {
+				want = append(want, domain)
+			}
+		}
+		slices.Sort(want)
+		if !slices.Equal(cands, want) {
+			var missed, extra []string
+			for _, d := range want {
+				if !slices.Contains(cands, d) {
+					missed = append(missed, d)
+				}
+			}
+			for _, d := range cands {
+				if !slices.Contains(want, d) {
+					extra = append(extra, d)
+				}
+			}
+			t.Errorf("pick %d: the cache missed %v and added %v", picks, missed, extra)
+		}
+	}
+	p.Run()
+	if picks == 0 || len(p.Monitor.Detections()) == 0 {
+		t.Fatalf("%d registered-site picks and %d detections: the check saw nothing", picks, len(p.Monitor.Detections()))
 	}
 }

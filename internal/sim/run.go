@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tripwire/internal/browser"
+	"tripwire/internal/core"
 	"tripwire/internal/crawler"
 	"tripwire/internal/identity"
 	"tripwire/internal/simclock"
@@ -320,7 +321,11 @@ func (p *Pilot) scheduleDumps() {
 			for _, domain := range newly {
 				p.DetectionTimes[domain] = now
 				if det, ok := p.Monitor.Detection(domain); ok {
-					p.emit(Event{Kind: EventDetection, At: now, Detection: snapshotDetection(det)})
+					// A deep copy taken on the scheduler goroutine, before
+					// a later dump can touch it, so event consumers running
+					// concurrently with the simulation never alias live
+					// monitor state.
+					p.emit(Event{Kind: EventDetection, At: now, Detection: det.Clone()})
 				}
 			}
 			p.lastDump = now
@@ -384,10 +389,7 @@ func (p *Pilot) pickBreachTarget(rng *rand.Rand, breached map[string]bool, withA
 	var cands []string
 	if withAccount {
 		for _, domain := range p.Ledger.Sites() {
-			if breached[domain] {
-				continue
-			}
-			if p.tripwireAccountExists(domain) {
+			if !breached[domain] && p.liveAccountAt(domain) {
 				cands = append(cands, domain)
 			}
 		}
@@ -407,14 +409,44 @@ func (p *Pilot) pickBreachTarget(rng *rand.Rand, breached map[string]bool, withA
 	}
 	// Ledger.Sites() iterates a map: sort so runs are reproducible.
 	sort.Strings(cands)
+	if withAccount && p.onLivePick != nil {
+		p.onLivePick(breached, cands)
+	}
 	return cands[rng.Intn(len(cands))]
+}
+
+// liveAccountAt is tripwireAccountExists for a registered site, cached in
+// liveSites. Ledger registrations and store accounts are never removed, so
+// a site found with a live account keeps one, and a site found without one
+// is rechecked only once its registration list has grown.
+func (p *Pilot) liveAccountAt(domain string) bool {
+	seen, checked := p.liveSites[domain]
+	if checked && seen < 0 {
+		return true
+	}
+	regs := p.Ledger.SiteRegistrations(domain)
+	if checked && len(regs) == seen {
+		return false
+	}
+	if p.accountAmong(domain, regs) {
+		p.liveSites[domain] = -1
+		return true
+	}
+	p.liveSites[domain] = len(regs)
+	return false
 }
 
 // tripwireAccountExists reports whether a Tripwire identity actually has a
 // stored account at domain (the crawler may have believed wrongly).
 func (p *Pilot) tripwireAccountExists(domain string) bool {
+	return p.accountAmong(domain, p.Ledger.SiteRegistrations(domain))
+}
+
+// accountAmong reports whether the store of domain holds an account for
+// any of regs.
+func (p *Pilot) accountAmong(domain string, regs []*core.Registration) bool {
 	st := p.Universe.Store(domain)
-	for _, reg := range p.Ledger.SiteRegistrations(domain) {
+	for _, reg := range regs {
 		if _, ok := st.Lookup(reg.Identity.Username); ok {
 			return true
 		}
