@@ -6,18 +6,19 @@
 #   make ci          what a PR must pass: build, gofmt (no file may need
 #                    formatting), vet, race tests, an arm64 cross-build (the
 #                    strong hash's portable path), snapshot/browser-resolve/
-#                    crawler/epoch-equivalence/strong-digest/login-record
-#                    fuzz corpora as seed tests,
+#                    crawler/epoch-equivalence/scheduler-order/strong-digest/
+#                    login-record fuzz corpora as seed tests,
 #                    resume byte-identity smoke (workers grid incl. 8, the
 #                    stop checkpoint, a spill read failure failing the
 #                    checkpoint and the resume, streamed section digests
 #                    equal to their images, the pinned per-section
 #                    checkpoint golden, every subsystem's section
 #                    image moving under single mutations and only then,
-#                    and login logs that seal alike whatever order they
-#                    met their accounts in, under -race), the 16-worker
-#                    invariance smoke over crawl waves and timeline
-#                    epochs (under -race), the inline-session conn
+#                    login logs that seal alike whatever order they met
+#                    their accounts in, and a monitor fed dump views ending
+#                    where one fed the decoded dumps ends, under -race),
+#                    the 16-worker invariance smoke over crawl waves and
+#                    timeline epochs (under -race), the inline-session conn
 #                    contract and IMAP/POP3 transcript tests under a 60 s
 #                    timeout (a read that blocks fails the run, under
 #                    -race), the browser's concurrent storage-borrowing
@@ -29,7 +30,9 @@
 #                    delivery, under -race), the distributed-sweep smoke
 #                    (coordinator + two in-process workers over loopback
 #                    HTTP, byte-identity incl. a worker killed mid-seed,
-#                    under -race), bench smoke, vet and tests of the
+#                    under -race), bench smoke (BENCH_PKGS, the 8-worker
+#                    crawl, BenchmarkPopFrontier and BenchmarkMonitorIngest
+#                    at one iteration each), vet and tests of the
 #                    end-to-end benchmark module in bench/ (its own
 #                    module, outside the root ./...), and the
 #                    overhead/alloc/heap gates
@@ -91,7 +94,7 @@ ci: build metrics-doc-check
 	$(GO) test -race ./...
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/ ./internal/browser/ ./internal/webgen/ ./internal/emailprovider/
-	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume|TestSpillFailureFailsCheckpoint|TestStreamedDigestsMatchImages|TestCheckpointSectionGolden|SectionTracksMutations|TestUniverseExportTracksMaterialization|TestSealIgnoresInternOrder' ./internal/sim/ . ./internal/core/ ./internal/emailprovider/ ./internal/attacker/ ./internal/webgen/
+	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume|TestSpillFailureFailsCheckpoint|TestStreamedDigestsMatchImages|TestCheckpointSectionGolden|SectionTracksMutations|TestUniverseExportTracksMaterialization|TestSealIgnoresInternOrder|TestIngestMatchesDecodedDump' ./internal/sim/ . ./internal/core/ ./internal/emailprovider/ ./internal/attacker/ ./internal/webgen/
 	$(GO) test -race -run 'TestTimelineWorkerInvariance/workers=16' ./internal/sim/
 	$(GO) test -race -timeout 60s ./internal/memconn/ ./internal/imap/ ./internal/pop3/
 	$(GO) test -race -count=10 -run 'TestConcurrentSessionsRecycleStorage|TestConcurrentAttemptsMatchSerial' ./internal/browser/ ./internal/crawler/
@@ -101,6 +104,7 @@ ci: build metrics-doc-check
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run xxx -bench . -benchtime 1x $(BENCH_PKGS)
 	$(GO) test -run xxx -bench 'BenchmarkParallelCrawl$$/workers=8' -benchtime 1x ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkPopFrontier|BenchmarkMonitorIngest' -benchtime 1x ./internal/simclock/ ./internal/core/
 	$(MAKE) bench-overhead
 	$(MAKE) bench-compare
 

@@ -240,6 +240,13 @@ func (l *Ledger) IsControl(email string) bool {
 	return ok
 }
 
+// controlCount returns the size of the control set.
+func (l *Ledger) controlCount() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.controls)
+}
+
 // Take removes and returns an identity of the given class from the pool,
 // or nil when the pool is dry. Identities are handed out in FIFO order so
 // runs are deterministic. A span segment, provisioned or returned,
@@ -411,6 +418,14 @@ func (l *Ledger) SiteRegistrations(domain string) []*Registration {
 	out := make([]*Registration, len(l.bySite[domain]))
 	copy(out, l.bySite[domain])
 	return out
+}
+
+// siteRegistrationCount returns how many registrations domain holds,
+// without copying them.
+func (l *Ledger) siteRegistrationCount(domain string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.bySite[domain])
 }
 
 // Registrations returns every burned registration.

@@ -49,11 +49,24 @@ type Monitor struct {
 	alarms   []IntegrityAlarm
 
 	expectedControls map[string]bool // account -> expected
-	seenControls     map[string]int  // account -> observed logins
+	// controlLogins holds the control-account logins the provider
+	// reported, filed as a detection files its attributed logins. Only
+	// their counts are read: ControlLoginsSeen and the checkpoint section.
+	controlLogins loginStore
 
 	// detections indexed by site domain, in first-detection order.
 	detections map[string]*Detection
 	order      []string
+
+	// The resolution cache (see Ingest). byID holds, per account id of
+	// the login log source, the account a login resolved to, while that is
+	// exact: until a dump from another source, or a growing control set
+	// (controls). decoded holds one dump's resolutions of logins without an
+	// id, by address. Alarms are never cached.
+	source   any
+	controls int
+	byID     []*account
+	decoded  map[string]*account
 
 	// Metrics, when non-nil, receives per-dump observations. Recording is
 	// atomic-only and never influences attribution.
@@ -67,14 +80,8 @@ type Detection struct {
 	Category  string
 	FirstSeen time.Time
 	LastSeen  time.Time
-	// logins holds, per lowercase account email, every login the monitor
-	// attributed to the site, each held here and nowhere else in the
-	// monitor, as a 16-byte record with no pointers: the account is the
-	// key, the tag indexes methods, and an address that is not plain IPv4
-	// is kept in addrs. Logins decodes them.
-	logins  map[string][]loginrec.Login
-	methods []string
-	addrs   loginrec.Addrs
+	// loginStore holds every login the monitor attributed to the site.
+	loginStore
 	// HardAccessed is true once any hard-password account at the site is
 	// accessed, indicating plaintext or reversible password storage.
 	HardAccessed bool
@@ -90,7 +97,6 @@ func NewMonitor(ledger *Ledger, start time.Time) *Monitor {
 		ledger:           ledger,
 		lastDump:         start,
 		expectedControls: make(map[string]bool),
-		seenControls:     make(map[string]int),
 		detections:       make(map[string]*Detection),
 	}
 }
@@ -102,117 +108,220 @@ func (m *Monitor) ExpectControlLogin(account string) {
 	m.expectedControls[strings.ToLower(account)] = true
 }
 
+// loginStore files logins by lowercase account address, each held here
+// and nowhere else in the monitor as a 16-byte record with no pointers: an
+// account's record lists its logins, each login's tag indexes methods, and
+// an address that is not plain IPv4 is kept in addrs. Logins decodes them.
+type loginStore struct {
+	logins  map[string]*account
+	methods []string
+	addrs   loginrec.Addrs
+}
+
+// account is one account's record in a loginStore: its detection's, or
+// the monitor's store of control logins.
+type account struct {
+	det    *Detection // the registration's detection; nil for a control
+	logins []loginrec.Login
+}
+
 // Ingest processes a provider dump: every event is attributed, alarmed, or
 // recognized as a control login. It returns the site domains whose
 // compromise was *newly* detected by this dump.
+//
+// Each control or registered account is resolved against the ledger at
+// most once per dump (see resolve). After that a login with an account id
+// costs no lock, no lowercasing, no string-keyed map lookup and no
+// allocation beyond its account's growing list; a login decoded without
+// one is found by its address in the dump's own table. Resolutions by id carry over to later
+// dumps of one source, which is exact: a control stays a control, a
+// registration stays bound to its site, and only a control added since can
+// outrank a registration, so a growing control set drops the cache. Alarms
+// are never cached: each alarm login resolves against the ledger as it
+// stands.
 func (m *Monitor) Ingest(dump emailprovider.Dump) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.Metrics != nil {
-		m.Metrics.dumpsIngested.Inc()
-		m.Metrics.eventsIngested.Add(uint64(dump.Len()))
+	src, controls := dump.Source(), m.ledger.controlCount()
+	if (src != nil && src != m.source) || controls != m.controls {
+		clear(m.byID)
+		if src != nil {
+			m.source = src
+		}
+		m.controls = controls
 	}
-	var newly []string
-	dump.Each(func(ev emailprovider.LoginEvent) {
+	clear(m.decoded)
+	before := len(m.order)
+	var nControl, nAttributed, nAlarm uint64
+	dump.Each(func(ev emailprovider.LoginEvent, id int) {
 		if ev.Time.After(m.lastDump) {
 			m.lastDump = ev.Time
 		}
-		account := strings.ToLower(ev.Account)
-		if m.ledger.IsControl(account) {
-			m.seenControls[account]++
-			if m.Metrics != nil {
-				m.Metrics.controlLogins.Inc()
-			}
-			return
+		var a *account
+		if id >= 0 && id < len(m.byID) {
+			a = m.byID[id]
+		} else if id < 0 {
+			a = m.decoded[ev.Account]
 		}
-		reg, ok := m.ledger.Lookup(account)
-		if !ok {
-			reason := "login to account never registered at any site"
-			if m.ledger.IsUnused(account) {
-				reason = "login to unused honeypot account (provider or Tripwire database compromise?)"
-			}
+		var reason string
+		if a == nil {
+			a, reason = m.resolve(ev.Account, id, ev.Time)
+		}
+		switch {
+		case a == nil:
 			m.alarms = append(m.alarms, IntegrityAlarm{Event: ev, Reason: reason})
-			if m.Metrics != nil {
-				m.Metrics.integrityAlarms.Inc()
+			nAlarm++
+		case a.det == nil:
+			m.controlLogins.add(a, &ev)
+			nControl++
+		default:
+			det := a.det
+			if ev.Time.Before(det.FirstSeen) {
+				det.FirstSeen = ev.Time
 			}
-			return
-		}
-		if m.Metrics != nil {
-			m.Metrics.attributedLogins.Inc()
-		}
-		det, seen := m.detections[reg.Domain]
-		if !seen {
-			det = &Detection{
-				Domain:    reg.Domain,
-				Rank:      reg.Rank,
-				Category:  reg.Category,
-				FirstSeen: ev.Time,
-				LastSeen:  ev.Time,
-				logins:    make(map[string][]loginrec.Login),
+			if ev.Time.After(det.LastSeen) {
+				det.LastSeen = ev.Time
 			}
-			m.detections[reg.Domain] = det
-			m.order = append(m.order, reg.Domain)
-			newly = append(newly, reg.Domain)
-			if m.Metrics != nil {
-				m.Metrics.detections.Inc()
-			}
-		}
-		if ev.Time.Before(det.FirstSeen) {
-			det.FirstSeen = ev.Time
-		}
-		if ev.Time.After(det.LastSeen) {
-			det.LastSeen = ev.Time
-		}
-		det.add(account, &ev)
-		if reg.Identity.Class == identity.Hard {
-			det.HardAccessed = true
+			det.add(a, &ev)
+			nAttributed++
 		}
 	})
-	// Refresh the n-of-m counters for every touched site.
+	if m.Metrics != nil {
+		m.Metrics.dumpsIngested.Inc()
+		m.Metrics.eventsIngested.Add(uint64(dump.Len()))
+		m.Metrics.controlLogins.Add(nControl)
+		m.Metrics.attributedLogins.Add(nAttributed)
+		m.Metrics.integrityAlarms.Add(nAlarm)
+		m.Metrics.detections.Add(uint64(len(m.order) - before))
+	}
+	// Refresh the n-of-m counters of every detection, not only those this
+	// dump touched: a registration burned at a detected site since the last
+	// dump counts even if none of the site's accounts logged in.
 	for _, det := range m.detections {
-		det.AccountsRegistered = len(m.ledger.SiteRegistrations(det.Domain))
+		det.AccountsRegistered = m.ledger.siteRegistrationCount(det.Domain)
 		det.AccountsAccessed = len(det.logins)
 	}
-	return newly
-}
-
-// add files a login to account.
-func (d *Detection) add(account string, ev *emailprovider.LoginEvent) {
-	tag := slices.Index(d.methods, ev.Method)
-	if tag < 0 {
-		if len(d.methods) > math.MaxUint8 {
-			panic("core: more than 256 access methods at " + d.Domain)
-		}
-		tag = len(d.methods)
-		d.methods = append(d.methods, ev.Method)
+	if len(m.order) == before {
+		return nil
 	}
-	d.logins[account] = append(d.logins[account], d.addrs.Pack(ev.Time, ev.IP, uint8(tag)))
+	return slices.Clone(m.order[before:])
 }
 
-// Accounts returns the accounts with attributed logins, sorted.
-func (d *Detection) Accounts() []string { return snapshot.SortedKeys(d.logins) }
+// resolve returns what the account name (as the dump spells it, with
+// account id id, or -1) resolves to, in the order the paper's integrity
+// checks apply: a control account; else a registration, whose detection
+// and account record are created here, at the first login the monitor
+// attributes to them (t); else nil and the alarm's reason. It caches a
+// positive result under the id, or for the dump under the address; a name
+// this dump already resolved without an id is taken from there.
+func (m *Monitor) resolve(name string, id int, t time.Time) (*account, string) {
+	a := m.decoded[name]
+	if a == nil {
+		var reason string
+		if a, reason = m.lookup(name, t); a == nil {
+			return nil, reason
+		}
+	}
+	if id < 0 {
+		if m.decoded == nil {
+			m.decoded = make(map[string]*account)
+		}
+		m.decoded[name] = a
+		return a, ""
+	}
+	if n := len(m.byID); id >= n {
+		m.byID = slices.Grow(m.byID, id+1-n)[:id+1]
+		clear(m.byID[n:])
+	}
+	m.byID[id] = a
+	return a, ""
+}
 
-// Logins returns the logins attributed to account, in the order they were
+// lookup resolves name against the ledger for resolve.
+func (m *Monitor) lookup(name string, t time.Time) (*account, string) {
+	email := strings.ToLower(name)
+	if m.ledger.IsControl(email) {
+		return m.controlLogins.account(email, nil), ""
+	}
+	reg, ok := m.ledger.Lookup(email)
+	if !ok {
+		if m.ledger.IsUnused(email) {
+			return nil, "login to unused honeypot account (provider or Tripwire database compromise?)"
+		}
+		return nil, "login to account never registered at any site"
+	}
+	det := m.detections[reg.Domain]
+	if det == nil {
+		det = &Detection{
+			Domain:    reg.Domain,
+			Rank:      reg.Rank,
+			Category:  reg.Category,
+			FirstSeen: t,
+			LastSeen:  t,
+		}
+		m.detections[reg.Domain] = det
+		m.order = append(m.order, reg.Domain)
+	}
+	if reg.Identity.Class == identity.Hard {
+		det.HardAccessed = true
+	}
+	return det.account(email, det), ""
+}
+
+// account returns email's record, made for det if s has none.
+func (s *loginStore) account(email string, det *Detection) *account {
+	a := s.logins[email]
+	if a == nil {
+		if s.logins == nil {
+			s.logins = make(map[string]*account)
+		}
+		a = &account{det: det}
+		s.logins[email] = a
+	}
+	return a
+}
+
+// add files a login to a, one of s's accounts.
+func (s *loginStore) add(a *account, ev *emailprovider.LoginEvent) {
+	tag := slices.Index(s.methods, ev.Method)
+	if tag < 0 {
+		if len(s.methods) > math.MaxUint8 {
+			panic("core: more than 256 access methods")
+		}
+		tag = len(s.methods)
+		s.methods = append(s.methods, ev.Method)
+	}
+	a.logins = append(a.logins, s.addrs.Pack(ev.Time, ev.IP, uint8(tag)))
+}
+
+// Accounts returns the accounts with filed logins, sorted.
+func (s *loginStore) Accounts() []string { return snapshot.SortedKeys(s.logins) }
+
+// Logins returns the logins filed for account, in the order they were
 // ingested.
-func (d *Detection) Logins(account string) []emailprovider.LoginEvent {
-	return d.appendLogins(nil, account)
+func (s *loginStore) Logins(account string) []emailprovider.LoginEvent {
+	return s.appendLogins(nil, account)
 }
 
-// appendLogins appends account's attributed logins to dst.
-func (d *Detection) appendLogins(dst []emailprovider.LoginEvent, account string) []emailprovider.LoginEvent {
-	addrs := d.addrs.List()
-	for i := range d.logins[account] {
-		l := &d.logins[account][i]
-		dst = append(dst, emailprovider.LoginEvent{Account: account, Time: l.Time(), IP: l.IP(addrs), Method: d.methods[l.Tag]})
+// appendLogins appends account's filed logins to dst.
+func (s *loginStore) appendLogins(dst []emailprovider.LoginEvent, account string) []emailprovider.LoginEvent {
+	a := s.logins[account]
+	if a == nil {
+		return dst
+	}
+	addrs := s.addrs.List()
+	for i := range a.logins {
+		l := &a.logins[i]
+		dst = append(dst, emailprovider.LoginEvent{Account: account, Time: l.Time(), IP: l.IP(addrs), Method: s.methods[l.Tag]})
 	}
 	return dst
 }
 
-// LoginCount returns how many logins were attributed to the site.
-func (d *Detection) LoginCount() int {
+// LoginCount returns how many logins were filed.
+func (s *loginStore) LoginCount() int {
 	n := 0
-	for _, ls := range d.logins {
-		n += len(ls)
+	for _, a := range s.logins {
+		n += len(a.logins)
 	}
 	return n
 }
@@ -220,9 +329,9 @@ func (d *Detection) LoginCount() int {
 // Clone returns a deep copy of d that later ingests do not change.
 func (d *Detection) Clone() *Detection {
 	cp := *d
-	cp.logins = make(map[string][]loginrec.Login, len(d.logins))
-	for account, ls := range d.logins {
-		cp.logins[account] = slices.Clone(ls)
+	cp.logins = make(map[string]*account, len(d.logins))
+	for email, a := range d.logins {
+		cp.logins[email] = &account{det: &cp, logins: slices.Clone(a.logins)}
 	}
 	cp.methods = slices.Clip(d.methods)
 	cp.addrs = d.addrs.Clone()
@@ -273,11 +382,7 @@ func (m *Monitor) AlarmCount() int {
 func (m *Monitor) ControlLoginsSeen() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, c := range m.seenControls {
-		n += c
-	}
-	return n
+	return m.controlLogins.LoginCount()
 }
 
 // BreachClass summarizes what a detection implies about the site's password

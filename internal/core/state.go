@@ -133,10 +133,10 @@ func (m *Monitor) EncodeSection(e *snapshot.Encoder) {
 	for _, acct := range snapshot.SortedKeys(m.expectedControls) {
 		e.String(acct)
 	}
-	e.Uint(uint64(len(m.seenControls)))
-	for _, acct := range snapshot.SortedKeys(m.seenControls) {
+	e.Uint(uint64(len(m.controlLogins.logins)))
+	for _, acct := range m.controlLogins.Accounts() {
 		e.String(acct)
-		e.Int(int64(m.seenControls[acct]))
+		e.Int(int64(len(m.controlLogins.logins[acct].logins)))
 	}
 	e.Int(int64(len(m.alarms)))
 	e.Uint(uint64(len(m.order)))

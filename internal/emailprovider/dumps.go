@@ -19,6 +19,7 @@ import (
 type Dump struct {
 	evs   []LoginEvent                   // decoded logins, older than recs
 	recs  chunklog.View[loginrec.Record] // the resident window
+	log   *loginLog                      // the log recs came from
 	names []string                       // the log's account addresses, by id
 	addrs []netip.Addr                   // the log's address side table
 }
@@ -30,23 +31,40 @@ func DumpOf(evs []LoginEvent) Dump { return Dump{evs: evs} }
 func (d Dump) Len() int { return len(d.evs) + d.recs.Len() }
 
 // Each calls fn with every login in the dump, oldest first, walking the
-// resident window chunk by chunk.
-func (d Dump) Each(fn func(LoginEvent)) {
+// resident window chunk by chunk. id is the account's index in the name
+// table of the login log the dump came from, which never reuses an index
+// for another address, so an id names the same account in every dump of
+// one Source; it is -1 for a login decoded when the dump was taken
+// (cold-tier and DumpOf logins). Ids follow first login, which inside a
+// parallel segment is goroutine order: a caller may key state by id,
+// never order by it.
+func (d Dump) Each(fn func(ev LoginEvent, id int)) {
 	for _, ev := range d.evs {
-		fn(ev)
+		fn(ev, -1)
 	}
 	for k := 0; k < d.recs.Parts(); k++ {
 		part := d.recs.Part(k)
 		for i := range part {
-			fn(d.event(&part[i]))
+			fn(d.event(&part[i]), int(part[i].Account))
 		}
 	}
+}
+
+// Source identifies the login log whose name table the dump's account ids
+// index: two dumps with equal Sources number accounts alike, so a caller
+// may carry state keyed by id from one to the other. It is nil for a dump
+// whose logins were all decoded when it was taken.
+func (d Dump) Source() any {
+	if d.log == nil {
+		return nil
+	}
+	return d.log
 }
 
 // Events returns the dump's logins as one slice, oldest first.
 func (d Dump) Events() []LoginEvent {
 	out := make([]LoginEvent, 0, d.Len())
-	d.Each(func(ev LoginEvent) { out = append(out, ev) })
+	d.Each(func(ev LoginEvent, _ int) { out = append(out, ev) })
 	return out
 }
 
@@ -58,7 +76,7 @@ func (d *Dump) event(r *loginrec.Record) LoginEvent {
 // encode writes the dump as EncodeLoginEvents writes its Events.
 func (d Dump) encode(e *snapshot.Encoder) {
 	e.Uint(uint64(d.Len()))
-	d.Each(func(ev LoginEvent) { appendLoginEvent(e, &ev) })
+	d.Each(func(ev LoginEvent, _ int) { appendLoginEvent(e, &ev) })
 }
 
 // DumpSince returns the successful-login events with Time in (since, now],

@@ -69,7 +69,7 @@ func (r *loginLog) append(local string, t time.Time, ip netip.Addr, method uint8
 // windowLocked returns a dump reading records [lo, hi) in place. Caller
 // holds mu.
 func (r *loginLog) windowLocked(lo, hi int) Dump {
-	return Dump{recs: r.evs.Window(lo, hi), names: r.names, addrs: r.addrs.List()}
+	return Dump{recs: r.evs.Window(lo, hi), log: r, names: r.names, addrs: r.addrs.List()}
 }
 
 // dumpSince returns the logins with Time in (since, now] that are not
@@ -81,7 +81,7 @@ func (r *loginLog) dumpSince(since, cutoff, now time.Time) Dump {
 	if r.unsorted {
 		var out []LoginEvent
 		all := r.windowLocked(0, n)
-		all.Each(func(ev LoginEvent) {
+		all.Each(func(ev LoginEvent, _ int) {
 			if inWindow(ev.Time, since, cutoff, now) {
 				out = append(out, ev)
 			}

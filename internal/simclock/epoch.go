@@ -97,7 +97,7 @@ type Epochs struct {
 	Observe    func(EpochStats)
 	Tune       func(EpochStats)
 
-	frontier []*Event // scratch, reused across epochs
+	frontier []entry // scratch, reused across epochs
 
 	// Segment scratch, all reused (see runSegment). items/offs form a CSR
 	// layout over seg indices: partition p's events are
@@ -111,7 +111,6 @@ type Epochs struct {
 	items  []int32
 	order  []int32
 	execs  []Exec
-	flush  []*Event
 
 	seg     segState
 	jobs    chan struct{}
@@ -127,7 +126,7 @@ type segState struct {
 	busy    atomic.Int64
 	wg      sync.WaitGroup
 	now     time.Time
-	seg     []*Event
+	seg     []entry
 	nparts  int
 	metered bool
 }
@@ -187,12 +186,12 @@ func (e *Epochs) segWork() {
 			t0 = time.Now()
 		}
 		for _, idx := range e.items[e.offs[p]:e.offs[p+1]] {
-			ev := ss.seg[idx]
+			fe := &ss.seg[idx]
 			x := &e.execs[idx]
-			x.s, x.now, x.seq = e.Sched, ss.now, ev.seq
+			x.s, x.now, x.seq = e.Sched, ss.now, fe.seq
 			x.buffered = true
 			x.deferred = x.deferred[:0]
-			ev.KFn(x)
+			fe.ev.kfn(x)
 		}
 		if metered {
 			ss.busy.Add(int64(time.Since(t0)))
@@ -217,14 +216,13 @@ func (e *Epochs) RunEpoch() int {
 		epochStart = time.Now()
 	}
 	for i := 0; i < len(frontier); {
-		ev := frontier[i]
-		if ev.KFn == nil || ev.Key == 0 {
-			s.fire(ev)
+		if !frontier[i].keyed() {
+			s.fire(frontier[i])
 			i++
 			continue
 		}
 		j := i + 1
-		for j < len(frontier) && frontier[j].KFn != nil && frontier[j].Key != 0 {
+		for j < len(frontier) && frontier[j].keyed() {
 			j++
 		}
 		e.runSegment(frontier[i:j], &st)
@@ -250,21 +248,20 @@ func (e *Epochs) RunEpoch() int {
 // Scheduler.RunUntil). It returns the number of events fired.
 func (e *Epochs) RunUntil(deadline time.Time) int {
 	n := 0
-	for {
-		at, ok := e.Sched.NextAt()
-		if !ok || at.After(deadline) {
-			break
-		}
+	s := e.Sched
+	end := entryAt(deadline)
+	for len(s.pq) > 0 && !s.pq[0].after(&end) {
 		n += e.RunEpoch()
 	}
-	e.Sched.clock.AdvanceTo(deadline)
+	s.trim()
+	s.clock.AdvanceTo(deadline)
 	return n
 }
 
 // runSegment executes one maximal run of keyed events: partition by key,
 // run partitions concurrently, re-sequence shared logs, then flush the
 // handlers' deferred scheduling in frontier order.
-func (e *Epochs) runSegment(seg []*Event, st *EpochStats) {
+func (e *Epochs) runSegment(seg []entry, st *EpochStats) {
 	st.Keyed += len(seg)
 	st.Segments++
 
@@ -275,8 +272,8 @@ func (e *Epochs) runSegment(seg []*Event, st *EpochStats) {
 	e.pids = growInt32(e.pids, n)
 	e.keys.reset(n)
 	nparts := 0
-	for i, ev := range seg {
-		pid, ok := e.keys.lookup(ev.Key, int32(nparts))
+	for i := range seg {
+		pid, ok := e.keys.lookup(seg[i].ev.key, int32(nparts))
 		if !ok {
 			nparts++
 		}
@@ -377,18 +374,16 @@ func (e *Epochs) runSegment(seg []*Event, st *EpochStats) {
 
 	// Deterministic flush: deferred events enter the queue in frontier
 	// order, reproducing the sequence numbers serial execution assigns.
-	// Gathering the whole segment's deferral into one batch lets the
-	// scheduler restore the heap in a single pass.
-	flush := e.flush[:0]
+	// The whole segment's deferral is appended before the heap is restored,
+	// so the scheduler restores it in a single pass.
+	base := len(e.Sched.pq)
 	for i := range seg {
 		x := &e.execs[i]
-		flush = append(flush, x.deferred...)
+		e.Sched.enqueue(x.deferred)
 		clear(x.deferred)
 		x.deferred = x.deferred[:0]
 	}
-	e.Sched.pushBatch(flush)
-	clear(flush)
-	e.flush = flush[:0]
+	e.Sched.pushBatch(base)
 }
 
 // growInt32 extends s to length n, reusing its backing array.

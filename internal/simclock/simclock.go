@@ -4,7 +4,7 @@
 // timeline execute in milliseconds while preserving event ordering.
 //
 // Two execution modes share one event queue. The serial mode (Step, Run,
-// RunUntil) fires events one at a time in (At, seq) order. The epoch mode
+// RunUntil) fires events one at a time in (time, seq) order. The epoch mode
 // (Epochs, in epoch.go) pops the whole frontier of events sharing the next
 // timestamp and executes conflict-free partitions of it concurrently while
 // producing bit-identical results — see epoch.go for the determinism
@@ -13,6 +13,7 @@ package simclock
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -59,27 +60,27 @@ func (c *Clock) AdvanceTo(t time.Time) {
 	}
 }
 
-// Event is a scheduled callback. Events with equal times fire in the order
+// event is a scheduled callback. Events with equal times fire in the order
 // they were scheduled.
 //
-// An event is either serial (Fn set) or keyed (KFn set, scheduled with
+// An event is either serial (fn set) or keyed (kfn set, scheduled with
 // AtKeyed/AfterKeyed). Serial events always run exclusively. Keyed events
 // carry a conflict key; the epoch executor may run keyed events with
 // different keys concurrently, while events sharing a key stay ordered.
-type Event struct {
-	At time.Time
-	Fn func(now time.Time)
-
-	// KFn is the keyed callback. It receives an execution context instead
+//
+// Its instant lives in its queue entry; the event keeps only the Location
+// it was scheduled in, so the clock reads the event's time as it was given
+// (a monotonic reading, meaningless on a virtual clock, is not kept).
+type event struct {
+	fn func(now time.Time)
+	// kfn is the keyed callback. It receives an execution context instead
 	// of a bare timestamp so that events it schedules are sequenced
 	// deterministically even when the handler runs inside a parallel epoch.
-	KFn func(*Exec)
-	// Key is the event's conflict key (see KeyFor). Key 0 means exclusive:
+	kfn func(*Exec)
+	// key is the event's conflict key (see KeyFor). Key 0 means exclusive:
 	// the event never runs concurrently with anything.
-	Key uint64
-
-	seq   uint64
-	index int
+	key uint64
+	loc *time.Location
 }
 
 // KeyFor maps an identifier (a site domain, an account email) onto one of
@@ -119,32 +120,36 @@ func (s *Scheduler) Clock() *Clock { return s.clock }
 // the tiebreak for equal times, so push must only ever run on the driver
 // goroutine — parallel epoch handlers defer their scheduling through Exec
 // buffers that the executor flushes in frontier order.
-func (s *Scheduler) push(ev *Event) *Event {
-	ev.seq = s.seq
+func (s *Scheduler) push(t time.Time, ev *event) {
+	e := entryFor(t, ev)
+	e.seq = s.seq
 	s.seq++
-	s.pq.push(ev)
-	return ev
+	s.pq.push(e)
 }
 
-// pushBatch assigns sequence numbers to evs in slice order and queues them
-// all. It is the bulk counterpart of push used by the epoch executor to
-// flush a segment's deferred scheduling: appending the batch first and then
-// restoring the heap in one pass beats len(evs) independent sift-ups once
-// the batch is a sizable fraction of the queue. The heap's internal layout
-// never affects observable order — (At, seq) is a strict total order — so
-// either restoration strategy yields identical runs.
-func (s *Scheduler) pushBatch(evs []*Event) {
-	if len(evs) == 0 {
+// enqueue assigns sequence numbers to es in slice order and appends them to
+// the queue's array; pushBatch then restores the heap.
+func (s *Scheduler) enqueue(es []entry) {
+	for _, e := range es {
+		e.seq = s.seq
+		s.seq++
+		s.pq = append(s.pq, e)
+	}
+}
+
+// pushBatch restores the heap over the entries enqueued since the queue
+// held base. It is the bulk counterpart of push used by the epoch executor
+// to flush a segment's deferred scheduling: appending the batch first and
+// then restoring the heap in one pass beats independent sift-ups once the
+// batch is a sizable fraction of the queue. The heap's internal layout
+// never affects observable order — (instant, seq) is a strict total order —
+// so either restoration strategy yields identical runs.
+func (s *Scheduler) pushBatch(base int) {
+	n := len(s.pq) - base
+	if n == 0 {
 		return
 	}
-	base := len(s.pq)
-	for _, ev := range evs {
-		ev.seq = s.seq
-		s.seq++
-		ev.index = len(s.pq)
-		s.pq = append(s.pq, ev)
-	}
-	if len(evs) >= base/4 {
+	if n >= base/4 {
 		// Bottom-up heapify: O(n+m) beats m sift-ups of O(log n) each.
 		for i := len(s.pq)/2 - 1; i >= 0; i-- {
 			s.pq.down(i)
@@ -156,58 +161,46 @@ func (s *Scheduler) pushBatch(evs []*Event) {
 	}
 }
 
-// popFrontier removes every event sharing the earliest pending timestamp
-// and appends them to dst in (At, seq) order — exactly the order repeated
+// popFrontier removes every event sharing the earliest pending instant and
+// appends them to dst in (instant, seq) order — exactly the order repeated
 // Step calls would have fired them. It returns the extended slice and the
-// frontier timestamp. dst's backing array is reused across epochs by the
-// caller.
-func (s *Scheduler) popFrontier(dst []*Event) ([]*Event, time.Time) {
+// frontier time, as its first event was scheduled at. dst's backing array
+// is reused across epochs by the caller.
+func (s *Scheduler) popFrontier(dst []entry) ([]entry, time.Time) {
 	if len(s.pq) == 0 {
 		return dst, time.Time{}
 	}
-	at := s.pq[0].At
-	for len(s.pq) > 0 && s.pq[0].At.Equal(at) {
+	first := len(dst)
+	sec, nsec := s.pq[0].sec, s.pq[0].nsec
+	for len(s.pq) > 0 && s.pq[0].sec == sec && s.pq[0].nsec == nsec {
 		dst = append(dst, s.pq.popMin())
 	}
-	return dst, at
+	return dst, dst[first].time()
 }
 
 // At schedules fn to run at t. Scheduling in the past is allowed (the event
 // fires immediately on the next Run step at the current clock time); this
 // mirrors how a backlog of provider login dumps is processed on arrival.
-func (s *Scheduler) At(t time.Time, fn func(now time.Time)) *Event {
-	return s.push(&Event{At: t, Fn: fn})
+func (s *Scheduler) At(t time.Time, fn func(now time.Time)) {
+	s.push(t, &event{fn: fn})
 }
 
 // After schedules fn to run d after the current virtual time.
-func (s *Scheduler) After(d time.Duration, fn func(now time.Time)) *Event {
-	return s.At(s.clock.Now().Add(d), fn)
+func (s *Scheduler) After(d time.Duration, fn func(now time.Time)) {
+	s.At(s.clock.Now().Add(d), fn)
 }
 
 // AtKeyed schedules a keyed event at t. Events with the same key are
 // guaranteed to run in schedule order even under the epoch executor;
 // events with different keys may run concurrently when their timestamps
 // coincide. Key 0 makes the event exclusive.
-func (s *Scheduler) AtKeyed(t time.Time, key uint64, fn func(*Exec)) *Event {
-	return s.push(&Event{At: t, KFn: fn, Key: key})
+func (s *Scheduler) AtKeyed(t time.Time, key uint64, fn func(*Exec)) {
+	s.push(t, &event{kfn: fn, key: key})
 }
 
 // AfterKeyed schedules a keyed event d after the current virtual time.
-func (s *Scheduler) AfterKeyed(d time.Duration, key uint64, fn func(*Exec)) *Event {
-	return s.AtKeyed(s.clock.Now().Add(d), key, fn)
-}
-
-// Cancel removes ev from the queue. Cancelling an already-fired or
-// already-cancelled event is a no-op and returns false. Events scheduled
-// from inside a parallel epoch handler are not cancellable until the epoch
-// that scheduled them has finished (they sit in the handler's deferred
-// buffer, not the queue).
-func (s *Scheduler) Cancel(ev *Event) bool {
-	if ev == nil || ev.index < 0 || ev.index >= len(s.pq) || s.pq[ev.index] != ev {
-		return false
-	}
-	s.pq.remove(ev.index)
-	return true
+func (s *Scheduler) AfterKeyed(d time.Duration, key uint64, fn func(*Exec)) {
+	s.AtKeyed(s.clock.Now().Add(d), key, fn)
 }
 
 // Len reports the number of pending events.
@@ -226,17 +219,17 @@ func (s *Scheduler) NextAt() (at time.Time, ok bool) {
 	if len(s.pq) == 0 {
 		return time.Time{}, false
 	}
-	return s.pq[0].At, true
+	return s.pq[0].time(), true
 }
 
-// fire invokes ev's callback at the current clock time. Keyed events get a
+// fire invokes e's callback at the current clock time. Keyed events get a
 // direct (unbuffered) Exec: outside an epoch there is nothing to defer for.
-func (s *Scheduler) fire(ev *Event) {
-	if ev.KFn != nil {
-		ev.KFn(&Exec{s: s, now: s.clock.Now(), seq: ev.seq})
+func (s *Scheduler) fire(e entry) {
+	if e.ev.kfn != nil {
+		e.ev.kfn(&Exec{s: s, now: s.clock.Now(), seq: e.seq})
 		return
 	}
-	ev.Fn(s.clock.Now())
+	e.ev.fn(s.clock.Now())
 }
 
 // Step fires the earliest pending event, advancing the clock to its time.
@@ -252,9 +245,9 @@ func (s *Scheduler) Step() bool {
 	if len(s.pq) == 0 {
 		return false
 	}
-	ev := s.pq.popMin()
-	s.clock.AdvanceTo(ev.At)
-	s.fire(ev)
+	e := s.pq.popMin()
+	s.clock.AdvanceTo(e.time())
+	s.fire(e)
 	return true
 }
 
@@ -271,12 +264,24 @@ func (s *Scheduler) Step() bool {
 // epoch budget in the driver. TestStarvationGuard pins the exact semantics.
 func (s *Scheduler) RunUntil(deadline time.Time) int {
 	n := 0
-	for len(s.pq) > 0 && !s.pq[0].At.After(deadline) {
+	end := entryAt(deadline)
+	for len(s.pq) > 0 && !s.pq[0].after(&end) {
 		s.Step()
 		n++
 	}
+	s.trim()
 	s.clock.AdvanceTo(deadline)
 	return n
+}
+
+// trim gives back the queue's array when under a quarter of it is in use,
+// as after a run drained a burst, so the burst's array does not stay live
+// for the rest of the process. Only the RunUntil loops trim, once per call:
+// an epoch that pops most of the queue and refills it never reallocates.
+func (s *Scheduler) trim() {
+	if len(s.pq) < cap(s.pq)/4 {
+		s.pq = slices.Clone(s.pq)
+	}
 }
 
 // Run fires all pending events, including ones scheduled by fired events.
@@ -308,7 +313,7 @@ type Exec struct {
 	now      time.Time
 	seq      uint64
 	buffered bool
-	deferred []*Event
+	deferred []entry
 }
 
 // Now returns the event's virtual time.
@@ -320,18 +325,19 @@ func (x *Exec) Now() time.Time { return x.now }
 func (x *Exec) Seq() uint64 { return x.seq }
 
 // add routes a newly scheduled event: buffered inside an epoch segment,
-// straight to the queue otherwise.
-func (x *Exec) add(ev *Event) {
+// with its sort key taken on the handler's goroutine, straight to the
+// queue otherwise.
+func (x *Exec) add(t time.Time, ev *event) {
 	if x.buffered {
-		x.deferred = append(x.deferred, ev)
+		x.deferred = append(x.deferred, entryFor(t, ev))
 		return
 	}
-	x.s.push(ev)
+	x.s.push(t, ev)
 }
 
 // At schedules a serial event at t.
 func (x *Exec) At(t time.Time, fn func(now time.Time)) {
-	x.add(&Event{At: t, Fn: fn})
+	x.add(t, &event{fn: fn})
 }
 
 // After schedules a serial event d after the event's own time.
@@ -341,7 +347,7 @@ func (x *Exec) After(d time.Duration, fn func(now time.Time)) {
 
 // AtKeyed schedules a keyed event at t.
 func (x *Exec) AtKeyed(t time.Time, key uint64, fn func(*Exec)) {
-	x.add(&Event{At: t, KFn: fn, Key: key})
+	x.add(t, &event{kfn: fn, key: key})
 }
 
 // AfterKeyed schedules a keyed event d after the event's own time.
@@ -349,97 +355,115 @@ func (x *Exec) AfterKeyed(d time.Duration, key uint64, fn func(*Exec)) {
 	x.AtKeyed(x.now.Add(d), key, fn)
 }
 
-// eventQueue is a min-heap over (At, seq). It implements the sift
+// entry is one queued event with its sort key inline: the event's instant
+// as Unix seconds and nanoseconds, which spans every time.Time and treats
+// one instant in any Location (or with a monotonic reading) as equal, and
+// its sequence number. The heap compares and moves entries without reading
+// the events they point to, so a sift touches only the queue's own array.
+type entry struct {
+	sec  int64
+	nsec int32
+	seq  uint64
+	ev   *event
+}
+
+// entryFor returns the entry of ev scheduled at t, its sequence number not
+// yet assigned, and records t's Location in ev.
+func entryFor(t time.Time, ev *event) entry {
+	ev.loc = t.Location()
+	e := entryAt(t)
+	e.ev = ev
+	return e
+}
+
+// entryAt returns an entry holding t's instant.
+func entryAt(t time.Time) entry {
+	return entry{sec: t.Unix(), nsec: int32(t.Nanosecond())}
+}
+
+// before orders entries by (instant, seq).
+func (e *entry) before(f *entry) bool {
+	if e.sec != f.sec {
+		return e.sec < f.sec
+	}
+	if e.nsec != f.nsec {
+		return e.nsec < f.nsec
+	}
+	return e.seq < f.seq
+}
+
+// keyed reports whether e's event may run in a parallel segment.
+func (e *entry) keyed() bool { return e.ev.kfn != nil && e.ev.key != 0 }
+
+// after reports whether e's instant is after f's.
+func (e *entry) after(f *entry) bool {
+	return e.sec > f.sec || e.sec == f.sec && e.nsec > f.nsec
+}
+
+// time returns the time the entry's event was scheduled at.
+func (e *entry) time() time.Time { return time.Unix(e.sec, int64(e.nsec)).In(e.ev.loc) }
+
+// eventQueue is a binary min-heap of entries. It implements the sift
 // operations directly rather than through container/heap: the queue is the
 // single hottest data structure in the simulator and the interface
 // indirection (plus the any boxing on Push/Pop) is measurable across the
-// millions of events a study schedules.
-type eventQueue []*Event
+// millions of events a study schedules. Sifts move a hole rather than
+// swapping, so each level writes one entry.
+type eventQueue []entry
 
-func (q eventQueue) less(i, j int) bool {
-	if !q[i].At.Equal(q[j].At) {
-		return q[i].At.Before(q[j].At)
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-// up restores the heap property for an element that may be smaller than its
-// ancestors (after insertion at i).
+// up restores the heap property for the entry at i, which may be smaller
+// than its ancestors (after insertion at i).
 func (q eventQueue) up(i int) {
+	e := q[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !e.before(&q[parent]) {
 			break
 		}
-		q.swap(i, parent)
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = e
 }
 
-// down restores the heap property for an element that may be larger than
-// its descendants. It reports whether the element moved.
-func (q eventQueue) down(i int) bool {
-	start := i
+// down restores the heap property for the entry at i, which may be larger
+// than its descendants.
+func (q eventQueue) down(i int) {
+	e := q[i]
 	n := len(q)
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && q.less(r, child) {
+		if r := child + 1; r < n && q[r].before(&q[child]) {
 			child = r
 		}
-		if !q.less(child, i) {
+		if !q[child].before(&e) {
 			break
 		}
-		q.swap(i, child)
+		q[i] = q[child]
 		i = child
 	}
-	return i > start
+	q[i] = e
 }
 
-// push inserts ev (seq already assigned) into the heap.
-func (q *eventQueue) push(ev *Event) {
-	ev.index = len(*q)
-	*q = append(*q, ev)
-	q.up(ev.index)
+// push inserts e (seq already assigned) into the heap.
+func (q *eventQueue) push(e entry) {
+	*q = append(*q, e)
+	q.up(len(*q) - 1)
 }
 
-// popMin removes and returns the minimum element.
-func (q *eventQueue) popMin() *Event {
+// popMin removes and returns the minimum entry.
+func (q *eventQueue) popMin() entry {
 	old := *q
-	ev := old[0]
+	min := old[0]
 	last := len(old) - 1
-	old.swap(0, last)
-	old[last] = nil
+	old[0] = old[last]
+	old[last] = entry{}
 	*q = old[:last]
 	if last > 0 {
 		(*q).down(0)
 	}
-	ev.index = -1
-	return ev
-}
-
-// remove deletes the element at index i (used by Cancel).
-func (q *eventQueue) remove(i int) {
-	old := *q
-	last := len(old) - 1
-	ev := old[i]
-	if i != last {
-		old.swap(i, last)
-	}
-	old[last] = nil
-	*q = old[:last]
-	if i != last {
-		if !(*q).down(i) {
-			(*q).up(i)
-		}
-	}
-	ev.index = -1
+	return min
 }

@@ -89,28 +89,40 @@ func TestSchedulerRunUntil(t *testing.T) {
 	}
 }
 
+// TestRunUntilTrimsDrainedQueue checks that both RunUntil loops give back
+// the array of a burst they drained, and keep the events still pending.
+func TestRunUntilTrimsDrainedQueue(t *testing.T) {
+	for _, epochs := range []bool{false, true} {
+		s := NewScheduler(New(t0))
+		for i := 0; i < 4096; i++ {
+			s.AtKeyed(t0.Add(time.Duration(i%64)*time.Minute), uint64(i%7+1), func(*Exec) {})
+		}
+		late := false
+		s.At(t0.Add(48*time.Hour), func(time.Time) { late = true })
+		deadline := t0.Add(24 * time.Hour)
+		if epochs {
+			ex := &Epochs{Sched: s, Workers: 2}
+			ex.RunUntil(deadline)
+			ex.Close()
+		} else {
+			s.RunUntil(deadline)
+		}
+		if s.Len() != 1 || cap(s.pq) > 4 {
+			t.Fatalf("epochs=%v: %d pending in an array of %d after the burst drained", epochs, s.Len(), cap(s.pq))
+		}
+		s.Run(10)
+		if !late {
+			t.Fatalf("epochs=%v: the pending event was lost by the trim", epochs)
+		}
+	}
+}
+
 func TestSchedulerRunUntilAdvancesToDeadlineWhenEmpty(t *testing.T) {
 	s := NewScheduler(New(t0))
 	deadline := t0.Add(24 * time.Hour)
 	s.RunUntil(deadline)
 	if !s.Clock().Now().Equal(deadline) {
 		t.Fatalf("clock at %v, want %v", s.Clock().Now(), deadline)
-	}
-}
-
-func TestSchedulerCancel(t *testing.T) {
-	s := NewScheduler(New(t0))
-	fired := false
-	ev := s.At(t0.Add(time.Hour), func(time.Time) { fired = true })
-	if !s.Cancel(ev) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if s.Cancel(ev) {
-		t.Fatal("Cancel returned true for already-cancelled event")
-	}
-	s.Run(10)
-	if fired {
-		t.Fatal("cancelled event fired")
 	}
 }
 
