@@ -41,7 +41,10 @@
 #   make bench-json  run the hot-path benchmarks and write BENCH_crawl.json
 #                    (ns/op, allocs/op, pages/s) with BENCH_baseline.json
 #                    embedded for before/after comparison
-#   make fuzz        a short fuzzing session on the crawler heuristics
+#   make fuzz        short fuzzing sessions: the crawler heuristics (30 s),
+#                    the event queue's order and the epoch engine's serial
+#                    equivalence (10 s each; simclock's leakcheck TestMain
+#                    must still pass after fuzzing)
 #   make metrics-doc-check  every registered metric name appears in DESIGN.md
 #   make bench-overhead     CPU-bound crawl batches with metrics on vs off,
 #                           alternating in one run; fails if the median
@@ -147,3 +150,5 @@ bench-compare: build
 
 fuzz:
 	$(GO) test -fuzz FuzzFieldHeuristics -fuzztime 30s ./internal/crawler/
+	$(GO) test -run XXX -fuzz FuzzSchedulerOrder -fuzztime 10s ./internal/simclock/
+	$(GO) test -run XXX -fuzz FuzzEpochEquivalence -fuzztime 10s ./internal/simclock/

@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tripwire/internal/emailprovider"
@@ -81,19 +80,6 @@ type CampaignConfig struct {
 	// exact jittered time). Rounding is ceiling-only so an aligned event
 	// never fires before the delay the model drew.
 	Align time.Duration
-	// AlignMax, when greater than Align, enables adaptive epoch widening:
-	// the campaign watches the shape of executed epochs (via
-	// Campaign.TuneEpoch, wired to simclock.Epochs.Tune) and doubles its
-	// scheduling grain — up to AlignMax — while keyed epochs stay narrower
-	// than AlignTargetWidth, narrowing back toward Align when they
-	// overshoot. The controller consumes only schedule-derived statistics,
-	// so the adaptive grain trajectory is identical at every worker count;
-	// AlignMax == Align (or zero) freezes the grain and is the determinism
-	// oracle for tests. Zero disables widening.
-	AlignMax time.Duration
-	// AlignTargetWidth is the keyed-epoch width the adaptive controller
-	// steers toward. Zero selects DefaultAlignTargetWidth.
-	AlignTargetWidth int
 	// End stops all scheduling; recurrences are not booked past it.
 	End time.Time
 	// SpamProb is the per-account probability the attacker eventually
@@ -157,15 +143,6 @@ type Campaign struct {
 	cracker  *Cracker
 	provider *emailprovider.Provider
 
-	// grain is the current scheduling grain in nanoseconds. Handlers read
-	// it concurrently inside epochs (align is called while scheduling
-	// follow-ups); the adaptive controller writes it only between epochs,
-	// on the driver goroutine.
-	grain atomic.Int64
-	// narrowStreak/wideStreak count consecutive keyed epochs outside the
-	// target width band; driver-goroutine only.
-	narrowStreak, wideStreak int
-
 	mu sync.Mutex
 	// breaches records exfil times per domain (ground truth for EXPERIMENTS).
 	breaches map[string]time.Time
@@ -179,7 +156,7 @@ type Campaign struct {
 
 // NewCampaign assembles an attacker.
 func NewCampaign(cfg CampaignConfig, sched *simclock.Scheduler, stuffer *Stuffer, provider *emailprovider.Provider) *Campaign {
-	c := &Campaign{
+	return &Campaign{
 		cfg:      cfg,
 		sched:    sched,
 		stuffer:  stuffer,
@@ -188,82 +165,12 @@ func NewCampaign(cfg CampaignConfig, sched *simclock.Scheduler, stuffer *Stuffer
 		breaches: make(map[string]time.Time),
 		dead:     make(map[string]bool),
 	}
-	c.grain.Store(int64(cfg.Align))
-	return c
 }
 
-// DefaultAlignTargetWidth is the keyed-epoch width the adaptive align
-// controller steers toward when CampaignConfig.AlignTargetWidth is unset.
-// Matching the 256 conflict-key shards keeps most shards populated per
-// epoch without folding so much of the timeline together that epochs
-// outgrow the worker pool's ability to hide straggler partitions.
-const DefaultAlignTargetWidth = 256
-
-// DefaultAlignMax is the grain cap callers conventionally pair with
-// adaptive widening (the timeline benchmark fixture uses it). Two weeks
-// keeps even the widest grain far below crack/resale delays, so widening
-// redistributes events within the stuffing phase rather than deforming the
-// campaign's macro timeline.
-const DefaultAlignMax = 14 * 24 * time.Hour
-
-// CurrentAlign returns the grain the campaign is currently scheduling on
-// (equal to cfg.Align unless adaptive widening moved it).
-func (c *Campaign) CurrentAlign() time.Duration {
-	return time.Duration(c.grain.Load())
-}
-
-// TuneEpoch is the adaptive widening controller; wire it to
-// simclock.Epochs.Tune. It inspects the deterministic shape of each
-// executed epoch and doubles the scheduling grain (capped at AlignMax)
-// after two consecutive keyed epochs narrower than half the target width,
-// halving it (floored at Align) after two consecutive epochs more than
-// twice the target. Epochs without keyed events (crawl waves, control
-// events) say nothing about stuffing density and are ignored.
-//
-// Determinism: the inputs (Width, Keyed) derive purely from the schedule,
-// the update runs between epochs on the driver goroutine, and handlers
-// only observe the grain through align — so every worker count sees the
-// identical grain trajectory. With AlignMax unset (or == Align) this is a
-// no-op and the campaign behaves exactly as the fixed-grain oracle.
-func (c *Campaign) TuneEpoch(st simclock.EpochStats) {
-	if c.cfg.AlignMax <= c.cfg.Align || c.cfg.Align <= 0 {
-		return
-	}
-	if st.Keyed == 0 {
-		return
-	}
-	target := c.cfg.AlignTargetWidth
-	if target <= 0 {
-		target = DefaultAlignTargetWidth
-	}
-	cur := time.Duration(c.grain.Load())
-	switch {
-	case st.Width < target/2 && cur < c.cfg.AlignMax:
-		c.narrowStreak++
-		c.wideStreak = 0
-		if c.narrowStreak >= 2 {
-			c.narrowStreak = 0
-			next := cur * 2
-			if next > c.cfg.AlignMax {
-				next = c.cfg.AlignMax
-			}
-			c.grain.Store(int64(next))
-		}
-	case st.Width > target*2 && cur > c.cfg.Align:
-		c.wideStreak++
-		c.narrowStreak = 0
-		if c.wideStreak >= 2 {
-			c.wideStreak = 0
-			next := cur / 2
-			if next < c.cfg.Align {
-				next = c.cfg.Align
-			}
-			c.grain.Store(int64(next))
-		}
-	default:
-		c.narrowStreak, c.wideStreak = 0, 0
-	}
-}
+// TuneEpoch does nothing: the attacker schedules on the fixed grain
+// CampaignConfig.Align. It stays only because bench/stuffing.go wires it
+// into simclock.Epochs.Tune.
+func (c *Campaign) TuneEpoch(simclock.EpochStats) {}
 
 // Breaches returns ground-truth exfil times by domain.
 func (c *Campaign) Breaches() map[string]time.Time {
@@ -276,11 +183,10 @@ func (c *Campaign) Breaches() map[string]time.Time {
 	return out
 }
 
-// align rounds t up to the campaign's current scheduling grain (no-op when
-// Align is unset, and for times already on the grain). The grain is
-// cfg.Align unless adaptive widening (AlignMax) has moved it.
+// align rounds t up to the grain cfg.Align (no-op when Align is unset, and
+// for times already on the grain).
 func (c *Campaign) align(t time.Time) time.Time {
-	a := time.Duration(c.grain.Load())
+	a := c.cfg.Align
 	if a <= 0 {
 		return t
 	}

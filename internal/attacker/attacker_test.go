@@ -236,15 +236,21 @@ func TestStufferPinnedIP(t *testing.T) {
 	}
 }
 
-// TestCampaignEndToEnd drives one breach through exfil, cracking, and
-// stuffing over virtual time and asserts the easy/hard asymmetry.
-// countingBackend accepts every login, recording how many goroutines were
-// running while it served each one.
-type countingBackend struct{ goroutines []int }
+// goroutineBackend accepts every login, recording the goroutine that
+// served each one.
+type goroutineBackend struct{ goroutines []string }
 
-func (b *countingBackend) Login(user, pass string, remote netip.Addr) (imap.Session, error) {
-	b.goroutines = append(b.goroutines, runtime.NumGoroutine())
+func (b *goroutineBackend) Login(user, pass string, remote netip.Addr) (imap.Session, error) {
+	b.goroutines = append(b.goroutines, goroutineHeader())
 	return oneMessage{}, nil
+}
+
+// goroutineHeader returns the calling goroutine's "goroutine N" header
+// from runtime.Stack.
+func goroutineHeader() string {
+	buf := make([]byte, 64)
+	header, _, _ := strings.Cut(string(buf[:runtime.Stack(buf, false)]), " [")
+	return header
 }
 
 type oneMessage struct{}
@@ -256,29 +262,31 @@ func (oneMessage) Fetch(int) (imap.Message, error) {
 func (oneMessage) Logout() error { return nil }
 
 // TestStufferStartsNoGoroutinePerLogin: the provider's half of a stuffed
-// login runs on the stuffer's own goroutine, over IMAP and POP3 alike.
+// login runs on the goroutine that called TryLogin, over IMAP and POP3
+// alike.
 func TestStufferStartsNoGoroutinePerLogin(t *testing.T) {
 	for _, viaPOP := range []bool{false, true} {
-		imapB, popB := &countingBackend{}, &countingBackend{}
+		imapB, popB := &goroutineBackend{}, &goroutineBackend{}
 		st := NewStuffer(imap.NewServer(imapB), NewProxyPool(geo.NewSpace(), 6, 0.1), func() time.Time { return t0 })
 		served := imapB
 		if viaPOP {
 			st.UsePOP(pop3.NewServer(popB), 1, 9)
 			served = popB
 		}
-		before := runtime.NumGoroutine()
 		if ok, _ := st.TryLogin(Credential{Email: "g@bigmail.test", Password: "pw"}, true); !ok {
 			t.Fatalf("pop=%v: login failed", viaPOP)
 		}
 		if len(imapB.goroutines)+len(popB.goroutines) != 1 || len(served.goroutines) != 1 {
 			t.Fatalf("pop=%v: IMAP served %d logins, POP3 %d", viaPOP, len(imapB.goroutines), len(popB.goroutines))
 		}
-		if got := served.goroutines[0]; got != before {
-			t.Fatalf("pop=%v: %d goroutines during Login, %d before TryLogin", viaPOP, got, before)
+		if got, want := served.goroutines[0], goroutineHeader(); got != want {
+			t.Fatalf("pop=%v: Login ran on %s, TryLogin on %s", viaPOP, got, want)
 		}
 	}
 }
 
+// TestCampaignEndToEnd drives one breach through exfil, cracking, and
+// stuffing over virtual time and asserts the easy/hard asymmetry.
 func TestCampaignEndToEnd(t *testing.T) {
 	clock := simclock.New(t0)
 	sched := simclock.NewScheduler(clock)

@@ -144,9 +144,6 @@ func (p *Provider) EndSegment() {
 // Freeze locks an account for suspicious activity.
 func (p *Provider) Freeze(email string) bool { return p.setState(email, Frozen) }
 
-// Deactivate shuts an account down for sending spam.
-func (p *Provider) Deactivate(email string) bool { return p.setState(email, Deactivated) }
-
 // ForceReset invalidates the password after recognized compromise.
 func (p *Provider) ForceReset(email string) bool { return p.setState(email, ResetForced) }
 
@@ -159,8 +156,6 @@ func (p *Provider) setState(email string, st State) bool {
 			switch st {
 			case Frozen:
 				p.Metrics.frozen.Inc()
-			case Deactivated:
-				p.Metrics.deactivated.Inc()
 			case ResetForced:
 				p.Metrics.forcedResets.Inc()
 			}

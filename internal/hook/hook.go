@@ -138,15 +138,6 @@ func NewDispatcher(rules []Rule, opts Options) *Dispatcher {
 	return d
 }
 
-// Rules returns the configured rules, in registration order.
-func (d *Dispatcher) Rules() []Rule {
-	out := make([]Rule, len(d.endpoints))
-	for i, e := range d.endpoints {
-		out[i] = e.rule
-	}
-	return out
-}
-
 // Dispatch enqueues body for every rule matching kind. It never blocks: a
 // full endpoint queue drops the delivery for that endpoint and counts it,
 // so a stuck subscriber costs its own events only.

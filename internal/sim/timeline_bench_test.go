@@ -36,9 +36,9 @@ const (
 
 // buildTimelineBench assembles the attacker-only fixture: provider,
 // stuffer, and a campaign with every domain breached in the first hours.
-// The 24h alignment grain packs independent accounts' visits onto shared
-// timestamps, and adaptive widening (wired through Epochs.Tune) then grows the grain until epochs are wide enough to
-// keep the whole worker pool busy.
+// The alignment grain packs independent accounts' visits onto shared
+// timestamps, so each stuffing epoch is wide enough to keep the worker
+// pool busy.
 func buildTimelineBench(workers int) (*simclock.Epochs, time.Time) {
 	start := date(2015, 6, 1)
 	end := start.Add(benchTimelineDays * 24 * time.Hour)
@@ -50,13 +50,8 @@ func buildTimelineBench(workers int) (*simclock.Epochs, time.Time) {
 	stuffer := attacker.NewStuffer(imap.NewServer(p), pool, clock.Now)
 	stuffer.Latency = benchTimelineLatency
 	cfg := attacker.DefaultCampaignConfig(end)
-	cfg.Align = 24 * time.Hour
-	cfg.AlignMax = attacker.DefaultAlignMax
-	// Steer wider than the pilot default: the fixture's bursty single-IP
-	// visits cost up to ~45 serial round trips each, and only epochs much
-	// wider than one burst keep that straggler cost amortized across the
-	// pool at 8-16 workers.
-	cfg.AlignTargetWidth = 1024
+	// Of the grains tried (1 h, 24 h, 7 d, 14 d), 14 d scaled best at 8 and 16 workers.
+	cfg.Align = 14 * 24 * time.Hour
 	camp := attacker.NewCampaign(cfg, sched, stuffer, p)
 
 	gen := identity.NewGenerator(ProviderDomain, 17)
@@ -77,7 +72,6 @@ func buildTimelineBench(workers int) (*simclock.Epochs, time.Time) {
 		Sched:      sched,
 		Workers:    workers,
 		Sequencers: []simclock.Sequencer{p, stuffer},
-		Tune:       camp.TuneEpoch,
 	}
 	return ep, end
 }

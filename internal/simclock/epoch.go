@@ -58,8 +58,8 @@ type Sequencer interface {
 	EndSegment()
 }
 
-// EpochStats describes one executed epoch; Epochs.Observe receives it
-// after the epoch completes. Busy and Elapsed are only measured when an
+// EpochStats describes one executed epoch, passed to Epochs.Observe and
+// Epochs.Tune after it completes. Busy and Elapsed are only measured when an
 // Observe hook is installed, so an unobserved run pays nothing for them.
 type EpochStats struct {
 	At         time.Time
@@ -80,11 +80,8 @@ type EpochStats struct {
 // statistics.
 //
 // Tune, when non-nil, receives the deterministic shape of every executed
-// epoch — the measured fields (Workers, Busy, Elapsed) are zeroed so a
-// feedback controller hanging off it cannot accidentally couple the
-// schedule to wall-clock timing or the worker count and break the
-// worker-count invariance contract. The attacker's adaptive align
-// controller is the intended consumer.
+// epoch: the measured fields (Workers, Busy, Elapsed) are zeroed, so a hook
+// that feeds back into the schedule cannot tie it to timing or worker count.
 //
 // The first parallel segment lazily starts Workers-1 helper goroutines
 // that persist for the lifetime of the Epochs; call Close when done with
