@@ -7,7 +7,7 @@
 #                    formatting), vet, race tests, an arm64 cross-build (the
 #                    strong hash's portable path), snapshot/browser-resolve/
 #                    crawler/epoch-equivalence/scheduler-order/strong-digest/
-#                    login-record fuzz corpora as seed tests,
+#                    login-record/cold-segment fuzz corpora as seed tests,
 #                    resume byte-identity smoke (workers grid incl. 8, the
 #                    stop checkpoint, a spill read failure failing the
 #                    checkpoint and the resume, streamed section digests
@@ -15,8 +15,9 @@
 #                    checkpoint golden, every subsystem's section
 #                    image moving under single mutations and only then,
 #                    login logs that seal alike whatever order they met
-#                    their accounts in, and a monitor fed dump views ending
-#                    where one fed the decoded dumps ends, under -race),
+#                    their accounts in, and a monitor fed a spilling
+#                    provider's dumps ending where a ledger lookup per login
+#                    ends, under -race),
 #                    the 16-worker invariance smoke over crawl waves and
 #                    timeline epochs (under -race), the inline-session conn
 #                    contract and IMAP/POP3 transcript tests under a 60 s
@@ -96,8 +97,8 @@ ci: build metrics-doc-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	GOARCH=arm64 $(GO) build ./...
-	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/ ./internal/browser/ ./internal/webgen/ ./internal/emailprovider/
-	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume|TestSpillFailureFailsCheckpoint|TestStreamedDigestsMatchImages|TestCheckpointSectionGolden|SectionTracksMutations|TestUniverseExportTracksMaterialization|TestSealIgnoresInternOrder|TestIngestMatchesDecodedDump' ./internal/sim/ . ./internal/core/ ./internal/emailprovider/ ./internal/attacker/ ./internal/webgen/
+	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/ ./internal/browser/ ./internal/webgen/ ./internal/emailprovider/ ./internal/loginrec/
+	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume|TestSpillFailureFailsCheckpoint|TestStreamedDigestsMatchImages|TestCheckpointSectionGolden|SectionTracksMutations|TestUniverseExportTracksMaterialization|TestSealIgnoresInternOrder|TestIngestMatchesLedgerAttribution' ./internal/sim/ . ./internal/core/ ./internal/emailprovider/ ./internal/loginrec/ ./internal/attacker/ ./internal/webgen/
 	$(GO) test -race -run 'TestTimelineWorkerInvariance/workers=16' ./internal/sim/
 	$(GO) test -race -timeout 60s ./internal/memconn/ ./internal/imap/ ./internal/pop3/
 	$(GO) test -race -count=10 -run 'TestConcurrentSessionsRecycleStorage|TestConcurrentAttemptsMatchSerial' ./internal/browser/ ./internal/crawler/

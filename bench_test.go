@@ -28,6 +28,7 @@ import (
 	"tripwire/internal/identity"
 	"tripwire/internal/report"
 	"tripwire/internal/sim"
+	"tripwire/internal/simclock"
 	"tripwire/internal/webgen"
 )
 
@@ -257,19 +258,27 @@ func BenchmarkAblationPasswordPairing(b *testing.B) {
 		ledger := core.NewLedger()
 		gen := identity.NewGenerator("bigmail.test", 31)
 		t0 := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
+		clock := simclock.New(t0)
+		provider := emailprovider.New("bigmail.test")
+		provider.Now = clock.Now
 		classes := []identity.PasswordClass{identity.Easy}
 		if withHard {
 			classes = append(classes, identity.Hard)
 		}
-		var logins []string
 		for _, cl := range classes {
 			id := gen.New(cl)
 			ledger.AddIdentity(id)
 			ledger.Burn(id, "v.test", 1, "X", t0, crawler.CodeOKSubmission, false)
-			logins = append(logins, id.Email)
+			if err := provider.CreateAccount(id.Email, id.FullName(), id.Password); err != nil {
+				b.Fatal(err)
+			}
+			clock.Advance(time.Hour)
+			if _, err := provider.Login(id.Email, id.Password, netip.MustParseAddr("198.51.100.20")); err != nil {
+				b.Fatal(err)
+			}
 		}
 		m := core.NewMonitor(ledger, t0)
-		m.Ingest(emailprovider.DumpOf(loginEventsFor(logins, t0)))
+		m.Ingest(provider.DumpSince(t0))
 		det, _ := m.Detection("v.test")
 		return m.Classify(det)
 	}
@@ -282,18 +291,6 @@ func BenchmarkAblationPasswordPairing(b *testing.B) {
 			b.Fatalf("easy-only registration: %v, want indeterminate", got)
 		}
 	}
-}
-
-// loginEventsFor builds one IMAP login event per account, an hour apart.
-func loginEventsFor(accounts []string, t0 time.Time) []emailprovider.LoginEvent {
-	ip := netip.MustParseAddr("198.51.100.20")
-	out := make([]emailprovider.LoginEvent, 0, len(accounts))
-	for i, a := range accounts {
-		out = append(out, emailprovider.LoginEvent{
-			Account: a, Time: t0.Add(time.Duration(i+1) * time.Hour), IP: ip, Method: "IMAP",
-		})
-	}
-	return out
 }
 
 // BenchmarkCrawlerSingleSite measures one full registration attempt against

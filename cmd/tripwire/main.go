@@ -31,7 +31,7 @@
 // identical to an uninterrupted run. Resume replays from the start, so it
 // costs what rerunning the prefix costs. -scale and -seed are taken from
 // the snapshot when resuming; -workers, -checkpoint-dir and the metrics
-// flags still apply.
+// flags, which the snapshot does not record, apply as given.
 //
 // Profiles: -cpuprofile records the whole run, setup through the printed
 // report, and -memprofile writes a heap profile (live and allocated

@@ -2,11 +2,9 @@ package attacker
 
 import (
 	"net/netip"
-	"strings"
 	"sync"
 	"time"
 
-	"tripwire/internal/chunklog"
 	"tripwire/internal/geo"
 	"tripwire/internal/imap"
 	"tripwire/internal/loginrec"
@@ -108,45 +106,21 @@ type Stuffer struct {
 	Latency time.Duration
 
 	mu sync.Mutex
-	// records is the attempt log: 24-byte records with no pointers, each
-	// tagged 1 for a success and naming its account by an index into
-	// accounts, its exit address inline or by an index into addrs.
-	records chunklog.Log[loginrec.Record]
-	marked  int // records index saved by BeginSegment
-	// accounts holds each account the stuffer has touched once, at the id
-	// ids gives it, with its deterministic draw counter. Ids follow first
-	// use, which inside a parallel segment is goroutine order, so nothing
-	// orders or encodes by id.
-	ids      map[string]uint32
-	accounts []stuffedAccount
-	addrs    loginrec.Addrs
+	// log is the attempt log: 24-byte records with no pointers, each
+	// tagged 1 for a success. Its name table holds each account the
+	// stuffer has touched, keyed by address, and draws[id] is that
+	// account's deterministic draw counter (0 until its first draw).
+	log   loginrec.Log
+	draws []uint64
 
 	pop     *pop3.Server
 	popFrac float64
 	popSeed int64
 }
 
-// stuffedAccount is one account in the stuffer's table.
-type stuffedAccount struct {
-	email string
-	draws uint64 // draws so far; 0 until the account's first draw
-}
-
 // NewStuffer returns a stuffing engine against server.
 func NewStuffer(server *imap.Server, pool *ProxyPool, now func() time.Time) *Stuffer {
-	return &Stuffer{Server: server, Pool: pool, Now: now, ids: make(map[string]uint32)}
-}
-
-// idLocked returns email's id, adding it to the account table at its
-// first use. Caller holds mu.
-func (s *Stuffer) idLocked(email string) uint32 {
-	id, ok := s.ids[email]
-	if !ok {
-		id = uint32(len(s.accounts))
-		s.accounts = append(s.accounts, stuffedAccount{email: email})
-		s.ids[email] = id
-	}
-	return id
+	return &Stuffer{Server: server, Pool: pool, Now: now}
 }
 
 // UsePOP routes frac of future logins through the given POP3 server, the
@@ -165,11 +139,13 @@ func (s *Stuffer) UsePOP(server *pop3.Server, frac float64, seed int64) {
 // function of (seed, email, how many draws came before).
 func (s *Stuffer) nextDraw(email string) uint64 {
 	s.mu.Lock()
-	a := &s.accounts[s.idLocked(email)]
-	n := a.draws
-	a.draws++
-	s.mu.Unlock()
-	return n
+	defer s.mu.Unlock()
+	id := s.log.Intern(email, "")
+	for len(s.draws) <= int(id) {
+		s.draws = append(s.draws, 0)
+	}
+	s.draws[id]++
+	return s.draws[id] - 1
 }
 
 // pickPOP returns the POP3 server when this login of email goes over POP3,
@@ -195,23 +171,18 @@ func (s *Stuffer) LeaseIP(email string) netip.Addr {
 }
 
 // BeginSegment / EndSegment implement simclock.Sequencer for the
-// attacker-side record log, mirroring the provider's login log: records
-// appended during one parallel segment all share a timestamp, so a stable
-// per-segment sort by account address, never by id, erases goroutine
-// interleaving.
+// attacker-side record log, as the provider's login log does (see
+// loginrec.Log's Mark and Seal).
 func (s *Stuffer) BeginSegment() {
 	s.mu.Lock()
-	s.marked = s.records.Len()
+	s.log.Mark()
 	s.mu.Unlock()
 }
 
-// EndSegment closes the segment opened by BeginSegment, re-sequencing it
-// across chunk boundaries when it spans one.
+// EndSegment closes the segment opened by BeginSegment.
 func (s *Stuffer) EndSegment() {
 	s.mu.Lock()
-	s.records.SortStableFrom(s.marked, func(a, b *loginrec.Record) int {
-		return strings.Compare(s.accounts[a.Account].email, s.accounts[b.Account].email)
-	})
+	s.log.Seal()
 	s.mu.Unlock()
 }
 
@@ -241,8 +212,7 @@ func (s *Stuffer) record(email string, ip netip.Addr, ok bool) {
 		success = 1
 	}
 	s.mu.Lock()
-	id := s.idLocked(email)
-	s.records.Append(loginrec.Record{Login: s.addrs.Pack(s.Now(), ip, success), Account: id})
+	s.log.Append(s.log.Intern(email, ""), s.Now(), ip, success)
 	s.mu.Unlock()
 	s.Metrics.attempt(ok)
 }
@@ -323,15 +293,14 @@ func (b *bot) collectPOP(cred Credential, siphon bool) bool {
 func (s *Stuffer) Records() []LoginRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.records.Len()
-	out := make([]LoginRecord, n)
+	out := make([]LoginRecord, s.log.Len())
 	for i := range out {
-		out[i] = s.recordLocked(s.records.At(i))
+		out[i] = s.recordLocked(s.log.At(i))
 	}
 	return out
 }
 
 // recordLocked decodes one attempt. Caller holds mu.
 func (s *Stuffer) recordLocked(r *loginrec.Record) LoginRecord {
-	return LoginRecord{Email: s.accounts[r.Account].email, Time: r.Time(), IP: r.IP(s.addrs.List()), Success: r.Tag != 0}
+	return LoginRecord{Email: s.log.Name(r.Account), Time: r.Time(), IP: r.IP(s.log.Addrs()), Success: r.Tag != 0}
 }

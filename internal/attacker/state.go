@@ -35,25 +35,25 @@ func (c *Campaign) EncodeSection(e *snapshot.Encoder) {
 	s := c.stuffer
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.records.Len()
+	n := s.log.Len()
 	e.Uint(uint64(n))
 	for i := 0; i < n; i++ {
-		r := s.recordLocked(s.records.At(i))
+		r := s.recordLocked(s.log.At(i))
 		e.String(r.Email)
 		e.Time(r.Time)
 		e.Blob(r.IP.AsSlice())
 		e.Bool(r.Success)
 	}
-	var drawn []stuffedAccount
-	for _, a := range s.accounts {
-		if a.draws > 0 {
-			drawn = append(drawn, a)
+	var drawn []uint32
+	for id, n := range s.draws {
+		if n > 0 {
+			drawn = append(drawn, uint32(id))
 		}
 	}
-	slices.SortFunc(drawn, func(a, b stuffedAccount) int { return strings.Compare(a.email, b.email) })
+	slices.SortFunc(drawn, func(a, b uint32) int { return strings.Compare(s.log.Name(a), s.log.Name(b)) })
 	e.Uint(uint64(len(drawn)))
-	for _, a := range drawn {
-		e.String(a.email)
-		e.Uint(a.draws)
+	for _, id := range drawn {
+		e.String(s.log.Name(id))
+		e.Uint(s.draws[id])
 	}
 }

@@ -120,21 +120,26 @@ func TestControlsNeverTripProperty(t *testing.T) {
 	t.Parallel()
 	property := func(seed int64, nEvents uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		l := NewLedger()
+		w := newIngestWorld()
+		l := w.l
 		g := identity.NewGenerator("bigmail.test", seed)
 		m := NewMonitor(l, t0)
 
 		var controls []*identity.Identity
 		for i := 0; i < 5; i++ {
-			id := g.New(identity.Hard)
+			id := w.account(t, g.New(identity.Hard))
 			l.AddControl(id)
 			controls = append(controls, id)
 		}
 		var pool []*identity.Identity
 		for i := 0; i < 20; i++ {
-			id := g.New(identity.Hard)
+			id := w.account(t, g.New(identity.Hard))
 			l.AddIdentity(id)
 			pool = append(pool, id)
+		}
+		var strangers []*identity.Identity // at the provider, unknown to the ledger
+		for i := 0; i < 10; i++ {
+			strangers = append(strangers, w.account(t, g.New(identity.Easy)))
 		}
 
 		// Crawl waves burn identities while the attacker's dump is being
@@ -153,36 +158,37 @@ func TestControlsNeverTripProperty(t *testing.T) {
 
 		// Arbitrary attacker schedule: logins against control accounts,
 		// honeypot pool accounts, and unknown accounts, in any order, from
-		// any IP, expected or not.
-		events := make([]emailprovider.LoginEvent, 0, nEvents)
+		// any IP, expected or not, split into two dumps.
+		var dumps []emailprovider.Dump
+		since := w.now
 		for i := 0; i < int(nEvents); i++ {
-			var account string
+			var id *identity.Identity
 			switch rng.Intn(3) {
 			case 0:
-				account = controls[rng.Intn(len(controls))].Email
+				id = controls[rng.Intn(len(controls))]
 			case 1:
-				account = pool[rng.Intn(len(pool))].Email
+				id = pool[rng.Intn(len(pool))]
 			default:
-				account = fmt.Sprintf("stranger%d@bigmail.test", rng.Intn(50))
+				id = strangers[rng.Intn(len(strangers))]
 			}
 			if rng.Intn(2) == 0 {
-				m.ExpectControlLogin(account) // expectation must not matter
+				m.ExpectControlLogin(id.Email) // expectation must not matter
 			}
-			events = append(events, emailprovider.LoginEvent{
-				Account: account,
-				Time:    t0.Add(time.Duration(rng.Intn(10000)) * time.Minute),
-				IP:      netip.AddrFrom4([4]byte{10, byte(rng.Intn(256)), byte(rng.Intn(256)), 1}),
-				Method:  []string{"IMAP", "POP3", "WEB"}[rng.Intn(3)],
-			})
+			w.now = w.now.Add(time.Duration(1+rng.Intn(100)) * time.Minute)
+			w.login(t, id, []string{"IMAP", "POP3", "WEB"}[rng.Intn(3)], netip.AddrFrom4([4]byte{10, byte(rng.Intn(256)), byte(rng.Intn(256)), 1}))
+			if i == int(nEvents)/2 {
+				dumps = append(dumps, w.p.DumpSince(since))
+				since = w.now
+			}
 		}
-		// Ingest in two concurrent halves like overlapping dump deliveries.
-		half := len(events) / 2
+		dumps = append(dumps, w.p.DumpSince(since))
+		// Ingest the dumps concurrently, like overlapping dump deliveries.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m.Ingest(emailprovider.DumpOf(events[:half]))
+			m.Ingest(dumps[0])
 		}()
-		m.Ingest(emailprovider.DumpOf(events[half:]))
+		m.Ingest(dumps[len(dumps)-1])
 		wg.Wait()
 
 		isControl := func(email string) bool {

@@ -182,22 +182,18 @@ func TestNoteEmailUpgrades(t *testing.T) {
 	}
 }
 
-func ev(account string, at time.Time) emailprovider.LoginEvent {
-	return emailprovider.LoginEvent{Account: account, Time: at, IP: someIP, Method: "IMAP"}
-}
-
 func TestMonitorDetection(t *testing.T) {
-	l := NewLedger()
-	g := newGen()
-	hard := g.New(identity.Hard)
-	easy := g.New(identity.Easy)
+	w := newIngestWorld()
+	l, g := w.l, newGen()
+	hard := w.account(t, g.New(identity.Hard))
+	easy := w.account(t, g.New(identity.Easy))
 	l.AddIdentity(hard)
 	l.AddIdentity(easy)
 	l.Burn(hard, "victim.test", 42, "Gaming", t0, crawler.CodeOKSubmission, false)
 	l.Burn(easy, "victim.test", 42, "Gaming", t0, crawler.CodeOKSubmission, false)
 
 	m := NewMonitor(l, t0)
-	newly := m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(easy.Email, t0.Add(100*24*time.Hour))}))
+	newly := m.Ingest(w.dumpOf(t, easy))
 	if len(newly) != 1 || newly[0] != "victim.test" {
 		t.Fatalf("newly = %v", newly)
 	}
@@ -216,7 +212,7 @@ func TestMonitorDetection(t *testing.T) {
 	}
 
 	// Hard account access upgrades the classification.
-	newly = m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(hard.Email, t0.Add(120*24*time.Hour))}))
+	newly = m.Ingest(w.dumpOf(t, hard))
 	if len(newly) != 0 {
 		t.Fatalf("same site re-reported as new: %v", newly)
 	}
@@ -230,12 +226,12 @@ func TestMonitorDetection(t *testing.T) {
 }
 
 func TestMonitorIndeterminateClass(t *testing.T) {
-	l := NewLedger()
-	easy := newGen().New(identity.Easy)
-	l.AddIdentity(easy)
-	l.Burn(easy, "p.test", 400, "Adult", t0, crawler.CodeOKSubmission, false)
-	m := NewMonitor(l, t0)
-	m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(easy.Email, t0.Add(time.Hour))}))
+	w := newIngestWorld()
+	easy := w.account(t, newGen().New(identity.Easy))
+	w.l.AddIdentity(easy)
+	w.l.Burn(easy, "p.test", 400, "Adult", t0, crawler.CodeOKSubmission, false)
+	m := NewMonitor(w.l, t0)
+	m.Ingest(w.dumpOf(t, easy))
 	det, _ := m.Detection("p.test")
 	if m.Classify(det) != BreachIndeterminate {
 		t.Fatalf("classify = %v (no hard account registered: site P case)", m.Classify(det))
@@ -243,11 +239,11 @@ func TestMonitorIndeterminateClass(t *testing.T) {
 }
 
 func TestMonitorIntegrityAlarms(t *testing.T) {
-	l := NewLedger()
-	unused := newGen().New(identity.Hard)
-	l.AddIdentity(unused) // provisioned but never burned
-	m := NewMonitor(l, t0)
-	m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(unused.Email, t0.Add(time.Hour))}))
+	w := newIngestWorld()
+	unused := w.account(t, newGen().New(identity.Hard))
+	w.l.AddIdentity(unused) // provisioned but never burned
+	m := NewMonitor(w.l, t0)
+	m.Ingest(w.dumpOf(t, unused))
 	alarms := m.Alarms()
 	if len(alarms) != 1 {
 		t.Fatalf("alarms = %v", alarms)
@@ -261,12 +257,12 @@ func TestMonitorIntegrityAlarms(t *testing.T) {
 }
 
 func TestMonitorControlLogins(t *testing.T) {
-	l := NewLedger()
-	ctrl := newGen().New(identity.Hard)
-	l.AddControl(ctrl)
-	m := NewMonitor(l, t0)
+	w := newIngestWorld()
+	ctrl := w.account(t, newGen().New(identity.Hard))
+	w.l.AddControl(ctrl)
+	m := NewMonitor(w.l, t0)
 	m.ExpectControlLogin(ctrl.Email)
-	m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{{Account: ctrl.Email, Time: t0.Add(time.Hour), IP: someIP, Method: "WEB"}}))
+	m.Ingest(w.dumpOf(t, ctrl))
 	if len(m.Alarms()) != 0 {
 		t.Fatal("control login raised an alarm")
 	}
@@ -276,22 +272,21 @@ func TestMonitorControlLogins(t *testing.T) {
 }
 
 func TestDetectionsOrderedByFirstSeen(t *testing.T) {
-	l := NewLedger()
+	w := newIngestWorld()
 	g := newGen()
-	var emails []string
+	var ids []*identity.Identity
 	for i := 0; i < 3; i++ {
-		id := g.New(identity.Easy)
-		l.AddIdentity(id)
-		l.Burn(id, "s"+string(rune('a'+i))+".test", i+1, "X", t0, crawler.CodeOKSubmission, false)
-		emails = append(emails, id.Email)
+		id := w.account(t, g.New(identity.Easy))
+		w.l.AddIdentity(id)
+		w.l.Burn(id, "s"+string(rune('a'+i))+".test", i+1, "X", t0, crawler.CodeOKSubmission, false)
+		ids = append(ids, id)
 	}
-	m := NewMonitor(l, t0)
-	// Ingest out of order: site c first by time but last in the slice.
-	m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{
-		ev(emails[1], t0.Add(48*time.Hour)),
-		ev(emails[0], t0.Add(72*time.Hour)),
-		ev(emails[2], t0.Add(24*time.Hour)),
-	}))
+	m := NewMonitor(w.l, t0)
+	// Site c logs in first, but its dump is ingested last.
+	early := w.dumpOf(t, ids[2])
+	late := w.dumpOf(t, ids[1], ids[0])
+	m.Ingest(late)
+	m.Ingest(early)
 	dets := m.Detections()
 	if len(dets) != 3 {
 		t.Fatalf("detections = %d", len(dets))
@@ -320,34 +315,47 @@ func TestStatusStrings(t *testing.T) {
 // ingested — every address form and access method, in ingest order — on
 // the detection and on a clone that later ingests leave unchanged.
 func TestDetectionLoginsMatchIngested(t *testing.T) {
-	l := NewLedger()
+	w := newIngestWorld()
 	g := newGen()
-	a, b := g.New(identity.Easy), g.New(identity.Hard)
+	a, b := w.account(t, g.New(identity.Easy)), w.account(t, g.New(identity.Hard))
 	for _, id := range []*identity.Identity{a, b} {
-		l.AddIdentity(id)
-		l.Burn(id, "v.test", 1, "X", t0, crawler.CodeOKSubmission, false)
+		w.l.AddIdentity(id)
+		w.l.Burn(id, "v.test", 1, "X", t0, crawler.CodeOKSubmission, false)
 	}
 	at := func(h int) time.Time { return t0.Add(time.Duration(h) * time.Hour) }
+	type login struct {
+		id     *identity.Identity
+		h      int
+		ip     netip.Addr
+		method string
+	}
+	ingest := func(m *Monitor, logins ...login) {
+		since := w.now
+		for _, l := range logins {
+			w.now = at(l.h)
+			w.login(t, l.id, l.method, l.ip)
+		}
+		m.Ingest(w.p.DumpSince(since))
+	}
 	want := map[string][]emailprovider.LoginEvent{
 		a.Email: {
 			{Account: a.Email, Time: at(1), IP: netip.MustParseAddr("203.0.113.9"), Method: "IMAP"},
 			{Account: a.Email, Time: at(2), IP: netip.MustParseAddr("::ffff:203.0.113.9"), Method: "POP3"},
-			{Account: a.Email, Time: at(2), IP: netip.MustParseAddr("fe80::1%eth0"), Method: "WEB"},
+			{Account: a.Email, Time: at(4), IP: netip.MustParseAddr("fe80::1%eth0"), Method: "WEB"},
 		},
 		b.Email: {
-			{Account: b.Email, Time: at(3), IP: netip.MustParseAddr("2001:db8::1"), Method: "SMTP"},
+			{Account: b.Email, Time: at(3), IP: netip.MustParseAddr("2001:db8::1"), Method: "WEB"},
 			{Account: b.Email, Time: at(4), IP: netip.Addr{}, Method: "IMAP"},
 			{Account: b.Email, Time: at(5), IP: netip.MustParseAddr("2001:db8::1"), Method: "POP3"},
 		},
 	}
-	m := NewMonitor(l, t0)
-	m.Ingest(emailprovider.DumpOf(append(slices.Clone(want[a.Email][:2]), want[b.Email][0])))
-	m.Ingest(emailprovider.DumpOf(append(slices.Clone(want[b.Email][1:]), want[a.Email][2])))
+	m := NewMonitor(w.l, t0)
+	as, bs := want[a.Email], want[b.Email]
+	ingest(m, login{a, 1, as[0].IP, "IMAP"}, login{a, 2, as[1].IP, "POP3"}, login{b, 3, bs[0].IP, "WEB"})
+	ingest(m, login{b, 4, bs[1].IP, "IMAP"}, login{a, 4, as[2].IP, "WEB"}, login{b, 5, bs[2].IP, "POP3"})
 	det, _ := m.Detection("v.test")
 	clone := det.Clone()
-	m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{
-		{Account: a.Email, Time: at(6), IP: netip.MustParseAddr("2001:db8::9"), Method: "FTP"},
-	}))
+	ingest(m, login{a, 6, netip.MustParseAddr("2001:db8::9"), "IMAP"})
 	for name, d := range map[string]*Detection{"detection": det, "clone": clone} {
 		if got := d.Accounts(); !slices.Equal(got, []string{a.Email, b.Email}) && !slices.Equal(got, []string{b.Email, a.Email}) {
 			t.Fatalf("%s accounts %v", name, got)

@@ -1,17 +1,17 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"net/netip"
-	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"tripwire/internal/crawler"
 	"tripwire/internal/emailprovider"
 	"tripwire/internal/identity"
+	"tripwire/internal/snapshot"
 )
 
 // ingestWorld is a provider and a ledger over the same accounts, with a
@@ -54,21 +54,118 @@ func (w *ingestWorld) login(t testing.TB, id *identity.Identity, method string, 
 	}
 }
 
-// TestIngestMatchesDecodedDump: a monitor fed the provider's dump views,
-// whose resident logins carry account ids and whose cold-tier logins do
-// not, ends exactly where a monitor fed the same dumps fully decoded
-// (DumpOf) ends — the decoded monitor resolves every account afresh each
-// dump, so any resolution the id cache reuses inexactly shows. The
-// provider spills its log, so every dump reads the cold tier too. The
-// logins reach control accounts, a never-registered account, an unused
-// honeypot, hard and easy accounts, and a site whose detection starts in
-// the middle of a dump. Between two dumps the honeypot is burned (its
-// alarms must stop), and between two others an account already attributed
-// to a site becomes a control (its logins must count as control logins
-// from then on).
-func TestIngestMatchesDecodedDump(t *testing.T) {
+// dumpOf logs each id in over IMAP from someIP, an hour apart, and returns
+// the provider's dump of those logins.
+func (w *ingestWorld) dumpOf(t testing.TB, ids ...*identity.Identity) emailprovider.Dump {
+	t.Helper()
+	since := w.now
+	for _, id := range ids {
+		w.now = w.now.Add(time.Hour)
+		w.login(t, id, "IMAP", someIP)
+	}
+	return w.p.DumpSince(since)
+}
+
+// attribution is what Ingest must conclude from a run of dumps, worked out
+// in the simplest way: each login looked up against the ledger as it
+// stands when its dump is ingested, with nothing cached.
+type attribution struct {
+	newly       [][]string // per dump, the sites it detected first
+	order       []string   // sites in first-detection order
+	logins      map[string]map[string][]emailprovider.LoginEvent
+	first, last map[string]time.Time
+	hard        map[string]bool
+	alarms      []IntegrityAlarm
+	controls    int
+}
+
+func newAttribution() *attribution {
+	return &attribution{
+		logins: map[string]map[string][]emailprovider.LoginEvent{},
+		first:  map[string]time.Time{}, last: map[string]time.Time{}, hard: map[string]bool{},
+	}
+}
+
+func (a *attribution) ingest(l *Ledger, dump emailprovider.Dump) {
+	var newly []string
+	for _, ev := range dump.Events() {
+		email := strings.ToLower(ev.Account)
+		reg, registered := l.Lookup(email)
+		switch {
+		case l.IsControl(email):
+			a.controls++
+		case registered:
+			site := reg.Domain
+			if a.logins[site] == nil {
+				a.logins[site] = map[string][]emailprovider.LoginEvent{}
+				a.first[site], a.last[site] = ev.Time, ev.Time
+				a.order = append(a.order, site)
+				newly = append(newly, site)
+			}
+			if ev.Time.Before(a.first[site]) {
+				a.first[site] = ev.Time
+			}
+			if ev.Time.After(a.last[site]) {
+				a.last[site] = ev.Time
+			}
+			a.hard[site] = a.hard[site] || reg.Identity.Class == identity.Hard
+			a.logins[site][email] = append(a.logins[site][email], ev)
+		case l.IsUnused(email):
+			a.alarms = append(a.alarms, IntegrityAlarm{Event: ev, Reason: "login to unused honeypot account (provider or Tripwire database compromise?)"})
+		default:
+			a.alarms = append(a.alarms, IntegrityAlarm{Event: ev, Reason: "login to account never registered at any site"})
+		}
+	}
+	a.newly = append(a.newly, newly)
+}
+
+// check requires m to have concluded exactly what a did.
+func (a *attribution) check(t *testing.T, m *Monitor, l *Ledger) {
+	t.Helper()
+	dets := m.Detections()
+	if len(dets) != len(a.order) {
+		t.Fatalf("%d detections, the ledger attributes logins to %d sites", len(dets), len(a.order))
+	}
+	for _, det := range dets {
+		site := det.Domain
+		regs := l.SiteRegistrations(site)
+		if len(regs) == 0 || det.Rank != regs[0].Rank || det.Category != regs[0].Category ||
+			!det.FirstSeen.Equal(a.first[site]) || !det.LastSeen.Equal(a.last[site]) || det.HardAccessed != a.hard[site] ||
+			det.AccountsRegistered != len(regs) || det.AccountsAccessed != len(a.logins[site]) {
+			t.Errorf("detection %s: rank %d %s, %v..%v hard=%v, %d of %d accessed; want %v..%v hard=%v, %d of %d",
+				site, det.Rank, det.Category, det.FirstSeen, det.LastSeen, det.HardAccessed, det.AccountsAccessed, det.AccountsRegistered,
+				a.first[site], a.last[site], a.hard[site], len(a.logins[site]), len(regs))
+		}
+		if want := snapshot.SortedKeys(a.logins[site]); !slices.Equal(det.Accounts(), want) {
+			t.Fatalf("%s accounts %v, want %v", site, det.Accounts(), want)
+		}
+		for acct, want := range a.logins[site] {
+			if got := det.Logins(acct); !slices.Equal(got, want) {
+				t.Errorf("%s logins of %s:\n got %v\nwant %v", site, acct, got, want)
+			}
+		}
+	}
+	if got := m.Alarms(); !slices.Equal(got, a.alarms) {
+		t.Errorf("alarms %v, want %v", got, a.alarms)
+	}
+	if got := m.ControlLoginsSeen(); got != a.controls {
+		t.Errorf("ControlLoginsSeen %d, want %d", got, a.controls)
+	}
+}
+
+// TestIngestMatchesLedgerAttribution: a monitor fed a provider's dumps
+// ends exactly where attributing each login by a ledger lookup ends — the
+// reference resolves every login afresh, so any resolution the monitor's
+// id cache reuses inexactly shows. The provider spills its log, so every
+// dump reads the cold tier too. The logins reach control accounts, a
+// never-registered account, an unused honeypot, hard and easy accounts,
+// and a site whose detection starts in the middle of a dump. Between two
+// dumps the honeypot is burned (its alarms must stop), and between two
+// others an account already attributed to a site becomes a control (its
+// logins must count as control logins from then on).
+func TestIngestMatchesLedgerAttribution(t *testing.T) {
 	w := newIngestWorld()
-	w.p.SpillLoginLog(t.TempDir(), 24)
+	w.p.SpillLoginLog(t.TempDir(), 8)
 	g := newGen()
 	easyA1, easyA2, hardA := w.account(t, g.New(identity.Easy)), w.account(t, g.New(identity.Easy)), w.account(t, g.New(identity.Hard))
 	easyB, hardC := w.account(t, g.New(identity.Easy)), w.account(t, g.New(identity.Hard))
@@ -85,10 +182,8 @@ func TestIngestMatchesDecodedDump(t *testing.T) {
 	w.l.Burn(hardC, "c.test", 3, "games", t0, crawler.CodeOKSubmission, false)
 	w.l.AddControl(control)
 
-	views, decoded := NewMonitor(w.l, t0), NewMonitor(w.l, t0)
-	for _, m := range []*Monitor{views, decoded} {
-		m.ExpectControlLogin(control.Email)
-	}
+	m, ref := NewMonitor(w.l, t0), newAttribution()
+	m.ExpectControlLogin(control.Email)
 	ips := []netip.Addr{
 		netip.MustParseAddr("198.51.100.7"),
 		netip.MustParseAddr("203.0.113.9"),
@@ -110,7 +205,6 @@ func TestIngestMatchesDecodedDump(t *testing.T) {
 	}
 	since := t0
 	var burnAt, promoteAt time.Time
-	var withID, withoutID int
 	for r, round := range rounds {
 		switch r {
 		case 2:
@@ -119,9 +213,7 @@ func TestIngestMatchesDecodedDump(t *testing.T) {
 		case 3:
 			promoteAt = w.now
 			w.l.AddControl(easyA1)
-			for _, m := range []*Monitor{views, decoded} {
-				m.ExpectControlLogin(easyA1.Email)
-			}
+			m.ExpectControlLogin(easyA1.Email)
 		}
 		for i, id := range round {
 			w.now = w.now.Add(time.Duration(1+i%3) * time.Hour)
@@ -131,90 +223,48 @@ func TestIngestMatchesDecodedDump(t *testing.T) {
 		}
 		w.now = w.now.Add(24 * time.Hour)
 		dump := w.p.DumpSince(since)
-		dump.Each(func(_ emailprovider.LoginEvent, id int) {
-			if id < 0 {
-				withoutID++
-			} else {
-				withID++
-			}
-		})
-		gotNewly := views.Ingest(dump)
-		wantNewly := decoded.Ingest(emailprovider.DumpOf(dump.Events()))
-		if !slices.Equal(gotNewly, wantNewly) {
-			t.Fatalf("dump %d: newly detected %v, decoded dump %v", r, gotNewly, wantNewly)
+		if dump.Len() <= w.p.ResidentLogSize() {
+			t.Fatalf("dump %d of %d logins read no cold record: %d are resident", r, dump.Len(), w.p.ResidentLogSize())
+		}
+		ref.ingest(w.l, dump)
+		if got := m.Ingest(dump); !slices.Equal(got, ref.newly[r]) {
+			t.Fatalf("dump %d: newly detected %v, the ledger gives %v", r, got, ref.newly[r])
 		}
 		since = w.now
 	}
-	if w.p.SpilledSegments() == 0 || withID == 0 || withoutID == 0 {
-		t.Fatalf("dumps never mixed tiers: %d spilled segments, %d logins with an id, %d without",
-			w.p.SpilledSegments(), withID, withoutID)
-	}
-
-	dets, want := views.Detections(), decoded.Detections()
-	if len(dets) != 3 || len(want) != 3 {
-		t.Fatalf("%d and %d detections, want 3", len(dets), len(want))
-	}
-	for i, det := range dets {
-		ref := want[i]
-		if det.Domain != ref.Domain || det.Rank != ref.Rank || det.Category != ref.Category ||
-			!reflect.DeepEqual(det.FirstSeen, ref.FirstSeen) || !reflect.DeepEqual(det.LastSeen, ref.LastSeen) ||
-			det.HardAccessed != ref.HardAccessed ||
-			det.AccountsRegistered != ref.AccountsRegistered || det.AccountsAccessed != ref.AccountsAccessed {
-			t.Errorf("detection %d: %s %d %s %v..%v hard=%v %d of %d; decoded dumps gave %s %d %s %v..%v hard=%v %d of %d",
-				i, det.Domain, det.Rank, det.Category, det.FirstSeen, det.LastSeen, det.HardAccessed, det.AccountsAccessed, det.AccountsRegistered,
-				ref.Domain, ref.Rank, ref.Category, ref.FirstSeen, ref.LastSeen, ref.HardAccessed, ref.AccountsAccessed, ref.AccountsRegistered)
-		}
-		if !slices.Equal(det.Accounts(), ref.Accounts()) {
-			t.Fatalf("%s accounts %v, decoded %v", det.Domain, det.Accounts(), ref.Accounts())
-		}
-		for _, acct := range det.Accounts() {
-			if got, wantL := det.Logins(acct), ref.Logins(acct); !slices.Equal(got, wantL) {
-				t.Errorf("%s logins of %s:\n got %v\nwant %v", det.Domain, acct, got, wantL)
-			}
-		}
-	}
-	if a, b := views.Alarms(), decoded.Alarms(); !reflect.DeepEqual(a, b) {
-		t.Errorf("alarms %v, decoded %v", a, b)
-	}
-	if a, b := views.ControlLoginsSeen(), decoded.ControlLoginsSeen(); a != b {
-		t.Errorf("ControlLoginsSeen %d, decoded %d", a, b)
-	}
-	if a, b := image(views.EncodeSection), image(decoded.EncodeSection); !bytes.Equal(a, b) {
-		t.Errorf("section images differ: %d and %d bytes", len(a), len(b))
-	}
+	ref.check(t, m, w.l)
 
 	// The scenario reached every case it sets up.
 	reasons := map[string]string{}
-	for _, a := range views.Alarms() {
+	for _, a := range m.Alarms() {
 		reasons[a.Event.Account] = a.Reason
 		if a.Event.Account == honeypot.Email && a.Event.Time.After(burnAt) {
 			t.Errorf("honeypot alarm at %v, after it was burned at %v", a.Event.Time, burnAt)
 		}
 	}
-	if reasons[stranger.Email] != "login to account never registered at any site" ||
-		reasons[honeypot.Email] != "login to unused honeypot account (provider or Tripwire database compromise?)" {
-		t.Errorf("alarm reasons %q, want one per kind", reasons)
+	if len(reasons) != 2 {
+		t.Errorf("alarms for %v, want the stranger and the honeypot", reasons)
 	}
-	if b, _ := views.Detection("b.test"); len(b.Logins(honeypot.Email)) == 0 {
+	if b, _ := m.Detection("b.test"); len(b.Logins(honeypot.Email)) == 0 {
 		t.Error("the burned honeypot's later logins were not attributed")
 	}
-	if a, _ := views.Detection("a.test"); !a.HardAccessed {
+	if a, _ := m.Detection("a.test"); !a.HardAccessed {
 		t.Error("a.test's hard account login did not mark it")
 	}
-	controlLogins := 0
+	promoted := 0
 	for _, ev := range w.p.AllLogins() {
-		if ev.Account == control.Email || ev.Account == easyA1.Email && ev.Time.After(promoteAt) {
-			controlLogins++
+		if ev.Account == easyA1.Email && ev.Time.After(promoteAt) {
+			promoted++
 		}
 	}
-	if got := views.ControlLoginsSeen(); got != controlLogins {
-		t.Errorf("ControlLoginsSeen %d, want %d with the promoted control's", got, controlLogins)
+	if a, _ := m.Detection("a.test"); promoted == 0 || len(a.Logins(easyA1.Email)) == 0 {
+		t.Errorf("easyA1 logged in %d times after its promotion", promoted)
 	}
 
 	// Re-ingesting accounts the monitor has resolved allocates for the
 	// accounts' growing login lists, not per login.
 	w2 := newIngestWorld()
-	m := NewMonitor(w2.l, t0)
+	m2 := NewMonitor(w2.l, t0)
 	const accounts, perAccount = 8, 64
 	var ids []*identity.Identity
 	for i := 0; i < accounts; i++ {
@@ -229,8 +279,8 @@ func TestIngestMatchesDecodedDump(t *testing.T) {
 		}
 	}
 	dump := w2.p.DumpSince(t0)
-	m.Ingest(dump)
-	allocs := testing.AllocsPerRun(20, func() { m.Ingest(dump) })
+	m2.Ingest(dump)
+	allocs := testing.AllocsPerRun(20, func() { m2.Ingest(dump) })
 	if allocs > accounts {
 		t.Errorf("re-ingesting %d logins of %d known accounts made %.1f allocations, want at most one per account",
 			dump.Len(), accounts, allocs)
@@ -240,8 +290,7 @@ func TestIngestMatchesDecodedDump(t *testing.T) {
 // TestIngestAcrossProviders: account ids number one provider's accounts,
 // so a monitor fed dumps of two providers — here two that met the same
 // accounts in opposite order, so each id names a different account in
-// each — must attribute every login by its address, as a monitor fed the
-// decoded dumps does.
+// each — must attribute every login by its address, as the ledger does.
 func TestIngestAcrossProviders(t *testing.T) {
 	g := newGen()
 	a, b := newIngestWorld(), newIngestWorld()
@@ -263,17 +312,15 @@ func TestIngestAcrossProviders(t *testing.T) {
 		w.login(t, first, "IMAP", ip)
 		w.login(t, second, "POP3", ip)
 	}
-	views, decoded := NewMonitor(a.l, t0), NewMonitor(a.l, t0)
+	m, ref := NewMonitor(a.l, t0), newAttribution()
 	for _, w := range []*ingestWorld{a, b} {
 		dump := w.p.DumpSince(t0)
-		views.Ingest(dump)
-		decoded.Ingest(emailprovider.DumpOf(dump.Events()))
+		ref.ingest(a.l, dump)
+		m.Ingest(dump)
 	}
-	if got, want := image(views.EncodeSection), image(decoded.EncodeSection); !bytes.Equal(got, want) {
-		t.Fatalf("section images differ: %d and %d bytes", len(got), len(want))
-	}
+	ref.check(t, m, a.l)
 	for _, domain := range []string{"x.test", "y.test"} {
-		if det, ok := views.Detection(domain); !ok || det.LoginCount() != 4 {
+		if det, ok := m.Detection(domain); !ok || det.LoginCount() != 4 {
 			t.Errorf("%s: detected %v, want 4 logins", domain, ok)
 		}
 	}

@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -73,18 +72,6 @@ type Registration struct {
 	Manual   bool
 }
 
-// ledgerShards is the burn-map stripe count. Burned-identity lookups are
-// the hot ledger operation during parallel crawling (every wave probes
-// tripwireAccountExists per candidate); striping by email hash keeps them
-// from serializing on one mutex.
-const ledgerShards = 64
-
-// regShard is one stripe of the email → registration index.
-type regShard struct {
-	mu   sync.Mutex
-	regs map[string]*Registration
-}
-
 // poolSegment is one run of the FIFO identity pool: either a contiguous
 // span of not-yet-materialized identity indexes [from, to) — bulk
 // provisioning (ExtendPool) and returned identities (Return) — or a single
@@ -138,8 +125,9 @@ type rankSpan struct{ from, to int64 }
 // identities (AddIdentity) and burned registrations occupy per-account
 // memory.
 type Ledger struct {
-	mu        sync.Mutex // guards pools, bySite, controls, unused, spans, burned
+	mu        sync.Mutex // guards every field
 	pools     [2]classPool
+	regs      map[string]*Registration // lowercase email → registration
 	bySite    map[string][]*Registration
 	controls  map[string]*identity.Identity // control accounts, never registered
 	unused    map[string]*identity.Identity // explicitly provisioned, not yet used
@@ -150,22 +138,17 @@ type Ledger struct {
 
 	deriver func(rank int64) *identity.Identity
 	rankFn  func(email string) (rank int64, ok bool)
-
-	shards [ledgerShards]regShard // email → registration
 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	l := &Ledger{
+	return &Ledger{
+		regs:     make(map[string]*Registration),
 		bySite:   make(map[string][]*Registration),
 		controls: make(map[string]*identity.Identity),
 		unused:   make(map[string]*identity.Identity),
 		burned:   make(map[int64]struct{}),
 	}
-	for i := range l.shards {
-		l.shards[i].regs = make(map[string]*Registration)
-	}
-	return l
 }
 
 // SetDeriver installs the rank → identity materializer (identity.Generator.At)
@@ -182,12 +165,6 @@ func (l *Ledger) SetRankFn(fn func(email string) (int64, bool)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.rankFn = fn
-}
-
-func (l *Ledger) shardFor(email string) *regShard {
-	h := fnv.New32a()
-	h.Write([]byte(email))
-	return &l.shards[h.Sum32()%ledgerShards]
 }
 
 // AddIdentity places a materialized identity in the available pool. Its
@@ -291,16 +268,11 @@ func (l *Ledger) Take(class identity.PasswordClass) *identity.Identity {
 // through the deriver, so returning requires one (SetDeriver); the
 // identity must be the deriver's value at id.ID, unmodified.
 func (l *Ledger) Return(id *identity.Identity) {
-	email := strings.ToLower(id.Email)
-	sh := l.shardFor(email)
-	sh.mu.Lock()
-	_, burnedReg := sh.regs[email]
-	sh.mu.Unlock()
-	if burnedReg {
-		panic("core: returning a burned identity to the pool")
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if _, burned := l.regs[strings.ToLower(id.Email)]; burned {
+		panic("core: returning a burned identity to the pool")
+	}
 	if l.deriver == nil {
 		panic("core: Return without a deriver (SetDeriver)")
 	}
@@ -318,13 +290,11 @@ func (l *Ledger) Return(id *identity.Identity) {
 // is the system's core invariant, §4.1).
 func (l *Ledger) Burn(id *identity.Identity, domain string, rank int, category string, when time.Time, code crawler.Code, manual bool) *Registration {
 	email := strings.ToLower(id.Email)
-	sh := l.shardFor(email)
-	sh.mu.Lock()
-	if prev, ok := sh.regs[email]; ok {
-		prevDomain := prev.Domain
-		sh.mu.Unlock()
-		if prevDomain != domain {
-			panic(fmt.Sprintf("core: identity %s already burned to %s, cannot burn to %s", email, prevDomain, domain))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if prev, ok := l.regs[email]; ok {
+		if prev.Domain != domain {
+			panic(fmt.Sprintf("core: identity %s already burned to %s, cannot burn to %s", email, prev.Domain, domain))
 		}
 		return prev
 	}
@@ -338,10 +308,7 @@ func (l *Ledger) Burn(id *identity.Identity, domain string, rank int, category s
 		Manual:   manual,
 		Status:   initialStatus(code, manual),
 	}
-	sh.regs[email] = reg
-	sh.mu.Unlock()
-
-	l.mu.Lock()
+	l.regs[email] = reg
 	l.bySite[domain] = append(l.bySite[domain], reg)
 	if _, ok := l.unused[email]; ok {
 		delete(l.unused, email)
@@ -353,7 +320,6 @@ func (l *Ledger) Burn(id *identity.Identity, domain string, rank int, category s
 			}
 		}
 	}
-	l.mu.Unlock()
 	return reg
 }
 
@@ -382,11 +348,9 @@ func initialStatus(code crawler.Code, manual bool) AccountStatus {
 // mail lifts it to EmailVerified; any other mail to at least EmailReceived.
 // It returns the registration, or nil if the recipient is not burned.
 func (l *Ledger) NoteEmail(rcpt string, isVerification bool) *Registration {
-	email := strings.ToLower(rcpt)
-	sh := l.shardFor(email)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	reg, ok := sh.regs[email]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	reg, ok := l.regs[strings.ToLower(rcpt)]
 	if !ok {
 		return nil
 	}
@@ -403,11 +367,9 @@ func (l *Ledger) NoteEmail(rcpt string, isVerification bool) *Registration {
 
 // Lookup returns the registration bound to email.
 func (l *Ledger) Lookup(email string) (*Registration, bool) {
-	key := strings.ToLower(email)
-	sh := l.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	reg, ok := sh.regs[key]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	reg, ok := l.regs[strings.ToLower(email)]
 	return reg, ok
 }
 
@@ -430,14 +392,11 @@ func (l *Ledger) siteRegistrationCount(domain string) int {
 
 // Registrations returns every burned registration.
 func (l *Ledger) Registrations() []*Registration {
-	var out []*Registration
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		for _, reg := range sh.regs {
-			out = append(out, reg)
-		}
-		sh.mu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]*Registration, 0, len(l.regs))
+	for _, reg := range l.regs {
+		out = append(out, reg)
 	}
 	return out
 }

@@ -61,12 +61,10 @@ type Monitor struct {
 	// The resolution cache (see Ingest). byID holds, per account id of
 	// the login log source, the account a login resolved to, while that is
 	// exact: until a dump from another source, or a growing control set
-	// (controls). decoded holds one dump's resolutions of logins without an
-	// id, by address. Alarms are never cached.
+	// (controls). Alarms are never cached.
 	source   any
 	controls int
 	byID     []*account
-	decoded  map[string]*account
 
 	// Metrics, when non-nil, receives per-dump observations. Recording is
 	// atomic-only and never influences attribution.
@@ -130,11 +128,10 @@ type account struct {
 // compromise was *newly* detected by this dump.
 //
 // Each control or registered account is resolved against the ledger at
-// most once per dump (see resolve). After that a login with an account id
+// most once per dump, by its account id (see resolve). After that a login
 // costs no lock, no lowercasing, no string-keyed map lookup and no
-// allocation beyond its account's growing list; a login decoded without
-// one is found by its address in the dump's own table. Resolutions by id carry over to later
-// dumps of one source, which is exact: a control stays a control, a
+// allocation beyond its account's growing list. Resolutions carry over to
+// later dumps of one source, which is exact: a control stays a control, a
 // registration stays bound to its site, and only a control added since can
 // outrank a registration, so a growing control set drops the cache. Alarms
 // are never cached: each alarm login resolves against the ledger as it
@@ -143,25 +140,19 @@ func (m *Monitor) Ingest(dump emailprovider.Dump) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	src, controls := dump.Source(), m.ledger.controlCount()
-	if (src != nil && src != m.source) || controls != m.controls {
+	if src != m.source || controls != m.controls {
 		clear(m.byID)
-		if src != nil {
-			m.source = src
-		}
-		m.controls = controls
+		m.source, m.controls = src, controls
 	}
-	clear(m.decoded)
 	before := len(m.order)
 	var nControl, nAttributed, nAlarm uint64
-	dump.Each(func(ev emailprovider.LoginEvent, id int) {
+	dump.Each(func(ev emailprovider.LoginEvent, id uint32) {
 		if ev.Time.After(m.lastDump) {
 			m.lastDump = ev.Time
 		}
 		var a *account
-		if id >= 0 && id < len(m.byID) {
+		if int(id) < len(m.byID) {
 			a = m.byID[id]
-		} else if id < 0 {
-			a = m.decoded[ev.Account]
 		}
 		var reason string
 		if a == nil {
@@ -208,29 +199,18 @@ func (m *Monitor) Ingest(dump emailprovider.Dump) []string {
 }
 
 // resolve returns what the account name (as the dump spells it, with
-// account id id, or -1) resolves to, in the order the paper's integrity
-// checks apply: a control account; else a registration, whose detection
-// and account record are created here, at the first login the monitor
+// account id id) resolves to, in the order the paper's integrity checks
+// apply: a control account; else a registration, whose detection and
+// account record are created here, at the first login the monitor
 // attributes to them (t); else nil and the alarm's reason. It caches a
-// positive result under the id, or for the dump under the address; a name
-// this dump already resolved without an id is taken from there.
-func (m *Monitor) resolve(name string, id int, t time.Time) (*account, string) {
-	a := m.decoded[name]
+// positive result under the id.
+func (m *Monitor) resolve(name string, id uint32, t time.Time) (*account, string) {
+	a, reason := m.lookup(name, t)
 	if a == nil {
-		var reason string
-		if a, reason = m.lookup(name, t); a == nil {
-			return nil, reason
-		}
+		return nil, reason
 	}
-	if id < 0 {
-		if m.decoded == nil {
-			m.decoded = make(map[string]*account)
-		}
-		m.decoded[name] = a
-		return a, ""
-	}
-	if n := len(m.byID); id >= n {
-		m.byID = slices.Grow(m.byID, id+1-n)[:id+1]
+	if n, want := len(m.byID), int(id)+1; want > n {
+		m.byID = slices.Grow(m.byID, want-n)[:want]
 		clear(m.byID[n:])
 	}
 	m.byID[id] = a

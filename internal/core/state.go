@@ -16,24 +16,9 @@ import (
 // control accounts, and the explicitly provisioned unused set. Span-covered
 // pool members appear only as index arithmetic, so the image stays
 // O(deviation) even with a 10M-account universe. Map-backed sets are
-// sorted — registrations by the lowercased email their shards key them
-// by — so equivalent ledgers encode identically.
+// sorted — registrations by the lowercased email they are keyed by — so
+// equivalent ledgers encode identically.
 func (l *Ledger) EncodeSection(e *snapshot.Encoder) {
-	type keyedReg struct {
-		email string
-		reg   *Registration
-	}
-	var regs []keyedReg
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		for email, reg := range sh.regs {
-			regs = append(regs, keyedReg{email, reg})
-		}
-		sh.mu.Unlock()
-	}
-	slices.SortFunc(regs, func(a, b keyedReg) int { return strings.Compare(a.email, b.email) })
-
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.pools[identity.Hard].encode(e)
@@ -44,9 +29,9 @@ func (l *Ledger) EncodeSection(e *snapshot.Encoder) {
 	for _, rank := range snapshot.SortedKeys(l.burned) {
 		e.Int(rank)
 	}
-	e.Uint(uint64(len(regs)))
-	for _, kr := range regs {
-		r := kr.reg
+	e.Uint(uint64(len(l.regs)))
+	for _, email := range snapshot.SortedKeys(l.regs) {
+		r := l.regs[email]
 		appendIdentity(e, r.Identity)
 		e.String(r.Domain)
 		e.Int(int64(r.Rank))

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"tripwire/internal/crawler"
-	"tripwire/internal/emailprovider"
 	"tripwire/internal/identity"
 	"tripwire/internal/snapshot"
 )
@@ -279,13 +278,15 @@ type monitorFixture struct {
 	missing    *identity.Identity // registered at b.test, never logged in
 	control    *identity.Identity
 	unused     *identity.Identity
+	w          *ingestWorld
 }
 
-func newMonitorFixture() *monitorFixture {
+func newMonitorFixture(t *testing.T) *monitorFixture {
+	w := newIngestWorld()
 	g := newGen()
-	l := NewLedger()
-	f := &monitorFixture{hitA: g.New(identity.Easy), hitB: g.New(identity.Hard), missing: g.New(identity.Hard),
-		control: g.New(identity.Hard), unused: g.New(identity.Easy)}
+	f := &monitorFixture{w: w, hitA: w.account(t, g.New(identity.Easy)), hitB: w.account(t, g.New(identity.Hard)),
+		missing: w.account(t, g.New(identity.Hard)), control: w.account(t, g.New(identity.Hard)), unused: w.account(t, g.New(identity.Easy))}
+	l := w.l
 	for _, id := range []*identity.Identity{f.hitA, f.hitB, f.missing, f.unused} {
 		l.AddIdentity(id)
 	}
@@ -293,22 +294,20 @@ func newMonitorFixture() *monitorFixture {
 	l.Burn(f.hitB, "a.test", 1, "news", t0, crawler.CodeOKSubmission, false)
 	l.Burn(f.missing, "b.test", 2, "shop", t0, crawler.CodeOKSubmission, false)
 	l.AddControl(f.control)
-	f.m = NewMonitor(l, t0)
+	// The dump cursor starts past every login the tests make.
+	f.m = NewMonitor(l, t0.Add(24*time.Hour))
 	f.m.ExpectControlLogin(f.control.Email)
-	f.m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{
-		ev(f.hitA.Email, t0.Add(time.Hour)),
-		{Account: f.control.Email, Time: t0, IP: someIP, Method: "WEB"},
-	}))
+	f.m.Ingest(w.dumpOf(t, f.control, f.hitA))
 	return f
 }
 
 // TestMonitorSectionTracksMutations: an untouched monitor re-encodes byte
 // for byte, and each single Ingest changes the image through the state it
-// touches — the events predate the dump cursor, so the cursor cannot be
+// touches — the logins predate the dump cursor, so the cursor cannot be
 // what changed it.
 func TestMonitorSectionTracksMutations(t *testing.T) {
-	base := image(newMonitorFixture().m.EncodeSection)
-	f := newMonitorFixture()
+	base := image(newMonitorFixture(t).m.EncodeSection)
+	f := newMonitorFixture(t)
 	for i := 0; i < 3; i++ {
 		if !bytes.Equal(image(f.m.EncodeSection), base) {
 			t.Fatalf("encode %d of an untouched monitor differs from an equal monitor's image", i)
@@ -318,27 +317,14 @@ func TestMonitorSectionTracksMutations(t *testing.T) {
 		name   string
 		mutate func(f *monitorFixture)
 	}{
-		{"Ingest a login at a detected site", func(f *monitorFixture) {
-			f.m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(f.hitA.Email, t0)}))
-		}},
-		{"Ingest a second account's login", func(f *monitorFixture) {
-			f.m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(f.hitB.Email, t0)}))
-		}},
-		{"Ingest a new site's login", func(f *monitorFixture) {
-			f.m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(f.missing.Email, t0)}))
-		}},
-		{"Ingest a control login", func(f *monitorFixture) {
-			f.m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{{Account: f.control.Email, Time: t0, IP: someIP, Method: "WEB"}}))
-		}},
-		{"Ingest an unused account's login", func(f *monitorFixture) {
-			f.m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(f.unused.Email, t0)}))
-		}},
-		{"Ingest a later login", func(f *monitorFixture) {
-			f.m.Ingest(emailprovider.DumpOf([]emailprovider.LoginEvent{ev(f.hitA.Email, t0.Add(2*time.Hour))}))
-		}},
+		{"Ingest a login at a detected site", func(f *monitorFixture) { f.m.Ingest(f.w.dumpOf(t, f.hitA)) }},
+		{"Ingest a second account's login", func(f *monitorFixture) { f.m.Ingest(f.w.dumpOf(t, f.hitB)) }},
+		{"Ingest a new site's login", func(f *monitorFixture) { f.m.Ingest(f.w.dumpOf(t, f.missing)) }},
+		{"Ingest a control login", func(f *monitorFixture) { f.m.Ingest(f.w.dumpOf(t, f.control)) }},
+		{"Ingest an unused account's login", func(f *monitorFixture) { f.m.Ingest(f.w.dumpOf(t, f.unused)) }},
 		{"ExpectControlLogin", func(f *monitorFixture) { f.m.ExpectControlLogin(f.unused.Email) }},
 	} {
-		f := newMonitorFixture()
+		f := newMonitorFixture(t)
 		tc.mutate(f)
 		if bytes.Equal(image(f.m.EncodeSection), base) {
 			t.Errorf("%s left the monitor image unchanged", tc.name)

@@ -10,65 +10,54 @@ import (
 )
 
 // Dump is a provider dump: the successful logins of one window of the
-// login log, oldest first. A Dump reads the resident part of its window in
-// place: taking it copies at most the pointers of the window's chunks,
-// never its events, and logins appended after it was taken do not change
-// it. A purge or spill that drops logins of the window invalidates it, so
-// a dump is read before the next PurgeExpired. Logins from the cold tier
-// are decoded when the dump is taken.
+// login log, oldest first, as login records. A Dump reads the resident
+// part of its window in place: taking it copies at most the pointers of
+// the window's chunks, never its logins, and logins appended after it was
+// taken do not change it. A purge or spill that drops logins of the window
+// invalidates it, so a dump is read before the next PurgeExpired. Records
+// from the cold tier are read when the dump is taken.
 type Dump struct {
-	evs   []LoginEvent                   // decoded logins, older than recs
+	cold  []loginrec.Record              // cold-tier records, older than recs
 	recs  chunklog.View[loginrec.Record] // the resident window
-	log   *loginLog                      // the log recs came from
+	log   *loginLog                      // the log the records came from
 	names []string                       // the log's account addresses, by id
 	addrs []netip.Addr                   // the log's address side table
 }
 
-// DumpOf returns a dump of events already decoded, oldest first.
-func DumpOf(evs []LoginEvent) Dump { return Dump{evs: evs} }
-
 // Len returns the number of logins in the dump.
-func (d Dump) Len() int { return len(d.evs) + d.recs.Len() }
+func (d Dump) Len() int { return len(d.cold) + d.recs.Len() }
 
 // Each calls fn with every login in the dump, oldest first, walking the
 // resident window chunk by chunk. id is the account's index in the name
 // table of the login log the dump came from, which never reuses an index
 // for another address, so an id names the same account in every dump of
-// one Source; it is -1 for a login decoded when the dump was taken
-// (cold-tier and DumpOf logins). Ids follow first login, which inside a
-// parallel segment is goroutine order: a caller may key state by id,
-// never order by it.
-func (d Dump) Each(fn func(ev LoginEvent, id int)) {
-	for _, ev := range d.evs {
-		fn(ev, -1)
+// one Source. Ids follow first login, which inside a parallel segment is
+// goroutine order: a caller may key state by id, never order by it.
+func (d Dump) Each(fn func(ev LoginEvent, id uint32)) {
+	for i := range d.cold {
+		fn(d.event(&d.cold[i]), d.cold[i].Account)
 	}
 	for k := 0; k < d.recs.Parts(); k++ {
 		part := d.recs.Part(k)
 		for i := range part {
-			fn(d.event(&part[i]), int(part[i].Account))
+			fn(d.event(&part[i]), part[i].Account)
 		}
 	}
 }
 
 // Source identifies the login log whose name table the dump's account ids
 // index: two dumps with equal Sources number accounts alike, so a caller
-// may carry state keyed by id from one to the other. It is nil for a dump
-// whose logins were all decoded when it was taken.
-func (d Dump) Source() any {
-	if d.log == nil {
-		return nil
-	}
-	return d.log
-}
+// may carry state keyed by id from one to the other.
+func (d Dump) Source() any { return d.log }
 
 // Events returns the dump's logins as one slice, oldest first.
 func (d Dump) Events() []LoginEvent {
 	out := make([]LoginEvent, 0, d.Len())
-	d.Each(func(ev LoginEvent, _ int) { out = append(out, ev) })
+	d.Each(func(ev LoginEvent, _ uint32) { out = append(out, ev) })
 	return out
 }
 
-// event decodes one resident record.
+// event decodes one record.
 func (d *Dump) event(r *loginrec.Record) LoginEvent {
 	return LoginEvent{Account: d.names[r.Account], Time: r.Time(), IP: r.IP(d.addrs), Method: methodNames[r.Tag]}
 }
@@ -76,7 +65,7 @@ func (d *Dump) event(r *loginrec.Record) LoginEvent {
 // encode writes the dump as EncodeLoginEvents writes its Events.
 func (d Dump) encode(e *snapshot.Encoder) {
 	e.Uint(uint64(d.Len()))
-	d.Each(func(ev LoginEvent, _ int) { appendLoginEvent(e, &ev) })
+	d.Each(func(ev LoginEvent, _ uint32) { appendLoginEvent(e, &ev) })
 }
 
 // DumpSince returns the successful-login events with Time in (since, now],
@@ -87,32 +76,35 @@ func (d Dump) encode(e *snapshot.Encoder) {
 // activity was lost from March 20, 2015, through June 1, 2015").
 //
 // The log is a time-ordered chunked log (see loginLog) plus optional cold
-// segments spilled to disk (see spill.go); both tiers are time-sorted, so
-// the window is located by binary search in each rather than a scan over
-// the whole retained history. Cold segments are strictly older than every
-// resident event, so their events come first.
+// segments spilled to disk (see spill.go); both tiers are in time order,
+// so the window is located by binary search in each rather than a scan
+// over the whole retained history. Cold segments are strictly older than
+// every resident login, so their logins come first.
 func (p *Provider) DumpSince(since time.Time) Dump {
 	now := p.Now()
-	cutoff := now.Add(-p.Retention)
+	return p.dump(since, now.Add(-p.Retention), now)
+}
+
+// dump returns the logins of both tiers with Time in (since, now] and not
+// before cutoff. The cold tier is read first: the name and address tables
+// the resident window then captures resolve every record it holds.
+func (p *Provider) dump(since, cutoff, now time.Time) Dump {
 	cold := p.spilledSince(since, cutoff, now)
 	d := p.log.dumpSince(since, cutoff, now)
-	if cold != nil {
-		d.evs = append(cold, d.evs...)
-	}
+	d.cold = cold
 	return d
 }
+
+// beforeAll and afterAll bound every time a login can carry: the zero
+// Time, or one within int64 nanoseconds of the Unix epoch.
+var beforeAll, afterAll = time.Time{}.Add(-1), time.Unix(1<<40, 0)
 
 // AllLogins returns every retained login event, cold and resident tiers
 // merged oldest-first (ground truth for tests and reports).
 func (p *Provider) AllLogins() []LoginEvent { return p.allLogins().Events() }
 
 // allLogins returns a dump of every retained login.
-func (p *Provider) allLogins() Dump {
-	cold := p.allSpilled()
-	d := p.log.all()
-	d.evs = cold
-	return d
-}
+func (p *Provider) allLogins() Dump { return p.dump(beforeAll, beforeAll, afterAll) }
 
 // PurgeExpired discards events beyond the retention window, modelling the
 // provider's storage policy actually deleting data. Cold segments wholly

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tripwire/internal/chunklog"
+	"tripwire/internal/loginrec"
 	"tripwire/internal/snapshot"
 )
 
@@ -27,7 +28,7 @@ func ringEvent(i int) LoginEvent {
 func naiveDump(events []LoginEvent, since, cutoff, now time.Time) []LoginEvent {
 	var out []LoginEvent
 	for _, ev := range events {
-		if inWindow(ev.Time, since, cutoff, now) {
+		if ev.Time.After(since) && !ev.Time.Before(cutoff) && !ev.Time.After(now) {
 			out = append(out, ev)
 		}
 	}
@@ -38,10 +39,15 @@ func naiveDump(events []LoginEvent, since, cutoff, now time.Time) []LoginEvent {
 func appendEvent(t testing.TB, r *loginLog, ev LoginEvent) {
 	t.Helper()
 	local, domain, _ := strings.Cut(ev.Account, "@")
-	if domain != r.domain {
-		t.Fatalf("event for %s appended to the log of %s", ev.Account, r.domain)
+	if "@"+domain != r.at {
+		t.Fatalf("event for %s appended to the log of %s", ev.Account, r.at)
 	}
 	r.append(local, ev.Time, ev.IP, methodCode(t, ev.Method))
+}
+
+// resident returns every login r holds, oldest first.
+func resident(r *loginLog) []LoginEvent {
+	return r.dumpSince(beforeAll, beforeAll, afterAll).Events()
 }
 
 // methodCode returns the tag of the access method LoginEvent.Method names.
@@ -69,7 +75,7 @@ func sameEvents(t *testing.T, label string, got, want []LoginEvent) {
 }
 
 func TestLoginRingDumpMatchesNaiveScan(t *testing.T) {
-	r := loginLog{domain: "honey.test"}
+	r := loginLog{at: "@honey.test"}
 	var all []LoginEvent
 	for i := 0; i < 500; i++ {
 		ev := ringEvent(i)
@@ -101,7 +107,7 @@ func TestLoginRingDumpMatchesNaiveScan(t *testing.T) {
 // events that should remain.
 func TestLoginLogChunkBoundaries(t *testing.T) {
 	const c = chunklog.ChunkSize
-	r := loginLog{domain: "honey.test"}
+	r := loginLog{at: "@honey.test"}
 	var all []LoginEvent // the events that should be resident, oldest first
 	next := 0
 	appendN := func(n int) {
@@ -127,7 +133,7 @@ func TestLoginLogChunkBoundaries(t *testing.T) {
 	}
 	check := func(label string) {
 		t.Helper()
-		sameEvents(t, label+"/all", r.all().Events(), all)
+		sameEvents(t, label+"/all", resident(&r), all)
 		if r.size() != len(all) {
 			t.Fatalf("%s: size = %d, want %d", label, r.size(), len(all))
 		}
@@ -156,10 +162,11 @@ func TestLoginLogChunkBoundaries(t *testing.T) {
 	// budget of c-2, the cut falls inside a chunk.
 	budget := c - 2
 	payload, seg := r.takeSpill(budget)
-	spilled, err := DecodeLoginEvents(snapshot.NewDecoder(payload))
+	recs, err := loginrec.DecodeSegment(snapshot.NewDecoder(payload), seg.names, seg.addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spilled := Dump{cold: recs, names: r.log.Names(), addrs: r.log.Addrs()}.Events()
 	sameEvents(t, "spilled-prefix", spilled, all[:len(all)-budget/2])
 	if seg.count != len(spilled) || seg.min != spilled[0].Time || seg.max != spilled[len(spilled)-1].Time {
 		t.Fatalf("spilled segment spans %v..%v with %d events", seg.min, seg.max, seg.count)
@@ -182,10 +189,10 @@ func TestLoginLogChunkBoundaries(t *testing.T) {
 
 // TestLoginLogSealAcrossChunks seals a segment that starts in one chunk
 // and ends in the next; the log must end up exactly as a stable sort of a
-// flat copy of the segment by (Time, Account).
+// flat copy of the segment by account.
 func TestLoginLogSealAcrossChunks(t *testing.T) {
 	const c = chunklog.ChunkSize
-	r := loginLog{domain: "honey.test"}
+	r := loginLog{at: "@honey.test"}
 	var flat []LoginEvent
 	for i := 0; i < c-5; i++ {
 		ev := ringEvent(i)
@@ -207,38 +214,28 @@ func TestLoginLogSealAcrossChunks(t *testing.T) {
 		flat = append(flat, ev)
 	}
 	r.seal()
-	slices.SortStableFunc(flat[c-5:], func(a, b LoginEvent) int {
-		if d := a.Time.Compare(b.Time); d != 0 {
-			return d
-		}
-		return strings.Compare(a.Account, b.Account)
-	})
-	sameEvents(t, "sealed", r.all().Events(), flat)
+	slices.SortStableFunc(flat[c-5:], func(a, b LoginEvent) int { return strings.Compare(a.Account, b.Account) })
+	sameEvents(t, "sealed", resident(&r), flat)
 }
 
-// TestLoginRingUnsortedFallback feeds out-of-order events and checks the
-// log degrades to correct linear scans, then recovers the sorted fast path
-// once a purge compacts the disorder away.
-func TestLoginRingUnsortedFallback(t *testing.T) {
-	r := loginLog{domain: "honey.test"}
-	events := []LoginEvent{ringEvent(5), ringEvent(1), ringEvent(9), ringEvent(3)}
-	for _, ev := range events {
-		appendEvent(t, &r, ev)
-	}
-	if !r.unsorted {
-		t.Fatal("out-of-order appends did not flip the unsorted flag")
-	}
-	now := ringEpoch.Add(time.Hour)
-	sameEvents(t, "unsorted-dump", r.dumpSince(ringEpoch, ringEpoch, now).Events(), naiveDump(events, ringEpoch, ringEpoch, now))
-
-	// Purging everything before minute 4 leaves {5, 9}: sorted again.
-	if got := r.purgeExpired(ringEpoch.Add(4 * time.Minute)); got != 2 {
-		t.Fatalf("purged %d, want 2", got)
-	}
-	if r.unsorted {
-		t.Fatal("purge did not restore the sorted fast path")
-	}
-	sameEvents(t, "recovered", r.all().Events(), []LoginEvent{ringEvent(5), ringEvent(9)})
+// TestLoginLogPanicsOnBackwardsAppend: the log is in time order, which
+// its binary searches and cold segments rely on, so a login older than the
+// last one logged is a bug in the provider's clock and panics naming both
+// times, leaving the log as it was.
+func TestLoginLogPanicsOnBackwardsAppend(t *testing.T) {
+	r := loginLog{at: "@honey.test"}
+	appendEvent(t, &r, ringEvent(5))
+	appendEvent(t, &r, ringEvent(5)) // an equal time is in order
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, ringEvent(1).Time.String()) || !strings.Contains(msg, ringEvent(5).Time.String()) {
+				t.Fatalf("backwards append panicked with %q, want both times named", msg)
+			}
+		}()
+		appendEvent(t, &r, ringEvent(1))
+	}()
+	sameEvents(t, "after the panic", resident(&r), []LoginEvent{ringEvent(5), ringEvent(5)})
 }
 
 func TestProviderDumpUsesRing(t *testing.T) {
@@ -286,7 +283,7 @@ func TestProviderDumpUsesRing(t *testing.T) {
 func BenchmarkDumpSince(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
 		b.Run(fmt.Sprintf("log=%d", n), func(b *testing.B) {
-			r := loginLog{domain: "honey.test"}
+			r := loginLog{at: "@honey.test"}
 			for i := 0; i < n; i++ {
 				appendEvent(b, &r, ringEvent(i))
 			}

@@ -207,7 +207,7 @@ func New(domain string) *Provider {
 	for i := range p.shards {
 		p.shards[i].index = make(map[string]int32)
 	}
-	p.log.domain = domain
+	p.log.at = "@" + domain
 	return p
 }
 

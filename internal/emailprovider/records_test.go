@@ -39,12 +39,12 @@ var recordCases = []struct {
 // equal the login, and to encode to the same bytes.
 func checkLoginRecord(t *testing.T, local string, at time.Time, ip netip.Addr, method uint8) {
 	t.Helper()
-	r := loginLog{domain: "honey.test"}
+	r := loginLog{at: "@honey.test"}
 	want := LoginEvent{Account: local + "@honey.test", Time: at, IP: ip, Method: methodNames[method]}
 	if got := r.append(local, at, ip, method); got != want.Account {
 		t.Fatalf("append returned account %q, want %q", got, want.Account)
 	}
-	got := r.all().Events()
+	got := resident(&r)
 	if len(got) != 1 || got[0] != want {
 		t.Fatalf("view %+v, want %+v", got, want)
 	}

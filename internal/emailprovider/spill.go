@@ -4,22 +4,27 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
+	"tripwire/internal/loginrec"
 	"tripwire/internal/snapshot"
 )
 
 // The login log's retention tiers. The resident tier is the loginLog;
-// when it exceeds LogResidentBudget events, the oldest prefix is written
+// when it exceeds LogResidentBudget logins, the oldest prefix is written
 // to a cold segment file in LogSpillDir using the snapshot container
 // (one "logins" section, CRC-protected) and dropped from the resident
-// log, releasing the chunks it emptied. Cold segments are immutable,
-// strictly older than every resident event, and internally time-sorted —
-// so DumpSince binary-searches each overlapping segment exactly the way
-// it searches the resident log, and retention
-// expiry unlinks whole segment files without touching their contents.
+// log, releasing the chunks it emptied. A segment holds the detached
+// records themselves: their account ids and side-table indexes resolve
+// through the log's name and address tables, which only grow and stay
+// resident, so a segment means something only to the provider that wrote
+// it. Cold segments are immutable, strictly older than every resident
+// login, and in time order — so DumpSince binary-searches each
+// overlapping segment exactly the way it searches the resident log, and
+// retention expiry unlinks whole segment files without touching their
+// contents.
 
 // segmentSection names the single section inside a cold segment file.
 const segmentSection = "logins"
@@ -29,6 +34,10 @@ type coldSegment struct {
 	path     string
 	min, max time.Time // event-time span, inclusive
 	count    int
+	// names and addrs are the sizes of the log's name and address tables
+	// when the segment was written: every record it holds indexes below
+	// them.
+	names, addrs int
 }
 
 // spillState is the provider's cold-tier bookkeeping, separate from the
@@ -106,7 +115,7 @@ func (p *Provider) maybeSpill() {
 }
 
 // readSegment loads and decodes one cold segment.
-func (p *Provider) readSegment(seg coldSegment) ([]LoginEvent, error) {
+func (p *Provider) readSegment(seg coldSegment) ([]loginrec.Record, error) {
 	f, err := snapshot.ReadFile(seg.path)
 	if err != nil {
 		return nil, err
@@ -115,70 +124,40 @@ func (p *Provider) readSegment(seg coldSegment) ([]LoginEvent, error) {
 	if !ok {
 		return nil, fmt.Errorf("%s: %w: missing %q section", seg.path, snapshot.ErrCorrupt, segmentSection)
 	}
-	evs, err := DecodeLoginEvents(snapshot.NewDecoder(data))
+	recs, err := loginrec.DecodeSegment(snapshot.NewDecoder(data), seg.names, seg.addrs)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", seg.path, err)
 	}
-	return evs, nil
+	return recs, nil
 }
 
-// spilledSince collects the events from cold segments with Time in
-// (since, now] and not before cutoff, oldest first. Each overlapping
-// segment is loaded and binary-searched with the same predicates the
-// resident log uses; non-overlapping segments are skipped on their index
-// entry alone, without touching the file.
-func (p *Provider) spilledSince(since, cutoff, now time.Time) []LoginEvent {
+// spilledSince collects the cold records with Time in (since, now] and not
+// before cutoff, oldest first. Each overlapping segment is loaded and
+// binary-searched with the same predicates the resident log uses;
+// non-overlapping segments are skipped on their index entry alone, without
+// touching the file. Records before the last purge's cutoff are masked
+// even where their straddling segment file was kept whole, as the resident
+// log, which drops them, would have.
+func (p *Provider) spilledSince(since, cutoff, now time.Time) []loginrec.Record {
 	p.spill.mu.Lock()
-	segments := make([]coldSegment, len(p.spill.segments))
-	copy(segments, p.spill.segments)
+	segments := slices.Clone(p.spill.segments)
+	if p.spill.purgedBefore.After(cutoff) {
+		cutoff = p.spill.purgedBefore
+	}
 	p.spill.mu.Unlock()
 
-	var out []LoginEvent
+	var out []loginrec.Record
 	for _, seg := range segments {
 		if !seg.max.After(since) || seg.max.Before(cutoff) || seg.min.After(now) {
 			continue
 		}
-		evs, err := p.readSegment(seg)
+		recs, err := p.readSegment(seg)
 		if err != nil {
 			p.noteSpillErr(err)
 			continue
 		}
-		lo := sort.Search(len(evs), func(i int) bool {
-			t := evs[i].Time
-			return t.After(since) && !t.Before(cutoff)
-		})
-		hi := lo + sort.Search(len(evs)-lo, func(i int) bool {
-			return evs[lo+i].Time.After(now)
-		})
-		out = append(out, evs[lo:hi]...)
-	}
-	return out
-}
-
-// allSpilled returns every cold event that survived retention, oldest
-// first. Events before the last purge's cutoff are masked even when their
-// straddling segment file was kept whole.
-func (p *Provider) allSpilled() []LoginEvent {
-	p.spill.mu.Lock()
-	segments := make([]coldSegment, len(p.spill.segments))
-	copy(segments, p.spill.segments)
-	pb := p.spill.purgedBefore
-	p.spill.mu.Unlock()
-
-	var out []LoginEvent
-	for _, seg := range segments {
-		if seg.max.Before(pb) {
-			continue
-		}
-		evs, err := p.readSegment(seg)
-		if err != nil {
-			p.noteSpillErr(err)
-			continue
-		}
-		lo := sort.Search(len(evs), func(i int) bool {
-			return !evs[i].Time.Before(pb)
-		})
-		out = append(out, evs[lo:]...)
+		lo, hi := timeWindow(len(recs), func(i int) *loginrec.Record { return &recs[i] }, since, cutoff, now)
+		out = append(out, recs[lo:hi]...)
 	}
 	return out
 }

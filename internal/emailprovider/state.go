@@ -1,8 +1,6 @@
 package emailprovider
 
 import (
-	"fmt"
-	"net/netip"
 	"slices"
 	"strings"
 	"time"
@@ -110,58 +108,12 @@ func appendLoginEvent(e *snapshot.Encoder, ev *LoginEvent) {
 	e.String(ev.Method)
 }
 
-// decodeLoginEvent reads one login event. Decode errors surface through
-// the decoder's sticky error; a malformed IP is reported directly.
-func decodeLoginEvent(d *snapshot.Decoder) (LoginEvent, error) {
-	var ev LoginEvent
-	ev.Account = d.String()
-	ev.Time = d.Time()
-	raw := d.Blob()
-	ev.Method = d.String()
-	if err := d.Err(); err != nil {
-		return LoginEvent{}, err
-	}
-	if len(raw) > 0 {
-		ip, ok := netip.AddrFromSlice(raw)
-		if !ok {
-			return LoginEvent{}, fmt.Errorf("%w: login event with %d-byte IP", snapshot.ErrCorrupt, len(raw))
-		}
-		ev.IP = ip
-	}
-	return ev, nil
-}
-
-// loginEventMinBytes is the least a login event can occupy encoded (four
-// length/flag bytes), used to sanity-cap collection counts before decode
-// allocates.
-const loginEventMinBytes = 4
-
 // EncodeLoginEvents encodes a count-prefixed run of login events — the
-// payload format of the provider section's log, the monitor's
-// per-detection login lists and the on-disk cold log segments.
+// format of the provider section's log and the monitor's per-detection
+// login lists.
 func EncodeLoginEvents(e *snapshot.Encoder, evs []LoginEvent) {
 	e.Uint(uint64(len(evs)))
 	for i := range evs {
 		appendLoginEvent(e, &evs[i])
 	}
-}
-
-// DecodeLoginEvents reads a count-prefixed run of login events.
-func DecodeLoginEvents(d *snapshot.Decoder) ([]LoginEvent, error) {
-	n := d.Count(loginEventMinBytes)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	var evs []LoginEvent
-	if n > 0 {
-		evs = make([]LoginEvent, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		ev, err := decodeLoginEvent(d)
-		if err != nil {
-			return nil, err
-		}
-		evs = append(evs, ev)
-	}
-	return evs, nil
 }

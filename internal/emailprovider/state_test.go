@@ -7,10 +7,13 @@ import (
 	"net/netip"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"tripwire/internal/chunklog"
+	"tripwire/internal/loginrec"
 	"tripwire/internal/simclock"
 	"tripwire/internal/snapshot"
 )
@@ -126,9 +129,10 @@ func image(encode func(*snapshot.Encoder)) []byte {
 	return e.Bytes()
 }
 
-// TestLoginEventsCodecRoundTrip: the login-event codec the cold tier
-// reads back is lossless over v4, v6 and zero addresses and zero times,
-// re-encodes byte for byte, and rejects every truncation.
+// TestLoginEventsCodecRoundTrip: the cold tier's codec is lossless. Logins
+// over v4, v6 and zero addresses and zero times, logged and written out as
+// a cold segment's payload, read back as the same events, re-encode byte
+// for byte, and every truncation is rejected.
 func TestLoginEventsCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 200; round++ {
@@ -141,24 +145,35 @@ func TestLoginEventsCodecRoundTrip(t *testing.T) {
 			ev.IP = randAddr(rng)
 			evs = append(evs, ev)
 		}
+		slices.SortStableFunc(evs, func(a, b LoginEvent) int { return a.Time.Compare(b.Time) })
+		r := loginLog{at: "@bigmail.test"}
+		for _, ev := range evs {
+			appendEvent(t, &r, ev)
+		}
 		e := snapshot.NewEncoder()
-		EncodeLoginEvents(e, evs)
+		loginrec.EncodeSegment(e, r.log.Window(0, r.log.Len()))
 		data := e.Bytes()
-		got, err := DecodeLoginEvents(snapshot.NewDecoder(data))
+		decode := func(data []byte) ([]loginrec.Record, error) {
+			return loginrec.DecodeSegment(snapshot.NewDecoder(data), len(r.log.Names()), len(r.log.Addrs()))
+		}
+		recs, err := decode(data)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if !reflect.DeepEqual(got, evs) {
+		if got := (Dump{cold: recs, names: r.log.Names(), addrs: r.log.Addrs()}).Events(); !slices.Equal(got, evs) {
 			t.Fatalf("round %d: decoded %+v, want %+v", round, got, evs)
 		}
+		var again chunklog.Log[loginrec.Record]
+		for _, rec := range recs {
+			again.Append(rec)
+		}
 		re := snapshot.NewEncoder()
-		EncodeLoginEvents(re, got)
+		loginrec.EncodeSegment(re, again.Window(0, again.Len()))
 		if !bytes.Equal(re.Bytes(), data) {
 			t.Fatalf("round %d: re-encoding is not byte-stable", round)
 		}
 		for n := 0; n < len(data); n++ {
-			d := snapshot.NewDecoder(data[:n])
-			if _, err := DecodeLoginEvents(d); err == nil && d.Err() == nil {
+			if _, err := decode(data[:n]); err == nil {
 				t.Fatalf("round %d: truncation to %d of %d bytes decoded silently", round, n, len(data))
 			}
 		}

@@ -7,10 +7,12 @@
 // chooses (an access method, an outcome). Addresses a word cannot hold
 // (IPv6, IPv4-in-IPv6, zoned and zero addresses) go into the owner's
 // Addrs side table, and the word holds their index. A Record adds a
-// 32-bit account id, an index into a table of account names its owner
-// keeps, and is 24 bytes.
+// 32-bit account id, an index into a table of account names, and is 24
+// bytes. A Log keeps Records in time order together with the name table
+// and side table they index, and writes and reads the cold segments they
+// spill to.
 //
-// Owners hand out ids and side-table indexes in first-use order, which
+// Ids and side-table indexes are handed out in first-use order, which
 // inside a parallel segment is goroutine order: nothing may order or
 // encode records by id or index, only by the names and addresses they
 // resolve to.

@@ -173,7 +173,7 @@ func TestResumeAfterCancel(t *testing.T) {
 		t.Fatal("no checkpoint survived the cancelled run")
 	}
 	latest := files[len(files)-1]
-	resumed, err := ResumePilot(latest, nil)
+	resumed, err := ResumePilot(latest, func(c *Config) { c.CheckpointDir, c.CheckpointEvery = dir, 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,8 +501,7 @@ func TestSpillFailureFailsCheckpoint(t *testing.T) {
 	}
 	spill := t.TempDir()
 	r, err := ResumePilot(files[0], func(c *Config) {
-		c.LogSpillDir = spill
-		c.CheckpointDir = ""
+		c.LogSpillDir, c.LogResidentBudget = spill, cfg.LogResidentBudget
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -625,9 +624,7 @@ func TestPilotSpillInvariance(t *testing.T) {
 	// Resume the middle checkpoint with a fresh spill directory (the
 	// replay regenerates the cold tier from scratch).
 	p, err := ResumePilot(files[len(files)/2], func(c *Config) {
-		c.LogSpillDir = t.TempDir()
-		c.CheckpointDir = ""
-		c.CheckpointEvery = 0
+		c.LogSpillDir, c.LogResidentBudget = t.TempDir(), cfg.LogResidentBudget
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -638,8 +635,9 @@ func TestPilotSpillInvariance(t *testing.T) {
 	sameFingerprint(t, "resumed spilling run", fingerprint(p), want)
 }
 
-// TestConfigCodecRoundTrip: encode→decode is the identity on Config and
-// the re-encoding is byte-stable, across randomized field values.
+// TestConfigCodecRoundTrip: encode→decode is the identity on the Config
+// fields that determine a run, drops the runtime knobs, and the re-encoding
+// is byte-stable, across randomized field values.
 func TestConfigCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	randTime := func() time.Time { return time.Unix(rng.Int63n(4e9), rng.Int63n(1e9)).UTC() }
@@ -665,6 +663,7 @@ func TestConfigCodecRoundTrip(t *testing.T) {
 		for j := rng.Intn(6); j > 0; j-- {
 			cfg.DumpDates = append(cfg.DumpDates, randTime())
 		}
+		cfg.Workers = rng.Intn(16)
 		cfg.CheckpointEvery = rng.Intn(10)
 		cfg.CheckpointDir = fmt.Sprintf("/tmp/ckpt-%d", rng.Intn(100))
 		cfg.LogResidentBudget = rng.Intn(1 << 20)
@@ -676,6 +675,9 @@ func TestConfigCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
+		cfg.Workers, cfg.NetLatency = 0, 0
+		cfg.CheckpointEvery, cfg.CheckpointDir = 0, ""
+		cfg.LogResidentBudget, cfg.LogSpillDir = 0, ""
 		if !reflect.DeepEqual(got, cfg) {
 			t.Fatalf("round %d: decoded config differs\n got %+v\nwant %+v", i, got, cfg)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"fmt"
@@ -74,7 +75,7 @@ func sectionGoldenLines(t *testing.T, workers, budget int) string {
 // with the login log all resident or spilled past a 64-event budget, at 1
 // and 4 workers. Set UPDATE_GOLDEN=1 to regenerate the file.
 func TestCheckpointSectionGolden(t *testing.T) {
-	if snapshot.Version != 6 {
+	if snapshot.Version != 7 {
 		t.Fatalf("snapshot.Version = %d: regenerate %s for the new format and update this check", snapshot.Version, sectionGoldenPath)
 	}
 	for _, tc := range []struct{ workers, budget int }{{1, 0}, {4, 0}, {1, 64}, {4, 64}} {
@@ -99,5 +100,49 @@ func TestCheckpointSectionGolden(t *testing.T) {
 				t.Fatalf("%d lines, %s has %d", len(gl), sectionGoldenPath, len(wl))
 			}
 		})
+	}
+}
+
+// TestCheckpointIgnoresRuntimeKnobs: one study's checkpoints are
+// byte-identical whatever runtime knobs it ran with — here the worker
+// count, the login log's resident budget, and checkpoint and spill
+// directories whose paths differ in length — so neither a checkpoint's
+// bytes nor its size depend on where it was written.
+func TestCheckpointIgnoresRuntimeKnobs(t *testing.T) {
+	run := func(workers, budget int, dir string) map[string][]byte {
+		t.Helper()
+		cfg := SmallConfig()
+		cfg.Workers = workers
+		cfg.CheckpointDir = filepath.Join(dir, "ckpt")
+		cfg.CheckpointEvery = 8
+		if budget > 0 {
+			cfg.LogResidentBudget = budget
+			cfg.LogSpillDir = filepath.Join(dir, "spill")
+		}
+		if err := NewPilot(cfg).RunContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, file := range checkpointFiles(t, cfg.CheckpointDir) {
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[filepath.Base(file)] = data
+		}
+		if len(out) == 0 {
+			t.Fatal("no wave checkpoints written")
+		}
+		return out
+	}
+	short := run(1, 0, t.TempDir())
+	long := run(4, 64, filepath.Join(t.TempDir(), "a-much-longer-directory-name", "nested"))
+	if len(short) != len(long) {
+		t.Fatalf("%d and %d checkpoints written", len(short), len(long))
+	}
+	for name, data := range short {
+		if !bytes.Equal(long[name], data) {
+			t.Errorf("%s: %d bytes under the short path, %d under the long one", name, len(data), len(long[name]))
+		}
 	}
 }

@@ -35,15 +35,19 @@ const (
 )
 
 // attested lists the sections compared after replay, in comparison order.
-// "config" is excluded: resume may legitimately override runtime knobs
-// (worker counts, checkpoint cadence) that the config section records.
+// "config" is excluded: resume reads it back instead.
 var attested = []string{
 	sectionProgress, sectionOutputs, sectionProvider,
 	sectionLedger, sectionMonitor, sectionAttacker, sectionWebgen,
 }
 
-// encodeConfig serializes every determinism-relevant Config field.
-// Metrics is runtime wiring, not state, and is skipped.
+// encodeConfig serializes every Config field that determines the run. The
+// runtime knobs — Workers, NetLatency, the checkpoint cadence and
+// directory, the login log's resident budget and spill directory — and the
+// Metrics wiring are skipped: they change how a run executes, never what
+// it computes, and a resuming caller passes its own (WithWorkers,
+// WithCheckpoint, WithLogSpill). Leaving them out also keeps a checkpoint
+// independent of where its directories are.
 func encodeConfig(cfg *Config) []byte {
 	e := snapshot.NewEncoder()
 	e.Int(cfg.Seed)
@@ -94,12 +98,6 @@ func encodeConfig(cfg *Config) []byte {
 	e.Bool(cfg.UseSearchEngine)
 	e.Bool(cfg.UseMultiStage)
 	e.Bool(cfg.ReRegisterDetected)
-	e.Int(int64(cfg.Workers))
-	e.Duration(cfg.NetLatency)
-	e.Int(int64(cfg.CheckpointEvery))
-	e.String(cfg.CheckpointDir)
-	e.Int(int64(cfg.LogResidentBudget))
-	e.String(cfg.LogSpillDir)
 	return e.Bytes()
 }
 
@@ -160,12 +158,6 @@ func decodeConfig(data []byte) (Config, error) {
 	cfg.UseSearchEngine = d.Bool()
 	cfg.UseMultiStage = d.Bool()
 	cfg.ReRegisterDetected = d.Bool()
-	cfg.Workers = int(d.Int())
-	cfg.NetLatency = d.Duration()
-	cfg.CheckpointEvery = int(d.Int())
-	cfg.CheckpointDir = d.String()
-	cfg.LogResidentBudget = int(d.Int())
-	cfg.LogSpillDir = d.String()
 	if err := d.Err(); err != nil {
 		return Config{}, fmt.Errorf("config section: %w", err)
 	}
@@ -382,9 +374,11 @@ func (p *Pilot) WavesDone() int { return p.wavesDone }
 // and continues to the configured end. The completed run is
 // byte-identical to an uninterrupted one, at any worker count.
 //
-// mutate, when non-nil, may adjust runtime knobs (Workers, Metrics,
-// checkpoint cadence and directories) on the restored configuration before
-// the pilot is built. Changing
+// The checkpoint records no runtime knob, so the restored configuration
+// has none: no workers bound, no latency, no checkpoints and no spilling.
+// mutate, when non-nil, may set them (Workers, NetLatency, Metrics,
+// checkpoint cadence and directories, the login log's spill) before the
+// pilot is built. Changing
 // determinism-relevant fields (seed, batches, rates, window) makes the
 // replay diverge from the snapshot, which RunContext reports as an error
 // naming the diverging section.

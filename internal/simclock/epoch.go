@@ -64,7 +64,6 @@ type Sequencer interface {
 type EpochStats struct {
 	At         time.Time
 	Width      int           // events in the frontier
-	Keyed      int           // keyed (parallel-eligible) events among them
 	Segments   int           // parallel segments executed
 	Partitions int           // conflict partitions summed over segments
 	Workers    int           // widest worker count any segment could use
@@ -259,7 +258,6 @@ func (e *Epochs) RunUntil(deadline time.Time) int {
 // run partitions concurrently, re-sequence shared logs, then flush the
 // handlers' deferred scheduling in frontier order.
 func (e *Epochs) runSegment(seg []entry, st *EpochStats) {
-	st.Keyed += len(seg)
 	st.Segments++
 
 	// Partition by conflict key in first-appearance order into a CSR

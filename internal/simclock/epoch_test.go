@@ -243,8 +243,8 @@ func TestEpochObserveStats(t *testing.T) {
 		t.Fatalf("observed %d epochs, want 1", len(stats))
 	}
 	st := stats[0]
-	if st.Width != 13 || st.Keyed != 12 || st.Segments != 1 || st.Partitions != 4 {
-		t.Fatalf("stats = %+v, want width 13, keyed 12, 1 segment, 4 partitions", st)
+	if st.Width != 13 || st.Segments != 1 || st.Partitions != 4 {
+		t.Fatalf("stats = %+v, want width 13, 1 segment, 4 partitions", st)
 	}
 	if st.Workers != 4 {
 		t.Fatalf("workers = %d, want 4 (bounded by partitions)", st.Workers)

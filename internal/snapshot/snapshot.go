@@ -19,8 +19,8 @@
 // read. A file written by a newer format version fails with
 // ErrVersionSkew rather than being misread. An older file decodes, and the
 // consumer whose section layout changed since refuses it by version (sim
-// checkpoints must match Version exactly; login-log spill segments have
-// kept their layout).
+// checkpoints must match Version exactly; a login-log spill segment is
+// read only by the provider that wrote it).
 //
 // Every decode path is hardened against hostile input: all length fields
 // are sanity-capped against the bytes actually remaining before any
@@ -52,7 +52,10 @@ const Magic = "TWSN"
 // the pool's last span when adjacent, instead of as a whole identity.
 // v6: the monitor image drops its flat attributed-login list; each
 // attributed login is stored once, in its detection's per-account logins.
-const Version = 6
+// v7: the sim config section drops the runtime knobs (workers, network
+// latency, checkpoint cadence and directory, log budget and spill
+// directory); login-log spill segments hold login records.
+const Version = 7
 
 // Sanity bounds on container metadata. Section payloads are bounded by the
 // file size itself (lengths are checked against remaining bytes), so only

@@ -251,8 +251,10 @@ func New(opts ...Option) *Study {
 // uninterrupted run at any worker count. Events replays the full sequence
 // from the start of the study, not just the continuation.
 //
-// Targeted options (WithWorkers, WithMetrics, WithCheckpoint,
-// WithLogSpill) adjust runtime knobs on the restored configuration. Resume accepts the same Option set as New
+// The checkpoint does not record the runtime knobs that the targeted
+// options set (WithWorkers, WithMetrics, WithCheckpoint, WithLogSpill):
+// without them a resumed study runs at GOMAXPROCS workers, writes no
+// checkpoint and keeps its login log resident. Resume accepts the same Option set as New
 // but rejects the two that conflict with a snapshot-borne configuration,
 // naming the offending option: WithConfig (the configuration comes from
 // the snapshot) and WithSeed (a changed seed would make the replay diverge
