@@ -7,8 +7,9 @@
 #                    formatting), vet, race tests, an arm64 cross-build (the
 #                    strong hash's portable path), snapshot/browser-resolve/
 #                    crawler/epoch-equivalence/scheduler-order/strong-digest/
-#                    login-record/cold-segment fuzz corpora as seed tests,
-#                    resume byte-identity smoke (workers grid incl. 8, the
+#                    login-record/cold-segment/seal/IMAP-credential fuzz
+#                    corpora as seed tests, resume byte-identity smoke
+#                    (workers grid incl. 8, the
 #                    stop checkpoint, a spill read failure failing the
 #                    checkpoint and the resume, streamed section digests
 #                    equal to their images, the pinned per-section
@@ -32,9 +33,10 @@
 #                    (coordinator + two in-process workers over loopback
 #                    HTTP, byte-identity incl. a worker killed mid-seed,
 #                    under -race), bench smoke (BENCH_PKGS, the 8-worker
-#                    crawl, BenchmarkPopFrontier and BenchmarkMonitorIngest
-#                    at one iteration each), vet and tests of the
-#                    end-to-end benchmark module in bench/ (its own
+#                    crawl, BenchmarkPopFrontier, BenchmarkMonitorIngest
+#                    and BenchmarkStuffLogin at one iteration each), vet
+#                    and tests of the end-to-end benchmark module in
+#                    bench/ (its own
 #                    module, outside the root ./...), and the
 #                    overhead/alloc/heap gates
 #   make bench       parallel crawl engine benchmark (1/4/8/16 workers, plus
@@ -97,7 +99,7 @@ ci: build metrics-doc-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	GOARCH=arm64 $(GO) build ./...
-	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/ ./internal/browser/ ./internal/webgen/ ./internal/emailprovider/ ./internal/loginrec/
+	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/ ./internal/browser/ ./internal/webgen/ ./internal/emailprovider/ ./internal/loginrec/ ./internal/imap/
 	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume|TestSpillFailureFailsCheckpoint|TestStreamedDigestsMatchImages|TestCheckpointSectionGolden|SectionTracksMutations|TestUniverseExportTracksMaterialization|TestSealIgnoresInternOrder|TestIngestMatchesLedgerAttribution' ./internal/sim/ . ./internal/core/ ./internal/emailprovider/ ./internal/loginrec/ ./internal/attacker/ ./internal/webgen/
 	$(GO) test -race -run 'TestTimelineWorkerInvariance/workers=16' ./internal/sim/
 	$(GO) test -race -timeout 60s ./internal/memconn/ ./internal/imap/ ./internal/pop3/
@@ -108,7 +110,7 @@ ci: build metrics-doc-check
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run xxx -bench . -benchtime 1x $(BENCH_PKGS)
 	$(GO) test -run xxx -bench 'BenchmarkParallelCrawl$$/workers=8' -benchtime 1x ./internal/sim/
-	$(GO) test -run xxx -bench 'BenchmarkPopFrontier|BenchmarkMonitorIngest' -benchtime 1x ./internal/simclock/ ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkPopFrontier|BenchmarkMonitorIngest|BenchmarkStuffLogin' -benchtime 1x ./internal/simclock/ ./internal/core/ ./internal/attacker/
 	$(MAKE) bench-overhead
 	$(MAKE) bench-compare
 

@@ -148,6 +148,11 @@ type Campaign struct {
 	breaches map[string]time.Time
 	dead     map[string]bool // accounts the attacker has abandoned
 	resales  []string        // domains whose dumps were resold
+	// deadFlags holds one abandoned flag per stuffed address, which every
+	// accountState of the address shares (a resale adds a second state for
+	// an address the first wave already stuffs). Only the address's keyed
+	// events, which never run concurrently, read or write a flag.
+	deadFlags map[string]*bool
 
 	// Metrics, when non-nil, receives campaign-progress observations.
 	// Recording is atomic-only and draws no randomness.
@@ -157,13 +162,14 @@ type Campaign struct {
 // NewCampaign assembles an attacker.
 func NewCampaign(cfg CampaignConfig, sched *simclock.Scheduler, stuffer *Stuffer, provider *emailprovider.Provider) *Campaign {
 	return &Campaign{
-		cfg:      cfg,
-		sched:    sched,
-		stuffer:  stuffer,
-		cracker:  &Cracker{Words: identity.DictionaryWords()},
-		provider: provider,
-		breaches: make(map[string]time.Time),
-		dead:     make(map[string]bool),
+		cfg:       cfg,
+		sched:     sched,
+		stuffer:   stuffer,
+		cracker:   &Cracker{Words: identity.DictionaryWords()},
+		provider:  provider,
+		breaches:  make(map[string]time.Time),
+		dead:      make(map[string]bool),
+		deadFlags: make(map[string]*bool),
 	}
 }
 
@@ -298,9 +304,17 @@ func (c *Campaign) scheduleStuffing(x *simclock.Exec, rng *rand.Rand, cred Crede
 		first += time.Duration(rng.Int63n(int64(spread)))
 	}
 
+	c.mu.Lock()
+	dead := c.deadFlags[cred.Email]
+	if dead == nil {
+		dead = new(bool)
+		c.deadFlags[cred.Email] = dead
+	}
+	c.mu.Unlock()
 	state := &accountState{
 		cred:         cred,
 		key:          simclock.KeyFor(cred.Email),
+		dead:         dead,
 		profile:      profile,
 		willSpam:     spam,
 		willTakeover: takeover,
@@ -331,10 +345,12 @@ func sampleProfile(rng *rand.Rand) Profile {
 
 // accountState is touched only by the account's own keyed events, which
 // the timeline engine serializes, so no lock guards it — including rng,
-// the account's private randomness stream.
+// the account's private randomness stream, and dead, the address's
+// abandoned flag.
 type accountState struct {
 	cred         Credential
 	key          uint64
+	dead         *bool
 	rng          *rand.Rand
 	profile      Profile
 	logins       int
@@ -347,13 +363,9 @@ type accountState struct {
 
 // access performs one visit per the profile, then books the next.
 func (c *Campaign) access(st *accountState, x *simclock.Exec) {
-	c.mu.Lock()
-	if c.dead[st.cred.Email] {
-		c.mu.Unlock()
+	if *st.dead {
 		return
 	}
-	c.mu.Unlock()
-
 	siphon := st.profile == ProfileScraper || st.profile == ProfileBurstyMulti
 	switch st.profile {
 	case ProfileBurstyMulti:
@@ -427,6 +439,7 @@ func (c *Campaign) afterLogins(st *accountState) {
 	}
 	if st.willSpam && st.logins >= st.spamAfter {
 		c.provider.ReportSpam(st.cred.Email, 100+st.rng.Intn(900))
+		*st.dead = true
 		c.mu.Lock()
 		c.dead[st.cred.Email] = true
 		c.mu.Unlock()

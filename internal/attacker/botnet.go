@@ -134,13 +134,23 @@ func (s *Stuffer) UsePOP(server *pop3.Server, frac float64, seed int64) {
 	s.popSeed = seed
 }
 
-// nextDraw advances and returns the account's draw counter — the sequence
-// number that makes every probabilistic choice about this account a pure
-// function of (seed, email, how many draws came before).
-func (s *Stuffer) nextDraw(email string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := s.log.Intern(email, "")
+// attempt is what one login attempt took under the stuffer's lock: its
+// account's id in the attempt log, the draw its proxy lease uses, and the
+// POP3 split's configuration and draw when one was taken.
+type attempt struct {
+	id      uint32
+	lease   uint64
+	pop     *pop3.Server // nil when the attempt took no protocol draw
+	popDraw uint64
+	popFrac float64
+	popSeed int64
+}
+
+// drawLocked advances and returns account id's draw counter — the
+// sequence number that makes every probabilistic choice about the account
+// a pure function of (seed, email, how many draws came before). Caller
+// holds mu.
+func (s *Stuffer) drawLocked(id uint32) uint64 {
 	for len(s.draws) <= int(id) {
 		s.draws = append(s.draws, 0)
 	}
@@ -148,18 +158,38 @@ func (s *Stuffer) nextDraw(email string) uint64 {
 	return s.draws[id] - 1
 }
 
-// pickPOP returns the POP3 server when this login of email goes over POP3,
-// and nil when it goes over IMAP.
-func (s *Stuffer) pickPOP(email string) *pop3.Server {
+// nextDraw advances and returns email's draw counter.
+func (s *Stuffer) nextDraw(email string) uint64 {
 	s.mu.Lock()
-	pop, frac, seed := s.pop, s.popFrac, s.popSeed
-	s.mu.Unlock()
-	if pop == nil || frac <= 0 {
+	defer s.mu.Unlock()
+	return s.drawLocked(s.log.Intern(email, ""))
+}
+
+// begin interns email and takes its draws for one attempt under one lock:
+// a proxy lease's when lease is set, then the IMAP/POP3 split's when UsePOP
+// configured one.
+func (s *Stuffer) begin(email string, lease bool) attempt {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	a := attempt{id: s.log.Intern(email, "")}
+	if lease {
+		a.lease = s.drawLocked(a.id)
+	}
+	if s.pop != nil && s.popFrac > 0 {
+		a.pop, a.popDraw, a.popFrac, a.popSeed = s.pop, s.drawLocked(a.id), s.popFrac, s.popSeed
+	}
+	return a
+}
+
+// overPOP returns the POP3 server when this attempt of email goes over
+// POP3, and nil when it goes over IMAP.
+func (a *attempt) overPOP(email string) *pop3.Server {
+	if a.pop == nil {
 		return nil
 	}
-	rng := xrand.New(xrand.Mix(seed, int64(fnv64(email)), int64(s.nextDraw(email))))
-	if rng.Float64() < frac {
-		return pop
+	rng := xrand.New(xrand.Mix(a.popSeed, int64(fnv64(email)), int64(a.popDraw)))
+	if rng.Float64() < a.popFrac {
+		return a.pop
 	}
 	return nil
 }
@@ -192,27 +222,30 @@ func (s *Stuffer) EndSegment() {
 // a bare credential check. It returns whether the login succeeded and the
 // exit IP used.
 func (s *Stuffer) TryLogin(cred Credential, siphon bool) (bool, netip.Addr) {
-	ip := s.LeaseIP(cred.Email)
-	ok := s.loginVia(ip, cred, siphon)
-	s.record(cred.Email, ip, ok)
+	a := s.begin(cred.Email, true)
+	ip := s.Pool.Lease(cred.Email, a.lease)
+	ok := s.loginVia(ip, cred, siphon, a.overPOP(cred.Email))
+	s.record(a.id, ip, ok)
 	return ok, ip
 }
 
 // TryLoginFrom is TryLogin pinned to a specific exit (single-IP burst
 // behaviour, paper §6.4.2).
 func (s *Stuffer) TryLoginFrom(ip netip.Addr, cred Credential, siphon bool) bool {
-	ok := s.loginVia(ip, cred, siphon)
-	s.record(cred.Email, ip, ok)
+	a := s.begin(cred.Email, false)
+	ok := s.loginVia(ip, cred, siphon, a.overPOP(cred.Email))
+	s.record(a.id, ip, ok)
 	return ok
 }
 
-func (s *Stuffer) record(email string, ip netip.Addr, ok bool) {
+// record logs an attempt on account id, as begin interned it.
+func (s *Stuffer) record(id uint32, ip netip.Addr, ok bool) {
 	var success uint8
 	if ok {
 		success = 1
 	}
 	s.mu.Lock()
-	s.log.Append(s.log.Intern(email, ""), s.Now(), ip, success)
+	s.log.Append(id, s.Now(), ip, success)
 	s.mu.Unlock()
 	s.Metrics.attempt(ok)
 }
@@ -232,14 +265,16 @@ type bot struct {
 
 var botPool = sync.Pool{New: func() any { return new(bot) }}
 
-func (s *Stuffer) loginVia(ip netip.Addr, cred Credential, siphon bool) bool {
+// loginVia logs in with cred from ip, over POP3 when pop is set and over
+// IMAP otherwise.
+func (s *Stuffer) loginVia(ip netip.Addr, cred Credential, siphon bool, pop *pop3.Server) bool {
 	if s.Latency > 0 {
 		time.Sleep(s.Latency)
 	}
 	b := botPool.Get().(*bot)
 	defer botPool.Put(b)
 	defer b.conn.Close()
-	if pop := s.pickPOP(cred.Email); pop != nil {
+	if pop != nil {
 		b.popSrv.Reset(pop, ip)
 		b.conn.Reset(&b.popSrv)
 		return b.collectPOP(cred, siphon)

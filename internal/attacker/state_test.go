@@ -260,7 +260,7 @@ func image(encode func(*snapshot.Encoder)) []byte {
 func TestStufferDrawsOmitRecordOnlyAccounts(t *testing.T) {
 	ip := netip.MustParseAddr("100.64.3.4")
 	s := NewStuffer(nil, nil, func() time.Time { return t0 })
-	s.record("c@hmail.test", ip, true)
+	s.record(s.begin("c@hmail.test", false).id, ip, true)
 	s.nextDraw("a@hmail.test")
 	want := snapshot.NewEncoder()
 	want.Uint(0) // breaches
@@ -300,7 +300,7 @@ func TestSealIgnoresInternOrder(t *testing.T) {
 		}
 		st.BeginSegment()
 		for _, i := range order {
-			st.record(email(i), netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}), false)
+			st.record(st.begin(email(i), false).id, netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}), false)
 		}
 		st.EndSegment()
 		clock.AdvanceTo(t0.Add(time.Hour))
@@ -310,8 +310,10 @@ func TestSealIgnoresInternOrder(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				st.record(email(i), st.LeaseIP(email(i)), i%2 == 0)
-				st.record(email(i), st.LeaseIP(email(i)), true)
+				for _, ok := range []bool{i%2 == 0, true} {
+					a := st.begin(email(i), true)
+					st.record(a.id, st.Pool.Lease(email(i), a.lease), ok)
+				}
 			}(i)
 		}
 		wg.Wait()

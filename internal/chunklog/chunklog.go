@@ -29,9 +29,6 @@ type Log[T any] struct {
 	chunks []*[ChunkSize]T
 	head   int
 	n      int
-	// order and vals are SortStableFrom's buffers, kept between calls.
-	order []*T
-	vals  []T
 }
 
 // Len returns the number of elements.
@@ -94,7 +91,7 @@ func (l *Log[T]) DropFront(k int) {
 // log's chunks, not its spine, so Appends to the log, which write only past
 // the window, leave it unchanged, and it copies none of the elements it
 // covers. A DropFront that drops part of the window may zero that part,
-// and a SortStableFrom that reaches into it rewrites it.
+// and a write through At into it rewrites it.
 type View[T any] struct {
 	head []T             // the window's part of its first chunk
 	mid  []*[ChunkSize]T // chunks wholly inside the window after the first
@@ -153,33 +150,4 @@ func (v View[T]) Part(k int) []T {
 	default:
 		return v.tail
 	}
-}
-
-// SortStableFrom stably sorts elements [from, Len()) by cmp. It sorts
-// pointers and then writes the values back in their new order, so a swap
-// moves a pointer rather than a T, through buffers the log keeps for the
-// next call. It panics unless 0 <= from <= Len().
-func (l *Log[T]) SortStableFrom(from int, cmp func(a, b *T) int) {
-	if from < 0 || from > l.n {
-		panic("chunklog: sort start out of range")
-	}
-	if l.n-from < 2 {
-		return
-	}
-	order := l.order[:0]
-	for i := from; i < l.n; i++ {
-		order = append(order, l.At(i))
-	}
-	slices.SortStableFunc(order, cmp)
-	vals := l.vals[:0]
-	for _, p := range order {
-		vals = append(vals, *p)
-	}
-	for i := range vals {
-		*l.At(from + i) = vals[i]
-	}
-	// Keep both buffers' capacity, but nothing they point at.
-	clear(order)
-	clear(vals)
-	l.order, l.vals = order[:0], vals[:0]
 }

@@ -1,8 +1,6 @@
 package chunklog
 
 import (
-	"cmp"
-	"fmt"
 	"slices"
 	"testing"
 )
@@ -177,41 +175,6 @@ func TestWindowCoversRanges(t *testing.T) {
 			}()
 			l.Window(r[0], r[1])
 		}()
-	}
-}
-
-type keyed struct{ key, seq int }
-
-// TestSortStableFromAcrossChunks sorts suffixes that start in one chunk
-// and end in another, and requires exactly the order a stable sort of a
-// flat copy gives.
-func TestSortStableFromAcrossChunks(t *testing.T) {
-	byKey := func(a, b *keyed) int { return cmp.Compare(a.key, b.key) }
-	for _, tc := range []struct{ before, seg int }{
-		{ChunkSize - 5, 12},              // straddles one boundary
-		{ChunkSize - 1, 2 * ChunkSize},   // spans a whole chunk
-		{2 * ChunkSize, ChunkSize/2 + 1}, // starts on a boundary
-		{7, 1},                           // too short to reorder
-		{7, 0},
-	} {
-		t.Run(fmt.Sprintf("before=%d/seg=%d", tc.before, tc.seg), func(t *testing.T) {
-			var l Log[keyed]
-			var flat []keyed
-			for i := 0; i < tc.before+tc.seg; i++ {
-				k := keyed{key: (i * 7919) % 13, seq: i}
-				l.Append(k)
-				flat = append(flat, k)
-			}
-			for round := 0; round < 2; round++ { // the second reuses the kept buffers
-				l.SortStableFrom(tc.before, byKey)
-				slices.SortStableFunc(flat[tc.before:], func(a, b keyed) int { return byKey(&a, &b) })
-				if got := contents(l.Window(0, l.Len())); !slices.Equal(got, flat) {
-					t.Fatalf("round %d: log order differs from a stable sort of a flat copy", round)
-				}
-				l.Append(keyed{key: -round, seq: -1})
-				flat = append(flat, keyed{key: -round, seq: -1})
-			}
-		})
 	}
 }
 

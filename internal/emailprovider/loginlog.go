@@ -26,13 +26,11 @@ type loginLog struct {
 }
 
 // append records a successful login to local@domain at t from ip by
-// method, and returns the account's address.
-func (r *loginLog) append(local string, t time.Time, ip netip.Addr, method uint8) string {
+// method.
+func (r *loginLog) append(local string, t time.Time, ip netip.Addr, method uint8) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	id := r.log.Intern(local, r.at)
-	r.log.Append(id, t, ip, method)
-	return r.log.Name(id)
+	r.log.Append(r.log.Intern(local, r.at), t, ip, method)
 }
 
 // windowLocked returns a dump reading records [lo, hi) in place. Caller

@@ -453,9 +453,9 @@ func (p *Provider) Inbox(email string) []imap.Message {
 	return out
 }
 
-// login is the shared auth path; method labels the access channel. It
-// returns the account's address as the login log holds it.
-func (p *Provider) login(email, password string, remote netip.Addr, method uint8) (string, error) {
+// login is the shared auth path; method labels the access channel. On
+// success it returns the shard and local part it resolved the account to.
+func (p *Provider) login(email, password string, remote netip.Addr, method uint8) (*accountShard, string, error) {
 	now := p.Now()
 	local, slot, sh := p.lookup(email)
 	if slot < 0 {
@@ -468,17 +468,15 @@ func (p *Provider) login(email, password string, remote netip.Addr, method uint8
 			if p.Metrics != nil {
 				p.Metrics.authFailures.Inc()
 			}
-			return "", imap.ErrAuthFailed
+			return nil, "", imap.ErrAuthFailed
 		}
 		if password == d.Password {
 			// A correct-password login on a pristine account mutates
 			// nothing (its failure counters are already zero), so it
 			// succeeds without materializing a row.
 			sh.mu.Unlock()
-			account := p.log.append(local, now, remote, method)
-			p.maybeSpill()
-			p.Metrics.loginOK(method)
-			return account, nil
+			p.loggedIn(local, now, remote, method)
+			return sh, local, nil
 		}
 		// Wrong password: the brute-force counters are about to move, so
 		// the account becomes real.
@@ -489,14 +487,14 @@ func (p *Provider) login(email, password string, remote netip.Addr, method uint8
 		if p.Metrics != nil {
 			p.Metrics.throttled.Inc()
 		}
-		return "", imap.ErrThrottled
+		return nil, "", imap.ErrThrottled
 	}
 	st := State(sh.states[slot])
 	if st == Frozen || st == Deactivated {
 		if p.Metrics != nil {
 			p.Metrics.lockedOut.Inc()
 		}
-		return "", imap.ErrAccountFrozen
+		return nil, "", imap.ErrAccountFrozen
 	}
 	if st == ResetForced || sh.passwords[slot] != password {
 		// Track failures for the brute-force defence. Failed attempts are
@@ -512,22 +510,33 @@ func (p *Provider) login(email, password string, remote netip.Addr, method uint8
 		if p.Metrics != nil {
 			p.Metrics.authFailures.Inc()
 		}
-		return "", imap.ErrAuthFailed
+		return nil, "", imap.ErrAuthFailed
 	}
 	sh.failedCount[slot] = 0
-	account := p.log.append(local, now, remote, method)
+	p.loggedIn(local, now, remote, method)
+	return sh, local, nil
+}
+
+// loggedIn records a successful login to local's account.
+func (p *Provider) loggedIn(local string, now time.Time, remote netip.Addr, method uint8) {
+	p.log.append(local, now, remote, method)
 	p.maybeSpill()
 	p.Metrics.loginOK(method)
-	return account, nil
 }
 
 // Login implements imap.Backend.
 func (p *Provider) Login(user, pass string, remote netip.Addr) (imap.Session, error) {
-	email, err := p.login(user, pass, remote, methodIMAP)
+	return p.openSession(user, pass, remote, methodIMAP)
+}
+
+// openSession logs in by method and returns a session on the account the
+// login resolved.
+func (p *Provider) openSession(user, pass string, remote netip.Addr, method uint8) (imap.Session, error) {
+	sh, local, err := p.login(user, pass, remote, method)
 	if err != nil {
 		return nil, err
 	}
-	return &session{p: p, email: email}, nil
+	return &session{sh: sh, local: local}, nil
 }
 
 // methodBackend is an imap.Backend view of the provider that records a
@@ -539,11 +548,7 @@ type methodBackend struct {
 
 // Login implements imap.Backend with the wrapped method label.
 func (b methodBackend) Login(user, pass string, remote netip.Addr) (imap.Session, error) {
-	email, err := b.p.login(user, pass, remote, b.method)
-	if err != nil {
-		return nil, err
-	}
-	return &session{p: b.p, email: email}, nil
+	return b.p.openSession(user, pass, remote, b.method)
 }
 
 // POPBackend returns a mailbox backend whose successful logins are logged
@@ -553,23 +558,34 @@ func (p *Provider) POPBackend() imap.Backend { return methodBackend{p: p, method
 // WebLogin authenticates through the provider's web interface; Tripwire's
 // own control-account logins use this method.
 func (p *Provider) WebLogin(email, password string, remote netip.Addr) error {
-	_, err := p.login(email, password, remote, methodWeb)
+	_, _, err := p.login(email, password, remote, methodWeb)
 	return err
 }
 
 // POPLogin authenticates via POP3 (some attacker tooling uses it).
 func (p *Provider) POPLogin(email, password string, remote netip.Addr) error {
-	_, err := p.login(email, password, remote, methodPOP3)
+	_, _, err := p.login(email, password, remote, methodPOP3)
 	return err
 }
 
-// session implements imap.Session over a provider account. It holds the
-// address, not a row: a pristine account has no row yet, and re-resolving
-// per operation keeps the session valid if one materializes mid-session.
+// session implements imap.Session over a provider account. It holds what
+// the login resolved, the account's shard and local part, not a row: a
+// pristine account has no row yet, and looking the row up per operation
+// keeps the session valid if one materializes mid-session.
 type session struct {
-	p        *Provider
-	email    string
+	sh       *accountShard
+	local    string
 	selected bool
+}
+
+// inbox returns the account's inbox, which is empty while it has no row,
+// with sh.mu locked; the caller must unlock it.
+func (s *session) inbox() []imap.Message {
+	s.sh.mu.Lock()
+	if slot, ok := s.sh.index[s.local]; ok {
+		return s.sh.inboxes[slot]
+	}
+	return nil
 }
 
 func (s *session) Select(mailbox string) (int, error) {
@@ -577,21 +593,17 @@ func (s *session) Select(mailbox string) (int, error) {
 		return 0, fmt.Errorf("emailprovider: no mailbox %q", mailbox)
 	}
 	s.selected = true
-	_, slot, sh := s.p.lookup(s.email)
-	defer sh.mu.Unlock()
-	if slot < 0 {
-		return 0, nil // pristine: empty inbox
-	}
-	return len(sh.inboxes[slot]), nil
+	defer s.sh.mu.Unlock()
+	return len(s.inbox()), nil
 }
 
 func (s *session) Fetch(seq int) (imap.Message, error) {
-	_, slot, sh := s.p.lookup(s.email)
-	defer sh.mu.Unlock()
-	if !s.selected || slot < 0 || seq < 1 || seq > len(sh.inboxes[slot]) {
+	defer s.sh.mu.Unlock()
+	inbox := s.inbox()
+	if !s.selected || seq < 1 || seq > len(inbox) {
 		return imap.Message{}, fmt.Errorf("emailprovider: no message %d", seq)
 	}
-	return sh.inboxes[slot][seq-1], nil
+	return inbox[seq-1], nil
 }
 
 func (s *session) Logout() error { return nil }

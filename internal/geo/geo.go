@@ -120,21 +120,22 @@ func (s *Space) IsDatacenter(ip netip.Addr) bool {
 
 // SampleCountry picks a country with probability proportional to its
 // ProxyWeight.
-func (s *Space) SampleCountry(rng *rand.Rand) Country {
+func (s *Space) SampleCountry(rng *rand.Rand) Country { return *s.sampleCountry(rng) }
+
+func (s *Space) sampleCountry(rng *rand.Rand) *Country {
 	x := rng.Float64() * s.total
 	i := sort.SearchFloat64s(s.cumWeight, x)
 	if i >= len(s.countries) {
 		i = len(s.countries) - 1
 	}
-	return s.countries[i]
+	return &s.countries[i]
 }
 
 // SampleProxyIP draws a proxy IP: country by ProxyWeight, then a uniform
 // host address inside that country's allocation (which lands in datacenter
 // space with probability ≈ DatacenterFrac).
 func (s *Space) SampleProxyIP(rng *rand.Rand) netip.Addr {
-	c := s.SampleCountry(rng)
-	return s.SampleIPIn(rng, c.Code)
+	return sampleIP(rng, s.sampleCountry(rng))
 }
 
 // SampleIPIn draws a uniform host address inside the named country's
@@ -145,6 +146,11 @@ func (s *Space) SampleIPIn(rng *rand.Rand, code string) netip.Addr {
 	if !ok {
 		panic(fmt.Sprintf("geo: unknown country code %q", code))
 	}
+	return sampleIP(rng, c)
+}
+
+// sampleIP draws a uniform host address inside c's allocation.
+func sampleIP(rng *rand.Rand, c *Country) netip.Addr {
 	a := byte(c.slash8s[rng.Intn(len(c.slash8s))])
 	return netip.AddrFrom4([4]byte{a, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(1 + rng.Intn(254))})
 }

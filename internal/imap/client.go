@@ -2,6 +2,7 @@ package imap
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -18,7 +19,7 @@ import (
 // garbage. The zero value plus Reset is equivalent to Dial.
 type Client struct {
 	conn    net.Conn
-	r       lineReader
+	r       LineReader
 	tag     int
 	tagBuf  []byte // current command tag ("aNNN"), reused
 	scratch []byte // outgoing command build buffer, reused
@@ -38,7 +39,7 @@ func Dial(conn net.Conn) (*Client, error) {
 // retained.
 func (c *Client) Reset(conn net.Conn) error {
 	c.conn = conn
-	c.r.reset(conn)
+	c.r.Reset(conn)
 	c.tag = 0
 	line, err := c.r.ReadLine()
 	if err != nil {
@@ -98,14 +99,43 @@ func (c *Client) status() ([]byte, error) {
 	}
 }
 
+// errUnquotable is returned for a string that holds a byte an IMAP quoted
+// string cannot carry.
+var errUnquotable = errors.New("imap: CR, LF and NUL cannot be sent in a quoted string")
+
+// appendQuoted appends s to dst as an IMAP quoted string: " and \ are
+// escaped with a backslash, and every other byte is copied as is, so a
+// string that holds neither is copied in one append. ok is false when s
+// holds CR, LF or NUL, which no quoted string can carry.
+func appendQuoted(dst []byte, s string) (out []byte, ok bool) {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '"', '\\':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\')
+			start = i
+		case '\r', '\n', 0:
+			return dst, false
+		}
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"'), true
+}
+
 // Login authenticates. It maps the server's status responses back to the
 // sentinel errors so callers can distinguish wrong-password from frozen
-// from throttled.
+// from throttled. A user or password that holds CR, LF or NUL is an error,
+// and nothing is sent.
 func (c *Client) Login(user, pass string) error {
-	line := append(c.begin(), "LOGIN "...)
-	line = strconv.AppendQuote(line, user)
-	line = append(line, ' ')
-	line = strconv.AppendQuote(line, pass)
+	line, ok := appendQuoted(append(c.begin(), "LOGIN "...), user)
+	if ok {
+		line, ok = appendQuoted(append(line, ' '), pass)
+	}
+	if !ok {
+		return errUnquotable
+	}
 	if err := c.send(line); err != nil {
 		return err
 	}
@@ -125,10 +155,13 @@ func (c *Client) Login(user, pass string) error {
 	}
 }
 
-// Select opens a mailbox and returns its message count.
+// Select opens a mailbox and returns its message count. A name that holds
+// CR, LF or NUL is an error, and nothing is sent.
 func (c *Client) Select(mailbox string) (int, error) {
-	line := append(c.begin(), "SELECT "...)
-	line = strconv.AppendQuote(line, mailbox)
+	line, ok := appendQuoted(append(c.begin(), "SELECT "...), mailbox)
+	if !ok {
+		return 0, errUnquotable
+	}
 	if err := c.send(line); err != nil {
 		return 0, err
 	}
@@ -272,17 +305,18 @@ func atoiBytes(b []byte) (int, bool) {
 
 var crlf = []byte("\r\n")
 
-// lineReader reads CRLF lines plus fixed-size literals from a fixed,
+// LineReader reads CRLF lines plus fixed-size literals from a fixed,
 // reusable buffer; returned slices alias the buffer and are valid until
-// the next read call.
-type lineReader struct {
+// the next read call. The zero value plus Reset is ready to use. The POP3
+// client reads its replies through one too.
+type LineReader struct {
 	conn net.Conn
 	buf  []byte
 	r, w int
 }
 
-// reset rebinds the reader to conn, keeping its buffer.
-func (l *lineReader) reset(conn net.Conn) {
+// Reset rebinds the reader to conn, keeping its buffer.
+func (l *LineReader) Reset(conn net.Conn) {
 	l.conn = conn
 	l.r, l.w = 0, 0
 	if l.buf == nil {
@@ -292,7 +326,7 @@ func (l *lineReader) reset(conn net.Conn) {
 
 // fill compacts the buffer and reads more bytes, growing only when a
 // single line or literal outsizes the buffer.
-func (l *lineReader) fill() error {
+func (l *LineReader) fill() error {
 	if l.r > 0 {
 		n := copy(l.buf, l.buf[l.r:l.w])
 		l.r, l.w = 0, n
@@ -314,7 +348,7 @@ func (l *lineReader) fill() error {
 }
 
 // ReadLine returns the next line without its CRLF.
-func (l *lineReader) ReadLine() ([]byte, error) {
+func (l *LineReader) ReadLine() ([]byte, error) {
 	for {
 		if i := bytes.Index(l.buf[l.r:l.w], crlf); i >= 0 {
 			line := l.buf[l.r : l.r+i]
@@ -328,7 +362,7 @@ func (l *lineReader) ReadLine() ([]byte, error) {
 }
 
 // ReadN returns exactly n bytes.
-func (l *lineReader) ReadN(n int) ([]byte, error) {
+func (l *LineReader) ReadN(n int) ([]byte, error) {
 	for l.w-l.r < n {
 		if err := l.fill(); err != nil {
 			return nil, err

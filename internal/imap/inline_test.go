@@ -2,10 +2,12 @@ package imap
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 
 	"tripwire/internal/memconn"
@@ -197,4 +199,48 @@ func TestInlineLogsOutOnce(t *testing.T) {
 	if want := "* OK tripwire-sim IMAP4rev1 ready\r\na1 NO no mailbox selected\r\n"; string(got) != want {
 		t.Fatalf("reused conn read %q, want %q", got, want)
 	}
+}
+
+// credentialBackend records the credentials of every Login it sees and
+// refuses them all.
+type credentialBackend struct{ users, passes []string }
+
+func (b *credentialBackend) Login(user, pass string, _ netip.Addr) (Session, error) {
+	b.users, b.passes = append(b.users, user), append(b.passes, pass)
+	return nil, ErrAuthFailed
+}
+
+// FuzzLoginCredentials: any user and password without CR, LF or NUL
+// reaches Backend.Login byte for byte, whatever quotes, backslashes, spaces
+// or other bytes they hold; a Login whose credentials hold one fails
+// before anything reaches the server.
+func FuzzLoginCredentials(f *testing.F) {
+	f.Add("gem@mail.test", "Website1")
+	f.Add(`"odd\user"`, `has"quote back\slash`)
+	f.Add(" lead", "trail \\")
+	f.Add("tab\tuser", `\"`)
+	f.Add("", "")
+	f.Add("a\rb", "pw")
+	f.Add("user", "p\x00w\n")
+	f.Fuzz(func(t *testing.T, user, pass string) {
+		b := new(credentialBackend)
+		var c memconn.Conn
+		var ss ServerSession
+		ss.Reset(NewServer(b), dialogueRemote)
+		c.Reset(&ss)
+		var cli Client
+		if err := cli.Reset(&c); err != nil {
+			t.Fatal(err)
+		}
+		err := cli.Login(user, pass)
+		if strings.ContainsAny(user+pass, "\r\n\x00") {
+			if err == nil || len(b.users) != 0 {
+				t.Fatalf("Login(%q, %q) = %v and reached the backend %d times", user, pass, err, len(b.users))
+			}
+			return
+		}
+		if !errors.Is(err, ErrAuthFailed) || len(b.users) != 1 || b.users[0] != user || b.passes[0] != pass {
+			t.Fatalf("Login(%q, %q) = %v; backend saw users %q, passwords %q", user, pass, err, b.users, b.passes)
+		}
+	})
 }

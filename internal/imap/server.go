@@ -47,8 +47,8 @@ func (s *Server) ServeConn(conn net.Conn, remote netip.Addr) error {
 	var ss ServerSession
 	ss.Reset(s, remote)
 	defer ss.End()
-	var r lineReader
-	r.reset(conn)
+	var r LineReader
+	r.Reset(conn)
 	out, done := ss.Greet(nil), false
 	for {
 		if _, err := conn.Write(out); err != nil || done {
@@ -213,8 +213,10 @@ func verbIs(verb []byte, want string) bool {
 	return true
 }
 
-// splitQuoted splits line into fields respecting quoted strings (quotes
-// are kept in the field). Fields alias line; dst is reused.
+// splitQuoted splits line into fields respecting quoted strings: quotes
+// and escapes stay in the field, and inside quotes a backslash escapes the
+// byte after it, so an escaped quote does not end the field. Fields alias
+// line; dst is reused.
 func splitQuoted(line []byte, dst [][]byte) [][]byte {
 	dst = dst[:0]
 	inQ := false
@@ -222,6 +224,8 @@ func splitQuoted(line []byte, dst [][]byte) [][]byte {
 	for i := 0; i < len(line); i++ {
 		c := line[i]
 		switch {
+		case c == '\\' && inQ:
+			i++
 		case c == '"':
 			inQ = !inQ
 			if start < 0 {
@@ -244,11 +248,26 @@ func splitQuoted(line []byte, dst [][]byte) [][]byte {
 	return dst
 }
 
+// unquote returns a quoted field's content with its escapes removed, and
+// any other field as is. It removes escapes in place, rewriting the request
+// line the field aliases.
 func unquote(s []byte) []byte {
-	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
-		return s[1 : len(s)-1]
+	if len(s) < 2 || s[0] != '"' || s[len(s)-1] != '"' {
+		return s
 	}
-	return s
+	s = s[1 : len(s)-1]
+	i := bytes.IndexByte(s, '\\')
+	if i < 0 {
+		return s
+	}
+	out := s[:i]
+	for ; i < len(s); i++ {
+		if s[i] == '\\' && i+1 < len(s) {
+			i++
+		}
+		out = append(out, s[i])
+	}
+	return out
 }
 
 // parseSeqSet handles "n" and "n:m" (and "n:*" as n:large).

@@ -3,6 +3,7 @@ package loginrec
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,6 +26,13 @@ type Log struct {
 	addrs Addrs
 	mark  int  // the first index of the open segment
 	open  bool // between Mark and Seal
+	// Seal's buffers, kept between calls: the segment's records, its
+	// distinct accounts, and per account id its count of the segment's
+	// records and then the next place in the segment for one (zero for
+	// every id outside a Seal).
+	seg   []Record
+	accts []uint32
+	slot  []int32
 }
 
 // Intern returns the id of the account named key+suffix, adding it to the
@@ -120,11 +128,44 @@ func (l *Log) Open() bool { return l.open }
 // in one segment come from the same conflict partition and are already in
 // deterministic order, which the stable sort keeps, so the sealed log does
 // not depend on how the segment's partitions interleaved.
+//
+// A segment holds a few logins to each account it touches, so Seal sorts
+// the distinct accounts, not the records: it counts each account's logins,
+// orders the accounts by name, and places each record after those of the
+// accounts before its own, in its order among its account's records.
 func (l *Log) Seal() {
 	l.open = false
-	l.recs.SortStableFrom(l.mark, func(a, b *Record) int {
-		return strings.Compare(l.names[a.Account], l.names[b.Account])
-	})
+	if l.recs.Len()-l.mark < 2 {
+		return
+	}
+	if len(l.slot) < len(l.names) {
+		l.slot = append(l.slot, make([]int32, len(l.names)-len(l.slot))...)
+	}
+	seg, accts := l.seg[:0], l.accts[:0]
+	for i := l.mark; i < l.recs.Len(); i++ {
+		r := l.recs.At(i)
+		if l.slot[r.Account] == 0 {
+			accts = append(accts, r.Account)
+		}
+		l.slot[r.Account]++
+		seg = append(seg, *r)
+	}
+	if len(accts) > 1 {
+		slices.SortFunc(accts, func(a, b uint32) int { return strings.Compare(l.names[a], l.names[b]) })
+		next := int32(0)
+		for _, id := range accts {
+			next, l.slot[id] = next+l.slot[id], next
+		}
+		for i := range seg {
+			slot := &l.slot[seg[i].Account]
+			*l.recs.At(l.mark + int(*slot)) = seg[i]
+			*slot++
+		}
+	}
+	for _, id := range accts {
+		l.slot[id] = 0
+	}
+	l.seg, l.accts = seg[:0], accts[:0]
 }
 
 // recordMinBytes is the least one record occupies in a segment: five

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"tripwire/internal/chunklog"
 	"tripwire/internal/snapshot"
 )
 
@@ -109,6 +111,81 @@ func TestSealIgnoresInternOrder(t *testing.T) {
 			t.Fatalf("%s: first sealed login is to %q", owner.name, name)
 		}
 	}
+}
+
+// sealMatchesStableSort marks l, appends the segment that logs to the
+// keys in order (interning each at its first use), seals it, and requires
+// the log to equal a flat copy of it whose segment was stably sorted by
+// account name. Each login's address and tag record its place in the
+// segment, so stability decides the order among an account's logins.
+func sealMatchesStableSort(t *testing.T, l *Log, keys []string) {
+	t.Helper()
+	l.Mark()
+	at := at0.Add(time.Duration(l.Len()) * time.Minute)
+	for i, key := range keys {
+		l.Append(l.Intern(key, "@x.test"), at, netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}), uint8(i))
+	}
+	want := records(l)
+	slices.SortStableFunc(want[len(want)-len(keys):], func(a, b Record) int {
+		return strings.Compare(l.Name(a.Account), l.Name(b.Account))
+	})
+	l.Seal()
+	if got := records(l); !slices.Equal(got, want) {
+		t.Fatalf("sealed log differs from a stable sort by name of a flat copy\n got %v\nwant %v", resolve(l, got), resolve(l, want))
+	}
+}
+
+// TestSealAcrossChunks seals segments that straddle a chunk boundary, span
+// a whole chunk or start on one, and segments too short to reorder, twice
+// over so the second seal reuses the first one's buffers. Accounts repeat
+// within a segment, and some are first interned inside it, so their ids
+// do not follow their names.
+func TestSealAcrossChunks(t *testing.T) {
+	const c = chunklog.ChunkSize
+	for _, tc := range []struct{ before, seg int }{
+		{c - 5, 12},
+		{c - 1, 2 * c},
+		{2 * c, c/2 + 1},
+		{7, 1},
+		{7, 0},
+	} {
+		t.Run(fmt.Sprintf("before=%d/seg=%d", tc.before, tc.seg), func(t *testing.T) {
+			var l Log
+			for i := 0; i < tc.before; i++ {
+				l.Append(l.Intern(fmt.Sprintf("k%d", i%9), "@x.test"), at0, netip.AddrFrom4([4]byte{10, 0, 0, 1}), 0)
+			}
+			for round := 0; round < 2; round++ {
+				keys := make([]string, tc.seg)
+				for i := range keys {
+					keys[i] = fmt.Sprintf("k%d", (i*7919)%13+round*5)
+				}
+				sealMatchesStableSort(t, &l, keys)
+			}
+		})
+	}
+}
+
+// FuzzSeal: whatever accounts a segment logs to, in whatever order and
+// after however long a sealed prefix, Seal orders it as a stable sort by
+// name of a flat copy does. Each byte of picks names an account; the
+// prefix interns the accounts its bytes name, so the segment mixes those
+// with accounts it interns itself.
+func FuzzSeal(f *testing.F) {
+	f.Add(uint16(3), []byte{5, 1, 5, 200, 1, 17, 17, 0})
+	f.Add(uint16(chunklog.ChunkSize-2), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
+	f.Add(uint16(0), []byte{255, 255, 16, 1})
+	f.Fuzz(func(t *testing.T, before uint16, picks []byte) {
+		var l Log
+		for i := 0; i < int(before)%(3*chunklog.ChunkSize); i++ {
+			l.Append(l.Intern(fmt.Sprintf("%x", i%64), "@x.test"), at0, netip.AddrFrom4([4]byte{10, 0, 0, 1}), 0)
+		}
+		keys := make([]string, len(picks))
+		for i, b := range picks {
+			keys[i] = fmt.Sprintf("%x", b)
+		}
+		sealMatchesStableSort(t, &l, keys)
+		sealMatchesStableSort(t, &l, keys[len(keys)/2:])
+	})
 }
 
 // TestLogKeepsTimeOrder: a login older than the last one appended panics,

@@ -8,11 +8,11 @@ package pop3
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
 	"strconv"
-	"strings"
 
 	"tripwire/internal/imap"
 )
@@ -70,25 +70,27 @@ func (s *Server) ServeConn(conn net.Conn, remote netip.Addr) error {
 
 // ServerSession is the server half of one POP3 session, driven one request
 // line at a time: ServeConn drives one over a network connection, and a
-// memconn.Conn drives one inline on its caller's goroutine.
+// memconn.Conn drives one inline on its caller's goroutine. Its buffers
+// survive Reset, so one ServerSession can serve many sessions in turn.
 type ServerSession struct {
 	srv    *Server
 	remote netip.Addr
-	user   string
+	user   []byte // USER's argument, kept for PASS
 	sess   imap.Session
 	count  int
+	body   []byte // the message RETR dot-stuffs
 }
 
 // Reset ends the session if it is still open and starts a fresh one served
 // by s for a client at remote, whose address the backend logs on login.
 func (ss *ServerSession) Reset(s *Server, remote netip.Addr) {
 	ss.End()
-	*ss = ServerSession{srv: s, remote: remote}
+	*ss = ServerSession{srv: s, remote: remote, user: ss.user[:0], body: ss.body[:0]}
 }
 
 // Greet appends the server greeting to dst.
 func (ss *ServerSession) Greet(dst []byte) []byte {
-	return okf(dst, "%s", ss.srv.Greeting)
+	return ok(dst, ss.srv.Greeting)
 }
 
 // End logs the backend session out, if a login succeeded. Idempotent.
@@ -99,101 +101,128 @@ func (ss *ServerSession) End() {
 	}
 }
 
-func okf(dst []byte, format string, args ...any) []byte {
-	return fmt.Appendf(dst, "+OK "+format+"\r\n", args...)
+// ok appends "+OK text" CRLF to dst.
+func ok(dst []byte, text string) []byte {
+	dst = append(dst, "+OK "...)
+	return append(append(dst, text...), crlf...)
 }
 
-func errf(dst []byte, format string, args ...any) []byte {
-	return fmt.Appendf(dst, "-ERR "+format+"\r\n", args...)
+// fail appends "-ERR text" CRLF to dst.
+func fail(dst []byte, text string) []byte {
+	dst = append(dst, "-ERR "...)
+	return append(append(dst, text...), crlf...)
 }
+
+// appendInt appends n in decimal to dst.
+func appendInt(dst []byte, n int) []byte { return strconv.AppendInt(dst, int64(n), 10) }
+
+var crlf = []byte("\r\n")
 
 // Serve handles one request line and appends the replies to dst; trailing
-// CR and LF bytes on line are ignored. done reports QUIT: the session is
-// over, and the caller should read no further requests.
+// CR and LF bytes on line are ignored. The verb matches in any case. PASS
+// takes the rest of the line verbatim as the password; every other
+// argument is trimmed of spaces. done reports QUIT: the session is over,
+// and the caller should read no further requests.
 func (ss *ServerSession) Serve(dst, line []byte) (out []byte, done bool) {
-	verb, arg := splitVerb(string(bytes.TrimRight(line, "\r\n")))
-	switch verb {
-	case "USER":
-		ss.user = arg
-		return okf(dst, "send PASS"), false
-	case "PASS":
-		if ss.user == "" {
-			return errf(dst, "USER first"), false
+	verb, arg, _ := bytes.Cut(bytes.TrimRight(line, "\r\n"), []byte(" "))
+	switch {
+	case bytes.EqualFold(verb, []byte("USER")):
+		ss.user = append(ss.user[:0], bytes.TrimSpace(arg)...)
+		return ok(dst, "send PASS"), false
+	case bytes.EqualFold(verb, []byte("PASS")):
+		if len(ss.user) == 0 {
+			return fail(dst, "USER first"), false
 		}
-		sess, err := ss.srv.Backend.Login(ss.user, arg, ss.remote)
+		sess, err := ss.srv.Backend.Login(string(ss.user), string(arg), ss.remote)
 		if err != nil {
-			return errf(dst, "authentication failed"), false
+			return fail(dst, "authentication failed"), false
 		}
 		ss.sess = sess
 		ss.count, err = sess.Select("INBOX")
 		if err != nil {
 			ss.count = 0
 		}
-		return okf(dst, "maildrop has %d messages", ss.count), false
-	case "STAT":
+		dst = appendInt(append(dst, "+OK maildrop has "...), ss.count)
+		return append(dst, " messages\r\n"...), false
+	case bytes.EqualFold(verb, []byte("STAT")):
 		if ss.sess == nil {
-			return errf(dst, "not authenticated"), false
+			return fail(dst, "not authenticated"), false
 		}
-		return okf(dst, "%d %d", ss.count, ss.count*1024), false
-	case "LIST":
+		dst = appendInt(append(dst, "+OK "...), ss.count)
+		dst = appendInt(append(dst, ' '), ss.count*1024)
+		return append(dst, crlf...), false
+	case bytes.EqualFold(verb, []byte("LIST")):
 		if ss.sess == nil {
-			return errf(dst, "not authenticated"), false
+			return fail(dst, "not authenticated"), false
 		}
-		dst = okf(dst, "%d messages", ss.count)
+		dst = appendInt(append(dst, "+OK "...), ss.count)
+		dst = append(dst, " messages\r\n"...)
 		for i := 1; i <= ss.count; i++ {
-			dst = fmt.Appendf(dst, "%d 1024\r\n", i)
+			dst = append(appendInt(dst, i), " 1024\r\n"...)
 		}
 		return append(dst, ".\r\n"...), false
-	case "RETR":
+	case bytes.EqualFold(verb, []byte("RETR")):
 		if ss.sess == nil {
-			return errf(dst, "not authenticated"), false
+			return fail(dst, "not authenticated"), false
 		}
-		n, err := strconv.Atoi(arg)
+		n, err := strconv.Atoi(string(bytes.TrimSpace(arg)))
 		if err != nil || n < 1 || n > ss.count {
-			return errf(dst, "no such message"), false
+			return fail(dst, "no such message"), false
 		}
 		m, err := ss.sess.Fetch(n)
 		if err != nil {
-			return errf(dst, "fetch failed"), false
+			return fail(dst, "fetch failed"), false
 		}
-		dst = okf(dst, "message follows")
-		body := fmt.Sprintf("From: %s\r\nSubject: %s\r\n\r\n%s", m.From, m.Subject, m.Body)
-		for _, ln := range strings.Split(body, "\r\n") {
-			if strings.HasPrefix(ln, ".") {
-				dst = append(dst, '.')
-			}
-			dst = append(dst, ln...)
-			dst = append(dst, "\r\n"...)
-		}
-		return append(dst, ".\r\n"...), false
-	case "DELE", "RSET":
+		return ss.retr(ok(dst, "message follows"), m), false
+	case bytes.EqualFold(verb, []byte("DELE")), bytes.EqualFold(verb, []byte("RSET")):
 		// Honey mailboxes are read-only in the simulation; accept and
 		// ignore, like a maildrop that never expunges.
-		return okf(dst, "noted"), false
-	case "NOOP":
-		return okf(dst, ""), false
-	case "QUIT":
-		return okf(dst, "bye"), true
+		return ok(dst, "noted"), false
+	case bytes.EqualFold(verb, []byte("NOOP")):
+		return ok(dst, ""), false
+	case bytes.EqualFold(verb, []byte("QUIT")):
+		return ok(dst, "bye"), true
 	default:
-		return errf(dst, "unknown command"), false
+		return fail(dst, "unknown command"), false
 	}
 }
 
-func splitVerb(line string) (string, string) {
-	if i := strings.IndexByte(line, ' '); i >= 0 {
-		return strings.ToUpper(line[:i]), strings.TrimSpace(line[i+1:])
+// retr appends m to dst as RETR's multi-line body: its header and body
+// lines, each CRLF-terminated, with a leading '.' doubled, then the
+// terminating ".".
+func (ss *ServerSession) retr(dst []byte, m imap.Message) []byte {
+	b := append(ss.body[:0], "From: "...)
+	b = append(b, m.From...)
+	b = append(b, "\r\nSubject: "...)
+	b = append(b, m.Subject...)
+	b = append(b, "\r\n\r\n"...)
+	b = append(b, m.Body...)
+	ss.body = b
+	for more := true; more; {
+		var ln []byte
+		ln, b, more = bytes.Cut(b, crlf)
+		if len(ln) > 0 && ln[0] == '.' {
+			dst = append(dst, '.')
+		}
+		dst = append(append(dst, ln...), crlf...)
 	}
-	return strings.ToUpper(line), ""
+	return append(dst, ".\r\n"...)
 }
 
 // Client is a minimal POP3 client. Reset rebinds it to a fresh connection
 // while keeping its buffers, so one Client can drive many sessions in turn;
 // the zero value plus Reset is equivalent to Dial.
 type Client struct {
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
+	conn    net.Conn
+	r       imap.LineReader
+	scratch []byte // the outgoing command, then a message Retr reads
 }
+
+// Errors the client returns.
+var (
+	errAuth       = errors.New("pop3: authentication failed")
+	errUnsendable = errors.New("pop3: CR, LF and NUL cannot be sent in a credential")
+)
 
 // Dial opens a POP3 session over conn, consuming the greeting.
 func Dial(conn net.Conn) (*Client, error) {
@@ -208,35 +237,47 @@ func Dial(conn net.Conn) (*Client, error) {
 // greeting.
 func (c *Client) Reset(conn net.Conn) error {
 	c.conn = conn
-	if c.r == nil {
-		c.r, c.w = bufio.NewReader(conn), bufio.NewWriter(conn)
-	} else {
-		c.r.Reset(conn)
-		c.w.Reset(conn)
-	}
+	c.r.Reset(conn)
 	_, err := c.expectOK()
 	return err
 }
 
-// Auth authenticates with USER/PASS.
+// sendable reports whether s holds none of CR, LF and NUL, which would end
+// or corrupt the command line it is sent on.
+func sendable(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '\r' || c == '\n' || c == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Auth authenticates with USER/PASS. A user or password that holds CR, LF
+// or NUL is an error, and nothing is sent.
 func (c *Client) Auth(user, pass string) error {
-	if _, err := c.cmd("USER " + user); err != nil {
+	if !sendable(user) || !sendable(pass) {
+		return errUnsendable
+	}
+	if _, err := c.cmd("USER ", user); err != nil {
 		return err
 	}
-	if _, err := c.cmd("PASS " + pass); err != nil {
-		return fmt.Errorf("pop3: authentication failed")
+	if _, err := c.cmd("PASS ", pass); err != nil {
+		return errAuth
 	}
 	return nil
 }
 
 // Stat returns the message count.
 func (c *Client) Stat() (int, error) {
-	line, err := c.cmd("STAT")
+	line, err := c.cmd("STAT", "")
 	if err != nil {
 		return 0, err
 	}
-	var n, size int
-	if _, err := fmt.Sscanf(line, "+OK %d %d", &n, &size); err != nil {
+	rest, _ := bytes.CutPrefix(line, []byte("+OK "))
+	count, size, _ := bytes.Cut(rest, []byte(" "))
+	n, err := strconv.Atoi(string(count))
+	if _, serr := strconv.Atoi(string(size)); err != nil || serr != nil {
 		return 0, fmt.Errorf("pop3: malformed STAT reply %q", line)
 	}
 	return n, nil
@@ -244,50 +285,49 @@ func (c *Client) Stat() (int, error) {
 
 // Retr fetches message n (1-based) as raw text.
 func (c *Client) Retr(n int) (string, error) {
-	if _, err := c.cmd(fmt.Sprintf("RETR %d", n)); err != nil {
+	if _, err := c.cmd("RETR ", strconv.Itoa(n)); err != nil {
 		return "", err
 	}
-	var b strings.Builder
+	b := c.scratch[:0]
 	for {
-		line, err := c.r.ReadString('\n')
+		line, err := c.r.ReadLine()
 		if err != nil {
 			return "", err
 		}
-		trimmed := strings.TrimRight(line, "\r\n")
-		if trimmed == "." {
-			return b.String(), nil
+		if len(line) == 1 && line[0] == '.' {
+			c.scratch = b
+			return string(b), nil
 		}
-		if strings.HasPrefix(trimmed, "..") {
-			trimmed = trimmed[1:]
+		if bytes.HasPrefix(line, []byte("..")) {
+			line = line[1:]
 		}
-		b.WriteString(trimmed)
-		b.WriteString("\r\n")
+		b = append(append(b, line...), crlf...)
 	}
 }
 
 // Quit ends the session and closes the connection.
 func (c *Client) Quit() error {
-	_, _ = c.cmd("QUIT")
+	_, _ = c.cmd("QUIT", "")
 	return c.conn.Close()
 }
 
-func (c *Client) cmd(line string) (string, error) {
-	if _, err := c.w.WriteString(line + "\r\n"); err != nil {
-		return "", err
-	}
-	if err := c.w.Flush(); err != nil {
-		return "", err
+// cmd writes head and arg as one command line and returns the reply line,
+// which is valid until the next read.
+func (c *Client) cmd(head, arg string) ([]byte, error) {
+	line := append(append(c.scratch[:0], head...), arg...)
+	c.scratch = append(line, crlf...)
+	if _, err := c.conn.Write(c.scratch); err != nil {
+		return nil, err
 	}
 	return c.expectOK()
 }
 
-func (c *Client) expectOK() (string, error) {
-	line, err := c.r.ReadString('\n')
+func (c *Client) expectOK() ([]byte, error) {
+	line, err := c.r.ReadLine()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	line = strings.TrimRight(line, "\r\n")
-	if !strings.HasPrefix(line, "+OK") {
+	if !bytes.HasPrefix(line, []byte("+OK")) {
 		return line, fmt.Errorf("pop3: server said %q", line)
 	}
 	return line, nil

@@ -53,16 +53,16 @@ func TestServerCommandSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	// LIST: multiline, one row per message, dot-terminated.
-	if _, err := c.cmd("LIST"); err != nil {
+	if _, err := c.cmd("LIST", ""); err != nil {
 		t.Fatal(err)
 	}
 	rows := 0
 	for {
-		line, err := c.r.ReadString('\n')
+		line, err := c.r.ReadLine()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.TrimRight(line, "\r\n") == "." {
+		if string(line) == "." {
 			break
 		}
 		rows++
@@ -71,14 +71,14 @@ func TestServerCommandSurface(t *testing.T) {
 		t.Fatalf("LIST rows = %d", rows)
 	}
 	for _, verb := range []string{"DELE 1", "RSET", "NOOP"} {
-		if _, err := c.cmd(verb); err != nil {
+		if _, err := c.cmd(verb, ""); err != nil {
 			t.Fatalf("%s: %v", verb, err)
 		}
 	}
-	if _, err := c.cmd("XYZZY"); err == nil {
+	if _, err := c.cmd("XYZZY", ""); err == nil {
 		t.Fatal("unknown command accepted")
 	}
-	if _, err := c.cmd("RETR nope"); err == nil {
+	if _, err := c.cmd("RETR nope", ""); err == nil {
 		t.Fatal("non-numeric RETR accepted")
 	}
 	if err := c.Quit(); err != nil {
