@@ -7,9 +7,9 @@
 #                    formatting), vet, race tests, an arm64 cross-build (the
 #                    strong hash's portable path), snapshot/browser-resolve/
 #                    crawler/epoch-equivalence/scheduler-order/strong-digest/
-#                    login-record/cold-segment/seal/IMAP-credential fuzz
-#                    corpora as seed tests, resume byte-identity smoke
-#                    (workers grid incl. 8, the
+#                    login-record/cold-segment/seal/IMAP-credential/SMTP-
+#                    session fuzz corpora as seed tests, resume byte-identity
+#                    smoke (workers grid incl. 8, the
 #                    stop checkpoint, a spill read failure failing the
 #                    checkpoint and the resume, streamed section digests
 #                    equal to their images, the pinned per-section
@@ -21,9 +21,10 @@
 #                    ends, under -race),
 #                    the 16-worker invariance smoke over crawl waves and
 #                    timeline epochs (under -race), the inline-session conn
-#                    contract and IMAP/POP3 transcript tests under a 60 s
-#                    timeout (a read that blocks fails the run, under
-#                    -race), the browser's concurrent storage-borrowing
+#                    contract, memconn.Serve over a net.Pipe and the
+#                    IMAP/POP3/SMTP transcript tests under a 60 s timeout
+#                    (a read that blocks fails the run, under -race), the
+#                    browser's concurrent storage-borrowing
 #                    test and the crawler's concurrent attempts on one
 #                    Crawler against a serial run (-race -count=10), the 1M-account
 #                    lazy-store smoke (-short, under -race), the serve
@@ -47,7 +48,8 @@
 #   make fuzz        short fuzzing sessions: the crawler heuristics (30 s),
 #                    the event queue's order and the epoch engine's serial
 #                    equivalence (10 s each; simclock's leakcheck TestMain
-#                    must still pass after fuzzing)
+#                    must still pass after fuzzing), and an SMTP session fed
+#                    arbitrary client bytes inline and over ServeConn (10 s)
 #   make metrics-doc-check  every registered metric name appears in DESIGN.md
 #   make bench-overhead     CPU-bound crawl batches with metrics on vs off,
 #                           alternating in one run; fails if the median
@@ -99,10 +101,10 @@ ci: build metrics-doc-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	GOARCH=arm64 $(GO) build ./...
-	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/ ./internal/browser/ ./internal/webgen/ ./internal/emailprovider/ ./internal/loginrec/ ./internal/imap/
+	$(GO) test -run Fuzz ./internal/snapshot/ ./internal/crawler/ ./internal/simclock/ ./internal/browser/ ./internal/webgen/ ./internal/emailprovider/ ./internal/loginrec/ ./internal/imap/ ./internal/mailserv/
 	$(GO) test -race -run 'TestResumeByteIdentical|TestStopCheckpoint|TestStudyCheckpointResume|TestSpillFailureFailsCheckpoint|TestStreamedDigestsMatchImages|TestCheckpointSectionGolden|SectionTracksMutations|TestUniverseExportTracksMaterialization|TestSealIgnoresInternOrder|TestIngestMatchesLedgerAttribution' ./internal/sim/ . ./internal/core/ ./internal/emailprovider/ ./internal/loginrec/ ./internal/attacker/ ./internal/webgen/
 	$(GO) test -race -run 'TestTimelineWorkerInvariance/workers=16' ./internal/sim/
-	$(GO) test -race -timeout 60s ./internal/memconn/ ./internal/imap/ ./internal/pop3/
+	$(GO) test -race -timeout 60s ./internal/memconn/ ./internal/imap/ ./internal/pop3/ ./internal/mailserv/
 	$(GO) test -race -count=10 -run 'TestConcurrentSessionsRecycleStorage|TestConcurrentAttemptsMatchSerial' ./internal/browser/ ./internal/crawler/
 	$(GO) test -race -short -run 'TestLazyMillionAccountSmoke|TestCheckpointDigestAttestation' ./internal/sim/
 	$(GO) test -race -run 'TestServeSmoke' ./cmd/tripwire-serve/
@@ -155,3 +157,4 @@ fuzz:
 	$(GO) test -fuzz FuzzFieldHeuristics -fuzztime 30s ./internal/crawler/
 	$(GO) test -run XXX -fuzz FuzzSchedulerOrder -fuzztime 10s ./internal/simclock/
 	$(GO) test -run XXX -fuzz FuzzEpochEquivalence -fuzztime 10s ./internal/simclock/
+	$(GO) test -run XXX -fuzz FuzzSMTPSession -fuzztime 10s ./internal/mailserv/

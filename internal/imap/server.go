@@ -5,6 +5,8 @@ import (
 	"net"
 	"net/netip"
 	"strconv"
+
+	"tripwire/internal/memconn"
 )
 
 // Server speaks IMAP4rev1 (subset) over accepted connections, delegating
@@ -46,26 +48,14 @@ func remoteAddr(conn net.Conn) netip.Addr {
 func (s *Server) ServeConn(conn net.Conn, remote netip.Addr) error {
 	var ss ServerSession
 	ss.Reset(s, remote)
-	defer ss.End()
-	var r LineReader
-	r.Reset(conn)
-	out, done := ss.Greet(nil), false
-	for {
-		if _, err := conn.Write(out); err != nil || done {
-			return err
-		}
-		line, err := r.ReadLine()
-		if err != nil {
-			return err
-		}
-		out, done = ss.Serve(out[:0], line)
-	}
+	return memconn.Serve(conn, &ss)
 }
 
-// ServerSession is the server half of one IMAP session, driven one request
-// line at a time: ServeConn drives one over a network connection, and a
-// memconn.Conn drives one inline on its caller's goroutine. Its buffers
-// survive Reset, so one ServerSession can serve many sessions in turn.
+// ServerSession is the server half of one IMAP session, a memconn.Handler
+// driven one request line at a time: ServeConn drives one over a network
+// connection, and a memconn.Conn drives one inline on its caller's
+// goroutine. Its buffers survive Reset, so one ServerSession can serve
+// many sessions in turn.
 type ServerSession struct {
 	srv      *Server
 	remote   netip.Addr
@@ -106,7 +96,7 @@ func tagged(dst, tag []byte, rest string) []byte {
 	return reply(append(dst, rest...))
 }
 
-// Serve handles one request line (without its CRLF) and appends the
+// Serve handles one request line, as memconn frames it, and appends the
 // replies to dst. done reports LOGOUT: the session is over, and the caller
 // should read no further requests.
 func (ss *ServerSession) Serve(dst, line []byte) (out []byte, done bool) {

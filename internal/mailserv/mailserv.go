@@ -6,6 +6,7 @@ package mailserv
 
 import (
 	"fmt"
+	"io"
 	"net/mail"
 	"regexp"
 	"strings"
@@ -107,21 +108,15 @@ func (s *Server) DeliverRaw(envelopeFrom string, rcpts []string, raw string) err
 		return fmt.Errorf("mailserv: parsing message: %w", err)
 	}
 	subject := msg.Header.Get("Subject")
-	var body strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := msg.Body.Read(buf)
-		body.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
+	// The body reads from raw, which cannot fail.
+	b, _ := io.ReadAll(msg.Body)
+	body := string(b)
 	from := msg.Header.Get("From")
 	if from == "" {
 		from = envelopeFrom
 	}
 	for _, rcpt := range rcpts {
-		s.Deliver(from, rcpt, subject, body.String())
+		s.Deliver(from, rcpt, subject, body)
 	}
 	return nil
 }

@@ -1,15 +1,18 @@
-// Package memconn provides an in-memory net.Conn that runs the server half
-// of a line-oriented protocol session inline, on the caller's goroutine.
+// Package memconn is where the repository's line protocols (IMAP, POP3
+// and SMTP) are served. A protocol's server half is a Handler, driven one
+// request line at a time. Serve runs a Handler over a real net.Conn, and
+// Conn runs one inline, on the caller's goroutine. Both frame requests the
+// same way, at LF with one CR before it dropped, so a session sends the
+// same bytes either way. LineReader reads the replies on the client side.
 //
-// It exists for the credential-stuffing hot path: every simulated IMAP or
-// POP3 login speaks the real protocol, but handing each command and reply
-// between a client goroutine and a server goroutine cost more than the
-// protocol itself (a fresh goroutine stack per session, and a park and a
-// wake-up per message). A Conn instead buffers the client's writes and,
-// for each complete request line, calls the protocol's per-session Handler
-// before Write returns; the handler appends its replies to a buffer that
-// Read drains. The bytes on the wire are exactly those a server driven by
-// ServeConn over a real connection would send.
+// The inline Conn exists for the simulation's hot paths: every stuffed
+// IMAP or POP3 login and every message the provider forwards over SMTP
+// speaks the real protocol, but handing each command and reply between a
+// client goroutine and a server goroutine cost more than the protocol
+// itself (a fresh goroutine stack per session, and a park and a wake-up
+// per message). A Conn instead buffers the client's writes and, for each
+// complete request line, calls the Handler before Write returns; the
+// handler appends its replies to a buffer that Read drains.
 //
 // Reads never block. A Read with no reply pending while the session is open
 // fails at once with ErrWouldBlock, so a client that is out of step with
@@ -24,6 +27,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"time"
 )
 
@@ -44,6 +48,61 @@ type Handler interface {
 	// End ends the session, releasing whatever the session holds in the
 	// backend.
 	End()
+}
+
+// frame hands each complete request line in in to h and appends the
+// replies to out. It returns the replies, the bytes of an unfinished line
+// moved to the front of in, and whether a request ended the session, in
+// which case the bytes after that request are dropped.
+func frame(h Handler, in, out []byte) (replies, rest []byte, done bool) {
+	buf := in
+	for {
+		i := bytes.IndexByte(in, '\n')
+		if i < 0 {
+			return out, buf[:copy(buf, in)], false
+		}
+		line := in[:i]
+		in = in[i+1:]
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
+		}
+		if out, done = h.Serve(out, line); done {
+			return out, buf[:0], true
+		}
+	}
+}
+
+// Serve runs the session h over conn: it sends h's greeting, frames what
+// the client sends into request lines as Conn.Write does, and writes the
+// replies to the lines of each read in one write. It returns nil once a
+// request ends the session and its replies are written, or the first read
+// or write error, and it ends h either way.
+func Serve(conn net.Conn, h Handler) error {
+	defer h.End()
+	out, in := h.Greet(nil), make([]byte, 0, 4096)
+	var done bool
+	var rerr error
+	for {
+		// An empty write on a synchronous conn such as net.Pipe would
+		// wait for a read the client may never make.
+		if len(out) > 0 {
+			if _, err := conn.Write(out); err != nil {
+				return err
+			}
+		}
+		if done {
+			return nil
+		}
+		if rerr != nil {
+			return rerr
+		}
+		if len(in) == cap(in) {
+			in = slices.Grow(in, len(in))
+		}
+		var n int
+		n, rerr = conn.Read(in[len(in):cap(in)])
+		out, in, done = frame(h, in[:len(in)+n], out[:0])
+	}
 }
 
 // addr is the static address both ends report.
@@ -94,11 +153,9 @@ func (c *Conn) Read(p []byte) (int, error) {
 }
 
 // Write hands each complete request line in p to the handler before it
-// returns. Lines are framed at LF, so a bare LF inside an IMAP command
-// splits it where the IMAP server's CRLF framing would not; no client in
-// this repository sends one. Bytes after the request that ends the session
-// are discarded, as a server that stopped reading would leave them unread.
-// Writing after the session ended fails with io.ErrClosedPipe.
+// returns, framed as Serve frames them. Bytes after the request that ends
+// the session are discarded, as a server that stopped reading would leave
+// them unread. Writing after the session ended fails with io.ErrClosedPipe.
 func (c *Conn) Write(p []byte) (int, error) {
 	if c.closed || c.h == nil {
 		return 0, io.ErrClosedPipe
@@ -106,27 +163,11 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if c.r == len(c.out) {
 		c.out, c.r = c.out[:0], 0
 	}
-	c.in = append(c.in, p...)
-	rest := c.in
-	for {
-		i := bytes.IndexByte(rest, '\n')
-		if i < 0 {
-			break
-		}
-		line := rest[:i]
-		rest = rest[i+1:]
-		if n := len(line); n > 0 && line[n-1] == '\r' {
-			line = line[:n-1]
-		}
-		var done bool
-		c.out, done = c.h.Serve(c.out, line)
-		if done {
-			c.end()
-			c.in = c.in[:0]
-			return len(p), nil
-		}
+	var done bool
+	c.out, c.in, done = frame(c.h, append(c.in, p...), c.out)
+	if done {
+		c.end()
 	}
-	c.in = c.in[:copy(c.in, rest)]
 	return len(p), nil
 }
 

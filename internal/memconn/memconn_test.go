@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"strings"
 	"testing"
+	"time"
 )
 
 // echo is a line protocol for exercising Conn: it greets, answers each
@@ -165,5 +167,77 @@ func TestResetReuse(t *testing.T) {
 			t.Fatalf("session %d: handler saw %q", i, h.lines)
 		}
 		prev = h
+	}
+}
+
+// serveOnPipe runs Serve(h) on one end of a net.Pipe and returns the other
+// end and a channel that yields Serve's result. Deadlines turn a session
+// that blocks into a failure.
+func serveOnPipe(t *testing.T, h Handler) (net.Conn, chan error) {
+	t.Helper()
+	cli, srv := net.Pipe()
+	t.Cleanup(func() { cli.Close() })
+	deadline := time.Now().Add(10 * time.Second)
+	cli.SetDeadline(deadline)
+	srv.SetDeadline(deadline)
+	served := make(chan error, 1)
+	go func() { served <- Serve(srv, h); srv.Close() }()
+	return cli, served
+}
+
+// expect reads len(want) bytes from c and compares them with want.
+func expect(t *testing.T, c net.Conn, want string) {
+	t.Helper()
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(c, got); err != nil || string(got) != want {
+		t.Fatalf("read %q, %v; want %q", got, err, want)
+	}
+}
+
+// TestServeFramesLikeConn: Serve frames a real connection's bytes as Conn
+// frames its writes, whatever the write boundaries; it writes nothing
+// while only part of a line has arrived (on net.Pipe an empty write would
+// wait for a read the client is not making); and after the request that
+// ends the session it ends the handler once, drops the bytes after that
+// request, and returns nil.
+func TestServeFramesLikeConn(t *testing.T) {
+	h := &echo{}
+	cli, served := serveOnPipe(t, h)
+	expect(t, cli, "+ hello\r\n")
+	for _, step := range []struct{ write, reply string }{
+		{"one\r\ntw", "ONE\r\n"},
+		{"o\r\nbare\ncr\r\r\n", "TWO\r\nBARE\r\nCR\r\r\n"},
+		{"qu", ""},
+		{"it\r\nignored\r\n", "QUIT\r\n"},
+	} {
+		if _, err := cli.Write([]byte(step.write)); err != nil {
+			t.Fatalf("write %q: %v", step.write, err)
+		}
+		expect(t, cli, step.reply)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve = %v, want nil after quit", err)
+	}
+	if got := strings.Join(h.lines, "|"); got != "one|two|bare|cr\r|quit" || h.ends != 1 {
+		t.Fatalf("handler saw %q and ended %d times", got, h.ends)
+	}
+}
+
+// TestServeEndsOnClientClose: a client that hangs up mid-session makes
+// Serve return the read error, and the session ends once.
+func TestServeEndsOnClientClose(t *testing.T) {
+	h := &echo{}
+	cli, served := serveOnPipe(t, h)
+	expect(t, cli, "+ hello\r\n")
+	if _, err := cli.Write([]byte("hi\r\npartial")); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, cli, "HI\r\n")
+	cli.Close()
+	if err := <-served; err != io.EOF {
+		t.Fatalf("Serve = %v, want io.EOF", err)
+	}
+	if h.ends != 1 || strings.Join(h.lines, "|") != "hi" {
+		t.Fatalf("handler saw %q and ended %d times", h.lines, h.ends)
 	}
 }

@@ -6,7 +6,6 @@
 package pop3
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -15,6 +14,7 @@ import (
 	"strconv"
 
 	"tripwire/internal/imap"
+	"tripwire/internal/memconn"
 )
 
 // Server speaks POP3 over accepted connections. Authentication and mailbox
@@ -53,25 +53,14 @@ func (s *Server) Serve(ln net.Listener) error {
 func (s *Server) ServeConn(conn net.Conn, remote netip.Addr) error {
 	var ss ServerSession
 	ss.Reset(s, remote)
-	defer ss.End()
-	r := bufio.NewReader(conn)
-	out, done := ss.Greet(nil), false
-	for {
-		if _, err := conn.Write(out); err != nil || done {
-			return err
-		}
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			return err
-		}
-		out, done = ss.Serve(out[:0], line)
-	}
+	return memconn.Serve(conn, &ss)
 }
 
-// ServerSession is the server half of one POP3 session, driven one request
-// line at a time: ServeConn drives one over a network connection, and a
-// memconn.Conn drives one inline on its caller's goroutine. Its buffers
-// survive Reset, so one ServerSession can serve many sessions in turn.
+// ServerSession is the server half of one POP3 session, a memconn.Handler
+// driven one request line at a time: ServeConn drives one over a network
+// connection, and a memconn.Conn drives one inline on its caller's
+// goroutine. Its buffers survive Reset, so one ServerSession can serve
+// many sessions in turn.
 type ServerSession struct {
 	srv    *Server
 	remote netip.Addr
@@ -118,13 +107,13 @@ func appendInt(dst []byte, n int) []byte { return strconv.AppendInt(dst, int64(n
 
 var crlf = []byte("\r\n")
 
-// Serve handles one request line and appends the replies to dst; trailing
-// CR and LF bytes on line are ignored. The verb matches in any case. PASS
-// takes the rest of the line verbatim as the password; every other
-// argument is trimmed of spaces. done reports QUIT: the session is over,
-// and the caller should read no further requests.
+// Serve handles one request line, as memconn frames it, and appends the
+// replies to dst. The verb matches in any case. PASS takes the rest of the
+// line verbatim as the password; every other argument is trimmed of
+// spaces. done reports QUIT: the session is over, and the caller should
+// read no further requests.
 func (ss *ServerSession) Serve(dst, line []byte) (out []byte, done bool) {
-	verb, arg, _ := bytes.Cut(bytes.TrimRight(line, "\r\n"), []byte(" "))
+	verb, arg, _ := bytes.Cut(line, []byte(" "))
 	switch {
 	case bytes.EqualFold(verb, []byte("USER")):
 		ss.user = append(ss.user[:0], bytes.TrimSpace(arg)...)
@@ -214,7 +203,7 @@ func (ss *ServerSession) retr(dst []byte, m imap.Message) []byte {
 // the zero value plus Reset is equivalent to Dial.
 type Client struct {
 	conn    net.Conn
-	r       imap.LineReader
+	r       memconn.LineReader
 	scratch []byte // the outgoing command, then a message Retr reads
 }
 

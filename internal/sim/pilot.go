@@ -2,11 +2,9 @@ package sim
 
 import (
 	"math/rand"
-	"net"
 	"net/netip"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"tripwire/internal/attacker"
@@ -21,6 +19,7 @@ import (
 	"tripwire/internal/identity"
 	"tripwire/internal/imap"
 	"tripwire/internal/mailserv"
+	"tripwire/internal/memconn"
 	"tripwire/internal/pop3"
 	"tripwire/internal/simclock"
 	"tripwire/internal/snapshot"
@@ -71,7 +70,6 @@ type Pilot struct {
 	gen        *identity.Generator
 	rng        *rand.Rand
 	verifier   *browser.Client // clicks verification links
-	forwarder  *smtpForwarder
 	institutIP netip.Addr
 	taskSeq    int64 // crawl-task creation counter (see parallel.go)
 	metrics    *pilotMetrics
@@ -167,11 +165,13 @@ func NewPilot(cfg Config) *Pilot {
 	p.Provider.SetDeriver(&accountDeriver{gen: p.gen})
 
 	// Tripwire mail server, fed by the provider's forwarding over real
-	// SMTP connections.
+	// SMTP sessions, one per message.
 	p.Mail = mailserv.NewServer()
 	p.Mail.Now = clock.Now
-	p.forwarder = &smtpForwarder{front: mailserv.NewSMTPServer(p.Mail)}
-	p.Provider.Forward = p.forwarder.send
+	smtp := mailserv.NewSMTPServer(p.Mail)
+	p.Provider.Forward = func(from, to, subject, body string) error {
+		return forwardMail(smtp, from, to, subject, body)
+	}
 
 	// Ledger and monitor. The ledger's pool spans materialize identities
 	// through the generator, and unused-set membership inverts addresses
@@ -237,74 +237,24 @@ func NewPilot(cfg Config) *Pilot {
 	return p
 }
 
-// smtpForwarder pushes provider-forwarded mail through a real SMTP session
-// over an in-memory duplex connection. The session is persistent: dialed on
-// first use and reused for every message, like a real MTA holding a
-// connection open to a busy destination. One message used to cost a fresh
-// pipe, server goroutine, greeting/EHLO exchange, and four bufio buffers;
-// amortizing them matters because crawl workers trigger forwarding
-// concurrently on every registration. The mutex serializes sends, which is
-// also what keeps interleaved SMTP commands from corrupting the session.
-type smtpForwarder struct {
-	front *mailserv.SMTPServer
-
-	mu  sync.Mutex
-	cli *mailserv.SMTPClient
-}
-
-func (f *smtpForwarder) send(from, to, subject, body string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.cli == nil {
-		if err := f.dialLocked(); err != nil {
-			return err
-		}
-	}
-	err := f.cli.Send(from, to, subject, body)
-	if err != nil {
-		// The session may be out of sync (e.g. a rejected DATA mid-message):
-		// drop it and retry the message once on a fresh one, so a single
-		// refused delivery does not poison every later forward.
-		f.closeLocked()
-		if derr := f.dialLocked(); derr != nil {
-			return err
-		}
-		return f.cli.Send(from, to, subject, body)
-	}
-	return nil
-}
-
-// dialLocked establishes the session: an in-memory pipe with the SMTP
-// front end serving one long-lived connection on its own goroutine.
-func (f *smtpForwarder) dialLocked() error {
-	cliConn, srvConn := net.Pipe()
-	go func() {
-		_ = f.front.ServeConn(srvConn)
-		srvConn.Close()
-	}()
-	cli, err := mailserv.DialSMTP(cliConn)
-	if err != nil {
-		cliConn.Close()
+// forwardMail sends one message the provider forwards to Tripwire's mail
+// server as one SMTP session, whose server half runs inline on the calling
+// goroutine. Crawl workers forward concurrently, and each call has its own
+// session, so no call waits for another and a refused message fails alone.
+func forwardMail(srv *mailserv.SMTPServer, from, to, subject, body string) error {
+	var ss mailserv.SMTPSession
+	var conn memconn.Conn
+	var cli mailserv.SMTPClient
+	ss.Reset(srv)
+	conn.Reset(&ss)
+	defer conn.Close()
+	if err := cli.Reset(&conn); err != nil {
 		return err
 	}
-	f.cli = cli
-	return nil
-}
-
-// closeLocked quits the session; the server goroutine exits with it.
-func (f *smtpForwarder) closeLocked() {
-	if f.cli != nil {
-		_ = f.cli.Close()
-		f.cli = nil
+	if err := cli.Send(from, to, subject, body); err != nil {
+		return err
 	}
-}
-
-// Close shuts the forwarding session down. Safe to call repeatedly; a later
-// send re-dials transparently.
-func (f *smtpForwarder) Close() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.closeLocked()
+	return cli.Close()
 }
 
 // takeIdentity pops an identity from the pool, provisioning more at the

@@ -46,10 +46,6 @@ func (p *Pilot) Run() *Pilot {
 // writes no checkpoint of either kind, because the original run already
 // covered those boundaries.
 func (p *Pilot) RunContext(ctx context.Context) error {
-	// The SMTP forwarding session stays open for the whole run; closing it
-	// here releases the pipe and its server goroutine (a later send would
-	// transparently re-dial).
-	defer p.forwarder.Close()
 	p.provisionUpfront()
 	p.scheduleControls()
 	p.scheduleBatches()
